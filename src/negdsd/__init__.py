@@ -1,8 +1,8 @@
 """Dense subgraph discovery on graphs with positive and negative edge weights.
 
 Covers greedy peeling with a tunable score multiplier, exact max-flow
-solving for nonnegative weights, a binary search on a risk-adjusted ratio
-objective, uncertain-graph ingestion, and layer-exclusion queries on
+solving for nonnegative weights, a Dinkelbach search on a risk-adjusted
+ratio objective, uncertain-graph ingestion, and layer-exclusion queries on
 multilayer graphs.
 """
 

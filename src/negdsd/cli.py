@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import asdict
 
 from .core import ObjectiveParams, build_signed_graph
 from .errors import NegDsdError, ParseError
@@ -40,6 +42,8 @@ def _c_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad multiplier list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("multiplier list is empty")
+    if not all(math.isfinite(c) for c in values):
+        raise argparse.ArgumentTypeError(f"multipliers must be finite, got {text!r}")
     return values
 
 
@@ -79,9 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     exact.set_defaults(handler=_cmd_exact)
 
     search = sub.add_parser(
-        "search", parents=[source, objective], help="binary search on the ratio objective"
+        "search",
+        parents=[source, objective],
+        help="maximize the ratio objective by Dinkelbach iteration: exact min cuts while the "
+        "reweighted graph stays nonnegative, peeling beyond (trace lists each step's route)",
     )
-    search.add_argument("--eps", type=float, default=1e-9, help="bracket convergence tolerance")
     search.set_defaults(handler=_cmd_search)
 
     risk = sub.add_parser(
@@ -94,11 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exclude = sub.add_parser(
         "exclude", parents=[source, clist], help="layer-exclusion query on a multilayer graph"
-    )
-    exclude.add_argument(
-        "--layers",
-        action="store_true",
-        help='input lines are "u v layer" (implied; flag accepted for explicitness)',
     )
     exclude.add_argument("--exclude", required=True, help="comma-separated layer names to exclude")
     mode = exclude.add_mutually_exclusive_group(required=True)
@@ -187,16 +188,9 @@ def _cmd_search(args) -> int:
     edges, labels = parse_signed(_read_input(args.input))
     graph = build_signed_graph(edges, n=len(labels))
     started = time.perf_counter()
-    result, trace = binary_search_objective(graph, _params(args), eps=args.eps)
+    result, trace = binary_search_objective(graph, _params(args))
     payload = _result_payload(result, labels.labels)
-    payload["trace"] = {
-        "iterations": trace.iterations,
-        "lo": trace.lo,
-        "hi": trace.hi,
-        "lo_history": trace.lo_history,
-        "hi_history": trace.hi_history,
-        "exact": trace.exact,
-    }
+    payload["trace"] = {**asdict(trace), "lo": trace.lo, "hi": trace.hi}
     return _emit(payload, started)
 
 

@@ -153,6 +153,9 @@ class ObjectiveParams:
     risk_tolerance: float = 1.0
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "risk_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParametersError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda2 <= 0:
             raise ZeroDenominatorError(
                 f"lambda2 must be > 0 to keep the objective denominator positive, got {self.lambda2}"
@@ -246,7 +249,8 @@ def build_signed_graph(
     return SignedGraph(n, edges)
 
 
-def _check_node_set(graph: SignedGraph, nodes: Iterable[int]) -> frozenset[int]:
+def _check_node_set(graph, nodes: Iterable[int]) -> frozenset[int]:
+    """Nonempty frozenset of valid ids of any graph type; reads only ``graph.n``."""
     node_set = frozenset(nodes)
     if not node_set:
         raise EmptySetError("node set must be nonempty")

@@ -1,19 +1,23 @@
-"""Exact densest-subgraph machinery for nonnegative weights.
+"""Exact machinery for ratio objectives: one Dinkelbach driver.
 
-The decision "is there a nonempty S with density >= g" reduces to one
-minimum cut on the classic source/sink network: the source feeds each node
-its weighted degree, each node pays 2g toward the sink, and every edge is
-bidirected at its weight.  The source side of the cut with the *largest*
-source side answers the >= query and doubles as the witness.
+``exact_dsd`` (density) and ``binary_search_objective`` (the ratio
+objective) both maximize ``(P(S) + l1*|S|) / (R(S) + l2*|S|)`` with P, R >= 0
+per edge.  The driver (Dinkelbach 1967) starts from the whole node set, sets
+q = a/b to the objective of its witness, and looks for a set with
+N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
 
-Weights are scaled to integers once per graph so every cut is computed in
-exact arithmetic: integral weights scale by 1, dyadic rationals by their
-common denominator (up to 2**32), anything else falls back to fixed-point
-at 1e-9 and marks results as inexact.
+* ``flow`` route, while q <= min P_e/R_e: every reweighted edge b*P_e - a*R_e
+  is nonnegative, so one minimum cut answers the step exactly.  The source
+  feeds each node its reweighted degree, each node pays 2*(a*l2 - b*l1) to
+  the sink, each edge is bidirected; the largest source side is the witness,
+  and a cut that finds nothing better certifies q as optimal.
+* ``peel`` route, past that point: the multi-``c`` peeling sweep on the
+  reweighted graph.  Its "nothing better" is no certificate, so the search
+  then ends flagged inexact.
 
-``exact_dsd`` iterates the decision at the current best density until the
-density stops improving, which terminates because each step strictly
-increases a rational with denominator at most n.
+P, R, l1 and l2 are scaled to integers once by their common denominator.
+Every finite float is a dyadic rational, so this is always exact, and q is a
+:class:`~fractions.Fraction`: no step ever rounds.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .core import (
     TIE_TOLERANCE,
     WeightedGraph,
     build_signed_graph,
-    objective_f,
+    objective_f,  # noqa: F401  re-exported; callers may look it up here
     objective_upper_bound,
     tilde_weights,
 )
@@ -44,9 +49,6 @@ from .errors import (
 from .flow import Dinic
 
 MAX_BRUTE_FORCE_NODES = 22
-MAX_SEARCH_ITERATIONS = 64
-_MAX_EXACT_SCALE = 2**32
-_FIXED_POINT_SCALE = 10**9
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,12 +61,18 @@ class DecisionOutcome:
 
 @dataclass(frozen=True, slots=True)
 class SearchTrace:
-    """Bracket history of a binary search on the ratio objective."""
+    """Bounds after each Dinkelbach step, and the route ("flow"/"peel") of each.
+
+    ``lo_history`` starts at the objective of the whole node set.
+    ``hi_history`` stays at ``objective_upper_bound`` until a flow step
+    certifies the optimum, and then equals it.
+    """
 
     iterations: int
     lo_history: list[float]
     hi_history: list[float]
     exact: bool
+    routes: list[str]
 
     @property
     def lo(self) -> float:
@@ -75,17 +83,114 @@ class SearchTrace:
         return self.hi_history[-1]
 
 
-def _scale_to_integers(weights: list[float]) -> tuple[list[int], int, bool]:
-    """Return (scaled ints, scale factor, exact flag) for a weight list."""
-    if all(w == int(w) for w in weights):
-        return [int(w) for w in weights], 1, True
-    fracs = [Fraction(w) for w in weights]  # floats are exact dyadic rationals
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        if denom > _MAX_EXACT_SCALE:
-            return [round(w * _FIXED_POINT_SCALE) for w in weights], _FIXED_POINT_SCALE, False
-    return [int(f * denom) for f in fracs], denom, True
+def _integer_ratios(values: list) -> list[tuple[int, int]]:
+    """Exact (numerator, denominator) of each finite real number."""
+    try:
+        return [x.as_integer_ratio() for x in values]
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        return [Fraction(x).as_integer_ratio() for x in values]
+
+
+@dataclass(frozen=True, slots=True)
+class _RatioProgram:
+    """The objective on one integer scale; ``edges`` holds (u, v, P_e, R_e)."""
+
+    n: int
+    edges: list[tuple[int, int, int, int]]
+    deg_p: list[int]  # loops counted twice
+    deg_r: list[int]
+    l1: int
+    l2: int
+    q_max: Fraction | float  # min P_e/R_e over R_e > 0: flow steps stay exact up to it
+
+    def value(self, nodes: Iterable[int]) -> Fraction:
+        inside = [False] * self.n
+        for u in nodes:
+            inside[u] = True
+        size = sum(inside)
+        num = den = 0
+        for u, v, p, r in self.edges:
+            if inside[u] and inside[v]:
+                num += p
+                den += r
+        return Fraction(num + self.l1 * size, den + self.l2 * size)
+
+
+def _ratio_program(n, edges, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
+    """Scale (u, v, P_e, R_e) records, R_e multiplied by ``r_factor``, to integers."""
+    (f_num, f_den), (l1_num, l1_den), (l2_num, l2_den) = _integer_ratios([r_factor, lambda1, lambda2])
+    p_ratio = _integer_ratios([p for _, _, p, _ in edges])
+    r_ratio = _integer_ratios([r for _, _, _, r in edges])
+    scale = math.lcm(l1_den, l2_den, *{d for _, d in p_ratio}, *{d * f_den for _, d in r_ratio})
+    int_edges = []
+    deg_p = [0] * n
+    deg_r = [0] * n
+    q_max: Fraction | float = math.inf
+    for (u, v, _, _), (p_num, p_den), (r_num, r_den) in zip(edges, p_ratio, r_ratio):
+        p = p_num * (scale // p_den)
+        r = r_num * f_num * (scale // (r_den * f_den))
+        int_edges.append((u, v, p, r))
+        deg_p[u] += p
+        deg_p[v] += p
+        if r:
+            deg_r[u] += r
+            deg_r[v] += r
+            if p < q_max * r:
+                q_max = Fraction(p, r)
+    l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
+    return _RatioProgram(n, int_edges, deg_p, deg_r, l1, l2, q_max)
+
+
+def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
+    """Largest S maximizing N(S) - q*D(S), by one minimum cut (may be empty).
+
+    Needs q <= ``q_max``.  When q*l2 <= l1 every node gains by joining, the
+    network has no sink arcs, and all nodes are returned.
+    """
+    a, b = q.numerator, q.denominator
+    n = program.n
+    net = Dinic(n + 2)
+    source, sink = n, n + 1
+    to_sink = 2 * (a * program.l2 - b * program.l1)
+    for u in range(n):
+        from_source = b * program.deg_p[u] - a * program.deg_r[u]
+        if from_source > 0:
+            net.add_edge(source, u, from_source)
+        if to_sink > 0:
+            net.add_edge(u, sink, to_sink)
+    for u, v, p, r in program.edges:
+        w = b * p - a * r
+        if u != v and w > 0:  # loops act through degrees only
+            net.add_edge(u, v, w)
+            net.add_edge(v, u, w)
+    net.max_flow(source, sink)
+    reaches_sink = net.residual_sink_side(sink)
+    return [u for u in range(n) if u not in reaches_sink]
+
+
+def _dinkelbach(
+    program: _RatioProgram,
+    peel: Callable[[Fraction], Iterable[int]] | None = None,
+) -> tuple[Iterable[int], bool, list[Fraction], list[str]]:
+    """Return (witness, exact, q at the start and after each step, routes).
+
+    ``peel(q)`` proposes a set for steps past ``q_max``.
+    """
+    best: Iterable[int] = range(program.n)
+    q = program.value(best)
+    history = [q]
+    routes: list[str] = []
+    while True:
+        route = "flow" if q <= program.q_max else "peel"
+        routes.append(route)
+        side = _max_density_side(program, q) if route == "flow" else peel(q)
+        value = program.value(side)
+        history.append(max(value, q))
+        if value <= q:
+            if route == "flow":
+                return side, True, history, routes  # the largest optimal set
+            return best, False, history, routes
+        best, q = side, value
 
 
 def _validate_nonnegative(graph: WeightedGraph) -> None:
@@ -96,89 +201,33 @@ def _validate_nonnegative(graph: WeightedGraph) -> None:
             raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
 
 
-def _max_density_side(
-    n: int,
-    int_edges: list[tuple[int, int, int]],
-    int_deg: list[int],
-    guess: Fraction,
-) -> list[int]:
-    """Largest S maximizing w(S) - guess*|S| (may be empty); guess >= 0."""
-    a, b = guess.numerator, guess.denominator
-    net = Dinic(n + 2)
-    source, sink = n, n + 1
-    for u in range(n):
-        if int_deg[u] > 0:
-            net.add_edge(source, u, int_deg[u] * b)
-        if a > 0:
-            net.add_edge(u, sink, 2 * a)
-    for u, v, w in int_edges:
-        if u != v and w > 0:  # loops act through degrees only
-            net.add_edge(u, v, w * b)
-            net.add_edge(v, u, w * b)
-    net.max_flow(source, sink)
-    reaches_sink = net.residual_sink_side(sink)
-    return [u for u in range(n) if u not in reaches_sink]
-
-
-def _prepare_integer_graph(
-    graph: WeightedGraph,
-) -> tuple[list[tuple[int, int, int]], list[int], int, bool]:
-    weights = [w for _, _, w in graph.edges]
-    int_weights, scale, exact = _scale_to_integers(weights)
-    int_edges = [(u, v, w) for (u, v, _), w in zip(graph.edges, int_weights)]
-    int_deg = [0] * graph.n
-    for u, v, w in int_edges:
-        int_deg[u] += w
-        int_deg[v] += w  # loops counted twice
-    return int_edges, int_deg, scale, exact
+def _density_program(graph: WeightedGraph) -> _RatioProgram:
+    return _ratio_program(graph.n, [(u, v, w, 0) for u, v, w in graph.edges], 0, 1)
 
 
 def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
-    """Decide whether some nonempty S has density w(S)/|S| >= g.
+    """Decide exactly, by one minimum cut, whether some nonempty S has w(S)/|S| >= g.
 
-    Exact for weights that scale to integers; otherwise the graph is rounded
-    at 1e-9 resolution first.  Raises :class:`NegativeWeightError` on any
-    negative weight.
+    Raises :class:`NegativeWeightError` on any negative weight.
     """
     _validate_nonnegative(graph)
-    if graph.n == 0:
-        return DecisionOutcome(False, None)
-    if g <= 0:
-        # Any set has nonnegative density here, so the whole node set works.
-        return DecisionOutcome(True, frozenset(range(graph.n)))
-    int_edges, int_deg, scale, _ = _prepare_integer_graph(graph)
-    witness = _max_density_side(graph.n, int_edges, int_deg, Fraction(g) * scale)
+    if not math.isfinite(g):
+        raise BadParametersError(f"density threshold must be finite, got {g}")
+    witness = _max_density_side(_density_program(graph), Fraction(g))
     if witness:
         return DecisionOutcome(True, frozenset(witness))
     return DecisionOutcome(False, None)
 
 
-def _induced_weight(edges: list[tuple[int, int, int]], nodes: set[int]) -> int:
-    return sum(w for u, v, w in edges if u in nodes and v in nodes)
-
-
 def exact_dsd(graph: WeightedGraph) -> DsdResult:
-    """True maximizer of w(S)/|S| over nonempty S, via iterated min cuts.
+    """True maximizer of w(S)/|S| over nonempty S; ties go to the largest set.
 
-    ``exact`` is True when the weights scaled to integers exactly, otherwise
-    the answer is correct for the 1e-9 fixed-point rounding of the input.
+    Every Dinkelbach step is a minimum cut, so the answer is always exact.
     """
     _validate_nonnegative(graph)
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
-    int_edges, int_deg, _, exact = _prepare_integer_graph(graph)
-    total = sum(w for _, _, w in int_edges)
-    best = list(range(graph.n))
-    density = Fraction(total, graph.n)
-    for _ in range(10 * graph.n + 10):
-        side = _max_density_side(graph.n, int_edges, int_deg, density)
-        if not side:
-            break  # defensive; the current best set always sits in some optimal side
-        side_density = Fraction(_induced_weight(int_edges, set(side)), len(side))
-        if side_density <= density:
-            best = side
-            break
-        best, density = side, side_density
+    best, _, _, _ = _dinkelbach(_density_program(graph))
     nodes = frozenset(best)
     w_float = sum(w for u, v, w in graph.edges if u in nodes and v in nodes)
     return DsdResult(
@@ -186,7 +235,7 @@ def exact_dsd(graph: WeightedGraph) -> DsdResult:
         net_density=w_float / len(nodes),
         wpos_total=w_float,
         wneg_total=0.0,
-        exact=exact,
+        exact=True,
         algorithm="exact_dsd",
     )
 
@@ -255,72 +304,36 @@ def _mask_nodes(mask: int) -> tuple[int, ...]:
 def binary_search_objective(
     graph: SignedGraph,
     params: ObjectiveParams,
-    eps: float = 1e-9,
 ) -> tuple[DsdResult, SearchTrace]:
-    """Maximize the ratio objective by binary search on its value.
+    """Maximize the ratio objective with the Dinkelbach driver.
 
-    Each query reweights the graph at the midpoint and asks for a density
-    threshold.  While the reweighted graph stays nonnegative the query is
-    answered exactly by :func:`dsd_decision`; once negative weights appear
-    the query falls back to peeling, whose "no" answers are not certificates,
-    so the result is flagged inexact.  The returned set is always a real
-    witness re-scored under the true objective, hence never an overestimate.
+    Steps are exact minimum cuts while q <= min wpos/(rt*wneg), where the
+    reweighted graph stays nonnegative; past it they reweight with
+    :func:`tilde_weights` and peel, and the result is flagged inexact.  The
+    returned set is a real witness re-scored under the true objective, so
+    it never overestimates.  The name predates the driver, which replaced a
+    bisection; it stays so existing callers keep working.
     """
     from .peeling import DEFAULT_C_LIST, PeelScoring, c_sweep  # local import to avoid a cycle
 
-    if eps <= 0:
-        raise BadParametersError(f"eps must be > 0, got {eps}")
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
+    rt = params.risk_tolerance
+    edges = [(e.u, e.v, e.wpos, e.wneg) for e in graph.edges]
+    program = _ratio_program(graph.n, edges, params.lambda1, params.lambda2, rt)
 
-    best_nodes = frozenset([0])
-    best_f = objective_f(graph, best_nodes, params)
-    for v in range(1, graph.n):
-        f_v = objective_f(graph, [v], params)
-        if f_v > best_f:
-            best_f, best_nodes = f_v, frozenset([v])
+    def peel(q: Fraction) -> frozenset[int]:
+        reweighted = tilde_weights(graph, float(q), rt)
+        signed = build_signed_graph(
+            [(u, v, w, 0.0) if w >= 0 else (u, v, 0.0, -w) for u, v, w in reweighted.edges],
+            n=graph.n,
+        )
+        return c_sweep(signed, DEFAULT_C_LIST, PeelScoring()).nodes
 
-    lo = best_f
-    hi = max(objective_upper_bound(graph, params), lo)
-    exact = True
-    lo_history = [lo]
-    hi_history = [hi]
-    iterations = 0
-    while hi - lo > eps * max(1.0, hi) and iterations < MAX_SEARCH_ITERATIONS:
-        iterations += 1
-        q = 0.5 * (lo + hi)
-        threshold = q * params.lambda2 - params.lambda1
-        reweighted = tilde_weights(graph, q, params.risk_tolerance)
-        if reweighted.all_nonnegative:
-            outcome = dsd_decision(reweighted, threshold)
-            feasible, witness = outcome.feasible, outcome.witness
-        else:
-            signed = build_signed_graph(
-                [(u, v, w, 0.0) if w >= 0 else (u, v, 0.0, -w) for u, v, w in reweighted.edges],
-                n=graph.n,
-            )
-            candidate = c_sweep(signed, DEFAULT_C_LIST, PeelScoring())
-            feasible = candidate.net_density >= threshold
-            witness = candidate.nodes if feasible else None
-            if not feasible:
-                exact = False  # a peeling "no" is not a certificate
-        if feasible:
-            lo = q
-            f_w = objective_f(graph, witness, params)
-            if f_w > best_f:
-                best_f, best_nodes = f_w, frozenset(witness)
-        else:
-            hi = q
-        lo_history.append(lo)
-        hi_history.append(hi)
-    if hi - lo > eps * max(1.0, hi):
-        exact = False  # iteration cap hit before the bracket closed
-    result = DsdResult.evaluate(
-        graph,
-        best_nodes,
-        algorithm="binary_search",
-        exact=exact,
-        params=params,
-    )
-    trace = SearchTrace(iterations, lo_history, hi_history, exact)
-    return result, trace
+    nodes, exact, history, routes = _dinkelbach(program, peel)
+    lo_history = [float(q) for q in history]
+    hi_history = [objective_upper_bound(graph, params)] * len(history)
+    if exact:
+        hi_history[-1] = lo_history[-1]
+    result = DsdResult.evaluate(graph, nodes, algorithm="binary_search", exact=exact, params=params)
+    return result, SearchTrace(len(routes), lo_history, hi_history, exact, routes)

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .core import SignedGraph, build_signed_graph
+from .core import SignedGraph, _check_node_set, build_signed_graph
 from .errors import (
     BadParametersError,
-    EmptySetError,
     UnknownLayerError,
     UnknownNodeError,
 )
@@ -114,21 +113,11 @@ def apply_exclusion(graph: MultilayerGraph, query: ExclusionQuery) -> SignedGrap
     return build_signed_graph(raw, n=graph.n)
 
 
-def _check_nodes(graph: MultilayerGraph, nodes: Iterable[int]) -> frozenset[int]:
-    node_set = frozenset(nodes)
-    if not node_set:
-        raise EmptySetError("node set must be nonempty")
-    for v in node_set:
-        if not isinstance(v, int) or v < 0 or v >= graph.n:
-            raise UnknownNodeError(f"node {v!r} not in 0..{graph.n - 1}")
-    return node_set
-
-
 def layer_count(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> int:
     """Number of layer edges with both endpoints in the set."""
     if layer not in graph.layers:
         raise UnknownLayerError(f"layer {layer!r} not present in the graph")
-    node_set = _check_nodes(graph, nodes)
+    node_set = _check_node_set(graph, nodes)
     return sum(
         1
         for u, v, edge_layer in graph.edges
@@ -138,7 +127,7 @@ def layer_count(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> i
 
 def layer_density(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> float:
     """Induced edge count of one layer divided by the set size."""
-    node_set = _check_nodes(graph, nodes)
+    node_set = _check_node_set(graph, nodes)
     return layer_count(graph, node_set, layer) / len(node_set)
 
 
@@ -152,7 +141,7 @@ def layer_report(
     The signed density weighs excluded layers at -W (the density they carry
     in the rewritten graph); without a query it equals the raw density.
     """
-    node_set = _check_nodes(graph, nodes)
+    node_set = _check_node_set(graph, nodes)
     penalty = 0.0
     excluded: frozenset = frozenset()
     if query is not None:

@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -30,6 +31,11 @@ from .errors import (
 DEFAULT_C_LIST = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
 
 _MODES = ("net_density", "objective")
+
+
+def _check_c(c: float) -> None:
+    if not 0 < c < math.inf:  # NaN fails too
+        raise NonPositiveCError(f"c must be finite and > 0, got {c}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +66,7 @@ class PeelScoring:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise BadParametersError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.c <= 0:
-            raise NonPositiveCError(f"c must be > 0, got {self.c}")
+        _check_c(self.c)
         if self.mode == "objective" and self.params is None:
             raise BadParametersError("objective mode needs ObjectiveParams")
 
@@ -73,8 +78,7 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     heap with lazy invalidation: every score change pushes a fresh entry and
     stale entries are skipped on pop.
     """
-    if c <= 0:
-        raise NonPositiveCError(f"c must be > 0, got {c}")
+    _check_c(c)
     n = graph.n
     if n == 0:
         raise EmptySetError("cannot peel an empty graph")

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import SignedGraph, build_signed_graph
+from .core import SignedGraph, _check_node_set, build_signed_graph
 from .errors import (
     BadParametersError,
     EmptyFilmographyError,
-    EmptySetError,
     OutOfRangeError,
     UnknownNodeError,
 )
@@ -143,12 +142,7 @@ def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:
 
 def risk_profile(graph: UncertainGraph, nodes: Iterable[int]) -> RiskReport:
     """Average induced expected reward and risk of a nonempty node set."""
-    node_set = frozenset(nodes)
-    if not node_set:
-        raise EmptySetError("node set must be nonempty")
-    for v in node_set:
-        if not isinstance(v, int) or v < 0 or v >= graph.n:
-            raise UnknownNodeError(f"node {v!r} not in 0..{graph.n - 1}")
+    node_set = _check_node_set(graph, nodes)
     mu_total = 0.0
     risk_total = 0.0
     for e in graph.edges:

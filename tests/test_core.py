@@ -150,6 +150,10 @@ class TestObjective:
             ObjectiveParams(lambda1=-0.5)
         with pytest.raises(BadParametersError):
             ObjectiveParams(risk_tolerance=0)
+        for bad in (float("nan"), float("inf")):
+            for name in ("lambda1", "lambda2", "risk_tolerance"):
+                with pytest.raises(BadParametersError):
+                    ObjectiveParams(**{name: bad})
         assert ObjectiveParams(lambda1=2, lambda2=4).rho == 0.5
 
 

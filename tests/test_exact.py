@@ -82,6 +82,11 @@ class TestDecision:
         with pytest.raises(NegativeWeightError):
             dsd_decision(WeightedGraph(2, [(0, 1, -1.0)]), 0.5)
 
+    def test_non_finite_threshold_rejected(self):
+        for g in (float("nan"), float("inf")):
+            with pytest.raises(BadParametersError):
+                dsd_decision(unit_triangle(), g)
+
     def test_empty_graph_is_infeasible(self):
         assert not dsd_decision(WeightedGraph(0, []), 0.5).feasible
 
@@ -120,10 +125,10 @@ class TestExactDsd:
         assert result.exact
         assert result.net_density == pytest.approx(0.5)
 
-    def test_non_dyadic_weights_fall_back_to_fixed_point(self):
+    def test_non_dyadic_weights_stay_exact(self):
         signed = build_signed_graph([(0, 1, 0.3, 0), (1, 2, 0.1, 0), (0, 2, 0.2, 0)])
         result = exact_dsd(signed.net_weighted())
-        assert not result.exact
+        assert result.exact
         _, best = naive_best(signed, "density")
         assert result.net_density == pytest.approx(best, abs=1e-6)
 
@@ -174,15 +179,18 @@ class TestBruteForce:
                 assert got == pytest.approx(value, abs=1e-12)
 
 
-def corollary_regime_graph(rng: random.Random, params: ObjectiveParams):
+def corollary_regime_graph(rng: random.Random, params: ObjectiveParams, unit: float = 1.0):
     """Random instance whose per-edge positive/negative ratio keeps every
-    reweighted graph nonnegative throughout the whole search bracket."""
+    reweighted graph nonnegative throughout the whole search bracket.
+
+    Positive weights are multiples of ``unit``; negative weights are
+    non-dyadic whatever the unit."""
     n = rng.randint(3, 10)
     raw = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.6:
-                raw.append((u, v, float(rng.randint(1, 5)), 0.0))
+                raw.append((u, v, rng.randint(1, 5) * unit, 0.0))
     bound = (sum(w for _, _, w, _ in raw) + params.lambda1 * n) / params.lambda2
     margin = 1.0 + rng.random()
     raw = [(u, v, w, w / (bound * params.risk_tolerance * margin)) for u, v, w, _ in raw]
@@ -202,13 +210,16 @@ class TestBinarySearch:
 
     def test_exact_in_corollary_regime(self):
         rng = random.Random(67)
-        params = ObjectiveParams()
-        for _ in range(30):
-            g = corollary_regime_graph(rng, params)
-            result, _ = binary_search_objective(g, params)
-            reference = brute_force(g, "objective", params)
-            assert result.exact
-            assert result.f_value == pytest.approx(reference.f_value, abs=1e-6)
+        cases = itertools.product((1.0, 0.1), (ObjectiveParams(), ObjectiveParams(0.3, 0.7, 0.25)))
+        for unit, params in cases:
+            for _ in range(30):
+                g = corollary_regime_graph(rng, params, unit)
+                result, trace = binary_search_objective(g, params)
+                reference = brute_force(g, "objective", params)
+                assert result.exact
+                assert result.f_value == pytest.approx(reference.f_value, abs=1e-9)
+                assert trace.routes == ["flow"] * trace.iterations
+                assert trace.iterations <= 8
 
     def test_heavy_negatives_underclaim_and_flag_inexact(self):
         rng = random.Random(71)
@@ -218,17 +229,19 @@ class TestBinarySearch:
             g = build_signed_graph(
                 [(e.u, e.v, e.wpos, 10.0 * e.wpos) for e in base.edges], n=base.n
             )
-            result, _ = binary_search_objective(g, params)
+            result, trace = binary_search_objective(g, params)
             reference = brute_force(g, "objective", params)
             assert result.f_value <= reference.f_value + 1e-9
             assert not result.exact
+            assert trace.routes[-1] == "peel" and not trace.exact
 
     def test_bracket_shrinks_monotonically(self):
         g = corollary_regime_graph(random.Random(73), ObjectiveParams())
         _, trace = binary_search_objective(g, ObjectiveParams())
         widths = [hi - lo for lo, hi in zip(trace.lo_history, trace.hi_history)]
         assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
-        assert trace.lo_history[-1] <= trace.hi_history[-1]
+        assert trace.lo_history[-1] == trace.hi_history[-1]
+        assert len(trace.lo_history) == len(trace.hi_history) == trace.iterations + 1
         assert trace.iterations <= 64
 
     def test_result_value_is_true_objective_of_nodes(self):
@@ -239,8 +252,5 @@ class TestBinarySearch:
         assert result.f_value <= objective_upper_bound(g, params) + 1e-9
 
     def test_validation(self):
-        g = build_signed_graph([(0, 1, 1, 0)])
-        with pytest.raises(BadParametersError):
-            binary_search_objective(g, ObjectiveParams(), eps=0.0)
         with pytest.raises(EmptySetError):
             binary_search_objective(build_signed_graph([]), ObjectiveParams())

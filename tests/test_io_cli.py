@@ -141,8 +141,30 @@ class TestCli:
         report = json.loads(out)
         assert report["f_value"] == pytest.approx(2.0, abs=1e-6)
         assert report["exact"] is True
-        assert report["trace"]["iterations"] <= 64
-        assert report["trace"]["lo"] <= report["trace"]["hi"]
+        trace = report["trace"]
+        assert trace["iterations"] <= 64
+        assert trace["routes"] == ["flow"] * trace["iterations"]
+        assert trace["lo"] == trace["hi"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--lambda1", "nan"),
+            ("search", "--lambda2", "inf"),
+            ("search", "--risk-tolerance", "nan"),
+            ("peel", "--objective", "--lambda1", "inf"),
+            ("peel", "--c-list", "nan"),
+            ("peel", "--c-list", "1,inf"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, capsys, tmp_path, argv):
+        path = tmp_path / "g.tsv"
+        path.write_text("a b 1\nb c 1\na c 1\n")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code != 0
+        assert out == ""
+        assert "negdsd" in err and "finite" in err
+        assert "Traceback" not in err
 
     def test_risk_pipeline(self, capsys, tmp_path):
         path = tmp_path / "u.tsv"
@@ -179,7 +201,7 @@ class TestCli:
         path = tmp_path / "ml.tsv"
         path.write_text("a b follow\nb c reply\n")
         code, out, _ = run_cli(
-            capsys, "exclude", "--layers", "--exclude", "follow", "--W", "5", str(path)
+            capsys, "exclude", "--exclude", "follow", "--W", "5", str(path)
         )
         assert code == 0
         report = json.loads(out)

@@ -65,8 +65,9 @@ class TestPeelOrder:
     def test_validation(self):
         with pytest.raises(NonPositiveCError):
             peel_order(triangle(), 0.0)
-        with pytest.raises(NonPositiveCError):
-            peel_order(triangle(), -1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveCError):
+                peel_order(triangle(), bad)
         with pytest.raises(EmptySetError):
             peel_order(build_signed_graph([]), 1.0)
 
@@ -117,8 +118,9 @@ class TestBestPrefix:
     def test_scoring_validation(self):
         with pytest.raises(BadParametersError):
             PeelScoring(mode="bogus")
-        with pytest.raises(NonPositiveCError):
-            PeelScoring(c=0)
+        for bad in (0, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveCError):
+                PeelScoring(c=bad)
         with pytest.raises(BadParametersError):
             PeelScoring(mode="objective")
 
