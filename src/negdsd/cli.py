@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict
 
 from .core import ObjectiveParams, build_signed_graph
-from .errors import NegDsdError, ParseError
+from .errors import BadParametersError, NegDsdError, ParseError
 from .exact import binary_search_objective, brute_force, exact_dsd
 from .generators import gen_bad_peeling, gen_shift_failure, gen_two_component
 from .io import (
@@ -160,7 +160,13 @@ def _result_payload(result, labels: list[str]) -> dict:
 
 def _emit(payload: dict, started: float) -> int:
     payload["wall_time_s"] = time.perf_counter() - started
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a reported float is inf or NaN, which JSON cannot carry
+        raise BadParametersError(
+            "a reported value overflows a float; scale the weights or parameters down"
+        ) from None
+    print(text)
     return 0
 
 

@@ -78,6 +78,8 @@ class SignedGraph:
             incidence[e.u].append((e.v, e.wpos, e.wneg))
             if e.u != e.v:
                 incidence[e.v].append((e.u, e.wpos, e.wneg))
+        _check_total_weight(total_pos)
+        _check_total_weight(total_neg)
         self.total_pos = total_pos
         self.total_neg = total_neg
         self._deg_pos = deg_pos
@@ -216,7 +218,8 @@ def build_signed_graph(
     isolated nodes.
 
     Raises :class:`NegativeMagnitudeError` if any magnitude is negative and
-    :class:`BadParametersError` on non-integer ids or non-finite weights.
+    :class:`BadParametersError` on non-integer ids, non-finite weights, or
+    a weight total whose double overflows a float.
     """
     acc: dict[tuple[int, int], list[float]] = {}
     max_id = -1
@@ -247,6 +250,12 @@ def build_signed_graph(
         raise UnknownNodeError(f"edge references node {max_id} but n={n}")
     edges = [SignedEdge(u, v, wp, wn) for (u, v), (wp, wn) in acc.items()]
     return SignedGraph(n, edges)
+
+
+def _check_total_weight(total: float) -> None:
+    """Reject a total whose double overflows: it bounds every degree and induced weight."""
+    if not math.isfinite(2 * total):
+        raise BadParametersError(f"total edge weight {total} is too large for a float")
 
 
 def _check_node_set(graph, nodes: Iterable[int]) -> frozenset[int]:
@@ -292,6 +301,14 @@ def objective_upper_bound(graph: SignedGraph, params: ObjectiveParams) -> float:
     ``(total_pos + lambda1*n) / lambda2``.
     """
     return (graph.total_pos + params.lambda1 * graph.n) / params.lambda2
+
+
+def _check_objective_range(graph: SignedGraph, params: ObjectiveParams) -> float:
+    """:func:`objective_upper_bound`, rejected when it overflows, as objective values then may."""
+    upper = objective_upper_bound(graph, params)
+    if not math.isfinite(upper):
+        raise BadParametersError(f"objective values may overflow a float: upper bound {upper}")
+    return upper
 
 
 def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> WeightedGraph:

@@ -2,7 +2,7 @@
 
 ``exact_dsd`` (density) and ``binary_search_objective`` (the ratio
 objective) both maximize ``(P(S) + l1*|S|) / (R(S) + l2*|S|)`` with P, R >= 0
-per edge.  The driver (Dinkelbach 1967) starts from the whole node set, sets
+per edge.  Dinkelbach iteration (1967) starts from a given set, sets
 q = a/b to the objective of its witness, and looks for a set with
 N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
 
@@ -11,9 +11,20 @@ N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
   feeds each node its reweighted degree, each node pays 2*(a*l2 - b*l1) to
   the sink, each edge is bidirected; the largest source side is the witness,
   and a cut that finds nothing better certifies q as optimal.
+  Before the cut, the graph shrinks to its q-core: nodes are dropped while
+  their reweighted degree among the survivors is below a*l2 - b*l1, the
+  cost of keeping them.  No node of the largest maximizer is ever dropped
+  (see ``_max_density_side``), so the cut on the core has the same answer.
 * ``peel`` route, past that point: the multi-``c`` peeling sweep on the
   reweighted graph.  Its "nothing better" is no certificate, so the search
   then ends flagged inexact.
+
+``exact_dsd`` starts from the best prefix of one c=1 peel, scored exactly
+(the warm start of Greedy++), so q starts near the optimum and the q-core
+is small; on a planted dense set one cut on that set certifies it.
+``binary_search_objective`` starts from the whole node set: its searches
+finish in two or three cuts, and a peel start that stays safe past
+``q_max`` (a sweep of several multipliers) would cost more than it saves.
 
 P, R, l1 and l2 are scaled to integers once by their common denominator.
 Every finite float is a dyadic rational, so this is always exact, and q is a
@@ -29,15 +40,17 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import peeling
 from .core import (
     DsdResult,
     ObjectiveParams,
     SignedGraph,
     TIE_TOLERANCE,
     WeightedGraph,
+    _check_objective_range,
+    _check_total_weight,
     build_signed_graph,
     objective_f,  # noqa: F401  re-exported; callers may look it up here
-    objective_upper_bound,
     tilde_weights,
 )
 from .errors import (
@@ -93,26 +106,39 @@ def _integer_ratios(values: list) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, slots=True)
 class _RatioProgram:
-    """The objective on one integer scale; ``edges`` holds (u, v, P_e, R_e)."""
+    """The objective on one integer scale.
+
+    ``adjacency[u]`` lists (v, P_e, R_e) for each edge at u, a loop once.
+    With ``positive_degrees``/``negative_degrees``/``incidence`` it has the
+    shape :func:`~negdsd.peeling.peel_order` reads, so it peels directly.
+    """
 
     n: int
-    edges: list[tuple[int, int, int, int]]
+    adjacency: list[list[tuple[int, int, int]]]
     deg_p: list[int]  # loops counted twice
     deg_r: list[int]
     l1: int
     l2: int
     q_max: Fraction | float  # min P_e/R_e over R_e > 0: flow steps stay exact up to it
 
+    def positive_degrees(self) -> list[int]:
+        return list(self.deg_p)
+
+    def negative_degrees(self) -> list[int]:
+        return list(self.deg_r)
+
+    def incidence(self) -> list[list[tuple[int, int, int]]]:
+        return self.adjacency
+
     def value(self, nodes: Iterable[int]) -> Fraction:
-        inside = [False] * self.n
-        for u in nodes:
-            inside[u] = True
-        size = sum(inside)
+        members = set(nodes)
         num = den = 0
-        for u, v, p, r in self.edges:
-            if inside[u] and inside[v]:
-                num += p
-                den += r
+        for u in members:
+            for v, p, r in self.adjacency[u]:
+                if v >= u and v in members:  # each edge once, from its smaller end
+                    num += p
+                    den += r
+        size = len(members)
         return Fraction(num + self.l1 * size, den + self.l2 * size)
 
 
@@ -122,61 +148,117 @@ def _ratio_program(n, edges, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
     p_ratio = _integer_ratios([p for _, _, p, _ in edges])
     r_ratio = _integer_ratios([r for _, _, _, r in edges])
     scale = math.lcm(l1_den, l2_den, *{d for _, d in p_ratio}, *{d * f_den for _, d in r_ratio})
-    int_edges = []
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     deg_p = [0] * n
     deg_r = [0] * n
-    q_max: Fraction | float = math.inf
+    q_num, q_den = 1, 0  # min P_e/R_e so far, kept as a pair in ints; 1/0 stands for inf
     for (u, v, _, _), (p_num, p_den), (r_num, r_den) in zip(edges, p_ratio, r_ratio):
         p = p_num * (scale // p_den)
         r = r_num * f_num * (scale // (r_den * f_den))
-        int_edges.append((u, v, p, r))
+        adjacency[u].append((v, p, r))
+        if u != v:
+            adjacency[v].append((u, p, r))
         deg_p[u] += p
         deg_p[v] += p
         if r:
             deg_r[u] += r
             deg_r[v] += r
-            if p < q_max * r:
-                q_max = Fraction(p, r)
+            if p * q_den < q_num * r:
+                q_num, q_den = p, r
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
-    return _RatioProgram(n, int_edges, deg_p, deg_r, l1, l2, q_max)
+    q_max = Fraction(q_num, q_den) if q_den else math.inf
+    return _RatioProgram(n, adjacency, deg_p, deg_r, l1, l2, q_max)
+
+
+def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
+    """Nodes left after repeatedly dropping those whose reweighted degree is below ``cost``.
+
+    Returns the survivors and a list holding each survivor's reweighted
+    degree b*P - a*R within them (loops counted twice).
+    """
+    degree = [b * p - a * r for p, r in zip(program.deg_p, program.deg_r)]
+    alive = [d >= cost for d in degree]
+    stack = [u for u in range(program.n) if not alive[u]]
+    adjacency = program.adjacency
+    while stack:
+        u = stack.pop()
+        for v, p, r in adjacency[u]:
+            if alive[v]:
+                degree[v] -= b * p - a * r
+                if degree[v] < cost:
+                    alive[v] = False
+                    stack.append(v)
+    return [u for u in range(program.n) if alive[u]], degree
 
 
 def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     """Largest S maximizing N(S) - q*D(S), by one minimum cut (may be empty).
 
-    Needs q <= ``q_max``.  When q*l2 <= l1 every node gains by joining, the
-    network has no sink arcs, and all nodes are returned.
+    Needs q <= ``q_max``, so every reweighted edge b*P_e - a*R_e is >= 0.
+    The cut runs on the q-core only: a node u of the largest maximizer S
+    has reweighted degree at least its cost a*l2 - b*l1 within S, or
+    dropping u would give a larger value (a loop at u counts twice in its
+    degree but once in the value, so the test errs towards keeping u).
+    Degrees within supersets of S are no smaller, so no node of S is ever
+    dropped, and the cut on the core finds the same S.  When q*l2 <= l1
+    every node gains by joining, the network has no sink arcs, and all
+    nodes are returned.
     """
     a, b = q.numerator, q.denominator
-    n = program.n
-    net = Dinic(n + 2)
-    source, sink = n, n + 1
-    to_sink = 2 * (a * program.l2 - b * program.l1)
-    for u in range(n):
-        from_source = b * program.deg_p[u] - a * program.deg_r[u]
-        if from_source > 0:
-            net.add_edge(source, u, from_source)
-        if to_sink > 0:
-            net.add_edge(u, sink, to_sink)
-    for u, v, p, r in program.edges:
-        w = b * p - a * r
-        if u != v and w > 0:  # loops act through degrees only
-            net.add_edge(u, v, w)
-            net.add_edge(v, u, w)
+    cost = a * program.l2 - b * program.l1
+    core, degree = _q_core(program, a, b, cost)
+    index = {u: i for i, u in enumerate(core)}
+    k = len(core)
+    net = Dinic(k + 2)
+    source, sink = k, k + 1
+    for i, u in enumerate(core):
+        if degree[u] > 0:
+            net.add_edge(source, i, degree[u])
+        if cost > 0:
+            net.add_edge(i, sink, 2 * cost)
+        for v, p, r in program.adjacency[u]:
+            j = index.get(v)
+            w = b * p - a * r
+            if j is not None and v > u and w > 0:  # loops act through degrees only
+                net.add_edge(i, j, w)
+                net.add_edge(j, i, w)
     net.max_flow(source, sink)
     reaches_sink = net.residual_sink_side(sink)
-    return [u for u in range(n) if u not in reaches_sink]
+    return [u for i, u in enumerate(core) if i not in reaches_sink]
+
+
+def _peel_start(program: _RatioProgram) -> list[int]:
+    """Best prefix of one c=1 peel of the program's integer weights, scored exactly."""
+    n = program.n
+    sequence = peeling.peel_order(program, 1).removal_sequence  # int c keeps scores in ints
+    position = [0] * n
+    for i, v in enumerate(sequence):
+        position[v] = i
+    num, den = sum(program.deg_p) // 2, sum(program.deg_r) // 2
+    best_size, best_num, best_den = 0, 0, 1
+    for idx, v in enumerate(sequence):
+        size = n - idx
+        cand_num, cand_den = num + program.l1 * size, den + program.l2 * size
+        if best_size == 0 or cand_num * best_den > best_num * cand_den:  # ties keep the larger
+            best_size, best_num, best_den = size, cand_num, cand_den
+        for u, p, r in program.adjacency[v]:
+            if position[u] >= idx:  # still present, or the loop at v
+                num -= p
+                den -= r
+    return sequence[n - best_size :]
 
 
 def _dinkelbach(
     program: _RatioProgram,
+    start: Iterable[int],
     peel: Callable[[Fraction], Iterable[int]] | None = None,
 ) -> tuple[Iterable[int], bool, list[Fraction], list[str]]:
     """Return (witness, exact, q at the start and after each step, routes).
 
-    ``peel(q)`` proposes a set for steps past ``q_max``.
+    ``start`` is a nonempty set whose value is the first q; ``peel(q)``
+    proposes a set for steps past ``q_max``.
     """
-    best: Iterable[int] = range(program.n)
+    best = start
     q = program.value(best)
     history = [q]
     routes: list[str] = []
@@ -194,11 +276,14 @@ def _dinkelbach(
 
 
 def _validate_nonnegative(graph: WeightedGraph) -> None:
+    total = 0.0
     for u, v, w in graph.edges:
         if not math.isfinite(w):
             raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
         if w < 0:
             raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
+        total += w
+    _check_total_weight(total)
 
 
 def _density_program(graph: WeightedGraph) -> _RatioProgram:
@@ -222,12 +307,14 @@ def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
 def exact_dsd(graph: WeightedGraph) -> DsdResult:
     """True maximizer of w(S)/|S| over nonempty S; ties go to the largest set.
 
-    Every Dinkelbach step is a minimum cut, so the answer is always exact.
+    Dinkelbach iteration starts from the best prefix of one peel, and
+    every step is a minimum cut, so the answer is always exact.
     """
     _validate_nonnegative(graph)
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
-    best, _, _, _ = _dinkelbach(_density_program(graph))
+    program = _density_program(graph)
+    best, _, _, _ = _dinkelbach(program, _peel_start(program))
     nodes = frozenset(best)
     w_float = sum(w for u, v, w in graph.edges if u in nodes and v in nodes)
     return DsdResult(
@@ -260,6 +347,8 @@ def brute_force(
         raise EmptySetError("graph has no nodes")
     if n > MAX_BRUTE_FORCE_NODES:
         raise TooLargeError(f"brute force capped at n={MAX_BRUTE_FORCE_NODES}, got {n}")
+    if mode == "objective":
+        _check_objective_range(graph, params)
     masks = np.arange(1, 2**n, dtype=np.int64)
     sizes = _popcount(masks)
     wpos = np.zeros(masks.shape[0], dtype=np.float64)
@@ -314,10 +403,9 @@ def binary_search_objective(
     it never overestimates.  The name predates the driver, which replaced a
     bisection; it stays so existing callers keep working.
     """
-    from .peeling import DEFAULT_C_LIST, PeelScoring, c_sweep  # local import to avoid a cycle
-
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
+    upper = _check_objective_range(graph, params)
     rt = params.risk_tolerance
     edges = [(e.u, e.v, e.wpos, e.wneg) for e in graph.edges]
     program = _ratio_program(graph.n, edges, params.lambda1, params.lambda2, rt)
@@ -328,11 +416,11 @@ def binary_search_objective(
             [(u, v, w, 0.0) if w >= 0 else (u, v, 0.0, -w) for u, v, w in reweighted.edges],
             n=graph.n,
         )
-        return c_sweep(signed, DEFAULT_C_LIST, PeelScoring()).nodes
+        return peeling.c_sweep(signed, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
 
-    nodes, exact, history, routes = _dinkelbach(program, peel)
+    nodes, exact, history, routes = _dinkelbach(program, range(graph.n), peel)
     lo_history = [float(q) for q in history]
-    hi_history = [objective_upper_bound(graph, params)] * len(history)
+    hi_history = [upper] * len(history)
     if exact:
         hi_history[-1] = lo_history[-1]
     result = DsdResult.evaluate(graph, nodes, algorithm="binary_search", exact=exact, params=params)

@@ -14,6 +14,7 @@ appearance; parsers return the label table alongside the edges.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .core import SignedGraph
@@ -49,9 +50,12 @@ def _data_lines(text: str) -> Iterable[tuple[int, list[str]]]:
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(lineno, f"cannot parse {what} {token!r} as a number") from None
+    if not math.isfinite(value):
+        raise ParseError(lineno, f"{what} {token!r} must be finite")
+    return value
 
 
 def parse_signed(text: str) -> tuple[list[tuple[int, int, float, float]], LabelMap]:

@@ -9,6 +9,7 @@ W large enough to certify that no optimal set induces any excluded edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -72,8 +73,8 @@ class ExclusionQuery:
     def __post_init__(self):
         if self.mode not in ("soft", "hard"):
             raise BadParametersError(f"mode must be 'soft' or 'hard', got {self.mode!r}")
-        if self.mode == "soft" and (self.w is None or self.w <= 0):
-            raise BadParametersError(f"soft queries need a penalty weight > 0, got {self.w}")
+        if self.mode == "soft" and (self.w is None or not 0 < self.w < math.inf):  # NaN fails too
+            raise BadParametersError(f"soft queries need a finite penalty weight W > 0, got {self.w}")
 
     @classmethod
     def soft(cls, excluded: Iterable[Layer], w: float) -> "ExclusionQuery":

@@ -20,6 +20,7 @@ from .core import (
     ObjectiveParams,
     SignedGraph,
     TIE_TOLERANCE,
+    _check_objective_range,
 )
 from .errors import (
     BadParametersError,
@@ -120,27 +121,29 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
     """Evaluate every prefix of a peel in one pass and return the best one.
 
     Ties within ``TIE_TOLERANCE`` go to the smallest prefix (smallest set).
-    The running induced weights are maintained by subtracting each removed
-    node's residual incident weight, so the whole scan is O(n + m).
+    The scan walks the order backwards and adds each node's edges to the
+    nodes peeled after it, so the whole scan is O(n + m) and the induced
+    weights are sums of nonnegative terms: subtracting from the totals
+    instead can cancel them to a negative weight and a zero denominator.
     """
     n = graph.n
     sequence = order.removal_sequence
     if len(sequence) != n or set(sequence) != set(range(n)):
         raise BadParametersError("order is not a permutation of this graph's nodes")
+    if scoring.mode == "objective":
+        _check_objective_range(graph, scoring.params)
     position = [0] * n
     for i, v in enumerate(sequence):
         position[v] = i
     incidence = graph.incidence()
-    wpos = graph.total_pos
-    wneg = graph.total_neg
+    wpos = wneg = 0.0
     values = [0.0] * n  # values[i] = score of the prefix with i+1 nodes
-    for idx, v in enumerate(sequence):
-        size = n - idx
-        values[size - 1] = _prefix_value(wpos, wneg, size, scoring)
+    for idx, v in zip(range(n - 1, -1, -1), reversed(sequence)):
         for u, ew_pos, ew_neg in incidence[v]:
             if u == v or position[u] > idx:
-                wpos -= ew_pos
-                wneg -= ew_neg
+                wpos += ew_pos
+                wneg += ew_neg
+        values[n - idx - 1] = _prefix_value(wpos, wneg, n - idx, scoring)
     top = max(values)
     best_size = next(i + 1 for i, value in enumerate(values) if value >= top - TIE_TOLERANCE)
     nodes = sequence[n - best_size :]

@@ -11,9 +11,15 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import settings
+
 from negdsd import SignedGraph, build_signed_graph
 
 TIE = 1e-12
+
+# Fuzz tests replay the same examples on every run and never time out.
+settings.register_profile("negdsd", deadline=None, derandomize=True, max_examples=150)
+settings.load_profile("negdsd")
 
 
 def naive_induced(graph: SignedGraph, nodes) -> tuple[float, float]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import negdsd.flow
 from negdsd import (
     ObjectiveParams,
     WeightedGraph,
@@ -39,6 +40,47 @@ def unit_triangle() -> WeightedGraph:
 def _nonempty_subsets(n: int):
     for size in range(1, n + 1):
         yield from itertools.combinations(range(n), size)
+
+
+def tie_prone_graph(rng: random.Random) -> WeightedGraph:
+    """Random nonnegative multigraph, n <= 10, with loops, parallel records,
+    zero weights and, on some draws, a disjoint copy of itself so that the
+    optimum is attained by more than one set."""
+    n = rng.randint(1, 5 if rng.random() < 1 / 3 else 10)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.2:
+            v = u  # loop
+        edges.append((u, v, rng.choice((0.0, 0.5, 1.0, 1.0, 2.0, 3.0))))
+    if edges and rng.random() < 0.3:
+        edges.append(rng.choice(edges))  # parallel record
+    if n <= 5 and rng.random() < 0.5:
+        edges += [(u + n, v + n, w) for u, v, w in edges]
+        n *= 2
+    return WeightedGraph(n, edges)
+
+
+def subset_weights(graph: WeightedGraph) -> dict[frozenset, Fraction]:
+    """w(S) as an exact Fraction for every subset S, the empty set included.
+
+    The weights are small multiples of 1/2, so their float sums are exact.
+    """
+    weights = {}
+    for size in range(graph.n + 1):
+        for subset in itertools.combinations(range(graph.n), size):
+            members = frozenset(subset)
+            weights[members] = Fraction(
+                sum(w for u, v, w in graph.edges if u in members and v in members)
+            )
+    return weights
+
+
+def largest_maximizer(weights: dict[frozenset, Fraction], key) -> frozenset:
+    """Union of every set attaining the maximum of ``key(S)``."""
+    values = {s: key(s, w) for s, w in weights.items()}
+    top = max(values.values())
+    return frozenset().union(*(s for s, value in values.items() if value == top))
 
 
 class TestDecision:
@@ -90,6 +132,19 @@ class TestDecision:
     def test_empty_graph_is_infeasible(self):
         assert not dsd_decision(WeightedGraph(0, []), 0.5).feasible
 
+    def test_witness_is_largest_maximizer(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            g = tie_prone_graph(rng)
+            weights = subset_weights(g)
+            best = max(w / len(s) for s, w in weights.items() if s)
+            for g_query in (0.0, 1.0, float(best), 2.5):
+                d = Fraction(g_query)
+                expected = largest_maximizer(weights, lambda s, w: w - d * len(s))
+                outcome = dsd_decision(g, g_query)
+                assert outcome.feasible == bool(expected)
+                assert outcome.witness == (expected or None)
+
 
 class TestExactDsd:
     def test_triangle(self):
@@ -136,11 +191,45 @@ class TestExactDsd:
         result = exact_dsd(WeightedGraph(3, []))
         assert result.net_density == 0.0
 
+    def test_returns_union_of_all_maximizers(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            g = tie_prone_graph(rng)
+            weights = subset_weights(g)
+            expected = largest_maximizer(
+                {s: w for s, w in weights.items() if s}, lambda s, w: w / len(s)
+            )
+            result = exact_dsd(g)
+            assert result.nodes == expected
+            assert result.net_density == pytest.approx(float(weights[expected] / len(expected)))
+
+    def test_planted_clique_needs_one_small_cut(self, monkeypatch):
+        rng = random.Random(97)
+        r, n = 12, 300
+        edges = [(u, v, 1.0) for u, v in itertools.combinations(range(r), 2)]
+        for _ in range(n):
+            edges.append((rng.randrange(r, n), rng.randrange(r, n), float(rng.randint(1, 2))))
+        for _ in range(10):
+            edges.append((rng.randrange(r), rng.randrange(r, n), 1.0))
+        networks = []
+        original = negdsd.flow.Dinic.__init__
+
+        def record(self, size):
+            networks.append(size)
+            original(self, size)
+
+        monkeypatch.setattr(negdsd.flow.Dinic, "__init__", record)
+        result = exact_dsd(WeightedGraph(n, edges))
+        assert result.nodes == frozenset(range(r))
+        assert len(networks) == 1 and networks[0] <= r + 2
+
     def test_validation(self):
         with pytest.raises(EmptySetError):
             exact_dsd(WeightedGraph(0, []))
         with pytest.raises(NegativeWeightError):
             exact_dsd(WeightedGraph(2, [(0, 1, -0.5)]))
+        with pytest.raises(BadParametersError):  # its degree sum overflows
+            exact_dsd(WeightedGraph(2, [(0, 1, 1e308)]))
 
 
 class TestBruteForce:
@@ -254,3 +343,10 @@ class TestBinarySearch:
     def test_validation(self):
         with pytest.raises(EmptySetError):
             binary_search_objective(build_signed_graph([]), ObjectiveParams())
+        with pytest.raises(BadParametersError):  # the singleton's objective overflows
+            binary_search_objective(build_signed_graph([], n=1), ObjectiveParams(lambda2=5e-324))
+
+    def test_subnormal_parameters_scale_exactly(self):
+        g = build_signed_graph([(0, 0, 0.0, 0.5)])
+        result, _ = binary_search_objective(g, ObjectiveParams(lambda1=5e-324))
+        assert result.nodes == frozenset({0})

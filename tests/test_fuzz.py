@@ -1,0 +1,100 @@
+"""Property-based fuzzing of the input parsers and the command-line front end.
+
+Any text must parse or raise ``ParseError``; any input file and parameters
+must make ``negdsd`` exit 0, 1 or 2 without a traceback, and print strict
+JSON (no NaN or Infinity) when it succeeds.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from negdsd.cli import run
+from negdsd.errors import ParseError
+from negdsd.io import parse_bernoulli, parse_moments, parse_multilayer, parse_signed
+
+# Valid values and the float edges around them, then any float at all.
+numbers = st.sampled_from(
+    ["0", "1", "0.5", "3", "5e-324", "1e-300", "1e300", "1.7976931348623157e+308", "-1", "nan", "inf"]
+) | st.floats().map(repr)
+tokens = st.one_of(
+    numbers,
+    st.sampled_from(["a", "b", "c", "#", "nan", "-inf", "1e999", "1_0", "0x10"]),
+    st.text(max_size=4),
+)
+lines = st.lists(tokens, max_size=5).map(" ".join)
+texts = st.one_of(st.text(), st.lists(lines, max_size=8).map("\n".join))
+
+
+@given(text=texts)
+def test_parsers_return_or_raise_parse_error(text):
+    for parse in (parse_signed, parse_bernoulli, parse_moments, parse_multilayer):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+weights = st.sampled_from(["0", "0.5", "1", "3", "0.1"])
+c_lists = st.lists(numbers, min_size=1, max_size=3).map(",".join)
+
+
+def edge_file(good, bad, width):
+    """Rows with ``width`` columns of ``good`` values, then at most one of ``bad`` ones."""
+    label = st.sampled_from("abcdef")
+    rows = st.tuples(
+        st.lists(st.tuples(label, label, *[good] * width), min_size=1, max_size=8),
+        st.lists(st.tuples(label, label, *[bad] * width), max_size=1),
+    )
+    return rows.map(lambda parts: "\n".join(" ".join(row) for row in parts[0] + parts[1]))
+
+
+def flags(*names):
+    """Some of the named options, each with a number or a list of numbers."""
+    pairs = st.lists(st.tuples(st.sampled_from(names), numbers | c_lists), max_size=len(names))
+    return pairs.map(lambda chosen: [token for pair in chosen for token in pair])
+
+
+params = st.sampled_from(["1", "0.5", "3", "5e-324", "1e-300", "1e300", "1.7976931348623157e+308"]) | numbers
+objective = st.tuples(params, params, params).map(
+    lambda v: ["--lambda1", v[0], "--lambda2", v[1], "--risk-tolerance", v[2]]
+)
+signed3, signed4 = edge_file(weights, numbers, 1), edge_file(weights, numbers, 2)
+layered = edge_file(st.sampled_from("xyz"), st.text(max_size=3), 1)
+COMMANDS = {
+    "peel": st.tuples(st.just(["peel"]), signed3 | signed4, flags("--c-list")),
+    "peel --objective": st.tuples(st.just(["peel", "--objective"]), signed4, objective),
+    "exact": st.tuples(st.just(["exact"]), signed3, st.just([])),
+    "search": st.tuples(st.just(["search"]), signed4, objective),
+    "oracle": st.tuples(st.sampled_from([["oracle"], ["oracle", "--objective"]]), signed4, objective),
+    "risk": st.tuples(st.sampled_from([["risk", "--bernoulli"], ["risk", "--moments"]]), signed4, objective),
+    "exclude": st.tuples(
+        st.sampled_from([["exclude", "--exclude", "x"], ["exclude", "--exclude", "x", "--hard"]]),
+        layered,
+        flags("--W", "--c-list"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_cli_exits_cleanly(tmp_path_factory, name, data):
+    argv, text, options = data.draw(COMMANDS[name])
+    path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, *options, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")

@@ -43,6 +43,23 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_signed("a b 1 -2\n")
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_signed, "a b 1\nb c nan\n"),
+            (parse_signed, "a b 1 0\nb c inf 0\n"),
+            (parse_signed, "a b 1\nb c 1e999\n"),
+            (parse_bernoulli, "a b 0.5\nu v 0.5 inf\n"),
+            (parse_moments, "a b 1 1\nu v 0.5 inf\n"),
+            (parse_moments, "a b 1 1\nu v nan 0.5\n"),
+        ],
+    )
+    def test_non_finite_number_reported(self, parse, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 2
+        assert "finite" in str(err.value)
+
     def test_bernoulli_with_default_reward(self):
         edges, _ = parse_bernoulli("a b 0.5\nb c 0.25 4\n")
         assert edges == [(0, 1, 0.5, 1.0), (1, 2, 0.25, 4.0)]
@@ -123,6 +140,28 @@ class TestCli:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_finite_weight_exit_code_and_line(self, capsys, tmp_path):
+        path = tmp_path / "nan.tsv"
+        path.write_text("a b 1\nb c nan\n")
+        code, _, err = run_cli(capsys, "peel", str(path))
+        assert code == 2
+        assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("peel", "a b 1e308\na b 1e308\n"),
+            ("exact", "a b 1e308\na c 1e308\nb c 1\n"),
+        ],
+    )
+    def test_overflowing_weight_sums_rejected(self, capsys, tmp_path, command, text):
+        path = tmp_path / "huge.tsv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code != 0
+        assert out == ""
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "peel", "/nonexistent/file.tsv")
         assert code == 2
@@ -165,6 +204,24 @@ class TestCli:
         assert out == ""
         assert "negdsd" in err and "finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("peel", "--objective"),
+            ("risk", "--moments"),
+            ("oracle", "--objective"),
+            ("search",),
+        ],
+    )
+    def test_overflowing_objective_rejected(self, capsys, tmp_path, argv):
+        path = tmp_path / "g.tsv"
+        path.write_text("a a 0 0\na a 1e300 3\n")
+        huge = ("--lambda1", "1.7976931348623157e+308", "--risk-tolerance", "1.7976931348623157e+308")
+        code, out, err = run_cli(capsys, *argv, *huge, str(path))
+        assert code == 1
+        assert out == ""
+        assert "overflow" in err and "Traceback" not in err
 
     def test_risk_pipeline(self, capsys, tmp_path):
         path = tmp_path / "u.tsv"

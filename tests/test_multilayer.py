@@ -68,8 +68,9 @@ class TestApplyExclusion:
             apply_exclusion(two_layer(), ExclusionQuery.soft({"quote"}, 1))
 
     def test_query_validation(self):
-        with pytest.raises(BadParametersError):
-            ExclusionQuery.soft({"follow"}, 0)
+        for w in (0, float("nan"), float("inf")):
+            with pytest.raises(BadParametersError, match="penalty"):
+                ExclusionQuery.soft({"follow"}, w)
         with pytest.raises(BadParametersError):
             ExclusionQuery(frozenset(), mode="bogus")
         hard = ExclusionQuery.hard({"follow"})

@@ -109,6 +109,19 @@ class TestBestPrefix:
         result = best_prefix(g, peel_order(g, 1.0), scoring)
         assert result.f_value == pytest.approx(objective_f(g, result.nodes, params))
 
+    def test_prefix_weights_do_not_cancel(self):
+        # 0.5 + 0.5 + 2**53 rounds to 2**53: subtracting the peeled weights
+        # from that total would leave -1 negative weight and a zero denominator.
+        g = build_signed_graph([(0, 0, 0, 0.5), (0, 2, 0, 0.5), (1, 1, 0, 2.0**53)])
+        result = best_prefix(g, peel_order(g, 1.0), PeelScoring(mode="objective", params=ObjectiveParams()))
+        assert result.nodes == frozenset({2}) and result.f_value == 1.0
+
+    def test_overflowing_objective_rejected(self):
+        g = build_signed_graph([(0, 0, 1e300, 3)])
+        params = ObjectiveParams(lambda1=1.7976931348623157e308)
+        with pytest.raises(BadParametersError):
+            best_prefix(g, peel_order(g, 1.0), PeelScoring(mode="objective", params=params))
+
     def test_rejects_foreign_order(self):
         with pytest.raises(BadParametersError):
             best_prefix(triangle(), PeelOrder([0, 1], [0.0, 0.0]), PeelScoring())
