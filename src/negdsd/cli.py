@@ -140,6 +140,12 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
+def _read_signed(path: str):
+    """The signed graph in a file and its labels; the parsed records die here, before any solve."""
+    edges, labels = parse_signed(_read_input(path))
+    return build_signed_graph(edges, n=len(labels)), labels
+
+
 def _params(args) -> ObjectiveParams:
     return ObjectiveParams(args.lambda1, args.lambda2, args.risk_tolerance)
 
@@ -159,6 +165,7 @@ def _result_payload(result, labels: list[str]) -> dict:
 
 
 def _emit(payload: dict, started: float) -> int:
+    """Print the JSON report; ``wall_time_s`` runs from ``started`` to now."""
     payload["wall_time_s"] = time.perf_counter() - started
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
@@ -171,33 +178,27 @@ def _emit(payload: dict, started: float) -> int:
 
 
 def _cmd_peel(args) -> int:
-    edges, labels = parse_signed(_read_input(args.input))
-    graph = build_signed_graph(edges, n=len(labels))
+    graph, labels = _read_signed(args.input)
     if args.objective:
         scoring = PeelScoring(mode="objective", params=_params(args))
     else:
         scoring = PeelScoring()
-    started = time.perf_counter()
     result = c_sweep(graph, args.c_list, scoring)
-    return _emit(_result_payload(result, labels.labels), started)
+    return _emit(_result_payload(result, labels.labels), args.started)
 
 
 def _cmd_exact(args) -> int:
-    edges, labels = parse_signed(_read_input(args.input))
-    graph = build_signed_graph(edges, n=len(labels))
-    started = time.perf_counter()
+    graph, labels = _read_signed(args.input)
     result = exact_dsd(graph.net_weighted())
-    return _emit(_result_payload(result, labels.labels), started)
+    return _emit(_result_payload(result, labels.labels), args.started)
 
 
 def _cmd_search(args) -> int:
-    edges, labels = parse_signed(_read_input(args.input))
-    graph = build_signed_graph(edges, n=len(labels))
-    started = time.perf_counter()
+    graph, labels = _read_signed(args.input)
     result, trace = binary_search_objective(graph, _params(args))
     payload = _result_payload(result, labels.labels)
     payload["trace"] = {**asdict(trace), "lo": trace.lo, "hi": trace.hi}
-    return _emit(payload, started)
+    return _emit(payload, args.started)
 
 
 def _cmd_risk(args) -> int:
@@ -209,7 +210,6 @@ def _cmd_risk(args) -> int:
         edges, labels = parse_moments(text)
         uncertain = build_uncertain_graph(edges, n=len(labels))
     graph = uncertain_to_signed(uncertain)
-    started = time.perf_counter()
     result = c_sweep(graph, args.c_list, PeelScoring(mode="objective", params=_params(args)))
     report = risk_profile(uncertain, result.nodes)
     payload = _result_payload(result, labels.labels)
@@ -218,7 +218,7 @@ def _cmd_risk(args) -> int:
         "avg_risk": report.avg_risk,
         "size": report.size,
     }
-    return _emit(payload, started)
+    return _emit(payload, args.started)
 
 
 def _cmd_exclude(args) -> int:
@@ -226,25 +226,22 @@ def _cmd_exclude(args) -> int:
     graph = build_multilayer_graph(edges, n=len(labels))
     excluded = [name for name in args.exclude.split(",") if name]
     query = ExclusionQuery.hard(excluded) if args.hard else ExclusionQuery.soft(excluded, args.W)
-    started = time.perf_counter()
     signed = apply_exclusion(graph, query)
     result = c_sweep(signed, args.c_list, PeelScoring())
     payload = _result_payload(result, labels.labels)
     payload["per_layer"] = {
         str(layer): stats for layer, stats in layer_report(graph, result.nodes, query).items()
     }
-    return _emit(payload, started)
+    return _emit(payload, args.started)
 
 
 def _cmd_oracle(args) -> int:
-    edges, labels = parse_signed(_read_input(args.input))
-    graph = build_signed_graph(edges, n=len(labels))
-    started = time.perf_counter()
+    graph, labels = _read_signed(args.input)
     if args.objective:
         result = brute_force(graph, mode="objective", params=_params(args))
     else:
         result = brute_force(graph)
-    return _emit(_result_payload(result, labels.labels), started)
+    return _emit(_result_payload(result, labels.labels), args.started)
 
 
 def _cmd_gen_bad_peeling(args) -> int:
@@ -264,11 +261,13 @@ def _cmd_gen_shift_failure(args) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse and execute one invocation; returns the process exit code."""
+    started = time.perf_counter()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own diagnostics
         return int(exc.code or 0)
+    args.started = started  # reports time the whole command: read, parse, build and solve
     try:
         return args.handler(args)
     except ParseError as exc:

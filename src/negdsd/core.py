@@ -12,23 +12,44 @@ Conventions shared by every solver in the package:
 Keeping (wpos, wneg) pairs instead of one net value preserves the degree of
 freedom needed to rescale the negative side independently (the
 ``risk_tolerance`` factor of :class:`ObjectiveParams`).
+
+Layout.  A :class:`SignedGraph` is a set of read-only numpy arrays.  Edge
+``e`` is ``(u[e], v[e], wpos[e], wneg[e])`` with ``u[e] <= v[e]``, edges in
+order of first appearance among the input records.  A CSR index lists the
+arcs of node ``x`` as positions ``indptr[x]:indptr[x+1]`` of ``neighbor``
+and ``edge_id``, in edge order; a loop has one arc.  ``deg_pos``/``deg_neg``
+are summed by one ``np.bincount`` over the interleaved endpoints
+``u[0], v[0], u[1], v[1], ...``: that adds the weights in the order of a
+per-edge loop, so degrees, and every peel score built from them, are the
+same to the last bit as those of such a loop.  The totals and induced
+weights are likewise sequential sums in edge order.  ``graph.edges`` is a
+tuple of :class:`SignedEdge` built from the arrays on first access, holding
+Python scalars; the solvers never read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import starmap
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     BadParametersError,
     EmptySetError,
     NegativeMagnitudeError,
+    TooLargeError,
     UnknownNodeError,
     ZeroDenominatorError,
 )
 
 TIE_TOLERANCE = 1e-12
+
+# Largest id for which the packed pair key lo*(max_id + 1) + hi fits in int64.
+_MAX_PACKED_ID = math.isqrt(2**63 - 1) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,71 +73,126 @@ class SignedEdge:
 class SignedGraph:
     """Immutable undirected graph over dense node ids 0..n-1.
 
-    Construct through :func:`build_signed_graph`; instances must not be
-    mutated after construction, which makes them safe to share across
-    threads.
+    Construct through :func:`build_signed_graph`.  Every array is read-only
+    (see the module docstring for the layout), which makes instances safe
+    to share across threads.
     """
 
-    __slots__ = ("n", "edges", "total_pos", "total_neg", "_deg_pos", "_deg_neg", "_incidence")
+    __slots__ = (
+        "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id",
+        "total_pos", "total_neg", "_edges", "_arcs",
+    )
 
-    def __init__(self, n: int, edges: list[SignedEdge]):
+    def __init__(self, n: int, u: np.ndarray, v: np.ndarray, wpos: np.ndarray, wneg: np.ndarray):
+        """Wrap collapsed columns: ``u <= v``, at most one edge per pair."""
         self.n = n
-        self.edges = edges
-        deg_pos = [0.0] * n
-        deg_neg = [0.0] * n
-        incidence: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-        total_pos = 0.0
-        total_neg = 0.0
-        for e in edges:
-            total_pos += e.wpos
-            total_neg += e.wneg
-            # Loops fall through both updates, counting twice toward degrees.
-            deg_pos[e.u] += e.wpos
-            deg_neg[e.u] += e.wneg
-            deg_pos[e.v] += e.wpos
-            deg_neg[e.v] += e.wneg
-            incidence[e.u].append((e.v, e.wpos, e.wneg))
-            if e.u != e.v:
-                incidence[e.v].append((e.u, e.wpos, e.wneg))
-        _check_total_weight(total_pos)
-        _check_total_weight(total_neg)
-        self.total_pos = total_pos
-        self.total_neg = total_neg
-        self._deg_pos = deg_pos
-        self._deg_neg = deg_neg
-        self._incidence = incidence
+        self.u, self.v, self.wpos, self.wneg = u, v, wpos, wneg
+        ends = np.stack([u, v], axis=1).ravel()  # loops appear twice, counting twice
+        self.deg_pos = _bincount(ends, np.repeat(wpos, 2), n)
+        self.deg_neg = _bincount(ends, np.repeat(wneg, 2), n)
+        self.total_pos = _sequential_sum(wpos)
+        self.total_neg = _sequential_sum(wneg)
+        _check_total_weight(self.total_pos)
+        _check_total_weight(self.total_neg)
+        self.indptr, self.neighbor, self.edge_id = _csr(n, u, v)
+        arrays = (u, v, wpos, wneg, self.deg_pos, self.deg_neg, self.indptr, self.neighbor, self.edge_id)
+        for array in arrays:
+            array.flags.writeable = False
+        self._edges = self._arcs = None
 
     @property
     def m(self) -> int:
         """Number of collapsed edges."""
-        return len(self.edges)
+        return self.u.shape[0]
+
+    @property
+    def edges(self) -> tuple[SignedEdge, ...]:
+        """The collapsed edges as :class:`SignedEdge` objects, in edge order."""
+        if self._edges is None:
+            self._edges = tuple(starmap(SignedEdge, self.rows()))
+        return self._edges
+
+    def rows(self) -> Iterator[tuple[int, int, float, float]]:
+        """(u, v, wpos, wneg) of each edge as Python scalars, in edge order."""
+        return _rows(self.u, self.v, self.wpos, self.wneg)
 
     def positive_degree(self, u: int) -> float:
-        return self._deg_pos[u]
+        return float(self.deg_pos[u])
 
     def negative_degree(self, u: int) -> float:
-        return self._deg_neg[u]
+        return float(self.deg_neg[u])
 
     def degree(self, u: int) -> float:
         """Total degree: positive minus negative, loops counted twice."""
-        return self._deg_pos[u] - self._deg_neg[u]
+        return float(self.deg_pos[u] - self.deg_neg[u])
 
     def positive_degrees(self) -> list[float]:
-        return list(self._deg_pos)
+        return self.deg_pos.tolist()
 
     def negative_degrees(self) -> list[float]:
-        return list(self._deg_neg)
+        return self.deg_neg.tolist()
 
-    def incidence(self) -> list[list[tuple[int, float, float]]]:
-        """Per-node list of (neighbor, wpos, wneg); loops appear once, do not mutate."""
-        return self._incidence
+    def arc_lists(self) -> tuple[list[int], list[int], list[float], list[float]]:
+        """(indptr, neighbor, wpos, wneg) of the arcs as Python lists; do not mutate them.
+
+        The arcs of node x are positions ``indptr[x]:indptr[x+1]``; this is
+        the shape :func:`~negdsd.peeling.peel_order` walks.  Built on the
+        first call and kept, so the peels of a multiplier sweep share them.
+        """
+        if self._arcs is None:
+            self._arcs = (
+                self.indptr.tolist(),
+                self.neighbor.tolist(),
+                self.wpos[self.edge_id].tolist(),
+                self.wneg[self.edge_id].tolist(),
+            )
+        return self._arcs
 
     def net_weighted(self) -> "WeightedGraph":
         """Collapse each pair to its single net weight ``wpos - wneg``."""
-        return WeightedGraph(self.n, [(e.u, e.v, e.wpos - e.wneg) for e in self.edges])
+        return WeightedGraph(self.n, _rows(self.u, self.v, self.wpos - self.wneg))
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, m={self.m})"
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-node sums of ``weights``, added in array order (float even when empty)."""
+    return np.bincount(index, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...`` left to right, as a plain loop adds."""
+    if not values.shape[0]:
+        return 0.0
+    with np.errstate(over="ignore"):  # an infinite total is reported by its caller
+        return 0.0 + float(np.cumsum(values)[-1])
+
+
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, neighbor, edge_id) of the arcs of edges (u[e], v[e]) over nodes 0..n-1.
+
+    Each node's arcs are in edge order; a loop has one arc.
+    """
+    m = u.shape[0]
+    keep = np.ones(2 * m, dtype=bool)
+    keep[1::2] = u != v
+    tail = np.stack([u, v], axis=1).ravel()[keep]
+    head = np.stack([v, u], axis=1).ravel()[keep]
+    arcs = tail.shape[0]
+    if n * arcs >= 2**63:
+        raise TooLargeError(f"{n} nodes with {arcs} arcs overflow the 64-bit sort key")
+    # distinct keys, ordered by node and then by edge: a fast unstable sort will do
+    order = np.argsort(tail * arcs + np.arange(arcs))
+    edge = np.flatnonzero(keep) // 2
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    return indptr, head[order], edge[order]
+
+
+def _rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """Row tuples of equal-length columns, holding Python scalars."""
+    return zip(*(column.tolist() for column in columns))
 
 
 class WeightedGraph:
@@ -203,7 +279,7 @@ class DsdResult:
         """Build a result by measuring ``nodes`` directly on ``graph``."""
         node_set = frozenset(nodes)
         wpos, wneg, density = induced_weights(graph, node_set)
-        f_value = objective_f(graph, node_set, params) if params is not None else None
+        f_value = _objective(wpos, wneg, len(node_set), params) if params is not None else None
         return cls(node_set, density, wpos, wneg, exact, algorithm, f_value, c_used)
 
 
@@ -219,37 +295,100 @@ def build_signed_graph(
 
     Raises :class:`NegativeMagnitudeError` if any magnitude is negative and
     :class:`BadParametersError` on non-integer ids, non-finite weights, or
-    a weight total whose double overflows a float.
+    a weight total whose double overflows a float; the first bad record
+    decides which.
     """
-    acc: dict[tuple[int, int], list[float]] = {}
-    max_id = -1
-    for u, v, wpos, wneg in raw_edges:
-        if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
-            raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
-        if not (math.isfinite(wpos) and math.isfinite(wneg)):
-            raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
-        if wpos < 0 or wneg < 0:
-            raise NegativeMagnitudeError(
-                f"edge ({u}, {v}) has negative magnitude ({wpos}, {wneg}); "
-                "encode sign by choosing the field, not the value"
-            )
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
-        key = (u, v) if u <= v else (v, u)
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [float(wpos), float(wneg)]
-        else:
-            slot[0] += wpos
-            slot[1] += wneg
+    return SignedGraph(*_collapse(raw_edges, n, _check_magnitudes, _magnitudes_ok))
+
+
+def _check_magnitudes(u, v, wpos, wneg) -> None:
+    if not (math.isfinite(wpos) and math.isfinite(wneg)):
+        raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
+    if wpos < 0 or wneg < 0:
+        raise NegativeMagnitudeError(
+            f"edge ({u}, {v}) has negative magnitude ({wpos}, {wneg}); "
+            "encode sign by choosing the field, not the value"
+        )
+
+
+def _magnitudes_ok(wpos: np.ndarray, wneg: np.ndarray) -> bool:
+    return all(bool(np.isfinite(w).all() and (w >= 0).all()) for w in (wpos, wneg))
+
+
+_DTYPES = (np.int64, np.int64, np.float64, np.float64)
+
+
+def _collapse(
+    raw_edges: Iterable[tuple[int, int, float, float]],
+    n: int | None,
+    check_weights: Callable[[int, int, float, float], None],
+    weights_ok: Callable[[np.ndarray, np.ndarray], bool],
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v, a, b) of raw (u, v, a, b) records, one row per unordered pair.
+
+    Rows have ``u <= v`` and follow the order of each pair's first record;
+    ``a`` and ``b`` of parallel records are added in record order.  Ids
+    must be nonnegative ints; ``weights_ok(a, b)`` vets the weight columns
+    at once.  When it or the type check fails, the records are walked in
+    order, so the first bad one raises: its ids by the shared check, its
+    weights by ``check_weights(u, v, a, b)``.
+    """
+    records = list(raw_edges)
+    columns = _typed_columns(records)
+    if columns is None or not (_ids_ok(columns[0], columns[1]) and weights_ok(columns[2], columns[3])):
+        for u, v, a, b in records:
+            if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
+                raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
+            check_weights(u, v, a, b)
+        if columns is None:  # all valid, but of types such as numpy floats
+            columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*records), _DTYPES)]
+    u, v, a, b = columns
+    max_id = max(int(u.max()), int(v.max())) if records else -1
     if n is None:
         n = max_id + 1
     elif n < max_id + 1:
         raise UnknownNodeError(f"edge references node {max_id} but n={n}")
-    edges = [SignedEdge(u, v, wp, wn) for (u, v), (wp, wn) in acc.items()]
-    return SignedGraph(n, edges)
+    if max_id > _MAX_PACKED_ID:
+        raise TooLargeError(f"node ids must be at most {_MAX_PACKED_ID}, got {max_id}")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    pairs, inverse = np.unique(lo * (max_id + 1) + hi, return_inverse=True)
+    first = np.full(pairs.shape[0], len(records))
+    np.minimum.at(first, inverse, np.arange(len(records)))
+    by_appearance = np.argsort(first)
+    head = first[by_appearance]  # the first record of each pair, in record order
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(by_appearance.shape[0])
+    sums = [a[head], b[head]]
+    later = np.ones(len(records), dtype=bool)
+    later[head] = False
+    if later.any():
+        row = rank[inverse[later]]
+        with np.errstate(over="ignore"):  # SignedGraph rejects an infinite total
+            for total, column in zip(sums, (a, b)):
+                np.add.at(total, row, column[later])  # in record order
+    return n, lo[head], hi[head], sums[0], sums[1]
+
+
+def _typed_columns(records: list) -> list[np.ndarray] | None:
+    """Column arrays of 4-item records with int ids and int or float weights, else None."""
+    try:
+        if records and set(map(len, records)) != {4}:
+            return None
+        columns = [list(map(itemgetter(i), records)) for i in range(4)]
+    except TypeError:  # a record that is not a sequence
+        return None
+    ids = set(map(type, columns[0])) | set(map(type, columns[1]))
+    weights = set(map(type, columns[2])) | set(map(type, columns[3]))
+    if not (ids <= {int} and weights <= {int, float}):
+        return None
+    try:
+        return [np.array(column, dtype=dtype) for column, dtype in zip(columns, _DTYPES)]
+    except OverflowError:  # an id beyond 64 bits or an int weight beyond a float
+        return None
+
+
+def _ids_ok(u: np.ndarray, v: np.ndarray) -> bool:
+    return not u.shape[0] or bool(u.min() >= 0 and v.min() >= 0)
 
 
 def _check_total_weight(total: float) -> None:
@@ -276,21 +415,29 @@ def induced_weights(graph: SignedGraph, nodes: Iterable[int]) -> tuple[float, fl
     contribute their weight once.
     """
     node_set = _check_node_set(graph, nodes)
-    wpos = 0.0
-    wneg = 0.0
-    for e in graph.edges:
-        if e.u in node_set and e.v in node_set:
-            wpos += e.wpos
-            wneg += e.wneg
+    induced = _induced_edges(graph, node_set)
+    wpos = _sequential_sum(graph.wpos[induced])
+    wneg = _sequential_sum(graph.wneg[induced])
     return wpos, wneg, (wpos - wneg) / len(node_set)
+
+
+def _induced_edges(graph, node_set: frozenset[int]) -> np.ndarray:
+    """Mask of the edges of ``graph`` (arrays ``u``, ``v``) with both ends in the set."""
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[np.fromiter(node_set, dtype=np.int64, count=len(node_set))] = True
+    return inside[graph.u] & inside[graph.v]
 
 
 def objective_f(graph: SignedGraph, nodes: Iterable[int], params: ObjectiveParams) -> float:
     """Ratio objective (wpos(S) + l1|S|) / (rt*wneg(S) + l2|S|); always >= 0."""
     node_set = _check_node_set(graph, nodes)
     wpos, wneg, _ = induced_weights(graph, node_set)
-    k = len(node_set)
-    return (wpos + params.lambda1 * k) / (params.risk_tolerance * wneg + params.lambda2 * k)
+    return _objective(wpos, wneg, len(node_set), params)
+
+
+def _objective(wpos, wneg, size, params: ObjectiveParams):
+    """The ratio objective from induced weights and size; scalars or arrays alike."""
+    return (wpos + params.lambda1 * size) / (params.risk_tolerance * wneg + params.lambda2 * size)
 
 
 def objective_upper_bound(graph: SignedGraph, params: ObjectiveParams) -> float:
@@ -322,5 +469,4 @@ def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> 
         raise BadParametersError(f"query value must be >= 0, got {q}")
     if risk_tolerance <= 0:
         raise BadParametersError(f"risk_tolerance must be > 0, got {risk_tolerance}")
-    factor = q * risk_tolerance
-    return WeightedGraph(graph.n, [(e.u, e.v, e.wpos - factor * e.wneg) for e in graph.edges])
+    return WeightedGraph(graph.n, _rows(graph.u, graph.v, graph.wpos - q * risk_tolerance * graph.wneg))

@@ -49,6 +49,7 @@ from .core import (
     WeightedGraph,
     _check_objective_range,
     _check_total_weight,
+    _csr,
     build_signed_graph,
     objective_f,  # noqa: F401  re-exported; callers may look it up here
     tilde_weights,
@@ -108,13 +109,17 @@ def _integer_ratios(values: list) -> list[tuple[int, int]]:
 class _RatioProgram:
     """The objective on one integer scale.
 
-    ``adjacency[u]`` lists (v, P_e, R_e) for each edge at u, a loop once.
-    With ``positive_degrees``/``negative_degrees``/``incidence`` it has the
+    The arcs of node x are positions ``indptr[x]:indptr[x+1]`` of
+    ``neighbor``, ``arc_p`` (P_e) and ``arc_r`` (R_e), a loop once: with
+    ``arc_lists``/``positive_degrees``/``negative_degrees`` it has the
     shape :func:`~negdsd.peeling.peel_order` reads, so it peels directly.
     """
 
     n: int
-    adjacency: list[list[tuple[int, int, int]]]
+    indptr: list[int]
+    neighbor: list[int]
+    arc_p: list[int]
+    arc_r: list[int]
     deg_p: list[int]  # loops counted twice
     deg_r: list[int]
     l1: int
@@ -127,47 +132,53 @@ class _RatioProgram:
     def negative_degrees(self) -> list[int]:
         return list(self.deg_r)
 
-    def incidence(self) -> list[list[tuple[int, int, int]]]:
-        return self.adjacency
+    def arc_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        return self.indptr, self.neighbor, self.arc_p, self.arc_r
 
     def value(self, nodes: Iterable[int]) -> Fraction:
         members = set(nodes)
+        indptr, neighbor = self.indptr, self.neighbor
         num = den = 0
         for u in members:
-            for v, p, r in self.adjacency[u]:
+            for i in range(indptr[u], indptr[u + 1]):
+                v = neighbor[i]
                 if v >= u and v in members:  # each edge once, from its smaller end
-                    num += p
-                    den += r
+                    num += self.arc_p[i]
+                    den += self.arc_r[i]
         size = len(members)
         return Fraction(num + self.l1 * size, den + self.l2 * size)
 
 
-def _ratio_program(n, edges, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
-    """Scale (u, v, P_e, R_e) records, R_e multiplied by ``r_factor``, to integers."""
+def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
+    """Scale edges (u[e], v[e]) with P_e, R_e (R_e multiplied by ``r_factor``) to integers."""
     (f_num, f_den), (l1_num, l1_den), (l2_num, l2_den) = _integer_ratios([r_factor, lambda1, lambda2])
-    p_ratio = _integer_ratios([p for _, _, p, _ in edges])
-    r_ratio = _integer_ratios([r for _, _, _, r in edges])
+    p_ratio = _integer_ratios(p_values)
+    r_ratio = _integer_ratios(r_values)
     scale = math.lcm(l1_den, l2_den, *{d for _, d in p_ratio}, *{d * f_den for _, d in r_ratio})
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    ps: list[int] = []
+    rs: list[int] = []
     deg_p = [0] * n
     deg_r = [0] * n
     q_num, q_den = 1, 0  # min P_e/R_e so far, kept as a pair in ints; 1/0 stands for inf
-    for (u, v, _, _), (p_num, p_den), (r_num, r_den) in zip(edges, p_ratio, r_ratio):
+    for a, b, (p_num, p_den), (r_num, r_den) in zip(u, v, p_ratio, r_ratio):
         p = p_num * (scale // p_den)
         r = r_num * f_num * (scale // (r_den * f_den))
-        adjacency[u].append((v, p, r))
-        if u != v:
-            adjacency[v].append((u, p, r))
-        deg_p[u] += p
-        deg_p[v] += p
+        ps.append(p)
+        rs.append(r)
+        deg_p[a] += p
+        deg_p[b] += p
         if r:
-            deg_r[u] += r
-            deg_r[v] += r
+            deg_r[a] += r
+            deg_r[b] += r
             if p * q_den < q_num * r:
                 q_num, q_den = p, r
+    indptr, neighbor, edge_id = _csr(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+    arc_p = np.array(ps, dtype=object)[edge_id].tolist()  # Python ints of any size
+    arc_r = np.array(rs, dtype=object)[edge_id].tolist()
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
     q_max = Fraction(q_num, q_den) if q_den else math.inf
-    return _RatioProgram(n, adjacency, deg_p, deg_r, l1, l2, q_max)
+    indptr, neighbor = indptr.tolist(), neighbor.tolist()
+    return _RatioProgram(n, indptr, neighbor, arc_p, arc_r, deg_p, deg_r, l1, l2, q_max)
 
 
 def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
@@ -179,12 +190,13 @@ def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int
     degree = [b * p - a * r for p, r in zip(program.deg_p, program.deg_r)]
     alive = [d >= cost for d in degree]
     stack = [u for u in range(program.n) if not alive[u]]
-    adjacency = program.adjacency
+    indptr, neighbor, arc_p, arc_r = program.arc_lists()
     while stack:
         u = stack.pop()
-        for v, p, r in adjacency[u]:
+        for i in range(indptr[u], indptr[u + 1]):
+            v = neighbor[i]
             if alive[v]:
-                degree[v] -= b * p - a * r
+                degree[v] -= b * arc_p[i] - a * arc_r[i]
                 if degree[v] < cost:
                     alive[v] = False
                     stack.append(v)
@@ -211,14 +223,16 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     k = len(core)
     net = Dinic(k + 2)
     source, sink = k, k + 1
+    indptr, neighbor, arc_p, arc_r = program.arc_lists()
     for i, u in enumerate(core):
         if degree[u] > 0:
             net.add_edge(source, i, degree[u])
         if cost > 0:
             net.add_edge(i, sink, 2 * cost)
-        for v, p, r in program.adjacency[u]:
+        for arc in range(indptr[u], indptr[u + 1]):
+            v = neighbor[arc]
             j = index.get(v)
-            w = b * p - a * r
+            w = b * arc_p[arc] - a * arc_r[arc]
             if j is not None and v > u and w > 0:  # loops act through degrees only
                 net.add_edge(i, j, w)
                 net.add_edge(j, i, w)
@@ -234,6 +248,7 @@ def _peel_start(program: _RatioProgram) -> list[int]:
     position = [0] * n
     for i, v in enumerate(sequence):
         position[v] = i
+    indptr, neighbor, arc_p, arc_r = program.arc_lists()
     num, den = sum(program.deg_p) // 2, sum(program.deg_r) // 2
     best_size, best_num, best_den = 0, 0, 1
     for idx, v in enumerate(sequence):
@@ -241,10 +256,10 @@ def _peel_start(program: _RatioProgram) -> list[int]:
         cand_num, cand_den = num + program.l1 * size, den + program.l2 * size
         if best_size == 0 or cand_num * best_den > best_num * cand_den:  # ties keep the larger
             best_size, best_num, best_den = size, cand_num, cand_den
-        for u, p, r in program.adjacency[v]:
-            if position[u] >= idx:  # still present, or the loop at v
-                num -= p
-                den -= r
+        for i in range(indptr[v], indptr[v + 1]):
+            if position[neighbor[i]] >= idx:  # still present, or the loop at v
+                num -= arc_p[i]
+                den -= arc_r[i]
     return sequence[n - best_size :]
 
 
@@ -287,7 +302,8 @@ def _validate_nonnegative(graph: WeightedGraph) -> None:
 
 
 def _density_program(graph: WeightedGraph) -> _RatioProgram:
-    return _ratio_program(graph.n, [(u, v, w, 0) for u, v, w in graph.edges], 0, 1)
+    u, v, w = zip(*graph.edges) if graph.edges else ((), (), ())
+    return _ratio_program(graph.n, u, v, w, [0] * len(w), 0, 1)
 
 
 def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
@@ -353,12 +369,12 @@ def brute_force(
     sizes = _popcount(masks)
     wpos = np.zeros(masks.shape[0], dtype=np.float64)
     wneg = np.zeros(masks.shape[0], dtype=np.float64)
-    for e in graph.edges:
-        both = ((masks >> e.u) & (masks >> e.v) & 1).astype(bool)
-        if e.wpos:
-            wpos[both] += e.wpos
-        if e.wneg:
-            wneg[both] += e.wneg
+    for u, v, ew_pos, ew_neg in graph.rows():
+        both = ((masks >> u) & (masks >> v) & 1).astype(bool)
+        if ew_pos:
+            wpos[both] += ew_pos
+        if ew_neg:
+            wneg[both] += ew_neg
     if mode == "density":
         values = (wpos - wneg) / sizes
     else:
@@ -407,8 +423,10 @@ def binary_search_objective(
         raise EmptySetError("graph has no nodes")
     upper = _check_objective_range(graph, params)
     rt = params.risk_tolerance
-    edges = [(e.u, e.v, e.wpos, e.wneg) for e in graph.edges]
-    program = _ratio_program(graph.n, edges, params.lambda1, params.lambda2, rt)
+    program = _ratio_program(
+        graph.n, graph.u.tolist(), graph.v.tolist(), graph.wpos.tolist(), graph.wneg.tolist(),
+        params.lambda1, params.lambda2, rt,
+    )
 
     def peel(q: Fraction) -> frozenset[int]:
         reweighted = tilde_weights(graph, float(q), rt)

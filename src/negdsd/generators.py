@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .core import DsdResult, SignedGraph, WeightedGraph, build_signed_graph, induced_weights
+from .core import DsdResult, SignedGraph, WeightedGraph, _rows, build_signed_graph, induced_weights
 from .errors import BadParametersError
 from .exact import exact_dsd
 
@@ -119,10 +119,10 @@ def shift_baseline(graph: SignedGraph) -> DsdResult:
     the winning set on the unshifted graph; ``exact`` survives only when no
     shift happened.
     """
-    nets = [e.net for e in graph.edges]
-    lowest = min(nets, default=0.0)
+    nets = graph.wpos - graph.wneg
+    lowest = float(nets.min(initial=0.0))
     shift = -lowest if lowest < 0 else 0.0
-    shifted = WeightedGraph(graph.n, [(e.u, e.v, e.net + shift) for e in graph.edges])
+    shifted = WeightedGraph(graph.n, _rows(graph.u, graph.v, nets + shift))
     solved = exact_dsd(shifted)
     wpos, wneg, density = induced_weights(graph, solved.nodes)
     return DsdResult(

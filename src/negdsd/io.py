@@ -137,8 +137,5 @@ def format_signed(graph: SignedGraph, labels: list[str] | None = None) -> str:
     """Serialize to the 4-column signed format; weights round-trip bit-exactly."""
     if labels is None:
         labels = [str(i) for i in range(graph.n)]
-    lines = [
-        f"{labels[e.u]} {labels[e.v]} {e.wpos!r} {e.wneg!r}"
-        for e in graph.edges
-    ]
+    lines = [f"{labels[u]} {labels[v]} {wpos!r} {wneg!r}" for u, v, wpos, wneg in graph.rows()]
     return "\n".join(lines) + ("\n" if lines else "")

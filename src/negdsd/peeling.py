@@ -15,12 +15,15 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import (
     DsdResult,
     ObjectiveParams,
     SignedGraph,
     TIE_TOLERANCE,
     _check_objective_range,
+    _objective,
 )
 from .errors import (
     BadParametersError,
@@ -75,81 +78,88 @@ class PeelScoring:
 def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     """Peel nodes by ascending ``c*posdeg - negdeg``, ties to the smallest id.
 
-    Deterministic for a fixed (graph, c).  Runs in O((n + m) log n) using a
-    heap with lazy invalidation: every score change pushes a fresh entry and
-    stale entries are skipped on pop.
+    Deterministic for a fixed (graph, c).  Runs in O((n + m) log n) over
+    the flat arc lists of ``graph.arc_lists()`` with one heap of
+    (score, node) entries.  An entry is pushed only when a node's score
+    falls, so every live node keeps an entry keyed at or below its score.
+    A popped entry below its node's current score (the score rose since)
+    re-queues the node at that score; one equal to it is the live node of
+    least (score, id), so the pop order is that of a heap refreshed on
+    every change.  Entries of removed nodes are skipped.
     """
     _check_c(c)
     n = graph.n
     if n == 0:
         raise EmptySetError("cannot peel an empty graph")
+    indptr, neighbor, arc_pos, arc_neg = graph.arc_lists()
     pos = graph.positive_degrees()
     neg = graph.negative_degrees()
-    score = [c * pos[v] - neg[v] for v in range(n)]
-    heap = [(score[v], v) for v in range(n)]
+    score = [c * p - q for p, q in zip(pos, neg)]
+    heap = list(zip(score, range(n)))
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     alive = [True] * n
-    incidence = graph.incidence()
     sequence: list[int] = []
     scores_out: list[float] = []
     for _ in range(n):
         while True:
-            s, v = heapq.heappop(heap)
-            if alive[v] and s == score[v]:
-                break
-        alive[v] = False
+            s, v = heappop(heap)
+            if alive[v]:
+                if s == score[v]:
+                    break
+                heappush(heap, (score[v], v))
+        alive[v] = False  # before the arcs, so a loop at v is skipped
         sequence.append(v)
         scores_out.append(s)
-        for u, wpos, wneg in incidence[v]:
-            if u == v or not alive[u]:
-                continue
-            pos[u] -= wpos
-            neg[u] -= wneg
-            score[u] = c * pos[u] - neg[u]
-            heapq.heappush(heap, (score[u], u))
+        start, end = indptr[v], indptr[v + 1]
+        for u, wpos, wneg in zip(neighbor[start:end], arc_pos[start:end], arc_neg[start:end]):
+            if alive[u]:
+                p = pos[u] = pos[u] - wpos
+                q = neg[u] = neg[u] - wneg
+                new = c * p - q
+                if new < score[u]:
+                    heappush(heap, (new, u))
+                score[u] = new
     return PeelOrder(sequence, scores_out)
 
 
-def _prefix_value(wpos: float, wneg: float, size: int, scoring: PeelScoring) -> float:
-    if scoring.mode == "net_density":
-        return (wpos - wneg) / size
-    p = scoring.params
-    return (wpos + p.lambda1 * size) / (p.risk_tolerance * wneg + p.lambda2 * size)
-
-
 def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> DsdResult:
-    """Evaluate every prefix of a peel in one pass and return the best one.
+    """Score every prefix of a peel at once and return the best one.
 
     Ties within ``TIE_TOLERANCE`` go to the smallest prefix (smallest set).
-    The scan walks the order backwards and adds each node's edges to the
-    nodes peeled after it, so the whole scan is O(n + m) and the induced
-    weights are sums of nonnegative terms: subtracting from the totals
-    instead can cancel them to a negative weight and a zero denominator.
+    An edge belongs to every prefix of at most ``n - k`` nodes, where ``k``
+    is the earlier removal position of its two ends, so the induced weights
+    of all prefixes are one ``np.bincount`` over ``k`` summed from the last
+    position back: O(n + m), and only nonnegative terms are ever added
+    (subtracting peeled weights from the totals instead can cancel them to
+    a negative weight and a zero denominator).
     """
     n = graph.n
-    sequence = order.removal_sequence
-    if len(sequence) != n or set(sequence) != set(range(n)):
+    sequence = np.asarray(order.removal_sequence)
+    if (
+        sequence.shape != (n,)
+        or sequence.dtype.kind not in "iu"
+        or (n and (sequence.min() < 0 or sequence.max() >= n))
+        or np.bincount(sequence, minlength=n).max(initial=1) != 1
+    ):
         raise BadParametersError("order is not a permutation of this graph's nodes")
     if scoring.mode == "objective":
         _check_objective_range(graph, scoring.params)
-    position = [0] * n
-    for i, v in enumerate(sequence):
-        position[v] = i
-    incidence = graph.incidence()
-    wpos = wneg = 0.0
-    values = [0.0] * n  # values[i] = score of the prefix with i+1 nodes
-    for idx, v in zip(range(n - 1, -1, -1), reversed(sequence)):
-        for u, ew_pos, ew_neg in incidence[v]:
-            if u == v or position[u] > idx:
-                wpos += ew_pos
-                wneg += ew_neg
-        values[n - idx - 1] = _prefix_value(wpos, wneg, n - idx, scoring)
-    top = max(values)
-    best_size = next(i + 1 for i, value in enumerate(values) if value >= top - TIE_TOLERANCE)
-    nodes = sequence[n - best_size :]
+    position = np.empty(n, dtype=np.int64)
+    position[sequence] = np.arange(n)
+    k = np.minimum(position[graph.u], position[graph.v])
+    # entry s-1 holds the weight induced by the last s nodes
+    wpos = np.cumsum(np.bincount(k, weights=graph.wpos, minlength=n)[::-1])
+    wneg = np.cumsum(np.bincount(k, weights=graph.wneg, minlength=n)[::-1])
+    size = np.arange(1, n + 1, dtype=np.float64)
+    if scoring.mode == "net_density":
+        values = (wpos - wneg) / size
+    else:
+        values = _objective(wpos, wneg, size, scoring.params)
+    best_size = int(np.argmax(values >= values.max() - TIE_TOLERANCE)) + 1
     return DsdResult.evaluate(
         graph,
-        nodes,
+        order.removal_sequence[n - best_size :],
         algorithm="peel",
         exact=False,
         params=scoring.params,

@@ -12,15 +12,21 @@ serves every tolerance sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import starmap
+from typing import Iterable, Iterator
 
-from .core import SignedGraph, _check_node_set, build_signed_graph
-from .errors import (
-    BadParametersError,
-    EmptyFilmographyError,
-    OutOfRangeError,
-    UnknownNodeError,
+import numpy as np
+
+from .core import (
+    SignedGraph,
+    _check_node_set,
+    _collapse,
+    _induced_edges,
+    _rows,
+    _sequential_sum,
+    build_signed_graph,
 )
+from .errors import EmptyFilmographyError, OutOfRangeError
 
 TOP_COSTARRED_MOVIES = 5
 
@@ -61,16 +67,34 @@ class RiskReport:
 
 
 class UncertainGraph:
-    """Immutable collection of collapsed uncertain edges over ids 0..n-1."""
+    """Immutable collapsed uncertain edges over ids 0..n-1, stored as columns.
 
-    __slots__ = ("n", "edges")
+    Edge ``e`` is ``(u[e], v[e], mu[e], sigma2[e])`` with ``u[e] <= v[e]``,
+    in the layout of :class:`~negdsd.core.SignedGraph`; ``edges`` is a
+    tuple of :class:`UncertainEdge` built on first access.
+    """
 
-    def __init__(self, n: int, edges: list[UncertainEdge]):
+    __slots__ = ("n", "u", "v", "mu", "sigma2", "_edges")
+
+    def __init__(self, n: int, u: np.ndarray, v: np.ndarray, mu: np.ndarray, sigma2: np.ndarray):
         self.n = n
-        self.edges = edges
+        self.u, self.v, self.mu, self.sigma2 = u, v, mu, sigma2
+        for array in (u, v, mu, sigma2):
+            array.flags.writeable = False
+        self._edges = None
+
+    @property
+    def edges(self) -> tuple[UncertainEdge, ...]:
+        if self._edges is None:
+            self._edges = tuple(starmap(UncertainEdge, self.rows()))
+        return self._edges
+
+    def rows(self) -> Iterator[tuple[int, int, float, float]]:
+        """(u, v, mu, sigma2) of each edge as Python scalars, in edge order."""
+        return _rows(self.u, self.v, self.mu, self.sigma2)
 
     def __repr__(self) -> str:
-        return f"UncertainGraph(n={self.n}, m={len(self.edges)})"
+        return f"UncertainGraph(n={self.n}, m={self.u.shape[0]})"
 
 
 def bernoulli_moments(p: float, w: float) -> tuple[float, float]:
@@ -93,32 +117,18 @@ def build_uncertain_graph(
     """Collapse raw (u, v, mu, sigma2) records; parallel moments add.
 
     Summing moments treats parallel records as independent rewards on the
-    same pair.
+    same pair.  Collapses like :func:`~negdsd.core.build_signed_graph`.
     """
-    acc: dict[tuple[int, int], list[float]] = {}
-    max_id = -1
-    for u, v, mu, sigma2 in raw_edges:
-        if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
-            raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
-        if mu < 0 or sigma2 < 0:
-            raise OutOfRangeError(f"edge ({u}, {v}) needs mu >= 0 and sigma2 >= 0, got ({mu}, {sigma2})")
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
-        key = (u, v) if u <= v else (v, u)
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [float(mu), float(sigma2)]
-        else:
-            slot[0] += mu
-            slot[1] += sigma2
-    if n is None:
-        n = max_id + 1
-    elif n < max_id + 1:
-        raise UnknownNodeError(f"edge references node {max_id} but n={n}")
-    edges = [UncertainEdge(u, v, mu, s2) for (u, v), (mu, s2) in acc.items()]
-    return UncertainGraph(n, edges)
+    return UncertainGraph(*_collapse(raw_edges, n, _check_moments, _moments_ok))
+
+
+def _check_moments(u, v, mu, sigma2) -> None:
+    if mu < 0 or sigma2 < 0:
+        raise OutOfRangeError(f"edge ({u}, {v}) needs mu >= 0 and sigma2 >= 0, got ({mu}, {sigma2})")
+
+
+def _moments_ok(mu: np.ndarray, sigma2: np.ndarray) -> bool:
+    return bool((mu >= 0).all() and (sigma2 >= 0).all())  # NaN fails here but passes the record check
 
 
 def bernoulli_graph(
@@ -134,23 +144,16 @@ def bernoulli_graph(
 
 def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:
     """Map each edge to (wpos=mu, wneg=sigma2) for the signed-graph solvers."""
-    return build_signed_graph(
-        [(e.u, e.v, e.mu, e.sigma2) for e in graph.edges],
-        n=graph.n,
-    )
+    return build_signed_graph(graph.rows(), n=graph.n)
 
 
 def risk_profile(graph: UncertainGraph, nodes: Iterable[int]) -> RiskReport:
     """Average induced expected reward and risk of a nonempty node set."""
     node_set = _check_node_set(graph, nodes)
-    mu_total = 0.0
-    risk_total = 0.0
-    for e in graph.edges:
-        if e.u in node_set and e.v in node_set:
-            mu_total += e.mu
-            risk_total += e.sigma2
+    induced = _induced_edges(graph, node_set)
     size = len(node_set)
-    return RiskReport(mu_total / size, risk_total / size, size)
+    mu, risk = _sequential_sum(graph.mu[induced]), _sequential_sum(graph.sigma2[induced])
+    return RiskReport(mu / size, risk / size, size)
 
 
 def tmdb_edge(

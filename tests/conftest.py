@@ -82,6 +82,37 @@ def naive_peel(graph: SignedGraph, c: float) -> list[int]:
     return sequence
 
 
+def naive_prefix(graph: SignedGraph, sequence, mode: str = "density", params=None):
+    """(size, value) of the best suffix of a removal sequence, each scored by naive_induced.
+
+    Ties within TIE go to the smallest suffix.
+    """
+    values = []
+    for size in range(1, graph.n + 1):
+        nodes = sequence[graph.n - size :]
+        if mode == "density":
+            values.append(naive_density(graph, nodes))
+        else:
+            values.append(naive_objective(graph, nodes, params))
+    top = max(values)
+    size = next(i + 1 for i, value in enumerate(values) if value >= top - TIE)
+    return size, values[size - 1]
+
+
+def random_multigraph(rng: random.Random, max_nodes: int = 40) -> SignedGraph:
+    """Random multigraph with loops, parallel records and mostly negative non-dyadic weights."""
+    n = rng.randint(1, max_nodes)
+    raw = []
+    for _ in range(rng.randint(0, 4 * n)):
+        u = rng.randrange(n)
+        v = u if rng.random() < 0.1 else rng.randrange(n)
+        if rng.random() < 0.7:
+            raw.append((u, v, 0.0, rng.uniform(0.01, 1.0)))
+        else:
+            raw.append((u, v, rng.uniform(0.01, 1.5), rng.choice((0.0, rng.uniform(0.01, 0.3)))))
+    return build_signed_graph(raw, n=n)
+
+
 def random_signed_graph(
     rng: random.Random,
     max_nodes: int = 12,

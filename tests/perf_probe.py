@@ -1,7 +1,8 @@
 """Standalone timing/memory probe for the large-graph peel.
 
 Run in its own process so the peak-RSS measurement is not polluted by other
-tests; prints a single JSON object on stdout.
+tests; prints a single JSON object on stdout.  ``peel_seconds`` (gated by
+acceptance criterion 9) is ``peel_order_seconds + best_prefix_seconds``.
 """
 
 import json
@@ -33,8 +34,9 @@ def main() -> None:
 
     peel_start = time.perf_counter()
     order = peel_order(graph, 1.0)
+    prefix_start = time.perf_counter()
     result = best_prefix(graph, order, PeelScoring())
-    peel_seconds = time.perf_counter() - peel_start
+    prefix_end = time.perf_counter()
 
     print(
         json.dumps(
@@ -42,7 +44,9 @@ def main() -> None:
                 "nodes": graph.n,
                 "edges": graph.m,
                 "build_seconds": build_seconds,
-                "peel_seconds": peel_seconds,
+                "peel_order_seconds": prefix_start - peel_start,
+                "best_prefix_seconds": prefix_end - prefix_start,
+                "peel_seconds": prefix_end - peel_start,
                 "net_density": result.net_density,
                 "result_size": result.size,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -101,6 +101,53 @@ class TestBuild:
             assert math.isclose(lhs, 2 * (g.total_pos - g.total_neg), abs_tol=1e-9)
 
 
+    def test_first_bad_record_decides_the_error(self):
+        negative, bad_id = (0, 1, -1.0, 0.0), (-1, 0, 1.0, 0.0)
+        with pytest.raises(NegativeMagnitudeError):
+            build_signed_graph([negative, bad_id])
+        with pytest.raises(BadParametersError, match="node ids"):
+            build_signed_graph([bad_id, negative])
+
+    def test_generator_input(self):
+        raw = [(0, 1, 1.0, 0.0), (2, 1, 0.5, 0.25), (1, 0, 2.0, 0.0)]
+        g = build_signed_graph(record for record in raw)
+        assert [(e.u, e.v, e.wpos, e.wneg) for e in g.edges] == [(0, 1, 3.0, 0.0), (1, 2, 0.5, 0.25)]
+
+    def test_arrays_are_read_only(self):
+        g = build_signed_graph([(0, 1, 1.0, 0.5), (1, 1, 2.0, 0.0)])
+        for name in ("u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id"):
+            with pytest.raises(ValueError):
+                getattr(g, name)[0] = 0
+
+    def test_edges_view_matches_dict_collapse(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            raw = [
+                (rng.randrange(n), rng.randrange(n), rng.choice((0.0, rng.random())), rng.random() / 3)
+                for _ in range(rng.randint(0, 40))
+            ]
+            collapsed = {}
+            for u, v, wpos, wneg in raw:
+                key = (min(u, v), max(u, v))
+                if key in collapsed:
+                    collapsed[key] = (collapsed[key][0] + wpos, collapsed[key][1] + wneg)
+                else:
+                    collapsed[key] = (wpos, wneg)
+            g = build_signed_graph(raw, n=n)
+            assert [(e.u, e.v, e.wpos, e.wneg) for e in g.edges] == [
+                (u, v, wpos, wneg) for (u, v), (wpos, wneg) in collapsed.items()
+            ]
+            assert all(type(e.wpos) is float and type(e.wneg) is float for e in g.edges)
+            assert all(type(e.u) is int and type(e.v) is int for e in g.edges)
+            deg_pos, deg_neg = [0.0] * n, [0.0] * n
+            for e in g.edges:  # degrees add in this order, bit for bit
+                for end in (e.u, e.v):
+                    deg_pos[end] += e.wpos
+                    deg_neg[end] += e.wneg
+            assert (g.positive_degrees(), g.negative_degrees()) == (deg_pos, deg_neg)
+
+
 class TestInducedWeights:
     def test_full_triangle(self):
         assert induced_weights(triangle(), {0, 1, 2}) == (3.0, 0.0, 1.0)

@@ -2,9 +2,11 @@
 
 import io
 import json
+import time
 
 import pytest
 
+import negdsd.cli
 from negdsd import build_signed_graph, gen_bad_peeling, gen_two_component
 from negdsd.cli import run
 from negdsd.errors import ParseError
@@ -292,6 +294,20 @@ class TestCli:
                 "\n".join(line for line in out.splitlines() if "wall_time_s" not in line)
             )
         assert outputs[0] == outputs[1]
+
+    def test_wall_time_covers_reading_the_input(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "g.tsv"
+        path.write_text("a b 1\nb c 1\n")
+        read = negdsd.cli._read_input
+
+        def slow_read(name):
+            time.sleep(0.05)
+            return read(name)
+
+        monkeypatch.setattr(negdsd.cli, "_read_input", slow_read)
+        code, out, _ = run_cli(capsys, "peel", str(path))
+        assert code == 0
+        assert json.loads(out)["wall_time_s"] >= 0.05
 
     def test_gen_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "gen", "two-component", "--r", "3", "--n", "8", "--seed", "7")

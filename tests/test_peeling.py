@@ -23,7 +23,7 @@ from negdsd.errors import (
     NonPositiveCError,
 )
 
-from conftest import naive_best, naive_peel, random_signed_graph
+from conftest import naive_best, naive_peel, naive_prefix, random_multigraph, random_signed_graph
 
 
 def triangle():
@@ -54,6 +54,12 @@ class TestPeelOrder:
             g = random_signed_graph(rng, max_nodes=14)
             c = rng.choice((0.25, 0.5, 1.0, 2.0, 4.0))
             assert peel_order(g, c).removal_sequence == naive_peel(g, c)
+        # mostly negative weights make scores rise as neighbours leave
+        rng = random.Random(19)
+        for _ in range(40):
+            g = random_multigraph(rng, max_nodes=40)
+            for c in DEFAULT_C_LIST:
+                assert peel_order(g, c).removal_sequence == naive_peel(g, c)
 
     def test_deterministic(self):
         g = random_signed_graph(random.Random(3), max_nodes=20)
@@ -101,6 +107,29 @@ class TestBestPrefix:
         result = best_prefix(two_triangles, peel_order(two_triangles, 1.0), PeelScoring())
         assert result.size == 3
         assert result.net_density == 1.0
+
+    def test_matches_naive_prefix(self):
+        rng = random.Random(43)
+        params = ObjectiveParams(0.5, 1, 2)
+        graphs = [random_multigraph(rng, max_nodes=30) for _ in range(30)]
+        for _ in range(10):  # disjoint copies of one dyadic graph tie exactly
+            base = random_signed_graph(rng, max_nodes=6, allow_loops=True)
+            copies = rng.randint(2, 4)
+            raw = [(e.u + k * base.n, e.v + k * base.n, e.wpos, e.wneg) for k in range(copies) for e in base.edges]
+            graphs.append(build_signed_graph(raw, n=copies * base.n))
+        graphs.append(build_signed_graph([], n=5))  # every prefix scores 0
+        for g in graphs:
+            for c in (0.25, 1.0, 4.0):
+                order = peel_order(g, c)
+                for mode, scoring in (
+                    ("density", PeelScoring(c=c)),
+                    ("objective", PeelScoring("objective", c, params)),
+                ):
+                    size, value = naive_prefix(g, order.removal_sequence, mode, params)
+                    result = best_prefix(g, order, scoring)
+                    assert result.size == size
+                    achieved = result.net_density if mode == "density" else result.f_value
+                    assert achieved == pytest.approx(value, abs=1e-9)
 
     def test_objective_mode_scores_true_objective(self):
         g = build_signed_graph([(0, 1, 2, 0), (1, 2, 1, 3), (2, 3, 1, 0)])
