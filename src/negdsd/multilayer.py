@@ -10,6 +10,7 @@ W large enough to certify that no optimal set induces any excluded edge.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -92,9 +93,13 @@ def hard_w(graph: MultilayerGraph, excluded: Iterable[Layer]) -> int:
     so it loses to any single node (density 0) and a fortiori to any clean
     positive pair (density 1/2).
     """
+    return _hard_w(Counter(layer for _, _, layer in graph.edges), excluded)
+
+
+def _hard_w(layer_sizes: dict, excluded: Iterable[Layer]) -> int:
+    """:func:`hard_w` from the edge count of every layer."""
     excluded_set = frozenset(excluded)
-    allowed = sum(1 for _, _, layer in graph.edges if layer not in excluded_set)
-    return allowed + 1
+    return sum(size for layer, size in layer_sizes.items() if layer not in excluded_set) + 1
 
 
 def apply_exclusion(graph: MultilayerGraph, query: ExclusionQuery) -> SignedGraph:
@@ -143,14 +148,20 @@ def layer_report(
     in the rewritten graph); without a query it equals the raw density.
     """
     node_set = _check_node_set(graph, nodes)
+    counts = dict.fromkeys(graph.layers, 0)  # edges of each layer inside the set
+    sizes = dict.fromkeys(graph.layers, 0)  # edges of each layer
+    for u, v, layer in graph.edges:
+        sizes[layer] += 1
+        if u in node_set and v in node_set:
+            counts[layer] += 1
     penalty = 0.0
     excluded: frozenset = frozenset()
     if query is not None:
         excluded = query.excluded
-        penalty = float(query.w) if query.mode == "soft" else float(hard_w(graph, excluded))
+        penalty = float(query.w) if query.mode == "soft" else float(_hard_w(sizes, excluded))
     report = {}
     for layer in sorted(graph.layers, key=str):
-        count = layer_count(graph, node_set, layer)
+        count = counts[layer]
         raw = count / len(node_set)
         signed = -penalty * raw if (layer in excluded and count) else raw
         report[layer] = {"count": count, "density": raw, "signed_density": signed}

@@ -1,9 +1,11 @@
 """Peeling order, prefix evaluation, and the multiplier sweep."""
 
+import os
 import random
 
 import pytest
 
+from negdsd import peeling
 from negdsd import (
     DEFAULT_C_LIST,
     ObjectiveParams,
@@ -228,6 +230,21 @@ class TestCSweep:
         with pytest.raises(EmptyCListError):
             c_sweep(triangle(), [])
 
+    def test_repeated_multipliers_peeled_once(self, monkeypatch):
+        g = gen_bad_peeling(16, 0.01)
+        expected = repr(c_sweep(g, [4.0, 2.0, 10.0]))
+        peeled = []
+
+        def counting_peel(graph, c=1.0):
+            peeled.append(c)
+            return peel_order(graph, c)
+
+        monkeypatch.setattr(peeling, "peel_order", counting_peel)
+        swept = c_sweep(g, [4.0, 2.0, 4.0, 10.0, 2.0])
+        assert peeled == [4.0, 2.0, 10.0]
+        assert repr(swept) == expected
+        assert swept.c_used == 2.0  # the tie among 2, 4 and 10 still goes to the smallest
+
     def test_prefix_nesting(self):
         g = random_signed_graph(random.Random(41), max_nodes=12)
         order = peel_order(g, 1.0)
@@ -236,3 +253,132 @@ class TestCSweep:
         for bigger, smaller in zip(prefixes, prefixes[1:]):
             assert smaller < bigger
             assert len(bigger - smaller) == 1
+
+
+def large_graph(seed: int, clique: bool):
+    """Mixed-sign random graph above the fork threshold, optionally with a dense clique.
+
+    Without the clique every multiplier returns a different set; with it,
+    every multiplier finds the clique, so the whole sweep ties and the
+    smallest multiplier must win whichever worker peeled it.
+    """
+    rng = random.Random(seed)
+    n, m = 2000, 8000
+    raw = []
+    for _ in range(m):
+        net = rng.uniform(-1.0, 2.0)
+        raw.append((rng.randrange(n), rng.randrange(n), max(net, 0.0), max(-net, 0.0)))
+    if clique:
+        raw += [(a, b, 3.0, 0.0) for a in range(40) for b in range(a + 1, 40)]
+    return build_signed_graph(raw, n=n)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """A setter of the CPU count c_sweep sees; it returns the pids of the workers forked since."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def set_cpus(count: int) -> list[int]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        forked.clear()
+        return forked
+
+    return set_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSweep:
+    GRAPH = large_graph(43, clique=False)
+    TIE_GRAPH = large_graph(43, clique=True)
+    SCORINGS = (PeelScoring(), PeelScoring("objective", params=ObjectiveParams(1, 1, 0.5)))
+
+    def test_graph_is_above_the_fork_threshold(self):
+        arcs = self.GRAPH.neighbor.shape[0]
+        assert arcs * len(DEFAULT_C_LIST) >= peeling._FORK_MIN_ARC_VISITS
+        assert arcs * 2 < peeling._FORK_MIN_ARC_VISITS  # two multipliers stay in one process
+
+    def test_orders_match_single_worker(self, cpus):
+        c_values = list(DEFAULT_C_LIST)
+        cpus(1)
+        single = peeling._peel_orders(self.GRAPH, c_values)
+        forked = cpus(3)
+        assert repr(peeling._peel_orders(self.GRAPH, c_values)) == repr(single)
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("c_list", [DEFAULT_C_LIST, DEFAULT_C_LIST[::-1]], ids=["default", "reversed"])
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=["net_density", "objective"])
+    @pytest.mark.parametrize("tie", [False, True], ids=["mixed", "tie"])
+    def test_matches_single_worker(self, cpus, c_list, scoring, tie):
+        graph = self.TIE_GRAPH if tie else self.GRAPH
+        cpus(1)
+        single = c_sweep(graph, c_list, scoring)
+        forked = cpus(3)
+        assert repr(c_sweep(graph, c_list, scoring)) == repr(single)
+        assert len(forked) == 2
+        if tie:
+            assert single.c_used == min(c_list) and single.nodes >= set(range(40))
+        assert_no_child_left()
+
+    def test_small_sweep_does_not_fork(self, cpus):
+        forked = cpus(3)
+        c_sweep(self.GRAPH, [1.0, 2.0])
+        c_sweep(gen_bad_peeling(16, 0.01))
+        assert forked == []
+
+    @pytest.mark.parametrize("failure", ["raises", "short"])
+    def test_failed_worker_is_peeled_again(self, cpus, monkeypatch, failure):
+        cpus(1)
+        expected = repr(c_sweep(self.GRAPH))
+        parent = os.getpid()
+
+        def failing_peel(graph, c=1.0):
+            order = peel_order(graph, c)
+            if os.getpid() == parent:
+                return order
+            if failure == "raises":
+                raise RuntimeError("worker failure")
+            return PeelOrder(order.removal_sequence[1:], order.score_at_removal[1:])
+
+        monkeypatch.setattr(peeling, "peel_order", failing_peel)
+        forked = cpus(2)
+        assert repr(c_sweep(self.GRAPH)) == expected
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_failure_in_this_process_reaps_workers(self, cpus, monkeypatch):
+        parent = os.getpid()
+
+        def failing_peel(graph, c=1.0):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return peel_order(graph, c)
+
+        monkeypatch.setattr(peeling, "peel_order", failing_peel)
+        forked = cpus(4)
+        with pytest.raises(KeyboardInterrupt):
+            c_sweep(self.GRAPH)
+        assert len(forked) == 3
+        assert_no_child_left()
+
+    def test_bad_multiplier_rejected_before_any_peel(self, cpus, monkeypatch):
+        peeled = []
+        monkeypatch.setattr(peeling, "peel_order", lambda graph, c=1.0: peeled.append(c))
+        forked = cpus(3)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveCError):
+                c_sweep(self.GRAPH, [*DEFAULT_C_LIST, bad])
+        assert peeled == [] and forked == []
