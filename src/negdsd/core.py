@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import starmap
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -150,7 +150,7 @@ class SignedGraph:
 
     def net_weighted(self) -> "WeightedGraph":
         """Collapse each pair to its single net weight ``wpos - wneg``."""
-        return WeightedGraph(self.n, _rows(self.u, self.v, self.wpos - self.wneg))
+        return WeightedGraph._from_columns(self.n, self.u, self.v, self.wpos - self.wneg)
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, m={self.m})"
@@ -196,21 +196,91 @@ def _rows(*columns: np.ndarray) -> Iterator[tuple]:
 
 
 class WeightedGraph:
-    """Undirected graph with one real weight per pair (may be negative).
+    """Undirected graph with one real weight per record (may be negative).
 
-    ``all_nonnegative`` records whether every weight is >= 0, which is the
-    regime where exact max-flow solving applies.
+    Records are kept as given, parallel ones and loops included, in
+    read-only columns: ids ``u``, ``v`` (int64, checked to lie in 0..n-1)
+    and weights ``w``, float64 when every weight is a float and otherwise
+    an object array of the weights as passed, which the exact solvers then
+    read one by one.  ``edges`` lists the (u, v, w) records: those passed
+    to the constructor, or, for a graph made from columns, rows of Python
+    scalars built on first access.  ``all_nonnegative`` records whether
+    every weight is >= 0, which is the regime where exact max-flow solving
+    applies.
     """
 
-    __slots__ = ("n", "edges", "all_nonnegative")
+    __slots__ = ("n", "u", "v", "w", "all_nonnegative", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        self.n = n
-        self.edges = list(edges)
-        self.all_nonnegative = all(w >= 0 for _, _, w in self.edges)
+        records = list(edges)
+        if any(len(record) != 3 for record in records):
+            raise BadParametersError("edges must be (u, v, w) records")
+        us, vs, ws = (list(column) for column in zip(*records)) if records else ([], [], [])
+        n, u, v = _id_columns(n, us, vs)
+        floats = set(map(type, ws)) <= {float, np.float64}
+        self._set(n, u, v, np.array(ws, dtype=np.float64 if floats else object))
+        self._edges = records
+
+    @classmethod
+    def _from_columns(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "WeightedGraph":
+        """Wrap valid id columns and a float64 weight column without a copy."""
+        graph = cls.__new__(cls)
+        graph._set(n, u, v, w)
+        graph._edges = None
+        return graph
+
+    def _set(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        self.n, self.u, self.v, self.w = n, u, v, w
+        for array in (u, v, w):
+            array.flags.writeable = False
+        self.all_nonnegative = bool((w >= 0).all())
+
+    @property
+    def m(self) -> int:
+        """Number of records."""
+        return self.w.shape[0]
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The (u, v, w) records, in order."""
+        if self._edges is None:
+            self._edges = list(_rows(self.u, self.v, self.w))
+        return self._edges
 
     def __repr__(self) -> str:
-        return f"WeightedGraph(n={self.n}, m={len(self.edges)}, all_nonnegative={self.all_nonnegative})"
+        return f"WeightedGraph(n={self.n}, m={self.m}, all_nonnegative={self.all_nonnegative})"
+
+
+def _id_columns(n, us: list, vs: list) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, u, v): n as an int and the node ids as int64 columns, each an int in 0..n-1.
+
+    The ids are walked in order only when some is not an int or is negative,
+    so the first bad one raises; an id of any size is compared with n before
+    it becomes an int64.
+    """
+    if not set(map(type, us)) | set(map(type, vs)) <= {int} or (us and min(min(us), min(vs)) < 0):
+        for u, v in zip(us, vs):
+            _check_ids(u, v)
+    n = _node_count(n, max(max(us), max(vs)) if us else -1)
+    return n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
+def _check_ids(u, v) -> None:
+    if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
+        raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
+
+
+def _node_count(n, max_id: int) -> int:
+    """``n`` as an int, checked to be nonnegative and above every id."""
+    try:
+        count = index(n)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise BadParametersError(f"n must be a nonnegative integer, got {n!r}")
+    if count < max_id + 1:
+        raise UnknownNodeError(f"edge references node {max_id} but n={n}")
+    return count
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,17 +407,13 @@ def _collapse(
     columns = _typed_columns(records)
     if columns is None or not (_ids_ok(columns[0], columns[1]) and weights_ok(columns[2], columns[3])):
         for u, v, a, b in records:
-            if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
-                raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
+            _check_ids(u, v)
             check_weights(u, v, a, b)
         if columns is None:  # all valid, but of types such as numpy floats
             columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*records), _DTYPES)]
     u, v, a, b = columns
     max_id = max(int(u.max()), int(v.max())) if records else -1
-    if n is None:
-        n = max_id + 1
-    elif n < max_id + 1:
-        raise UnknownNodeError(f"edge references node {max_id} but n={n}")
+    n = max_id + 1 if n is None else _node_count(n, max_id)
     if max_id > _MAX_PACKED_ID:
         raise TooLargeError(f"node ids must be at most {_MAX_PACKED_ID}, got {max_id}")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -469,4 +535,5 @@ def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> 
         raise BadParametersError(f"query value must be >= 0, got {q}")
     if risk_tolerance <= 0:
         raise BadParametersError(f"risk_tolerance must be > 0, got {risk_tolerance}")
-    return WeightedGraph(graph.n, _rows(graph.u, graph.v, graph.wpos - q * risk_tolerance * graph.wneg))
+    net = graph.wpos - q * risk_tolerance * graph.wneg
+    return WeightedGraph._from_columns(graph.n, graph.u, graph.v, net)

@@ -19,15 +19,20 @@ N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
   reweighted graph.  Its "nothing better" is no certificate, so the search
   then ends flagged inexact.
 
-``exact_dsd`` starts from the best prefix of one c=1 peel, scored exactly
-(the warm start of Greedy++), so q starts near the optimum and the q-core
-is small; on a planted dense set one cut on that set certifies it.
+``exact_dsd`` starts near the optimum, so the q-core is small: a bulk peel
+over the edge columns (every node of degree at most 2(1 + eps) times the
+density leaves in one round) finds a set B, and the start is the better of
+B and the best prefix of one exact c=1 peel (the warm start of Greedy++)
+of the q-core at B's value only.  That is never worse than the best prefix
+of a c=1 peel of the whole graph (see ``_density_start``); on a planted
+dense set B is that set, and one cut on it certifies it.
 ``binary_search_objective`` starts from the whole node set: its searches
 finish in two or three cuts, and a peel start that stays safe past
 ``q_max`` (a sweep of several multipliers) would cost more than it saves.
 
 P, R, l1 and l2 are scaled to integers once by their common denominator.
-Every finite float is a dyadic rational, so this is always exact, and q is a
+Every finite float is a dyadic rational, so this is always exact (float
+columns are split with ``np.frexp`` at once), and q is a
 :class:`~fractions.Fraction`: no step ever rounds.
 """
 
@@ -50,7 +55,9 @@ from .core import (
     _check_objective_range,
     _check_total_weight,
     _csr,
-    build_signed_graph,
+    _induced_edges,
+    _sequential_sum,
+    build_signed_graph,  # noqa: F401  re-exported; callers may look it up here
     objective_f,  # noqa: F401  re-exported; callers may look it up here
     tilde_weights,
 )
@@ -63,6 +70,12 @@ from .errors import (
 from .flow import Dinic
 
 MAX_BRUTE_FORCE_NODES = 22
+
+# Slack of the bulk peel that seeds exact_dsd's start: each round drops the
+# nodes of degree at most 2(1 + eps) times the survivors' density, so its
+# densest round is within a factor 2 + 2*eps of the optimum after
+# O(log(n)/eps) rounds (Bahmani, Kumar and Vassilvitskii, VLDB 2012).
+_BULK_EPSILON = 0.1
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,24 +111,60 @@ class SearchTrace:
 
 
 def _integer_ratios(values: list) -> list[tuple[int, int]]:
-    """Exact (numerator, denominator) of each finite real number."""
-    try:
-        return [x.as_integer_ratio() for x in values]
-    except AttributeError:  # numpy integers have no as_integer_ratio
-        return [Fraction(x).as_integer_ratio() for x in values]
+    """Exact (numerator, denominator) of each finite real number, as Python ints.
+
+    A numpy integer's ratio holds numpy integers, which would overflow once scaled.
+    """
+    return [(int(a), int(b)) for a, b in (Fraction(x).as_integer_ratio() for x in values)]
+
+
+def _exact_column(values: np.ndarray) -> tuple[int, Callable[[int], np.ndarray]]:
+    """The lcm of the denominators of a column of finite numbers, and a map
+    from any multiple ``s`` of it to the values times ``s``, as an object
+    array of Python ints.
+
+    A float64 column is split at once by ``np.frexp``: a finite double is
+    M * 2**E with |M| < 2**53, and dropping the trailing zero bits of M
+    leaves it odd (or 0, then with E = 0), the form ``as_integer_ratio``
+    reduces to.  So its denominator is 2**max(-E, 0), and for s = t * 2**k
+    with t odd the scaled value is (M * t) << (E + k).  Other columns (ints,
+    numpy ints) go value by value.
+    """
+    if values.dtype != np.float64:
+        ratios = _integer_ratios(values.tolist())
+        num = np.array([a for a, _ in ratios], dtype=object)
+        den = np.array([b for _, b in ratios], dtype=object)
+        return math.lcm(*set(den.tolist())), lambda s: num * (s // den)
+    mantissa, exponent = np.frexp(values)
+    whole = (mantissa * 2.0**53).astype(np.int64)  # exact: a double has 53 significant bits
+    zeros = np.frexp(np.maximum(whole & -whole, 1).astype(np.float64))[1] - 1  # trailing zero bits
+    num = (whole >> zeros).astype(object)
+    power = np.where(whole != 0, exponent.astype(np.int64) - 53 + zeros, 0)
+
+    def scaled(s: int) -> np.ndarray:
+        k = (s & -s).bit_length() - 1
+        return (num * (s >> k)) << (power + k).astype(object)
+
+    return 1 << max(0, -int(power.min(initial=0))), scaled
 
 
 @dataclass(frozen=True, slots=True)
 class _RatioProgram:
     """The objective on one integer scale.
 
-    The arcs of node x are positions ``indptr[x]:indptr[x+1]`` of
-    ``neighbor``, ``arc_p`` (P_e) and ``arc_r`` (R_e), a loop once: with
+    Edge e joins ``u[e]`` and ``v[e]`` (int64 columns) with P_e = ``p[e]``
+    and R_e = ``r[e]``, Python ints of any size in object arrays.  The arcs
+    of node x are positions ``indptr[x]:indptr[x+1]`` of ``neighbor``,
+    ``arc_p`` and ``arc_r``, a loop once: with
     ``arc_lists``/``positive_degrees``/``negative_degrees`` it has the
     shape :func:`~negdsd.peeling.peel_order` reads, so it peels directly.
     """
 
     n: int
+    u: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
     indptr: list[int]
     neighbor: list[int]
     arc_p: list[int]
@@ -136,49 +185,62 @@ class _RatioProgram:
         return self.indptr, self.neighbor, self.arc_p, self.arc_r
 
     def value(self, nodes: Iterable[int]) -> Fraction:
-        members = set(nodes)
-        indptr, neighbor = self.indptr, self.neighbor
-        num = den = 0
-        for u in members:
-            for i in range(indptr[u], indptr[u + 1]):
-                v = neighbor[i]
-                if v >= u and v in members:  # each edge once, from its smaller end
-                    num += self.arc_p[i]
-                    den += self.arc_r[i]
+        members = frozenset(nodes)
+        induced = _induced_edges(self, members)
         size = len(members)
-        return Fraction(num + self.l1 * size, den + self.l2 * size)
+        return Fraction(self.p[induced].sum() + self.l1 * size, self.r[induced].sum() + self.l2 * size)
+
+
+def _program(
+    n: int, u: np.ndarray, v: np.ndarray, p: np.ndarray, r: np.ndarray,
+    l1: int, l2: int, q_max: Fraction | float,
+) -> _RatioProgram:
+    """The program of integer edge weights ``p``, ``r`` (object arrays) on edges (u[e], v[e])."""
+    indptr, neighbor, edge_id = _csr(n, u, v)
+    ends = np.stack([u, v], axis=1).ravel()  # a loop twice, counting twice
+    degrees = []
+    for weights in (p, r):
+        degree = np.zeros(n, dtype=object)
+        if weights.any():  # R is all zero in a density program
+            np.add.at(degree, ends, np.repeat(weights, 2))
+        degrees.append(degree.tolist())
+    arcs = indptr.tolist(), neighbor.tolist(), p[edge_id].tolist(), r[edge_id].tolist()
+    return _RatioProgram(n, u, v, p, r, *arcs, *degrees, l1, l2, q_max)
 
 
 def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
-    """Scale edges (u[e], v[e]) with P_e, R_e (R_e multiplied by ``r_factor``) to integers."""
+    """Scale edges (u[e], v[e]) with P_e, R_e (R_e multiplied by ``r_factor``) to integers.
+
+    ``u``, ``v`` are int64 arrays and ``p_values``, ``r_values`` numpy arrays.
+    The scale is the lcm of the denominators of lambda1, lambda2, every P_e
+    and every R_e's times that of ``r_factor``.
+    """
     (f_num, f_den), (l1_num, l1_den), (l2_num, l2_den) = _integer_ratios([r_factor, lambda1, lambda2])
-    p_ratio = _integer_ratios(p_values)
-    r_ratio = _integer_ratios(r_values)
-    scale = math.lcm(l1_den, l2_den, *{d for _, d in p_ratio}, *{d * f_den for _, d in r_ratio})
-    ps: list[int] = []
-    rs: list[int] = []
-    deg_p = [0] * n
-    deg_r = [0] * n
-    q_num, q_den = 1, 0  # min P_e/R_e so far, kept as a pair in ints; 1/0 stands for inf
-    for a, b, (p_num, p_den), (r_num, r_den) in zip(u, v, p_ratio, r_ratio):
-        p = p_num * (scale // p_den)
-        r = r_num * f_num * (scale // (r_den * f_den))
-        ps.append(p)
-        rs.append(r)
-        deg_p[a] += p
-        deg_p[b] += p
-        if r:
-            deg_r[a] += r
-            deg_r[b] += r
-            if p * q_den < q_num * r:
-                q_num, q_den = p, r
-    indptr, neighbor, edge_id = _csr(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
-    arc_p = np.array(ps, dtype=object)[edge_id].tolist()  # Python ints of any size
-    arc_r = np.array(rs, dtype=object)[edge_id].tolist()
+    p_den, p_scaled = _exact_column(p_values)
+    r_den, r_scaled = _exact_column(r_values)
+    scale = math.lcm(l1_den, l2_den, p_den, r_den * f_den)
+    p = p_scaled(scale)
+    r = r_scaled(scale // f_den) * f_num
+    q_num, q_den = 1, 0  # min P_e/R_e, kept as a pair in ints; 1/0 stands for inf
+    has_r = r != 0
+    for p_e, r_e in zip(p[has_r].tolist(), r[has_r].tolist()):
+        if p_e * q_den < q_num * r_e:
+            q_num, q_den = p_e, r_e
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
     q_max = Fraction(q_num, q_den) if q_den else math.inf
-    indptr, neighbor = indptr.tolist(), neighbor.tolist()
-    return _RatioProgram(n, indptr, neighbor, arc_p, arc_r, deg_p, deg_r, l1, l2, q_max)
+    return _program(n, u, v, p, r, l1, l2, q_max)
+
+
+def _restrict(program: _RatioProgram, nodes: list[int]) -> _RatioProgram:
+    """The program on the subgraph induced by ``nodes`` (ascending); ``nodes[i]`` becomes i."""
+    if len(nodes) == program.n:
+        return program
+    label = np.full(program.n, -1, dtype=np.int64)
+    label[nodes] = np.arange(len(nodes))
+    u, v = label[program.u], label[program.v]
+    keep = (u >= 0) & (v >= 0)
+    p, r = program.p[keep], program.r[keep]
+    return _program(len(nodes), u[keep], v[keep], p, r, program.l1, program.l2, program.q_max)
 
 
 def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
@@ -263,6 +325,50 @@ def _peel_start(program: _RatioProgram) -> list[int]:
     return sequence[n - best_size :]
 
 
+def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]:
+    """Nodes of the densest round of a bulk peel of float weights ``w`` on edges (u[e], v[e]).
+
+    Each round drops every node whose degree among the survivors is at most
+    2(1 + ``_BULK_EPSILON``) times their density.
+    """
+    alive = np.ones(n, dtype=bool)
+    best, best_density = alive, -math.inf
+    size = n
+    while size:
+        density = w.sum() / size
+        if density > best_density:
+            best, best_density = alive, density
+        degree = np.bincount(np.stack([u, v], axis=1).ravel(), weights=np.repeat(w, 2), minlength=n)
+        drop = alive & (degree <= 2 * (1 + _BULK_EPSILON) * density)
+        if not drop.any():  # rounding (subnormal weights) can keep every degree above the bound
+            break
+        alive = alive & ~drop
+        size = int(alive.sum())
+        keep = alive[u] & alive[v]
+        u, v, w = u[keep], v[keep], w[keep]
+    return np.flatnonzero(best).tolist()
+
+
+def _density_start(program: _RatioProgram, weights: np.ndarray) -> list[int]:
+    """A nonempty start for ``exact_dsd`` at least as dense as the best prefix of a c=1 peel.
+
+    B, the densest round of a bulk peel of the float ``weights``, gives
+    q = value(B).  The c=1 peel of the whole graph removes every node
+    outside the exact q-core first: among survivors that still include one,
+    the least degree is below q, and every core node has degree at least q
+    within the core.  While it does, the density stays at most q, or, once
+    above q, keeps rising, since each removed node takes less than q away.
+    So that peel's best prefix is no better than B or is a prefix of the
+    same peel of the core alone, and only the core is peeled.
+    """
+    bulk = _bulk_peel(program.n, program.u, program.v, weights.astype(np.float64, copy=False))
+    q = program.value(bulk)
+    a, b = q.numerator, q.denominator
+    core, _ = _q_core(program, a, b, a * program.l2 - b * program.l1)
+    peeled = [core[i] for i in _peel_start(_restrict(program, core))]
+    return peeled if program.value(peeled) > q else bulk
+
+
 def _dinkelbach(
     program: _RatioProgram,
     start: Iterable[int],
@@ -291,19 +397,18 @@ def _dinkelbach(
 
 
 def _validate_nonnegative(graph: WeightedGraph) -> None:
-    total = 0.0
-    for u, v, w in graph.edges:
-        if not math.isfinite(w):
+    finite = np.isfinite(graph.w.astype(np.float64, copy=False))
+    bad = np.flatnonzero(~finite | (graph.w < 0))
+    if bad.shape[0]:  # the first bad record decides the error
+        u, v, w = graph.edges[bad[0]]
+        if not finite[bad[0]]:
             raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
-        if w < 0:
-            raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
-        total += w
-    _check_total_weight(total)
+        raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
+    _check_total_weight(_sequential_sum(graph.w))
 
 
 def _density_program(graph: WeightedGraph) -> _RatioProgram:
-    u, v, w = zip(*graph.edges) if graph.edges else ((), (), ())
-    return _ratio_program(graph.n, u, v, w, [0] * len(w), 0, 1)
+    return _ratio_program(graph.n, graph.u, graph.v, graph.w, np.zeros(graph.m), 0, 1)
 
 
 def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
@@ -323,16 +428,17 @@ def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
 def exact_dsd(graph: WeightedGraph) -> DsdResult:
     """True maximizer of w(S)/|S| over nonempty S; ties go to the largest set.
 
-    Dinkelbach iteration starts from the best prefix of one peel, and
-    every step is a minimum cut, so the answer is always exact.
+    Dinkelbach iteration starts from the denser of a bulk peel's best round
+    and the best prefix of one peel of that round's q-core, and every step
+    is a minimum cut, so the answer is always exact.
     """
     _validate_nonnegative(graph)
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
     program = _density_program(graph)
-    best, _, _, _ = _dinkelbach(program, _peel_start(program))
+    best, _, _, _ = _dinkelbach(program, _density_start(program, graph.w))
     nodes = frozenset(best)
-    w_float = sum(w for u, v, w in graph.edges if u in nodes and v in nodes)
+    w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
     return DsdResult(
         nodes=nodes,
         net_density=w_float / len(nodes),
@@ -424,16 +530,14 @@ def binary_search_objective(
     upper = _check_objective_range(graph, params)
     rt = params.risk_tolerance
     program = _ratio_program(
-        graph.n, graph.u.tolist(), graph.v.tolist(), graph.wpos.tolist(), graph.wneg.tolist(),
-        params.lambda1, params.lambda2, rt,
+        graph.n, graph.u, graph.v, graph.wpos, graph.wneg, params.lambda1, params.lambda2, rt
     )
 
     def peel(q: Fraction) -> frozenset[int]:
-        reweighted = tilde_weights(graph, float(q), rt)
-        signed = build_signed_graph(
-            [(u, v, w, 0.0) if w >= 0 else (u, v, 0.0, -w) for u, v, w in reweighted.edges],
-            n=graph.n,
-        )
+        net = tilde_weights(graph, float(q), rt).w
+        positive = net >= 0  # -0.0 too: it stays a positive magnitude
+        wpos, wneg = np.where(positive, net, 0.0), np.where(positive, 0.0, -net)
+        signed = SignedGraph(graph.n, graph.u, graph.v, wpos, wneg)
         return peeling.c_sweep(signed, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
 
     nodes, exact, history, routes = _dinkelbach(program, range(graph.n), peel)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .core import DsdResult, SignedGraph, WeightedGraph, _rows, build_signed_graph, induced_weights
+from .core import DsdResult, SignedGraph, WeightedGraph, build_signed_graph, induced_weights
 from .errors import BadParametersError
 from .exact import exact_dsd
 
@@ -122,7 +122,7 @@ def shift_baseline(graph: SignedGraph) -> DsdResult:
     nets = graph.wpos - graph.wneg
     lowest = float(nets.min(initial=0.0))
     shift = -lowest if lowest < 0 else 0.0
-    shifted = WeightedGraph(graph.n, _rows(graph.u, graph.v, nets + shift))
+    shifted = WeightedGraph._from_columns(graph.n, graph.u, graph.v, nets + shift)
     solved = exact_dsd(shifted)
     wpos, wneg, density = induced_weights(graph, solved.nodes)
     return DsdResult(

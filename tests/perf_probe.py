@@ -10,26 +10,96 @@ acceptance criterion 9) is ``peel_order_seconds + best_prefix_seconds``.
 graph (``c_sweep_seconds``) after the peel, and reports the largest peak
 RSS of its worker processes (``c_sweep_worker_peak_rss_mb``, which counts
 the pages a worker shares with this process as well as its own).
+
+``--exact`` instead times ``exact_dsd`` on two graphs of 5k nodes and 50k
+edges with uniform endpoints and integer weights 1..3: ``planted``, where
+1,225 of the edges form a 50-node clique of weight 3, and ``uniform``,
+with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
+reports the median seconds, the number of minimum cuts in one solve, and
+the answer's size and density.
 """
 
 import argparse
+import itertools
 import json
 import resource
+import statistics
 import time
 
 import numpy as np
 
-from negdsd import DEFAULT_C_LIST, PeelScoring, best_prefix, build_signed_graph, c_sweep, peel_order
+import negdsd.flow
+from negdsd import (
+    DEFAULT_C_LIST,
+    PeelScoring,
+    WeightedGraph,
+    best_prefix,
+    build_signed_graph,
+    c_sweep,
+    exact_dsd,
+    peel_order,
+)
 
 NODES = 100_000
 EDGES = 1_000_000
 SEED = 20240301
 
+EXACT_NODES = 5_000
+EXACT_EDGES = 50_000
+EXACT_CORE = 50
+EXACT_REPEATS = 5
+
+
+def exact_graph(planted: bool) -> WeightedGraph:
+    """Uniform endpoints and weights 1..3; with ``planted``, a weight-3 clique takes its edges' share."""
+    rng = np.random.default_rng([SEED, int(planted)])
+    core = rng.choice(EXACT_NODES, size=EXACT_CORE, replace=False).tolist() if planted else []
+    clique = [(u, v, 3.0) for u, v in itertools.combinations(sorted(core), 2)]
+    m = EXACT_EDGES - len(clique)
+    us, vs = rng.integers(0, EXACT_NODES, size=(2, m)).tolist()
+    ws = rng.integers(1, 4, size=m).astype(np.float64).tolist()
+    return WeightedGraph(EXACT_NODES, list(zip(us, vs, ws)) + clique)
+
+
+def exact_stats() -> dict:
+    cuts = 0
+    original = negdsd.flow.Dinic.max_flow
+
+    def counted(self, source, sink):
+        nonlocal cuts
+        cuts += 1
+        return original(self, source, sink)
+
+    negdsd.flow.Dinic.max_flow = counted
+    stats = {}
+    try:
+        for name, planted in (("planted", True), ("uniform", False)):
+            graph = exact_graph(planted)
+            seconds = []
+            for _ in range(EXACT_REPEATS):
+                cuts = 0
+                started = time.perf_counter()
+                result = exact_dsd(graph)
+                seconds.append(time.perf_counter() - started)
+            stats[name] = {
+                "exact_dsd_seconds": statistics.median(seconds),
+                "min_cuts": cuts,
+                "result_size": result.size,
+                "net_density": result.net_density,
+            }
+    finally:
+        negdsd.flow.Dinic.max_flow = original
+    return stats
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
     parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
+    parser.add_argument("--exact", action="store_true", help="time exact_dsd on two 5k-node graphs instead")
     args = parser.parse_args()
+    if args.exact:
+        print(json.dumps(exact_stats()))
+        return
     rng = np.random.default_rng(SEED)
     us = rng.integers(0, NODES, size=EDGES)
     vs = rng.integers(0, NODES, size=EDGES)

@@ -6,9 +6,12 @@ import random
 
 import pytest
 
+import numpy as np
+
 from negdsd import (
     ObjectiveParams,
     SignedGraph,
+    WeightedGraph,
     build_signed_graph,
     gen_bad_peeling,
     induced_weights,
@@ -226,6 +229,47 @@ class TestTildeWeights:
             tilde_weights(g, -0.5)
         with pytest.raises(BadParametersError):
             tilde_weights(g, 1.0, risk_tolerance=0)
+
+
+class TestWeightedGraph:
+    """Ids are checked where the columns are built, with build_signed_graph's errors."""
+
+    def test_id_beyond_n_rejected(self):
+        with pytest.raises(UnknownNodeError, match="edge references node 2 but n=2"):
+            WeightedGraph(2, [(0, 1, 1.0), (0, 2, 1.0)])
+        with pytest.raises(UnknownNodeError):  # beyond int64 too
+            WeightedGraph(2, [(0, 2**64, 1.0)])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
+            WeightedGraph(2, [(-1, 0, 1.0)])
+
+    def test_float_id_rejected(self):
+        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
+            WeightedGraph(2, [(0.0, 1, 1.0)])
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(BadParametersError, match="n must be a nonnegative integer"):
+            WeightedGraph(-1, [])
+        with pytest.raises(BadParametersError, match="n must be a nonnegative integer"):
+            build_signed_graph([], n=-1)
+
+    def test_columns_keep_records_as_given(self):
+        records = [(0, 1, 2), (1, 1, 0.5), (1, 0, 2)]
+        g = WeightedGraph(3, records)
+        assert g.edges == records and g.m == 3
+        assert g.u.tolist() == [0, 1, 1] and g.v.tolist() == [1, 1, 0]
+        assert g.w.dtype == object and g.w.tolist() == [2, 0.5, 2]
+        assert WeightedGraph(2, [(0, 1, 1.5)]).w.dtype == np.float64
+        assert not WeightedGraph(2, [(0, 1, -1.0)]).all_nonnegative
+        with pytest.raises(BadParametersError):
+            WeightedGraph(2, [(0, 1)])
+
+    def test_net_weighted_rows(self):
+        net = build_signed_graph([(0, 1, 3, 1), (1, 1, 0.5, 0), (2, 0, 0, 1)]).net_weighted()
+        assert net.edges == [(0, 1, 2.0), (1, 1, 0.5), (0, 2, -1.0)]
+        assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in net.edges)
+        assert not net.all_nonnegative and not net.w.flags.writeable
 
 
 class TestQueryEquivalence:

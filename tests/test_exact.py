@@ -1,9 +1,11 @@
 """Min-cut decision, exact solver, objective binary search, and the oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import negdsd.flow
@@ -24,10 +26,12 @@ from negdsd.errors import (
     NegativeWeightError,
     TooLargeError,
 )
+from negdsd.exact import _density_program, _density_start, _ratio_program
 
 from conftest import (
     naive_best,
     naive_induced,
+    naive_peel,
     random_nonnegative_graph,
     random_signed_graph,
 )
@@ -232,6 +236,86 @@ class TestExactDsd:
             exact_dsd(WeightedGraph(2, [(0, 1, 1e308)]))
 
 
+def reference_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor):
+    """(P, R, degrees of P and R, l1, l2, q_max) scaled weight by weight with as_integer_ratio and lcm."""
+    ratio = lambda x: tuple(map(int, Fraction(x).as_integer_ratio()))  # noqa: E731
+    (f_num, f_den), (l1_num, l1_den), (l2_num, l2_den) = ratio(r_factor), ratio(lambda1), ratio(lambda2)
+    p_ratio = [ratio(x) for x in p_values]
+    r_ratio = [ratio(x) for x in r_values]
+    scale = math.lcm(l1_den, l2_den, *{d for _, d in p_ratio}, *{d * f_den for _, d in r_ratio})
+    p = [a * (scale // d) for a, d in p_ratio]
+    r = [a * f_num * (scale // (d * f_den)) for a, d in r_ratio]
+    deg_p, deg_r = [0] * n, [0] * n
+    for a, b, p_e, r_e in zip(u, v, p, r):
+        for end in (a, b):
+            deg_p[end] += p_e
+            deg_r[end] += r_e
+    q_max = min((Fraction(p_e, r_e) for p_e, r_e in zip(p, r) if r_e), default=math.inf)
+    return p, r, deg_p, deg_r, l1_num * (scale // l1_den), l2_num * (scale // l2_den), q_max
+
+
+class TestRatioProgram:
+    FLOATS = [0.0, 5e-324, 2.5e-310, 1e300, 0.1, 1 / 3, 3.0, 0.75, 1e-5, -0.0]
+    COLUMNS = [
+        np.array(FLOATS),
+        np.array(FLOATS[::-1]),
+        np.array([2.0, 4.0, 1.0, 8.0, 0.0, 6.0, 1.0, 2.0, 3.0, 1.0]),
+        np.array([3, 0, 2**70, 1, 5, 6, 7, 8, 9, 10], dtype=object),  # ints, one beyond 64 bits
+        np.array([np.int64(x) for x in (3, 0, 2, 1, 5, 6, 7, 8, 9, 10)], dtype=object),
+    ]
+    PARAMS = [(0, 1, 1.0), (0.7, 0.1, 0.3), (5e-324, 3, 2.5), (2, 1e-3, 3), (np.int64(1), 0.5, 0.1)]
+
+    def test_vectorized_scaling_matches_per_weight_reference(self):
+        rng = random.Random(109)
+        for p_values, r_values in itertools.product(self.COLUMNS, repeat=2):
+            u = [rng.randrange(4) for _ in p_values]
+            v = [a if rng.random() < 0.2 else rng.randrange(4) for a in u]  # loops and parallel pairs
+            for lambda1, lambda2, r_factor in self.PARAMS:
+                program = _ratio_program(
+                    4, np.array(u), np.array(v), p_values, r_values, lambda1, lambda2, r_factor
+                )
+                got = (
+                    program.p.tolist(), program.r.tolist(), program.deg_p, program.deg_r,
+                    program.l1, program.l2, program.q_max,
+                )
+                expected = reference_program(4, u, v, p_values, r_values, lambda1, lambda2, r_factor)
+                assert got == expected
+                assert all(type(x) is int for x in got[0] + got[1] + got[2] + got[3])
+
+    def test_no_edges(self):
+        empty = np.zeros(0)
+        ids = empty.astype(np.int64)
+        program = _ratio_program(2, ids, ids, empty, empty, 0.5, 0.25, 0.3)
+        assert Fraction(program.l1, program.l2) == 2 and program.q_max == math.inf
+        assert program.deg_p == program.deg_r == [0, 0]
+
+
+class TestDensityStart:
+    def test_never_below_best_prefix_of_full_peel(self):
+        # Weights are multiples of 1/4, so the float peel of the oracle and
+        # every sum below are exact.
+        rng = random.Random(113)
+        for _ in range(250):
+            n = rng.randint(1, 24)
+            records = []
+            for _ in range(rng.randint(0, 4 * n)):
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.1 else rng.randrange(n)
+                records.append((u, v, rng.randint(0, 12) / 4))
+            if records and rng.random() < 0.5:
+                records += rng.choices(records, k=rng.randint(1, len(records)))  # parallel records
+            graph = WeightedGraph(n, records)
+
+            def value(nodes):
+                inside = set(nodes)
+                return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
+
+            start = _density_start(_density_program(graph), graph.w)
+            sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
+            assert start
+            assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
+
+
 class TestBruteForce:
     def test_triangle_objective(self):
         g = build_signed_graph([(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0)])
@@ -350,3 +434,8 @@ class TestBinarySearch:
         g = build_signed_graph([(0, 0, 0.0, 0.5)])
         result, _ = binary_search_objective(g, ObjectiveParams(lambda1=5e-324))
         assert result.nodes == frozenset({0})
+
+    def test_numpy_integer_parameters_scale_exactly(self):
+        g = build_signed_graph([(0, 1, 5e-324, 0.0), (1, 2, 1.0, 0.5)])
+        result, _ = binary_search_objective(g, ObjectiveParams(lambda1=np.int64(1)))
+        assert result.nodes == frozenset({1, 2})
