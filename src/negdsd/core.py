@@ -75,12 +75,15 @@ class SignedGraph:
 
     Construct through :func:`build_signed_graph`.  Every array is read-only
     (see the module docstring for the layout), which makes instances safe
-    to share across threads.
+    to share across threads.  :func:`~negdsd.peeling.c_sweep` keeps the
+    removal order of each multiplier it peels on the instance, as a
+    read-only int64 array, so later sweeps of the same graph reuse it; two
+    sweeps that peel one multiplier at once store the same order.
     """
 
     __slots__ = (
         "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id",
-        "total_pos", "total_neg", "_edges", "_arcs",
+        "total_pos", "total_neg", "_edges", "_arcs", "_orders",
     )
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, wpos: np.ndarray, wneg: np.ndarray):
@@ -99,6 +102,7 @@ class SignedGraph:
         for array in arrays:
             array.flags.writeable = False
         self._edges = self._arcs = None
+        self._orders: dict[float, np.ndarray] = {}  # multiplier -> removal sequence
 
     @property
     def m(self) -> int:
@@ -409,13 +413,16 @@ def _collapse(
         for u, v, a, b in records:
             _check_ids(u, v)
             check_weights(u, v, a, b)
-        if columns is None:  # all valid, but of types such as numpy floats
-            columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*records), _DTYPES)]
-    u, v, a, b = columns
-    max_id = max(int(u.max()), int(v.max())) if records else -1
+    if columns is not None:
+        max_id = max(int(columns[0].max()), int(columns[1].max())) if records else -1
+    else:  # Python ints of any size: compared before they become int64
+        max_id = max(max(record[0], record[1]) for record in records) if records else -1
     n = max_id + 1 if n is None else _node_count(n, max_id)
     if max_id > _MAX_PACKED_ID:
         raise TooLargeError(f"node ids must be at most {_MAX_PACKED_ID}, got {max_id}")
+    if columns is None:  # all valid, but of types such as numpy floats
+        columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*records), _DTYPES)]
+    u, v, a, b = columns
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     pairs, inverse = np.unique(lo * (max_id + 1) + hi, return_inverse=True)
     first = np.full(pairs.shape[0], len(records))

@@ -265,7 +265,9 @@ def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int
     return [u for u in range(program.n) if alive[u]], degree
 
 
-def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
+def _max_density_side(
+    program: _RatioProgram, q: Fraction, core: tuple[list[int], list[int]] | None = None
+) -> list[int]:
     """Largest S maximizing N(S) - q*D(S), by one minimum cut (may be empty).
 
     Needs q <= ``q_max``, so every reweighted edge b*P_e - a*R_e is >= 0.
@@ -276,11 +278,12 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     Degrees within supersets of S are no smaller, so no node of S is ever
     dropped, and the cut on the core finds the same S.  When q*l2 <= l1
     every node gains by joining, the network has no sink arcs, and all
-    nodes are returned.
+    nodes are returned.  ``core`` is ``_q_core``'s answer at q when the
+    caller has it already.
     """
     a, b = q.numerator, q.denominator
     cost = a * program.l2 - b * program.l1
-    core, degree = _q_core(program, a, b, cost)
+    core, degree = core or _q_core(program, a, b, cost)
     index = {u: i for i, u in enumerate(core)}
     k = len(core)
     net = Dinic(k + 2)
@@ -349,7 +352,9 @@ def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]
     return np.flatnonzero(best).tolist()
 
 
-def _density_start(program: _RatioProgram, weights: np.ndarray) -> list[int]:
+def _density_start(
+    program: _RatioProgram, weights: np.ndarray
+) -> tuple[list[int], tuple[list[int], list[int]] | None]:
     """A nonempty start for ``exact_dsd`` at least as dense as the best prefix of a c=1 peel.
 
     B, the densest round of a bulk peel of the float ``weights``, gives
@@ -360,24 +365,29 @@ def _density_start(program: _RatioProgram, weights: np.ndarray) -> list[int]:
     above q, keeps rising, since each removed node takes less than q away.
     So that peel's best prefix is no better than B or is a prefix of the
     same peel of the core alone, and only the core is peeled.
+
+    Returns the start and, when it is B, the q-core at its value (the
+    survivors and their degrees), which the first cut needs again.
     """
     bulk = _bulk_peel(program.n, program.u, program.v, weights.astype(np.float64, copy=False))
     q = program.value(bulk)
     a, b = q.numerator, q.denominator
-    core, _ = _q_core(program, a, b, a * program.l2 - b * program.l1)
-    peeled = [core[i] for i in _peel_start(_restrict(program, core))]
-    return peeled if program.value(peeled) > q else bulk
+    core = _q_core(program, a, b, a * program.l2 - b * program.l1)
+    peeled = [core[0][i] for i in _peel_start(_restrict(program, core[0]))]
+    return (peeled, None) if program.value(peeled) > q else (bulk, core)
 
 
 def _dinkelbach(
     program: _RatioProgram,
     start: Iterable[int],
     peel: Callable[[Fraction], Iterable[int]] | None = None,
+    core: tuple[list[int], list[int]] | None = None,
 ) -> tuple[Iterable[int], bool, list[Fraction], list[str]]:
     """Return (witness, exact, q at the start and after each step, routes).
 
     ``start`` is a nonempty set whose value is the first q; ``peel(q)``
-    proposes a set for steps past ``q_max``.
+    proposes a set for steps past ``q_max``; ``core``, when given, is the
+    q-core at the first q (see ``_max_density_side``).
     """
     best = start
     q = program.value(best)
@@ -386,7 +396,8 @@ def _dinkelbach(
     while True:
         route = "flow" if q <= program.q_max else "peel"
         routes.append(route)
-        side = _max_density_side(program, q) if route == "flow" else peel(q)
+        side = _max_density_side(program, q, core) if route == "flow" else peel(q)
+        core = None
         value = program.value(side)
         history.append(max(value, q))
         if value <= q:
@@ -436,7 +447,8 @@ def exact_dsd(graph: WeightedGraph) -> DsdResult:
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
     program = _density_program(graph)
-    best, _, _, _ = _dinkelbach(program, _density_start(program, graph.w))
+    start, core = _density_start(program, graph.w)
+    best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(best)
     w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
     return DsdResult(

@@ -171,7 +171,7 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
     best_size = int(np.argmax(values >= values.max() - TIE_TOLERANCE)) + 1
     return DsdResult.evaluate(
         graph,
-        order.removal_sequence[n - best_size :],
+        sequence[n - best_size :].tolist(),
         algorithm="peel",
         exact=False,
         params=scoring.params,
@@ -188,15 +188,19 @@ def c_sweep(
 
     Results are compared under the scoring mode (net density or objective
     value); ties within ``TIE_TOLERANCE`` resolve to the smaller multiplier.
-    Every multiplier is checked before any peel runs, and each distinct
-    multiplier is peeled once.  The peels are independent reads of the
-    graph: when arcs times distinct multipliers reach 100,000 they are
-    split over one process per usable CPU (at most one per distinct
-    multiplier); the workers are forked from this process, share the
-    graph's arc lists copy-on-write and send their removal orders back
-    through pipes.  Prefix scoring and the comparison run in this process,
-    in ``c_list`` order, so the result does not depend on how many
-    processes peeled.
+    Every multiplier is checked before any peel runs.  A removal order
+    depends only on the graph and the multiplier, so the graph keeps the
+    order of each multiplier it was peeled at (an int64 array, 8 bytes per
+    node, for as long as the graph lives): a later sweep of the same graph,
+    under any scoring, peels only multipliers it has not seen, and each
+    distinct multiplier is peeled once.  The peels are independent reads of
+    the graph: when arcs times multipliers still to peel reach 100,000 they
+    are split over one process per usable CPU (at most one per multiplier);
+    the workers are forked from this process, share the graph's arc lists
+    copy-on-write and send their removal orders back through pipes.  Prefix
+    scoring and the comparison run in this process, in ``c_list`` order, so
+    the result depends neither on how many processes peeled nor on which
+    orders were kept.
     """
     if scoring is None:
         scoring = PeelScoring()
@@ -204,13 +208,12 @@ def c_sweep(
         raise EmptyCListError("c_list must contain at least one value")
     for c in c_list:
         _check_c(c)
-    distinct = list(dict.fromkeys(c_list))
-    orders = dict(zip(distinct, _peel_orders(graph, distinct)))
     best: DsdResult | None = None
     best_value = 0.0
     best_c = 0.0
-    for c in c_list:
-        result = best_prefix(graph, orders[c], replace(scoring, c=c))
+    for c, sequence in zip(c_list, _peel_orders(graph, c_list)):
+        # best_prefix reads only the removal sequence, and the graph keeps no scores
+        result = best_prefix(graph, PeelOrder(sequence, []), replace(scoring, c=c))
         value = result.f_value if scoring.mode == "objective" else result.net_density
         if (
             best is None
@@ -232,19 +235,33 @@ def _worker_count(graph: SignedGraph, multipliers: int) -> int:
     return min(multipliers, len(os.sched_getaffinity(0)))
 
 
-def _peel_orders(graph: SignedGraph, c_values: list[float]) -> list[PeelOrder]:
-    """``peel_order(graph, c)`` for each value, on up to ``_worker_count`` processes.
+def _peel_orders(graph: SignedGraph, c_values: "list[float] | tuple[float, ...]") -> list[np.ndarray]:
+    """The removal sequence of ``peel_order(graph, c)`` for each value, as read-only int64 arrays.
+
+    The sequences are kept on the graph by multiplier.  Only the distinct
+    values not kept yet are peeled, and they are kept once all of them are
+    in, so nothing is kept when a peel raises or is interrupted.
+    """
+    kept = graph._orders
+    missing = [c for c in dict.fromkeys(c_values) if c not in kept]
+    if missing:
+        kept.update(zip(missing, _peel_sequences(graph, missing)))
+    return [kept[c] for c in c_values]
+
+
+def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> list[np.ndarray]:
+    """The removal sequence of each value, peeled on up to ``_worker_count`` processes.
 
     Worker ``k`` peels values ``k, k + w, ...``; this process is worker 0.
     Values whose worker could not be forked, exited nonzero or sent fewer
-    bytes than its orders take are peeled here afterwards.  Every child is
-    reaped before this returns or raises.
+    bytes than its sequences take are peeled here afterwards.  Every child
+    is reaped before this returns or raises.
     """
     workers = _worker_count(graph, len(c_values))
     if workers == 1:
-        return [peel_order(graph, c) for c in c_values]
+        return [_sequence(graph, c) for c in c_values]
     graph.arc_lists()  # built before the fork, so every worker shares them
-    orders: list[PeelOrder | None] = [None] * len(c_values)
+    orders: list[np.ndarray | None] = [None] * len(c_values)
     children = {}  # pid -> (read end of its pipe, indices of its values)
     try:
         for k in range(1, workers):
@@ -260,14 +277,14 @@ def _peel_orders(graph: SignedGraph, c_values: list[float]) -> list[PeelOrder]:
             os.close(write_fd)
             children[pid] = (open(read_fd, "rb"), range(k, len(c_values), workers))
         for i in range(0, len(c_values), workers):
-            orders[i] = peel_order(graph, c_values[i])
+            orders[i] = _sequence(graph, c_values[i])
         for pid, (pipe, mine) in list(children.items()):
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
             if os.waitstatus_to_exitcode(status) == 0:
-                received = _unpack_orders(data, graph.n, len(mine))
+                received = _unpack_sequences(data, graph.n, len(mine))
                 for i, order in zip(mine, received or ()):
                     orders[i] = order
     finally:
@@ -275,18 +292,22 @@ def _peel_orders(graph: SignedGraph, c_values: list[float]) -> list[PeelOrder]:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [peel_order(graph, c) if order is None else order for order, c in zip(orders, c_values)]
+    return [_sequence(graph, c) if order is None else order for order, c in zip(orders, c_values)]
+
+
+def _sequence(graph: SignedGraph, c: float) -> np.ndarray:
+    """The removal sequence of ``peel_order(graph, c)`` as a read-only int64 array."""
+    sequence = np.array(peel_order(graph, c).removal_sequence, dtype=np.int64)
+    sequence.flags.writeable = False
+    return sequence
 
 
 def _peel_child(graph: SignedGraph, c_values: list[float], read_fd: int, write_fd: int) -> NoReturn:
-    """Body of a forked worker: peel, write the orders as raw bytes, never return."""
+    """Body of a forked worker: peel, write the removal sequences as raw int64 bytes, never return."""
     code = 1
     try:
         os.close(read_fd)
-        parts = []
-        for c in c_values:
-            order = peel_order(graph, c)
-            parts += (array("q", order.removal_sequence), array("d", order.score_at_removal))
+        parts = [array("q", peel_order(graph, c).removal_sequence) for c in c_values]
         with open(write_fd, "wb") as pipe:  # only after every peel: a full pipe blocks
             for part in parts:
                 pipe.write(part)
@@ -295,15 +316,8 @@ def _peel_child(graph: SignedGraph, c_values: list[float], read_fd: int, write_f
         os._exit(code)
 
 
-def _unpack_orders(data: bytes, n: int, count: int) -> list[PeelOrder] | None:
-    """Split a worker's bytes into ``count`` orders of ``n`` nodes; None if the size is wrong."""
-    step = 16 * n  # n int64 node ids, then n float64 scores
-    if len(data) != step * count:
+def _unpack_sequences(data: bytes, n: int, count: int) -> list[np.ndarray] | None:
+    """Split a worker's bytes into ``count`` read-only sequences of ``n`` nodes; None if the size is wrong."""
+    if len(data) != 8 * n * count:
         return None
-    orders = []
-    for start in range(0, len(data), step):
-        sequence, scores = array("q"), array("d")
-        sequence.frombytes(data[start : start + 8 * n])
-        scores.frombytes(data[start + 8 * n : start + step])
-        orders.append(PeelOrder(sequence.tolist(), scores.tolist()))
-    return orders
+    return list(np.frombuffer(data, dtype=np.int64).reshape(count, n))

@@ -6,7 +6,10 @@ classic on/off edge model (reward w with probability p, else 0) converts via
 :func:`bernoulli_moments`.  Converting an uncertain graph to a signed graph
 maps reward to the positive weight and variance to the negative weight; the
 risk-tolerance factor is deliberately *not* baked in here, so one conversion
-serves every tolerance sweep.
+serves every tolerance sweep.  The peels are shared across such a sweep too:
+the signed graph keeps the removal order of each multiplier that
+:func:`~negdsd.peeling.c_sweep` peels on it, so sweeping it at a second
+tolerance only scores prefixes.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ from negdsd.errors import (
     EmptySetError,
     NegativeMagnitudeError,
     UnknownNodeError,
+    TooLargeError,
     ZeroDenominatorError,
 )
+from negdsd.uncertain import build_uncertain_graph
 
 from conftest import naive_best, naive_induced
 
@@ -77,6 +79,16 @@ class TestBuild:
         assert g.n == 5
         with pytest.raises(UnknownNodeError):
             build_signed_graph([(0, 7, 1, 0)], n=3)
+
+    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
+    @pytest.mark.parametrize(
+        "n, error, message",
+        [(3, UnknownNodeError, "references node 18446744073709551616 but n=3"), (None, TooLargeError, "got 18446744073709551616")],
+        ids=["with_n", "without_n"],
+    )
+    def test_id_beyond_int64_rejected(self, build, n, error, message):
+        with pytest.raises(error, match=message):
+            build([(0, 1, 1.0, 0.0), (2**64, 0, 1.0, 0.0)], n=n)
 
     def test_collapse_idempotent(self):
         rng = random.Random(7)

@@ -26,7 +26,7 @@ from negdsd.errors import (
     NegativeWeightError,
     TooLargeError,
 )
-from negdsd.exact import _density_program, _density_start, _ratio_program
+from negdsd.exact import _density_program, _density_start, _q_core, _ratio_program
 
 from conftest import (
     naive_best,
@@ -227,6 +227,22 @@ class TestExactDsd:
         assert result.nodes == frozenset(range(r))
         assert len(networks) == 1 and networks[0] <= r + 2
 
+    def test_first_cut_reuses_the_start_core(self, monkeypatch):
+        # the bulk peel finds the planted set B, and the one cut runs at B's value
+        edges = [(u, v, 1.0) for u, v in itertools.combinations(range(8), 2)]
+        edges += [(u, u + 1, 1.0) for u in range(8, 60)]
+        cores = []
+        original = negdsd.exact._q_core
+
+        def record(program, a, b, cost):
+            cores.append(Fraction(a, b))
+            return original(program, a, b, cost)
+
+        monkeypatch.setattr(negdsd.exact, "_q_core", record)
+        result = exact_dsd(WeightedGraph(61, edges))
+        assert result.nodes == frozenset(range(8))
+        assert cores == [Fraction(28, 8)]
+
     def test_validation(self):
         with pytest.raises(EmptySetError):
             exact_dsd(WeightedGraph(0, []))
@@ -310,10 +326,15 @@ class TestDensityStart:
                 inside = set(nodes)
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
-            start = _density_start(_density_program(graph), graph.w)
+            program = _density_program(graph)
+            start, core = _density_start(program, graph.w)
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
+            if core is not None:  # the start's own q-core, handed to the first cut
+                q = program.value(start)
+                a, b = q.numerator, q.denominator
+                assert core == _q_core(program, a, b, a * program.l2 - b * program.l1)
 
 
 class TestBruteForce:

@@ -2,7 +2,9 @@
 
 Any text must parse or raise ``ParseError``; any input file and parameters
 must make ``negdsd`` exit 0, 1 or 2 without a traceback, and print strict
-JSON (no NaN or Infinity) when it succeeds.
+JSON (no NaN or Infinity) when it succeeds.  Sweeps of one graph under
+random multiplier lists and scorings, which reuse the removal orders the
+graph keeps, must answer as sweeps of a freshly built graph do.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negdsd import ObjectiveParams, PeelScoring, build_signed_graph, c_sweep
 from negdsd.cli import run
 from negdsd.errors import ParseError
 from negdsd.io import parse_bernoulli, parse_moments, parse_multilayer, parse_signed
@@ -98,3 +101,28 @@ def test_cli_exits_cleanly(tmp_path_factory, name, data):
 
 def reject_constant(name):
     raise AssertionError(f"{name} is not valid JSON")
+
+
+magnitudes = st.sampled_from([0.0, 0.5, 1.0, 3.0, 0.1, 2.75])
+signed_records = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), magnitudes, magnitudes), max_size=25),
+    )
+)
+multipliers = st.lists(st.sampled_from([0.1, 0.25, 0.5, 1, 1.0, 2.0, 3.5, 10.0]), min_size=1, max_size=6)
+scorings = st.one_of(
+    st.builds(PeelScoring),
+    st.builds(
+        lambda params: PeelScoring("objective", params=ObjectiveParams(*params)),
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.25, 1.0, 2.0])),
+    ),
+)
+
+
+@given(records=signed_records, sweeps=st.lists(st.tuples(multipliers, scorings), min_size=1, max_size=4))
+def test_warm_sweeps_equal_cold_sweeps(records, sweeps):
+    n, edges = records
+    graph = build_signed_graph(edges, n=n)
+    for c_list, scoring in sweeps:
+        assert repr(c_sweep(graph, c_list, scoring)) == repr(c_sweep(build_signed_graph(edges, n=n), c_list, scoring))

@@ -2,7 +2,10 @@
 
 import os
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from negdsd import peeling
@@ -231,8 +234,8 @@ class TestCSweep:
             c_sweep(triangle(), [])
 
     def test_repeated_multipliers_peeled_once(self, monkeypatch):
-        g = gen_bad_peeling(16, 0.01)
-        expected = repr(c_sweep(g, [4.0, 2.0, 10.0]))
+        expected = repr(c_sweep(gen_bad_peeling(16, 0.01), [4.0, 2.0, 10.0]))
+        g = gen_bad_peeling(16, 0.01)  # a fresh graph, so every multiplier is peeled
         peeled = []
 
         def counting_peel(graph, c=1.0):
@@ -300,34 +303,50 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def kept(graph) -> dict:
+    """The removal orders a graph keeps, as lists by multiplier."""
+    return {c: order.tolist() for c, order in graph._orders.items()}
+
+
+def cold_orders(c_values, build) -> dict:
+    """The orders a cold sweep of a freshly built graph would keep for these multipliers."""
+    return dict(zip(c_values, (order.tolist() for order in peeling._peel_orders(build(), list(c_values)))))
+
+
+SCORINGS = (PeelScoring(), PeelScoring("objective", params=ObjectiveParams(1, 1, 0.5)))
+
+
 class TestForkedSweep:
-    GRAPH = large_graph(43, clique=False)
-    TIE_GRAPH = large_graph(43, clique=True)
-    SCORINGS = (PeelScoring(), PeelScoring("objective", params=ObjectiveParams(1, 1, 0.5)))
+    """Cold sweeps: each sweep gets a freshly built graph, which has kept no removal order."""
+
+    @staticmethod
+    def graph(tie: bool = False):
+        return large_graph(43, clique=tie)
 
     def test_graph_is_above_the_fork_threshold(self):
-        arcs = self.GRAPH.neighbor.shape[0]
+        arcs = self.graph().neighbor.shape[0]
         assert arcs * len(DEFAULT_C_LIST) >= peeling._FORK_MIN_ARC_VISITS
         assert arcs * 2 < peeling._FORK_MIN_ARC_VISITS  # two multipliers stay in one process
 
     def test_orders_match_single_worker(self, cpus):
         c_values = list(DEFAULT_C_LIST)
         cpus(1)
-        single = peeling._peel_orders(self.GRAPH, c_values)
+        single = peeling._peel_orders(self.graph(), c_values)
         forked = cpus(3)
-        assert repr(peeling._peel_orders(self.GRAPH, c_values)) == repr(single)
+        orders = peeling._peel_orders(self.graph(), c_values)
+        assert [order.tolist() for order in orders] == [order.tolist() for order in single]
         assert len(forked) == 2
+        assert all(order.dtype == np.int64 and not order.flags.writeable for order in orders)
         assert_no_child_left()
 
     @pytest.mark.parametrize("c_list", [DEFAULT_C_LIST, DEFAULT_C_LIST[::-1]], ids=["default", "reversed"])
     @pytest.mark.parametrize("scoring", SCORINGS, ids=["net_density", "objective"])
     @pytest.mark.parametrize("tie", [False, True], ids=["mixed", "tie"])
     def test_matches_single_worker(self, cpus, c_list, scoring, tie):
-        graph = self.TIE_GRAPH if tie else self.GRAPH
         cpus(1)
-        single = c_sweep(graph, c_list, scoring)
+        single = c_sweep(self.graph(tie), c_list, scoring)
         forked = cpus(3)
-        assert repr(c_sweep(graph, c_list, scoring)) == repr(single)
+        assert repr(c_sweep(self.graph(tie), c_list, scoring)) == repr(single)
         assert len(forked) == 2
         if tie:
             assert single.c_used == min(c_list) and single.nodes >= set(range(40))
@@ -335,14 +354,15 @@ class TestForkedSweep:
 
     def test_small_sweep_does_not_fork(self, cpus):
         forked = cpus(3)
-        c_sweep(self.GRAPH, [1.0, 2.0])
+        c_sweep(self.graph(), [1.0, 2.0])
         c_sweep(gen_bad_peeling(16, 0.01))
         assert forked == []
 
     @pytest.mark.parametrize("failure", ["raises", "short"])
     def test_failed_worker_is_peeled_again(self, cpus, monkeypatch, failure):
         cpus(1)
-        expected = repr(c_sweep(self.GRAPH))
+        expected = repr(c_sweep(self.graph()))
+        cold = cold_orders(DEFAULT_C_LIST, self.graph)
         parent = os.getpid()
 
         def failing_peel(graph, c=1.0):
@@ -355,8 +375,10 @@ class TestForkedSweep:
 
         monkeypatch.setattr(peeling, "peel_order", failing_peel)
         forked = cpus(2)
-        assert repr(c_sweep(self.GRAPH)) == expected
+        graph = self.graph()
+        assert repr(c_sweep(graph)) == expected
         assert len(forked) == 1
+        assert kept(graph) == cold  # the failed worker's orders were peeled again, none kept wrong
         assert_no_child_left()
 
     def test_failure_in_this_process_reaps_workers(self, cpus, monkeypatch):
@@ -370,7 +392,7 @@ class TestForkedSweep:
         monkeypatch.setattr(peeling, "peel_order", failing_peel)
         forked = cpus(4)
         with pytest.raises(KeyboardInterrupt):
-            c_sweep(self.GRAPH)
+            c_sweep(self.graph())
         assert len(forked) == 3
         assert_no_child_left()
 
@@ -380,5 +402,129 @@ class TestForkedSweep:
         forked = cpus(3)
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(NonPositiveCError):
-                c_sweep(self.GRAPH, [*DEFAULT_C_LIST, bad])
+                c_sweep(self.graph(), [*DEFAULT_C_LIST, bad])
         assert peeled == [] and forked == []
+
+
+@pytest.fixture
+def counted_peels(monkeypatch):
+    """The multipliers this process peels from now on."""
+    peeled = []
+
+    def counting_peel(graph, c=1.0):
+        peeled.append(c)
+        return peel_order(graph, c)
+
+    monkeypatch.setattr(peeling, "peel_order", counting_peel)
+    return peeled
+
+
+class TestKeptOrders:
+    """A graph keeps each multiplier's removal order, so later sweeps of it peel only new multipliers."""
+
+    OTHER_PARAMS = PeelScoring("objective", params=ObjectiveParams(0.5, 2, 4))
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            (DEFAULT_C_LIST, SCORINGS[1]),  # another scoring
+            (DEFAULT_C_LIST, OTHER_PARAMS),  # other params
+            (DEFAULT_C_LIST[::-1], SCORINGS[0]),  # a permuted list
+            ((4.0, 0.1, 4.0, 1.0), OTHER_PARAMS),  # a repeating subset
+        ],
+        ids=["scoring", "params", "permuted", "subset"],
+    )
+    def test_warm_sweep_peels_and_forks_nothing(self, cpus, counted_peels, second):
+        graph = large_graph(43, clique=False)
+        forked = cpus(2)
+        c_sweep(graph, DEFAULT_C_LIST, SCORINGS[0])
+        assert len(forked) == 1  # cold: the missing multipliers are enough to fork
+        assert_no_child_left()
+        counted_peels.clear()
+        forked = cpus(2)
+        c_sweep(graph, *second)
+        assert counted_peels == [] and forked == []
+
+    def test_only_new_multipliers_peeled(self, counted_peels):
+        graph = gen_bad_peeling(16, 0.01)
+        c_sweep(graph, [1, 2])
+        assert counted_peels == [1, 2]
+        counted_peels.clear()
+        c_sweep(graph, [2, 4])
+        assert counted_peels == [4]
+        assert sorted(kept(graph)) == [1, 2, 4]
+
+    def test_equal_multipliers_share_one_order(self, counted_peels):
+        graph = gen_bad_peeling(16, 0.01)
+        c_sweep(graph, [2.0])
+        warm = c_sweep(graph, [2], PeelScoring(c=2))
+        assert counted_peels == [2.0]
+        assert repr(warm) == repr(c_sweep(gen_bad_peeling(16, 0.01), [2], PeelScoring(c=2)))
+
+    def test_missing_multipliers_decide_the_fork(self, cpus, counted_peels):
+        graph = large_graph(43, clique=False)
+        cpus(2)
+        c_sweep(graph, DEFAULT_C_LIST[:5])
+        counted_peels.clear()
+        forked = cpus(2)
+        c_sweep(graph, DEFAULT_C_LIST)  # two missing multipliers stay below the fork threshold
+        assert forked == [] and counted_peels == list(DEFAULT_C_LIST[5:])
+
+    @pytest.mark.parametrize("workers", [1, 3], ids=["one_process", "forked"])
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=["net_density", "objective"])
+    @pytest.mark.parametrize("tie", [False, True], ids=["mixed", "tie"])
+    def test_warm_equals_cold(self, cpus, workers, scoring, tie):
+        cpus(workers)
+        graph = large_graph(43, clique=tie)
+        c_sweep(graph, (10.0, 0.5, 2.0), SCORINGS[1] if scoring is SCORINGS[0] else SCORINGS[0])
+        warm = c_sweep(graph, DEFAULT_C_LIST, scoring)
+        cold = c_sweep(large_graph(43, clique=tie), DEFAULT_C_LIST, scoring)
+        assert repr(warm) == repr(cold)
+        assert all(type(node) is int for node in warm.nodes)
+        assert kept(graph) == cold_orders(DEFAULT_C_LIST, lambda: large_graph(43, clique=tie))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 4], ids=["one_process", "forked"])
+    def test_interrupted_sweep_keeps_nothing(self, cpus, monkeypatch, workers):
+        parent = os.getpid()
+        calls = []
+
+        def interrupted_peel(graph, c=1.0):
+            calls.append(c)
+            if os.getpid() == parent and len(calls) == 2:
+                raise KeyboardInterrupt
+            return peel_order(graph, c)
+
+        monkeypatch.setattr(peeling, "peel_order", interrupted_peel)
+        cpus(workers)
+        graph = large_graph(43, clique=False)
+        with pytest.raises(KeyboardInterrupt):
+            c_sweep(graph)
+        assert kept(graph) == {}
+        assert_no_child_left()
+        monkeypatch.setattr(peeling, "peel_order", peel_order)
+        cpus(1)
+        assert repr(c_sweep(graph)) == repr(c_sweep(large_graph(43, clique=False)))
+
+    def test_concurrent_sweeps_keep_cold_orders(self):
+        graph = large_graph(43, clique=False)
+        lists = [DEFAULT_C_LIST, DEFAULT_C_LIST[::-1], DEFAULT_C_LIST[2:5], (1.0, 10.0, 1.0)] * 2
+        results = [None] * len(lists)
+
+        def sweep(i):
+            results[i] = repr(c_sweep(graph, lists[i], SCORINGS[i % 2]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(lists))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, c_list in enumerate(lists):
+            assert results[i] == repr(c_sweep(large_graph(43, clique=False), c_list, SCORINGS[i % 2]))
+        assert kept(graph) == cold_orders(DEFAULT_C_LIST, lambda: large_graph(43, clique=False))
