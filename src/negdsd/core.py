@@ -48,8 +48,10 @@ from .errors import (
 
 TIE_TOLERANCE = 1e-12
 
-# Largest id for which the packed pair key lo*(max_id + 1) + hi fits in int64.
-_MAX_PACKED_ID = math.isqrt(2**63 - 1) - 1
+# Largest id of an int64 column, and the largest for which the packed pair
+# key lo*(max_id + 1) + hi fits in int64.
+_MAX_INT64 = 2**63 - 1
+_MAX_PACKED_ID = math.isqrt(_MAX_INT64) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,14 +186,19 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     tail = np.stack([u, v], axis=1).ravel()[keep]
     head = np.stack([v, u], axis=1).ravel()[keep]
     arcs = tail.shape[0]
-    if n * arcs >= 2**63:
-        raise TooLargeError(f"{n} nodes with {arcs} arcs overflow the 64-bit sort key")
+    _check_arc_keys(n, arcs)
     # distinct keys, ordered by node and then by edge: a fast unstable sort will do
     order = np.argsort(tail * arcs + np.arange(arcs))
     edge = np.flatnonzero(keep) // 2
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
     return indptr, head[order], edge[order]
+
+
+def _check_arc_keys(n: int, arcs: int) -> None:
+    """Reject a graph whose CSR sort key ``node * arcs + arc`` overflows int64."""
+    if n * arcs >= 2**63:
+        raise TooLargeError(f"{n} nodes with {arcs} arcs overflow the 64-bit sort key")
 
 
 def _rows(*columns: np.ndarray) -> Iterator[tuple]:
@@ -205,12 +212,12 @@ class WeightedGraph:
     Records are kept as given, parallel ones and loops included, in
     read-only columns: ids ``u``, ``v`` (int64, checked to lie in 0..n-1)
     and weights ``w``, float64 when every weight is a float and otherwise
-    an object array of the weights as passed, which the exact solvers then
-    read one by one.  ``edges`` lists the (u, v, w) records: those passed
-    to the constructor, or, for a graph made from columns, rows of Python
-    scalars built on first access.  ``all_nonnegative`` records whether
-    every weight is >= 0, which is the regime where exact max-flow solving
-    applies.
+    an object array of the weights as passed (each checked to lie within
+    the float range), which the exact solvers then read one by one.
+    ``edges`` lists the (u, v, w) records: those passed to the constructor,
+    or, for a graph made from columns, rows of Python scalars built on
+    first access.  ``all_nonnegative`` records whether every weight is
+    >= 0, which is the regime where exact max-flow solving applies.
     """
 
     __slots__ = ("n", "u", "v", "w", "all_nonnegative", "_edges")
@@ -222,6 +229,9 @@ class WeightedGraph:
         us, vs, ws = (list(column) for column in zip(*records)) if records else ([], [], [])
         n, u, v = _id_columns(n, us, vs)
         floats = set(map(type, ws)) <= {float, np.float64}
+        if not floats:  # the exact solvers convert every weight to float64; 10**400 has none
+            for record in records:
+                _check_float_range(*record)
         self._set(n, u, v, np.array(ws, dtype=np.float64 if floats else object))
         self._edges = records
 
@@ -259,19 +269,33 @@ def _id_columns(n, us: list, vs: list) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, u, v): n as an int and the node ids as int64 columns, each an int in 0..n-1.
 
     The ids are walked in order only when some is not an int or is negative,
-    so the first bad one raises; an id of any size is compared with n before
-    it becomes an int64.
+    so the first bad one raises; an id of any size is compared with n and
+    with the int64 range before it becomes an int64.
     """
     if not set(map(type, us)) | set(map(type, vs)) <= {int} or (us and min(min(us), min(vs)) < 0):
         for u, v in zip(us, vs):
             _check_ids(u, v)
-    n = _node_count(n, max(max(us), max(vs)) if us else -1)
+    max_id = max(max(us), max(vs)) if us else -1
+    n = _node_count(n, max_id)
+    if max_id > _MAX_INT64:
+        raise TooLargeError(f"node ids must be at most {_MAX_INT64}, got {max_id}")
     return n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
 
 def _check_ids(u, v) -> None:
     if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
         raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
+
+
+def _check_float_range(u, v, *weights) -> None:
+    """Reject a weight of record (u, v, ...) that no float holds, such as 10**400."""
+    for w in weights:
+        try:
+            float(w)
+        except OverflowError:
+            raise BadParametersError(f"edge ({u}, {v}) has a weight beyond the float range") from None
+        except (TypeError, ValueError):
+            pass  # not a number: left to the weight checks
 
 
 def _node_count(n, max_id: int) -> int:
@@ -368,9 +392,10 @@ def build_signed_graph(
     isolated nodes.
 
     Raises :class:`NegativeMagnitudeError` if any magnitude is negative and
-    :class:`BadParametersError` on non-integer ids, non-finite weights, or
-    a weight total whose double overflows a float; the first bad record
-    decides which.
+    :class:`BadParametersError` on non-integer ids, non-finite weights or
+    weights beyond the float range (an int such as 10**400), or a weight
+    total whose double overflows a float; the first bad record decides
+    which.
     """
     return SignedGraph(*_collapse(raw_edges, n, _check_magnitudes, _magnitudes_ok))
 
@@ -404,14 +429,16 @@ def _collapse(
     ``a`` and ``b`` of parallel records are added in record order.  Ids
     must be nonnegative ints; ``weights_ok(a, b)`` vets the weight columns
     at once.  When it or the type check fails, the records are walked in
-    order, so the first bad one raises: its ids by the shared check, its
-    weights by ``check_weights(u, v, a, b)``.
+    order, so the first bad one raises: its ids and a weight beyond the
+    float range by the shared checks, its weights by
+    ``check_weights(u, v, a, b)``.
     """
     records = list(raw_edges)
     columns = _typed_columns(records)
     if columns is None or not (_ids_ok(columns[0], columns[1]) and weights_ok(columns[2], columns[3])):
         for u, v, a, b in records:
             _check_ids(u, v)
+            _check_float_range(u, v, a, b)
             check_weights(u, v, a, b)
     if columns is not None:
         max_id = max(int(columns[0].max()), int(columns[1].max())) if records else -1

@@ -26,6 +26,19 @@ B and the best prefix of one exact c=1 peel (the warm start of Greedy++)
 of the q-core at B's value only.  That is never worse than the best prefix
 of a c=1 peel of the whole graph (see ``_density_start``); on a planted
 dense set B is that set, and one cut on it certifies it.
+The exact program is built only on B and a superset S of that q-core,
+pruned first in float64 columns (``_float_core``): q is bounded below by
+a float a few ulps under B's density, every round sums each survivor's
+degree afresh from nonnegative terms with one bincount, and a node is
+dropped only when that degree is below the bound times 1 - delta, a
+margin that covers every rounding of the sum and of the weights'
+conversion.  So no core node is ever dropped.  The rounds stop once one
+drops fewer than 1/8 of the survivors (a path hanging off the core would
+otherwise shed one end per round), and the exact q-core, run on the
+program of G[S + B] with ids relabeled in ascending order, finishes the
+prune: it is the core of the whole graph, so the start, the cuts and the
+answer are those of the whole program.  ``dsd_decision`` prunes likewise
+at its threshold g.
 ``binary_search_objective`` starts from the whole node set: its searches
 finish in two or three cuts, and a peel start that stays safe past
 ``q_max`` (a sweep of several multipliers) would cost more than it saves.
@@ -53,6 +66,7 @@ from .core import (
     TIE_TOLERANCE,
     WeightedGraph,
     _check_objective_range,
+    _check_arc_keys,
     _check_total_weight,
     _csr,
     _induced_edges,
@@ -76,6 +90,12 @@ MAX_BRUTE_FORCE_NODES = 22
 # densest round is within a factor 2 + 2*eps of the optimum after
 # O(log(n)/eps) rounds (Bahmani, Kumar and Vassilvitskii, VLDB 2012).
 _BULK_EPSILON = 0.1
+
+# The float prune ahead of the exact program stops after a round that drops
+# fewer than this share of the survivors: the exact q-core finishes the job,
+# and a long tail of small rounds (a path peeled one end at a time) costs a
+# whole-graph bincount each.
+_PRUNE_STOP_FRACTION = 1 / 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,16 +251,25 @@ def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) 
     return _program(n, u, v, p, r, l1, l2, q_max)
 
 
+def _induced_columns(
+    n: int, u: np.ndarray, v: np.ndarray, nodes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u', v', keep): the edges (u[e], v[e]) with both ends in ``nodes`` (ascending
+    ids of 0..n-1), relabeled so that ``nodes[i]`` becomes i, and their mask."""
+    label = np.full(n, -1, dtype=np.int64)
+    label[nodes] = np.arange(len(nodes))
+    u, v = label[u], label[v]
+    keep = (u >= 0) & (v >= 0)
+    return u[keep], v[keep], keep
+
+
 def _restrict(program: _RatioProgram, nodes: list[int]) -> _RatioProgram:
     """The program on the subgraph induced by ``nodes`` (ascending); ``nodes[i]`` becomes i."""
     if len(nodes) == program.n:
         return program
-    label = np.full(program.n, -1, dtype=np.int64)
-    label[nodes] = np.arange(len(nodes))
-    u, v = label[program.u], label[program.v]
-    keep = (u >= 0) & (v >= 0)
+    u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
     p, r = program.p[keep], program.r[keep]
-    return _program(len(nodes), u[keep], v[keep], p, r, program.l1, program.l2, program.q_max)
+    return _program(len(nodes), u, v, p, r, program.l1, program.l2, program.q_max)
 
 
 def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
@@ -328,6 +357,14 @@ def _peel_start(program: _RatioProgram) -> list[int]:
     return sequence[n - best_size :]
 
 
+def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Float degrees of nodes 0..n-1 over edges (u[e], v[e]) of float weights ``w``.
+
+    One ``np.bincount`` sums each node's terms from 0.0, a loop's twice.
+    """
+    return np.bincount(np.stack([u, v], axis=1).ravel(), weights=np.repeat(w, 2), minlength=n)
+
+
 def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]:
     """Nodes of the densest round of a bulk peel of float weights ``w`` on edges (u[e], v[e]).
 
@@ -341,8 +378,7 @@ def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]
         density = w.sum() / size
         if density > best_density:
             best, best_density = alive, density
-        degree = np.bincount(np.stack([u, v], axis=1).ravel(), weights=np.repeat(w, 2), minlength=n)
-        drop = alive & (degree <= 2 * (1 + _BULK_EPSILON) * density)
+        drop = alive & (_degrees(n, u, v, w) <= 2 * (1 + _BULK_EPSILON) * density)
         if not drop.any():  # rounding (subnormal weights) can keep every degree above the bound
             break
         alive = alive & ~drop
@@ -352,24 +388,39 @@ def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]
     return np.flatnonzero(best).tolist()
 
 
+def _density_floor(weights: np.ndarray, size: int) -> float:
+    """A float at most the exact density of ``size`` nodes whose induced edges
+    weigh ``weights``: float64 values, each the nearest to an exact weight >= 0.
+
+    Three roundings of at most half an ulp each part the float quotient from
+    the exact one: the weights' conversion (exact for floats), ``math.fsum``
+    (exact below the normal range) and the division.  Each step down moves
+    at least one ulp, whatever the sign.
+    """
+    q = math.fsum(weights.tolist()) / size
+    for _ in range(4):
+        q = math.nextafter(q, -math.inf)
+    return q
+
+
 def _density_start(
-    program: _RatioProgram, weights: np.ndarray
+    program: _RatioProgram, bulk: list[int]
 ) -> tuple[list[int], tuple[list[int], list[int]] | None]:
     """A nonempty start for ``exact_dsd`` at least as dense as the best prefix of a c=1 peel.
 
-    B, the densest round of a bulk peel of the float ``weights``, gives
+    B = ``bulk``, the densest round of a bulk peel (``_bulk_peel``), gives
     q = value(B).  The c=1 peel of the whole graph removes every node
     outside the exact q-core first: among survivors that still include one,
     the least degree is below q, and every core node has degree at least q
     within the core.  While it does, the density stays at most q, or, once
     above q, keeps rising, since each removed node takes less than q away.
     So that peel's best prefix is no better than B or is a prefix of the
-    same peel of the core alone, and only the core is peeled.
+    same peel of the core alone, and only the core is peeled.  The program
+    may be that of any induced subgraph holding B and the q-core.
 
     Returns the start and, when it is B, the q-core at its value (the
     survivors and their degrees), which the first cut needs again.
     """
-    bulk = _bulk_peel(program.n, program.u, program.v, weights.astype(np.float64, copy=False))
     q = program.value(bulk)
     a, b = q.numerator, q.denominator
     core = _q_core(program, a, b, a * program.l2 - b * program.l1)
@@ -407,8 +458,15 @@ def _dinkelbach(
         best, q = side, value
 
 
-def _validate_nonnegative(graph: WeightedGraph) -> None:
-    finite = np.isfinite(graph.w.astype(np.float64, copy=False))
+def _validate_nonnegative(graph: WeightedGraph) -> np.ndarray:
+    """Check every weight is finite and >= 0; return the weights as float64.
+
+    The whole graph's CSR bound is checked too, before the float stage
+    makes arrays of n entries.
+    """
+    _check_arc_keys(graph.n, 2 * graph.m - int(np.count_nonzero(graph.u == graph.v)))
+    weights = graph.w.astype(np.float64, copy=False)
+    finite = np.isfinite(weights)
     bad = np.flatnonzero(~finite | (graph.w < 0))
     if bad.shape[0]:  # the first bad record decides the error
         u, v, w = graph.edges[bad[0]]
@@ -416,10 +474,53 @@ def _validate_nonnegative(graph: WeightedGraph) -> None:
             raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
         raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
     _check_total_weight(_sequential_sum(graph.w))
+    return weights
 
 
-def _density_program(graph: WeightedGraph) -> _RatioProgram:
-    return _ratio_program(graph.n, graph.u, graph.v, graph.w, np.zeros(graph.m), 0, 1)
+def _density_program(graph: WeightedGraph, nodes: np.ndarray | None = None) -> _RatioProgram:
+    """The density program of the subgraph induced by ``nodes`` (ascending; all
+    by default), ``nodes[i]`` as node i."""
+    n, u, v, w = graph.n, graph.u, graph.v, graph.w
+    if nodes is not None and len(nodes) < n:
+        u, v, keep = _induced_columns(n, u, v, nodes)
+        n, w = len(nodes), w[keep]
+    return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1)
+
+
+def _float_core(graph: WeightedGraph, weights: np.ndarray, q_lo: float, keep: list[int]) -> np.ndarray:
+    """Ascending ids of ``keep`` and of a superset of the exact q-core, for
+    any exact q >= ``q_lo``, pruned in float64 rounds.
+
+    ``weights`` holds the float64 values nearest to the graph's exact
+    weights, all >= 0.  Each round sums every survivor's degree afresh with
+    one bincount over the surviving edges, from nonnegative terms only, so
+    the float degree is at least the exact one times 1 - delta, where delta
+    = (2m + 4) * 2**-52 covers the rounding of up to 2m terms, the weights'
+    conversion and that of the threshold q_lo * (1 - delta); below the
+    normal range sums are exact.  A node is dropped only when its float
+    degree is below that threshold.  A node of the exact q-core has exact
+    degree at least q >= q_lo among any survivors that hold the core, so
+    it is never dropped, and stopping after any round leaves a superset.
+    Rounds stop once one drops fewer than ``_PRUNE_STOP_FRACTION`` of the
+    survivors.  Nothing is pruned when ``q_lo`` is not positive.  The
+    q-core of the subgraph the returned ids induce is that of the whole
+    graph: it holds the core, in which every node keeps its degree.
+    """
+    n, u, v, w = graph.n, graph.u, graph.v, weights
+    alive = np.ones(n, dtype=bool)
+    threshold = q_lo * (1 - (2 * graph.m + 4) * 2.0**-52)
+    size = n if q_lo > 0 else 0
+    while size:
+        drop = alive & (_degrees(n, u, v, w) < threshold)
+        dropped = int(np.count_nonzero(drop))
+        alive &= ~drop
+        if dropped < size * _PRUNE_STOP_FRACTION:
+            break
+        size -= dropped
+        survive = alive[u] & alive[v]
+        u, v, w = u[survive], v[survive], w[survive]
+    alive[keep] = True
+    return np.flatnonzero(alive)
 
 
 def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
@@ -427,12 +528,13 @@ def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
 
     Raises :class:`NegativeWeightError` on any negative weight.
     """
-    _validate_nonnegative(graph)
+    weights = _validate_nonnegative(graph)
     if not math.isfinite(g):
         raise BadParametersError(f"density threshold must be finite, got {g}")
-    witness = _max_density_side(_density_program(graph), Fraction(g))
+    nodes = _float_core(graph, weights, g, [])  # g is exact: the cut runs at Fraction(g)
+    witness = _max_density_side(_density_program(graph, nodes), Fraction(g))
     if witness:
-        return DecisionOutcome(True, frozenset(witness))
+        return DecisionOutcome(True, frozenset(nodes[witness].tolist()))
     return DecisionOutcome(False, None)
 
 
@@ -441,15 +543,19 @@ def exact_dsd(graph: WeightedGraph) -> DsdResult:
 
     Dinkelbach iteration starts from the denser of a bulk peel's best round
     and the best prefix of one peel of that round's q-core, and every step
-    is a minimum cut, so the answer is always exact.
+    is a minimum cut, so the answer is always exact.  The exact program is
+    built only on the bulk round and a float-pruned superset of its q-core.
     """
-    _validate_nonnegative(graph)
+    weights = _validate_nonnegative(graph)
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
-    program = _density_program(graph)
-    start, core = _density_start(program, graph.w)
+    bulk = _bulk_peel(graph.n, graph.u, graph.v, weights)
+    q_lo = _density_floor(weights[_induced_edges(graph, frozenset(bulk))], len(bulk))
+    kept = _float_core(graph, weights, q_lo, bulk)
+    program = _density_program(graph, kept)
+    start, core = _density_start(program, np.searchsorted(kept, bulk).tolist())
     best, _, _, _ = _dinkelbach(program, start, core=core)
-    nodes = frozenset(best)
+    nodes = frozenset(kept[list(best)].tolist())
     w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
     return DsdResult(
         nodes=nodes,

@@ -18,8 +18,9 @@ sweep kept on the graph and only scores prefixes.
 edges with uniform endpoints and integer weights 1..3: ``planted``, where
 1,225 of the edges form a 50-node clique of weight 3, and ``uniform``,
 with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
-reports the median seconds, the number of minimum cuts in one solve, and
-the answer's size and density.
+reports the median seconds, the number of minimum cuts in one solve, the
+node count of the exact program that solve built (``program_nodes``, after
+the float prune), and the answer's size and density.
 """
 
 import argparse
@@ -31,6 +32,7 @@ import time
 
 import numpy as np
 
+import negdsd.exact
 import negdsd.flow
 from negdsd import (
     DEFAULT_C_LIST,
@@ -66,15 +68,23 @@ def exact_graph(planted: bool) -> WeightedGraph:
 
 
 def exact_stats() -> dict:
-    cuts = 0
+    cuts = program_nodes = 0
     original = negdsd.flow.Dinic.max_flow
+    original_program = negdsd.exact._density_program
 
     def counted(self, source, sink):
         nonlocal cuts
         cuts += 1
         return original(self, source, sink)
 
+    def sized(graph, nodes=None):
+        nonlocal program_nodes
+        program = original_program(graph, nodes)
+        program_nodes = program.n
+        return program
+
     negdsd.flow.Dinic.max_flow = counted
+    negdsd.exact._density_program = sized
     stats = {}
     try:
         for name, planted in (("planted", True), ("uniform", False)):
@@ -88,11 +98,13 @@ def exact_stats() -> dict:
             stats[name] = {
                 "exact_dsd_seconds": statistics.median(seconds),
                 "min_cuts": cuts,
+                "program_nodes": program_nodes,
                 "result_size": result.size,
                 "net_density": result.net_density,
             }
     finally:
         negdsd.flow.Dinic.max_flow = original
+        negdsd.exact._density_program = original_program
     return stats
 
 

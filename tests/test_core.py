@@ -23,6 +23,7 @@ from negdsd.errors import (
     BadParametersError,
     EmptySetError,
     NegativeMagnitudeError,
+    OutOfRangeError,
     UnknownNodeError,
     TooLargeError,
     ZeroDenominatorError,
@@ -122,6 +123,17 @@ class TestBuild:
             build_signed_graph([negative, bad_id])
         with pytest.raises(BadParametersError, match="node ids"):
             build_signed_graph([bad_id, negative])
+
+    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
+    def test_weight_beyond_float_rejected(self, build):
+        huge, negative = (2, 3, 0.0, 10**400), (0, 1, -1.0, 0.0)
+        with pytest.raises(BadParametersError, match=r"edge \(2, 3\) has a weight beyond the float range"):
+            build([(0, 1, 1.0, 0.0), huge])
+        with pytest.raises(BadParametersError, match=r"edge \(2, 3\)"):  # the first bad record decides
+            build([huge, negative])
+        with pytest.raises(NegativeMagnitudeError if build is build_signed_graph else OutOfRangeError):
+            build([negative, huge])
+        assert build([(0, 1, 2**1000, 0)]).u.tolist() == [0]  # a large int that a float holds is kept
 
     def test_generator_input(self):
         raw = [(0, 1, 1.0, 0.0), (2, 1, 0.5, 0.25), (1, 0, 2.0, 0.0)]
@@ -251,6 +263,16 @@ class TestWeightedGraph:
             WeightedGraph(2, [(0, 1, 1.0), (0, 2, 1.0)])
         with pytest.raises(UnknownNodeError):  # beyond int64 too
             WeightedGraph(2, [(0, 2**64, 1.0)])
+
+    def test_id_beyond_int64_rejected(self):
+        with pytest.raises(TooLargeError, match="got 18446744073709551616"):
+            WeightedGraph(2**70, [(0, 1, 1.0), (2**64, 0, 1.0)])
+        assert WeightedGraph(2**63, [(2**63 - 1, 0, 1.0)]).u.tolist() == [2**63 - 1]
+
+    def test_weight_beyond_float_rejected(self):
+        with pytest.raises(BadParametersError, match=r"edge \(1, 2\) has a weight beyond the float range"):
+            WeightedGraph(3, [(0, 1, 1), (1, 2, 10**400)])
+        assert WeightedGraph(3, [(0, 1, 2**1023)]).w.tolist() == [2**1023]
 
     def test_negative_id_rejected(self):
         with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):

@@ -26,7 +26,19 @@ from negdsd.errors import (
     NegativeWeightError,
     TooLargeError,
 )
-from negdsd.exact import _density_program, _density_start, _q_core, _ratio_program
+from negdsd.core import DsdResult, _induced_edges, _sequential_sum
+from negdsd.exact import (
+    DecisionOutcome,
+    _bulk_peel,
+    _density_floor,
+    _density_program,
+    _density_start,
+    _dinkelbach,
+    _float_core,
+    _max_density_side,
+    _q_core,
+    _ratio_program,
+)
 
 from conftest import (
     naive_best,
@@ -327,7 +339,7 @@ class TestDensityStart:
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
             program = _density_program(graph)
-            start, core = _density_start(program, graph.w)
+            start, core = _density_start(program, _bulk_peel(graph.n, graph.u, graph.v, graph.w))
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
@@ -335,6 +347,114 @@ class TestDensityStart:
                 q = program.value(start)
                 a, b = q.numerator, q.denominator
                 assert core == _q_core(program, a, b, a * program.l2 - b * program.l1)
+
+
+def full_program_exact_dsd(graph: WeightedGraph) -> DsdResult:
+    """exact_dsd's steps over the program of the whole graph, with no float prune."""
+    program = _density_program(graph)
+    bulk = _bulk_peel(graph.n, graph.u, graph.v, graph.w.astype(np.float64))
+    start, core = _density_start(program, bulk)
+    best, _, _, _ = _dinkelbach(program, start, core=core)
+    nodes = frozenset(best)
+    w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
+    return DsdResult(nodes, w_float / len(nodes), w_float, 0.0, True, "exact_dsd")
+
+
+def full_program_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
+    """dsd_decision's cut over the program of the whole graph, with no float prune."""
+    witness = _max_density_side(_density_program(graph), Fraction(g))
+    return DecisionOutcome(True, frozenset(witness)) if witness else DecisionOutcome(False, None)
+
+
+def prune_prone_graph(rng: random.Random) -> WeightedGraph:
+    """Random nonnegative multigraph, n <= 30, with a denser part, loops,
+    parallel records, zeros, subnormals and, on some draws, ints beyond 2**53."""
+    n = rng.randint(1, 30)
+    pool = [0.0, -0.0, 5e-324, 2.5e-310, 0.1, 1 / 3, 0.5, 1.0, 2.0, 3.0, 7.5, 1e290]
+    if rng.random() < 0.3:
+        pool += [0, 1, 2, 2**53 + 1, 3 * 2**60, 2**70 + 3]
+    dense = rng.sample(range(n), rng.randint(1, n))
+    records = []
+    for _ in range(rng.randint(0, 4 * n)):
+        ends = dense if rng.random() < 0.4 else range(n)
+        u, v = rng.choice(ends), rng.choice(ends)
+        records.append((u, u if rng.random() < 0.15 else v, rng.choice(pool)))
+    if records and rng.random() < 0.4:
+        records += rng.choices(records, k=rng.randint(1, len(records)))  # parallel records
+    return WeightedGraph(n, records)
+
+
+class TestFloatPrune:
+    def test_survivors_hold_the_exact_q_core(self):
+        rng = random.Random(127)
+        pruned = 0
+        for _ in range(400):
+            graph = prune_prone_graph(rng)
+            program = _density_program(graph)
+            weights = graph.w.astype(np.float64)
+            for x in rng.sample(range(graph.n), min(3, graph.n)):
+                q = Fraction(program.deg_p[x], program.l2)  # exactly x's degree
+                if not q:
+                    continue
+                q_lo = float(q)
+                if Fraction(q_lo) > q:
+                    q_lo = math.nextafter(q_lo, 0.0)
+                core, _ = _q_core(program, q.numerator, q.denominator, q.numerator * program.l2)
+                kept = _float_core(graph, weights, q_lo, [])
+                assert set(core) <= set(kept.tolist())
+                pruned += len(kept) < graph.n
+        assert pruned > 300  # the rounds had work to do
+
+    def test_density_floor_is_a_lower_bound(self):
+        rng = random.Random(131)
+        for _ in range(400):
+            graph = prune_prone_graph(rng)
+            nodes = frozenset(rng.sample(range(graph.n), rng.randint(1, graph.n)))
+            induced = _induced_edges(graph, nodes)
+            exact = sum(map(Fraction, graph.w[induced].tolist()), Fraction(0)) / len(nodes)
+            floor = _density_floor(graph.w.astype(np.float64)[induced], len(nodes))
+            assert Fraction(floor) <= exact
+
+    def test_answers_match_the_full_program(self, monkeypatch):
+        networks = []
+        original = negdsd.flow.Dinic.__init__
+
+        def record(self, size):
+            networks.append(size)
+            original(self, size)
+
+        monkeypatch.setattr(negdsd.flow.Dinic, "__init__", record)
+
+        def solved(solve, *args):
+            networks.clear()
+            return repr(solve(*args)), list(networks)  # same answer, cuts and network sizes
+
+        rng = random.Random(137)
+        for _ in range(300):
+            graph = prune_prone_graph(rng)
+            assert solved(exact_dsd, graph) == solved(full_program_exact_dsd, graph)
+            program = _density_program(graph)
+            degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
+            for g in (0.0, 1.0, 3.5, exact_dsd(graph).net_density, *degrees):
+                assert solved(dsd_decision, graph, g) == solved(full_program_decision, graph, g)
+
+    def test_rounds_stop_early_on_a_comet(self, monkeypatch):
+        # a 30-clique of density 14.5 with a path of weight 7.5 attached: path
+        # nodes have degree 15, so each round would shed only the path's end
+        edges = [(u, v, 1.0) for u, v in itertools.combinations(range(30), 2)]
+        edges += [(0 if k == 30 else k - 1, k, 7.5) for k in range(30, 2030)]
+        calls = 0
+        original = np.bincount
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        result = exact_dsd(WeightedGraph(2030, edges))
+        assert result.nodes == frozenset(range(30))
+        assert calls <= 8  # the bulk peel, one prune round and the CSR builds; not one per path node
 
 
 class TestBruteForce:

@@ -5,6 +5,8 @@ must make ``negdsd`` exit 0, 1 or 2 without a traceback, and print strict
 JSON (no NaN or Infinity) when it succeeds.  Sweeps of one graph under
 random multiplier lists and scorings, which reuse the removal orders the
 graph keeps, must answer as sweeps of a freshly built graph do.
+``exact_dsd`` and ``dsd_decision``, which prune in floats before their
+exact program, must answer as their steps over the whole program do.
 """
 
 import contextlib
@@ -15,10 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negdsd import ObjectiveParams, PeelScoring, build_signed_graph, c_sweep
+from negdsd import (
+    ObjectiveParams,
+    PeelScoring,
+    WeightedGraph,
+    build_signed_graph,
+    c_sweep,
+    dsd_decision,
+    exact_dsd,
+)
 from negdsd.cli import run
 from negdsd.errors import ParseError
 from negdsd.io import parse_bernoulli, parse_moments, parse_multilayer, parse_signed
+
+from test_exact import full_program_decision, full_program_exact_dsd
 
 # Valid values and the float edges around them, then any float at all.
 numbers = st.sampled_from(
@@ -126,3 +138,22 @@ def test_warm_sweeps_equal_cold_sweeps(records, sweeps):
     graph = build_signed_graph(edges, n=n)
     for c_list, scoring in sweeps:
         assert repr(c_sweep(graph, c_list, scoring)) == repr(c_sweep(build_signed_graph(edges, n=n), c_list, scoring))
+
+
+exact_weights = st.sampled_from(
+    [0.0, 5e-324, 2.5e-310, 0.1, 1 / 3, 0.5, 1.0, 3.0, 7.5, 1e290, 1, 2, 2**53 + 1, 2**70 + 3]
+)
+weighted_records = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), exact_weights), max_size=40),
+    )
+)
+
+
+@given(records=weighted_records, g=st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-320, 1e290]))
+def test_float_prune_keeps_exact_answers(records, g):
+    graph = WeightedGraph(*records)
+    assert repr(exact_dsd(graph)) == repr(full_program_exact_dsd(graph))
+    for q in (g, exact_dsd(graph).net_density):
+        assert repr(dsd_decision(graph, q)) == repr(full_program_decision(graph, q))
