@@ -30,7 +30,9 @@ Python scalars; the solvers never read it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import starmap
 from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator
@@ -52,6 +54,9 @@ TIE_TOLERANCE = 1e-12
 # key lo*(max_id + 1) + hi fits in int64.
 _MAX_INT64 = 2**63 - 1
 _MAX_PACKED_ID = math.isqrt(_MAX_INT64) - 1
+
+# Weight types taken as real numbers: ints, floats, fractions, numpy scalars, decimals.
+_REAL_TYPES = (numbers.Real, Decimal)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +147,8 @@ class SignedGraph:
         """(indptr, neighbor, wpos, wneg) of the arcs as Python lists; do not mutate them.
 
         The arcs of node x are positions ``indptr[x]:indptr[x+1]``; this is
-        the shape :func:`~negdsd.peeling.peel_order` walks.  Built on the
+        the shape the heap loop of :func:`~negdsd.peeling.peel_order` walks,
+        which peels graphs above its column-peel node bound.  Built on the
         first call and kept, so the peels of a multiplier sweep share them.
         """
         if self._arcs is None:
@@ -212,8 +218,9 @@ class WeightedGraph:
     Records are kept as given, parallel ones and loops included, in
     read-only columns: ids ``u``, ``v`` (int64, checked to lie in 0..n-1)
     and weights ``w``, float64 when every weight is a float and otherwise
-    an object array of the weights as passed (each checked to lie within
-    the float range), which the exact solvers then read one by one.
+    an object array of the weights as passed (each checked to be a real
+    number within the float range), which the exact solvers then read one
+    by one.
     ``edges`` lists the (u, v, w) records: those passed to the constructor,
     or, for a graph made from columns, rows of Python scalars built on
     first access.  ``all_nonnegative`` records whether every weight is
@@ -288,14 +295,17 @@ def _check_ids(u, v) -> None:
 
 
 def _check_float_range(u, v, *weights) -> None:
-    """Reject a weight of record (u, v, ...) that no float holds, such as 10**400."""
+    """Reject a weight of record (u, v, ...) that is not a real number or that no float holds (10**400).
+
+    The type is tested, not the conversion: ``float('1.5')`` takes a string.
+    """
     for w in weights:
+        if not isinstance(w, _REAL_TYPES):
+            raise BadParametersError(f"edge ({u}, {v}) has a weight that is not a real number: {w!r}")
         try:
             float(w)
         except OverflowError:
             raise BadParametersError(f"edge ({u}, {v}) has a weight beyond the float range") from None
-        except (TypeError, ValueError):
-            pass  # not a number: left to the weight checks
 
 
 def _node_count(n, max_id: int) -> int:
@@ -392,8 +402,9 @@ def build_signed_graph(
     isolated nodes.
 
     Raises :class:`NegativeMagnitudeError` if any magnitude is negative and
-    :class:`BadParametersError` on non-integer ids, non-finite weights or
-    weights beyond the float range (an int such as 10**400), or a weight
+    :class:`BadParametersError` on non-integer ids, weights that are not
+    real numbers (such as strings), non-finite weights or weights beyond
+    the float range (an int such as 10**400), or a weight
     total whose double overflows a float; the first bad record decides
     which.
     """
@@ -429,8 +440,9 @@ def _collapse(
     ``a`` and ``b`` of parallel records are added in record order.  Ids
     must be nonnegative ints; ``weights_ok(a, b)`` vets the weight columns
     at once.  When it or the type check fails, the records are walked in
-    order, so the first bad one raises: its ids and a weight beyond the
-    float range by the shared checks, its weights by
+    order, so the first bad one raises: its ids and a weight that is not a
+    real number or lies beyond the float range by the shared checks, its
+    weights by
     ``check_weights(u, v, a, b)``.
     """
     records = list(raw_edges)

@@ -43,10 +43,24 @@ _MODES = ("net_density", "objective")
 
 # Arc visits (arcs times distinct multipliers) below which c_sweep peels
 # in one process.  On a 2-vCPU VM a fork and wait of a 60-80 MB process
-# took 4-6 ms, and more for a larger process; a second worker took a
-# 7-multiplier sweep of 30k arc visits from 22 to 18 ms, one of 210k arc
-# visits from 280 to 170 ms.
+# took 4-6 ms, and more for a larger process; with the column peel, a
+# second worker took the peels of a 7-multiplier sweep of 29k arc visits
+# (600 nodes) from 24 to 22-23 ms, and of one of 208k arc visits (3,000
+# nodes) from 164-168 to 112-113 ms (medians of 15 cold sweeps).
 _FORK_MIN_ARC_VISITS = 100_000
+
+# Largest graph that peel_order peels over numpy columns.  The column
+# kernel scans all n scores at each of n steps, so its lead over the heap
+# shrinks as n grows, and sooner on sparse graphs.  Per peel on a 2-vCPU
+# VM: 56-86 ms against 198-232 ms for the heap at 6k nodes and 121k arcs,
+# 1.33-1.44 s against 2.11-2.35 s at 60k nodes and 1.2M arcs, 3.08-3.11 s
+# against 3.87-4.09 s at 100k nodes and 2M arcs, but 0.97 s against 0.87 s
+# at 60k nodes and 240k arcs.
+_COLUMN_PEEL_MAX_NODES = 65_536
+
+# Arcs up to which a column-peel step re-scores in a Python loop: about
+# 0.4 us an arc, against about 3.5 us for the handful of numpy calls.
+_COLUMN_PEEL_LOOP_ARCS = 8
 
 
 def _check_c(c: float) -> None:
@@ -90,7 +104,19 @@ class PeelScoring:
 def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     """Peel nodes by ascending ``c*posdeg - negdeg``, ties to the smallest id.
 
-    Deterministic for a fixed (graph, c).  Runs in O((n + m) log n) over
+    Deterministic for a fixed (graph, c).  A :class:`SignedGraph` of at
+    most ``_COLUMN_PEEL_MAX_NODES`` (65,536) nodes whose scores cannot
+    overflow (``2 * (c*posdeg + negdeg)`` finite for every node) is peeled
+    over float64 columns:
+    each step removes ``argmin`` of the score column, the first index of
+    the least score, so ties go to the smallest id and ``-0.0`` ties with
+    ``0.0``, and re-scores the removed node's neighbours, one subtraction
+    per weight each (pairs are collapsed, so a neighbour appears once).
+    That costs O(n^2 + m), with n argmin scans of the whole column; beyond
+    the node bound the scans cost more than the heap below saves.
+
+    Everything else (larger graphs, overflowing scores, and integer
+    programs that peel in exact Python ints) runs in O((n + m) log n) over
     the flat arc lists of ``graph.arc_lists()`` with one heap of
     (score, node) entries.  An entry is pushed only when a node's score
     falls, so every live node keeps an entry keyed at or below its score.
@@ -98,11 +124,17 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     re-queues the node at that score; one equal to it is the live node of
     least (score, id), so the pop order is that of a heap refreshed on
     every change.  Entries of removed nodes are skipped.
+
+    Both paths compute every score with the same float operations in the
+    same order, so they give the same removal sequence and scores equal
+    by ``==`` (the sign of a zero score may differ).
     """
     _check_c(c)
     n = graph.n
     if n == 0:
         raise EmptySetError("cannot peel an empty graph")
+    if _column_peel(graph, c):
+        return _peel_columns(graph, c)
     indptr, neighbor, arc_pos, arc_neg = graph.arc_lists()
     pos = graph.positive_degrees()
     neg = graph.negative_degrees()
@@ -132,6 +164,69 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
                 if new < score[u]:
                     heappush(heap, (new, u))
                 score[u] = new
+    return PeelOrder(sequence, scores_out)
+
+
+def _column_peel(graph, c) -> bool:
+    """Whether :func:`peel_order` peels ``graph`` at ``c`` with :func:`_peel_columns`.
+
+    Only float scores of a graph within the node bound qualify.  The kernel
+    parks removed nodes at ``+inf``, so no live score may reach an infinity:
+    a score never exceeds ``c*posdeg + negdeg`` in size, and twice that
+    leaves room for rounding.
+    """
+    if not isinstance(graph, SignedGraph) or graph.n > _COLUMN_PEEL_MAX_NODES:
+        return False
+    if not isinstance(c, (int, float)):  # a numpy float32 multiplier scores in float32
+        return False
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(2 * (float(c) * graph.deg_pos + graph.deg_neg)).all())
+
+
+def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
+    """:func:`peel_order` over float64 columns: O(n^2 + m), for graphs within the node bound.
+
+    ``p``, ``q`` and ``score = c*p - q`` hold each node's positive degree,
+    negative degree and score among the survivors.  A removed node gets
+    ``p = score = +inf``; updates keep it there (``inf - w`` is ``inf``),
+    so ``argmin`` only ever finds live nodes.  A node with more than
+    ``_COLUMN_PEEL_LOOP_ARCS`` arcs re-scores its neighbours with numpy;
+    one with fewer in a Python loop over memoryviews of the same columns,
+    which skips numpy's fixed cost per call.  Both do the same float
+    operations in the same order as the heap loop.
+    """
+    c = float(c)
+    indptr = graph.indptr.tolist()
+    neighbor = graph.neighbor
+    arc_pos = graph.wpos[graph.edge_id]
+    arc_neg = graph.wneg[graph.edge_id]
+    p = graph.deg_pos.copy()
+    q = graph.deg_neg.copy()
+    score = c * p - q
+    neighbor_at, pos_at, neg_at, p_at, q_at, score_at = map(memoryview, (neighbor, arc_pos, arc_neg, p, q, score))
+    argmin = score.argmin
+    inf = math.inf
+    sequence: list[int] = []
+    scores_out: list[float] = []
+    for _ in range(graph.n):
+        v = int(argmin())
+        sequence.append(v)
+        scores_out.append(score_at[v])
+        p_at[v] = score_at[v] = inf
+        start, end = indptr[v], indptr[v + 1]
+        if end - start > _COLUMN_PEEL_LOOP_ARCS:
+            nb = neighbor[start:end]
+            pn = p[nb] - arc_pos[start:end]
+            qn = q[nb] - arc_neg[start:end]
+            p[nb] = pn
+            q[nb] = qn
+            score[nb] = c * pn - qn
+        else:
+            for k in range(start, end):
+                u = neighbor_at[k]
+                pu = p_at[u] = p_at[u] - pos_at[k]
+                qu = q_at[u] = q_at[u] - neg_at[k]
+                score_at[u] = c * pu - qu
     return PeelOrder(sequence, scores_out)
 
 
@@ -196,8 +291,10 @@ def c_sweep(
     distinct multiplier is peeled once.  The peels are independent reads of
     the graph: when arcs times multipliers still to peel reach 100,000 they
     are split over one process per usable CPU (at most one per multiplier);
-    the workers are forked from this process, share the graph's arc lists
-    copy-on-write and send their removal orders back through pipes.  Prefix
+    the workers are forked from this process, share the graph copy-on-write
+    (the heap path's arc lists are built before the fork, and a graph that
+    :func:`peel_order` peels over columns needs none) and send their
+    removal orders back through pipes.  Prefix
     scoring and the comparison run in this process, in ``c_list`` order, so
     the result depends neither on how many processes peeled nor on which
     orders were kept.
@@ -260,7 +357,8 @@ def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> list[np.ndarra
     workers = _worker_count(graph, len(c_values))
     if workers == 1:
         return [_sequence(graph, c) for c in c_values]
-    graph.arc_lists()  # built before the fork, so every worker shares them
+    if not all(_column_peel(graph, c) for c in c_values):
+        graph.arc_lists()  # built before the fork, so every worker shares them
     orders: list[np.ndarray | None] = [None] * len(c_values)
     children = {}  # pid -> (read end of its pipe, indices of its values)
     try:

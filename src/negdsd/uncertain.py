@@ -14,6 +14,7 @@ tolerance only scores prefixes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Iterable, Iterator
@@ -29,7 +30,7 @@ from .core import (
     _sequential_sum,
     build_signed_graph,
 )
-from .errors import EmptyFilmographyError, OutOfRangeError
+from .errors import BadParametersError, EmptyFilmographyError, OutOfRangeError
 
 TOP_COSTARRED_MOVIES = 5
 
@@ -121,17 +122,22 @@ def build_uncertain_graph(
 
     Summing moments treats parallel records as independent rewards on the
     same pair.  Collapses like :func:`~negdsd.core.build_signed_graph`.
+    Raises :class:`BadParametersError` on a moment that is not a finite real
+    number and :class:`OutOfRangeError` on a negative one; the first bad
+    record decides which.
     """
     return UncertainGraph(*_collapse(raw_edges, n, _check_moments, _moments_ok))
 
 
 def _check_moments(u, v, mu, sigma2) -> None:
+    if not (math.isfinite(mu) and math.isfinite(sigma2)):
+        raise BadParametersError(f"edge ({u}, {v}) has non-finite moments ({mu}, {sigma2})")
     if mu < 0 or sigma2 < 0:
         raise OutOfRangeError(f"edge ({u}, {v}) needs mu >= 0 and sigma2 >= 0, got ({mu}, {sigma2})")
 
 
 def _moments_ok(mu: np.ndarray, sigma2: np.ndarray) -> bool:
-    return bool((mu >= 0).all() and (sigma2 >= 0).all())  # NaN fails here but passes the record check
+    return all(bool(np.isfinite(m).all() and (m >= 0).all()) for m in (mu, sigma2))
 
 
 def bernoulli_graph(

@@ -8,12 +8,14 @@ import threading
 import numpy as np
 import pytest
 
-from negdsd import peeling
+from negdsd import exact, peeling
 from negdsd import (
     DEFAULT_C_LIST,
     ObjectiveParams,
     PeelOrder,
     PeelScoring,
+    SignedGraph,
+    WeightedGraph,
     best_prefix,
     build_signed_graph,
     c_sweep,
@@ -33,6 +35,24 @@ from conftest import naive_best, naive_peel, naive_prefix, random_multigraph, ra
 
 def triangle():
     return build_signed_graph([(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0)])
+
+
+def heap_peel(graph, c: float) -> PeelOrder:
+    """``peel_order`` on the heap loop, whatever the graph's size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", -1)
+        return peel_order(graph, c)
+
+
+def dyadic_multigraph(rng: random.Random, max_nodes: int = 30):
+    """Loops, parallel records, trailing isolated nodes and weights in quarters, so scores tie exactly and hit 0."""
+    n = rng.randint(1, max_nodes)
+    raw = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.randrange(n)
+        v = u if rng.random() < 0.15 else rng.randrange(n)
+        raw.append((u, v, rng.randint(0, 4) / 4, rng.randint(0, 4) / 4))
+    return build_signed_graph(raw, n=n + rng.randint(0, 3))
 
 
 class TestPeelOrder:
@@ -81,6 +101,103 @@ class TestPeelOrder:
                 peel_order(triangle(), bad)
         with pytest.raises(EmptySetError):
             peel_order(build_signed_graph([]), 1.0)
+
+
+class TestColumnPeel:
+    """The column kernel gives the heap loop's peel; beyond its node bound or with overflowing scores the heap runs."""
+
+    @pytest.mark.parametrize("loop_arcs", [-1, peeling._COLUMN_PEEL_LOOP_ARCS, 10**9], ids=["numpy", "mixed", "loop"])
+    def test_matches_heap_loop(self, monkeypatch, loop_arcs):
+        monkeypatch.setattr(peeling, "_COLUMN_PEEL_LOOP_ARCS", loop_arcs)
+        rng = random.Random(59)
+        graphs = [random_multigraph(rng, max_nodes=40) for _ in range(150)]
+        graphs += [dyadic_multigraph(rng) for _ in range(150)]
+        zeros = ties = 0
+        for g in graphs:
+            for c in DEFAULT_C_LIST:
+                assert peeling._column_peel(g, c)
+                columns, heap = peeling._peel_columns(g, c), heap_peel(g, c)
+                assert columns.removal_sequence == heap.removal_sequence
+                assert columns.score_at_removal == heap.score_at_removal  # by ==, so -0.0 equals 0.0
+                assert all(type(x) is float for x in columns.score_at_removal)
+                zeros += columns.score_at_removal.count(0.0)
+                ties += len(columns.score_at_removal) - len(set(columns.score_at_removal))
+        assert zeros > 1000 and ties > 1000  # the ties and zero scores were exercised
+
+    def test_heap_loop_matches_naive_reference(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            g = dyadic_multigraph(rng)
+            for c in DEFAULT_C_LIST:
+                assert heap_peel(g, c).removal_sequence == naive_peel(g, c)
+
+    def test_peel_order_uses_the_kernel(self, monkeypatch):
+        g = dyadic_multigraph(random.Random(61))
+        calls = []
+
+        def counting_kernel(graph, c):
+            calls.append(c)
+            return kernel(graph, c)
+
+        kernel = peeling._peel_columns
+        monkeypatch.setattr(peeling, "_peel_columns", counting_kernel)
+        monkeypatch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", g.n)
+        assert peel_order(g, 2).removal_sequence == naive_peel(g, 2)
+        assert calls == [2]
+
+    def test_above_the_node_bound_the_heap_runs(self, monkeypatch):
+        monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
+        rng = random.Random(67)
+        for _ in range(20):
+            g = random_multigraph(rng, max_nodes=40)
+            monkeypatch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", g.n - 1)
+            for c in (0.25, 1.0, 10.0):
+                assert peel_order(g, c).removal_sequence == naive_peel(g, c)
+
+    def test_overflowing_scores_run_on_the_heap(self, monkeypatch):
+        monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
+        rng = random.Random(71)
+        overflowing = 0
+        for _ in range(40):
+            g = random_multigraph(rng, max_nodes=30)
+            if peeling._column_peel(g, 1e308):  # no node has positive degree 2 or more
+                continue
+            overflowing += 1
+            assert peel_order(g, 1e308).removal_sequence == naive_peel(g, 1e308)
+        assert overflowing > 10
+        assert not peeling._column_peel(triangle(), 1e308)
+
+    def test_finite_scores_at_a_huge_multiplier_use_the_kernel(self):
+        g = build_signed_graph([(0, 1, 0, 1.0), (1, 2, 0, 0.5), (2, 2, 0, 0.25)], n=4)
+        assert peeling._column_peel(g, 1e308)  # no positive degree, so c * posdeg is 0
+        assert peeling._peel_columns(g, 1e308) == heap_peel(g, 1e308)
+
+    def test_only_signed_graphs_and_int_or_float_multipliers(self):
+        g = triangle()
+        assert peeling._column_peel(g, 1) and peeling._column_peel(g, np.float64(0.5))
+        assert not peeling._column_peel(g, np.float32(0.5))
+        program = exact._density_program(WeightedGraph(3, [(0, 1, 1), (1, 2, 2)]))
+        assert not peeling._column_peel(program, 1)  # Python-int programs peel on the heap
+
+    def test_forked_sweep_builds_no_arc_lists(self, cpus, counted_peels, monkeypatch):
+        def no_arc_lists(graph):
+            raise AssertionError("arc_lists built")
+
+        monkeypatch.setattr(SignedGraph, "arc_lists", no_arc_lists)
+        graph = large_graph(43, clique=False)
+        forked = cpus(2)
+        result = c_sweep(graph)
+        assert len(forked) == 1
+        # a worker that built arc lists would fail, and this process would peel its multipliers again
+        assert counted_peels == list(DEFAULT_C_LIST[::2])
+        assert graph._arcs is None
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert repr(result) == repr(c_sweep(large_graph(43, clique=False), DEFAULT_C_LIST))
+
+
+def no_kernel(graph, c):
+    raise AssertionError("the column kernel ran")
 
 
 class TestBestPrefix:

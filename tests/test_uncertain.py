@@ -1,5 +1,6 @@
 """Moment extraction, conversion to signed graphs, risk reporting, co-star edges."""
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from negdsd import (
     uncertain_to_signed,
 )
 from negdsd.errors import (
+    BadParametersError,
     EmptyFilmographyError,
     EmptySetError,
     OutOfRangeError,
@@ -97,6 +99,23 @@ class TestConversion:
             build_uncertain_graph([(0, 1, -0.1, 0.0)])
         with pytest.raises(OutOfRangeError):
             build_uncertain_graph([(0, 1, 0.1, -1.0)])
+
+    @pytest.mark.parametrize("moments", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_moments_rejected(self, moments):
+        bad, negative = (2, 3, *moments), (0, 1, -0.1, 0.0)
+        with pytest.raises(BadParametersError, match=r"edge \(2, 3\) has non-finite moments"):
+            build_uncertain_graph([(0, 1, 1.0, 1.0), bad])
+        with pytest.raises(BadParametersError):  # the first bad record decides
+            build_uncertain_graph([bad, negative])
+        with pytest.raises(OutOfRangeError):
+            build_uncertain_graph([negative, bad])
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_infinite_bernoulli_reward_rejected(self, p):
+        with pytest.raises(BadParametersError, match="non-finite moments"):
+            bernoulli_graph([(0, 1, 0.5, 2.0), (1, 2, p, math.inf)])
+        with pytest.raises(BadParametersError, match="non-finite moments"):  # w*w overflows
+            bernoulli_graph([(0, 1, 0.5, 1e300)])
 
 
 class TestRiskProfile:
