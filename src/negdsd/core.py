@@ -55,7 +55,7 @@ TIE_TOLERANCE = 1e-12
 _MAX_INT64 = 2**63 - 1
 _MAX_PACKED_ID = math.isqrt(_MAX_INT64) - 1
 
-# Weight types taken as real numbers: ints, floats, fractions, numpy scalars, decimals.
+# Weight types taken as real numbers: ints, floats, fractions, numpy numbers, decimals.
 _REAL_TYPES = (numbers.Real, Decimal)
 
 
@@ -148,7 +148,8 @@ class SignedGraph:
 
         The arcs of node x are positions ``indptr[x]:indptr[x+1]``; this is
         the shape the heap loop of :func:`~negdsd.peeling.peel_order` walks,
-        which peels graphs above its column-peel node bound.  Built on the
+        which peels the graphs its column kernel does not (large or sparse
+        ones).  Built on the
         first call and kept, so the peels of a multiplier sweep share them.
         """
         if self._arcs is None:
@@ -300,12 +301,17 @@ def _check_float_range(u, v, *weights) -> None:
     The type is tested, not the conversion: ``float('1.5')`` takes a string.
     """
     for w in weights:
-        if not isinstance(w, _REAL_TYPES):
+        if not (isinstance(w, _REAL_TYPES) or _is_numpy_real(w)):
             raise BadParametersError(f"edge ({u}, {v}) has a weight that is not a real number: {w!r}")
         try:
             float(w)
         except OverflowError:
             raise BadParametersError(f"edge ({u}, {v}) has a weight beyond the float range") from None
+
+
+def _is_numpy_real(w) -> bool:
+    """Whether ``w`` is a numpy bool or a 0-d array of bools, ints or floats, which ``numbers.Real`` misses."""
+    return isinstance(w, (np.generic, np.ndarray)) and w.ndim == 0 and w.dtype.kind in "biuf"
 
 
 def _node_count(n, max_id: int) -> int:

@@ -49,17 +49,32 @@ _MODES = ("net_density", "objective")
 # nodes) from 164-168 to 112-113 ms (medians of 15 cold sweeps).
 _FORK_MIN_ARC_VISITS = 100_000
 
-# Largest graph that peel_order peels over numpy columns.  The column
-# kernel scans all n scores at each of n steps, so its lead over the heap
-# shrinks as n grows, and sooner on sparse graphs.  Per peel on a 2-vCPU
-# VM: 56-86 ms against 198-232 ms for the heap at 6k nodes and 121k arcs,
-# 1.33-1.44 s against 2.11-2.35 s at 60k nodes and 1.2M arcs, 3.08-3.11 s
-# against 3.87-4.09 s at 100k nodes and 2M arcs, but 0.97 s against 0.87 s
-# at 60k nodes and 240k arcs.
-_COLUMN_PEEL_MAX_NODES = 65_536
+# Which graphs peel_order peels over numpy columns.  The column kernel's
+# argmin scans cost about a*n^2 a peel, which the heap does not pay; the
+# heap's (score, id) entries cost about b*n + e*arcs more than the kernel's
+# updates.  So the kernel runs when n*n <= B*n + E*arcs and
+# n <= _COLUMN_PEEL_MAX_NODES, with B = b/a (_COLUMN_PEEL_NODE_COST) and
+# E = e/a (_COLUMN_PEEL_ARC_COST).  A least-squares fit to per-peel times
+# at c = 1 of 84 random graphs (2k-65k nodes, 0.5-32 arcs a node, uniform
+# and skewed ends; 2-vCPU VM; BENCH_10.json) gave b/a = 7,978 and
+# e/a = 5,851.  Beyond about 40k nodes the fit overrates the kernel: there
+# uniform graphs just inside the rule peeled 3-13% slower on it (0.667 s
+# against 0.645 s at 47.5k nodes and 8 arcs a node), so E is rounded down
+# and the node bound is 40,000.  Just inside the rule the kernel won or
+# tied at every size measured (medians of 3-5 peels): 0.023 s each at 8k
+# nodes and no arcs, 0.033 s against 0.044 s at 10k nodes and 0.5 arcs a
+# node, 0.260 s against 0.291 s at 27.5k and 4, 0.516 s against 0.620 s
+# at 40k and 8.
+_COLUMN_PEEL_MAX_NODES = 40_000
+_COLUMN_PEEL_NODE_COST = 8_000
+_COLUMN_PEEL_ARC_COST = 5_000
 
 # Arcs up to which a column-peel step re-scores in a Python loop: about
 # 0.4 us an arc, against about 3.5 us for the handful of numpy calls.
+# Against numpy alone, the loop took query-sweep's job.kind2_s from 0.200 s
+# to 0.174 s and job.kind1_s from 0.088 s to 0.075 s (8 of 8 alternating
+# 30 s pairs, BENCH_10.json); cli-peel and flow-search held within their
+# runs' spread.
 _COLUMN_PEEL_LOOP_ARCS = 8
 
 
@@ -105,21 +120,23 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     """Peel nodes by ascending ``c*posdeg - negdeg``, ties to the smallest id.
 
     Deterministic for a fixed (graph, c).  A :class:`SignedGraph` of at
-    most ``_COLUMN_PEEL_MAX_NODES`` (65,536) nodes whose scores cannot
-    overflow (``2 * (c*posdeg + negdeg)`` finite for every node) is peeled
-    over float64 columns:
-    each step removes ``argmin`` of the score column, the first index of
-    the least score, so ties go to the smallest id and ``-0.0`` ties with
-    ``0.0``, and re-scores the removed node's neighbours, one subtraction
-    per weight each (pairs are collapsed, so a neighbour appears once).
-    That costs O(n^2 + m), with n argmin scans of the whole column; beyond
-    the node bound the scans cost more than the heap below saves.
+    most 40,000 nodes with enough arcs to pay for the argmin scans
+    (``n*n <= 8,000*n + 5,000*arcs``, so every graph of at most 8,000
+    nodes), whose scores cannot overflow (``2 * (c*posdeg + negdeg)``
+    finite for every node), is peeled over float64 columns: each step
+    removes ``argmin`` of the score column, the first index of the least
+    score, so ties go to the smallest id and ``-0.0`` ties with ``0.0``,
+    and re-scores the removed node's neighbours, one subtraction per
+    weight each (pairs are collapsed, so a neighbour appears once).  That
+    costs O(n^2 + m), with n argmin scans of the whole column; on larger or
+    sparser graphs the scans cost more than the heap below saves.
 
-    Everything else (larger graphs, overflowing scores, and integer
-    programs that peel in exact Python ints) runs in O((n + m) log n) over
-    the flat arc lists of ``graph.arc_lists()`` with one heap of
-    (score, node) entries.  An entry is pushed only when a node's score
-    falls, so every live node keeps an entry keyed at or below its score.
+    Everything else (larger and sparser graphs, overflowing scores, and
+    integer programs that peel in exact Python ints) runs in
+    O((n + m) log n) over the flat arc lists of ``graph.arc_lists()`` with
+    one heap of (score, node) entries.  An entry is pushed only when a
+    node's score falls, so every live node keeps an entry keyed at or
+    below its score.
     A popped entry below its node's current score (the score rose since)
     re-queues the node at that score; one equal to it is the live node of
     least (score, id), so the pop order is that of a heap refreshed on
@@ -170,12 +187,15 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
 def _column_peel(graph, c) -> bool:
     """Whether :func:`peel_order` peels ``graph`` at ``c`` with :func:`_peel_columns`.
 
-    Only float scores of a graph within the node bound qualify.  The kernel
-    parks removed nodes at ``+inf``, so no live score may reach an infinity:
-    a score never exceeds ``c*posdeg + negdeg`` in size, and twice that
-    leaves room for rounding.
+    Only float scores of a graph within the node bound whose arcs pay for
+    the argmin scans qualify.  The kernel parks removed nodes at ``+inf``,
+    so no live score may reach an infinity: a score never exceeds
+    ``c*posdeg + negdeg`` in size, and twice that leaves room for rounding.
     """
     if not isinstance(graph, SignedGraph) or graph.n > _COLUMN_PEEL_MAX_NODES:
+        return False
+    n = graph.n
+    if n * (n - _COLUMN_PEEL_NODE_COST) > _COLUMN_PEEL_ARC_COST * graph.neighbor.shape[0]:
         return False
     if not isinstance(c, (int, float)):  # a numpy float32 multiplier scores in float32
         return False
@@ -184,7 +204,7 @@ def _column_peel(graph, c) -> bool:
 
 
 def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
-    """:func:`peel_order` over float64 columns: O(n^2 + m), for graphs within the node bound.
+    """:func:`peel_order` over float64 columns: O(n^2 + m), for the graphs :func:`_column_peel` admits.
 
     ``p``, ``q`` and ``score = c*p - q`` hold each node's positive degree,
     negative degree and score among the survivors.  A removed node gets

@@ -138,7 +138,7 @@ class TestBuild:
         assert build([(0, 1, 2**1000, 0)]).u.tolist() == [0]  # a large int that a float holds is kept
 
     @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
-    @pytest.mark.parametrize("weight", ["x", "1.5", None, 1j, b"1"])
+    @pytest.mark.parametrize("weight", ["x", "1.5", None, 1j, b"1", np.complex128(1), np.array([1.0]), np.str_("1")])
     def test_weight_that_is_not_a_number_rejected(self, build, weight):
         bad, negative = (2, 3, 0.0, weight), (0, 1, -1.0, 0.0)
         with pytest.raises(BadParametersError, match=r"edge \(2, 3\) has a weight that is not a real number"):
@@ -150,9 +150,9 @@ class TestBuild:
 
     @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
     def test_real_number_types_accepted(self, build):
-        weights = [True, 3, Fraction(1, 4), Decimal("0.5"), np.float32(0.25), np.int64(2)]
+        weights = [True, 3, Fraction(1, 4), Decimal("0.5"), np.float32(0.25), np.int64(2), np.True_, np.array(0.5)]
         g = build([(0, 1, w, 0) for w in weights])
-        assert (g.wpos if build is build_signed_graph else g.mu).tolist() == [7.0]
+        assert (g.wpos if build is build_signed_graph else g.mu).tolist() == [8.5]
 
     def test_generator_input(self):
         raw = [(0, 1, 1.0, 0.0), (2, 1, 0.5, 0.25), (1, 0, 2.0, 0.0)]
@@ -293,13 +293,14 @@ class TestWeightedGraph:
             WeightedGraph(3, [(0, 1, 1), (1, 2, 10**400)])
         assert WeightedGraph(3, [(0, 1, 2**1023)]).w.tolist() == [2**1023]
 
-    @pytest.mark.parametrize("weight", ["a", "1.5", None, 1j])
+    @pytest.mark.parametrize("weight", ["a", "1.5", None, 1j, np.array([1.0])])
     def test_weight_that_is_not_a_number_rejected(self, weight):
         with pytest.raises(BadParametersError, match=r"edge \(0, 2\) has a weight that is not a real number"):
             WeightedGraph(3, [(0, 1, 1.0), (0, 2, weight), (1, 2, 10**400)])
         with pytest.raises(BadParametersError, match=r"edge \(1, 2\) has a weight beyond the float range"):
             WeightedGraph(3, [(0, 1, 1.0), (1, 2, 10**400), (0, 2, weight)])
         assert WeightedGraph(3, [(0, 1, Fraction(1, 3)), (1, 2, Decimal("1.5"))]).all_nonnegative
+        assert WeightedGraph(3, [(0, 1, np.True_), (1, 2, np.array(2.0))]).all_nonnegative
 
     def test_negative_id_rejected(self):
         with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):

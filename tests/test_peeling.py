@@ -104,7 +104,7 @@ class TestPeelOrder:
 
 
 class TestColumnPeel:
-    """The column kernel gives the heap loop's peel; beyond its node bound or with overflowing scores the heap runs."""
+    """The column kernel gives the heap loop's peel; on large or sparse graphs or with overflowing scores the heap runs."""
 
     @pytest.mark.parametrize("loop_arcs", [-1, peeling._COLUMN_PEEL_LOOP_ARCS, 10**9], ids=["numpy", "mixed", "loop"])
     def test_matches_heap_loop(self, monkeypatch, loop_arcs):
@@ -153,6 +153,18 @@ class TestColumnPeel:
             monkeypatch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", g.n - 1)
             for c in (0.25, 1.0, 10.0):
                 assert peel_order(g, c).removal_sequence == naive_peel(g, c)
+
+    def test_sparse_graphs_run_on_the_heap(self, monkeypatch):
+        # the kernel runs when n*n <= 8,000*n + 5,000*arcs
+        assert peeling._column_peel(build_signed_graph([], n=8_000), 1.0)
+        edgeless = build_signed_graph([], n=8_001)
+        assert not peeling._column_peel(edgeless, 1.0)
+        monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
+        assert peel_order(edgeless, 1.0).removal_sequence == list(range(8_001))
+        n = 20_000  # needs 48,000 arcs: 24,000 edges between distinct nodes
+        ring = [(i, (i + 1) % n, 1.0, 0.0) for i in range(n)] + [(i, i + 2, 1.0, 0.0) for i in range(4_000)]
+        assert peeling._column_peel(build_signed_graph(ring, n=n), 1.0)
+        assert not peeling._column_peel(build_signed_graph(ring[:-1], n=n), 1.0)
 
     def test_overflowing_scores_run_on_the_heap(self, monkeypatch):
         monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
