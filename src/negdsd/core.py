@@ -82,7 +82,9 @@ class SignedGraph:
 
     Construct through :func:`build_signed_graph`.  Every array is read-only
     (see the module docstring for the layout), which makes instances safe
-    to share across threads.  :func:`~negdsd.peeling.c_sweep` keeps the
+    to share across threads.  :func:`~negdsd.peeling.peel_order` reads only
+    these arrays and holds no Python list of arcs, so forked sweep workers
+    share every page of the graph.  :func:`~negdsd.peeling.c_sweep` keeps the
     removal order of each multiplier it peels on the instance, as a
     read-only int64 array, so later sweeps of the same graph reuse it; two
     sweeps that peel one multiplier at once store the same order.
@@ -90,7 +92,7 @@ class SignedGraph:
 
     __slots__ = (
         "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id",
-        "total_pos", "total_neg", "_edges", "_arcs", "_orders",
+        "total_pos", "total_neg", "_edges", "_orders",
     )
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, wpos: np.ndarray, wneg: np.ndarray):
@@ -108,7 +110,7 @@ class SignedGraph:
         arrays = (u, v, wpos, wneg, self.deg_pos, self.deg_neg, self.indptr, self.neighbor, self.edge_id)
         for array in arrays:
             array.flags.writeable = False
-        self._edges = self._arcs = None
+        self._edges = None
         self._orders: dict[float, np.ndarray] = {}  # multiplier -> removal sequence
 
     @property
@@ -142,24 +144,6 @@ class SignedGraph:
 
     def negative_degrees(self) -> list[float]:
         return self.deg_neg.tolist()
-
-    def arc_lists(self) -> tuple[list[int], list[int], list[float], list[float]]:
-        """(indptr, neighbor, wpos, wneg) of the arcs as Python lists; do not mutate them.
-
-        The arcs of node x are positions ``indptr[x]:indptr[x+1]``; this is
-        the shape the heap loop of :func:`~negdsd.peeling.peel_order` walks,
-        which peels the graphs its column kernel does not (large or sparse
-        ones).  Built on the
-        first call and kept, so the peels of a multiplier sweep share them.
-        """
-        if self._arcs is None:
-            self._arcs = (
-                self.indptr.tolist(),
-                self.neighbor.tolist(),
-                self.wpos[self.edge_id].tolist(),
-                self.wneg[self.edge_id].tolist(),
-            )
-        return self._arcs
 
     def net_weighted(self) -> "WeightedGraph":
         """Collapse each pair to its single net weight ``wpos - wneg``."""

@@ -51,6 +51,7 @@ columns are split with ``np.frexp`` at once), and q is a
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,9 +176,8 @@ class _RatioProgram:
     Edge e joins ``u[e]`` and ``v[e]`` (int64 columns) with P_e = ``p[e]``
     and R_e = ``r[e]``, Python ints of any size in object arrays.  The arcs
     of node x are positions ``indptr[x]:indptr[x+1]`` of ``neighbor``,
-    ``arc_p`` and ``arc_r``, a loop once: with
-    ``arc_lists``/``positive_degrees``/``negative_degrees`` it has the
-    shape :func:`~negdsd.peeling.peel_order` reads, so it peels directly.
+    ``arc_p`` and ``arc_r``, a loop once, as Python lists: the q-core, the
+    cut network and the start's peel walk them in exact arithmetic.
     """
 
     n: int
@@ -194,15 +194,6 @@ class _RatioProgram:
     l1: int
     l2: int
     q_max: Fraction | float  # min P_e/R_e over R_e > 0: flow steps stay exact up to it
-
-    def positive_degrees(self) -> list[int]:
-        return list(self.deg_p)
-
-    def negative_degrees(self) -> list[int]:
-        return list(self.deg_r)
-
-    def arc_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        return self.indptr, self.neighbor, self.arc_p, self.arc_r
 
     def value(self, nodes: Iterable[int]) -> Fraction:
         members = frozenset(nodes)
@@ -281,7 +272,7 @@ def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int
     degree = [b * p - a * r for p, r in zip(program.deg_p, program.deg_r)]
     alive = [d >= cost for d in degree]
     stack = [u for u in range(program.n) if not alive[u]]
-    indptr, neighbor, arc_p, arc_r = program.arc_lists()
+    indptr, neighbor, arc_p, arc_r = program.indptr, program.neighbor, program.arc_p, program.arc_r
     while stack:
         u = stack.pop()
         for i in range(indptr[u], indptr[u + 1]):
@@ -317,7 +308,7 @@ def _max_density_side(
     k = len(core)
     net = Dinic(k + 2)
     source, sink = k, k + 1
-    indptr, neighbor, arc_p, arc_r = program.arc_lists()
+    indptr, neighbor, arc_p, arc_r = program.indptr, program.neighbor, program.arc_p, program.arc_r
     for i, u in enumerate(core):
         if degree[u] > 0:
             net.add_edge(source, i, degree[u])
@@ -336,13 +327,13 @@ def _max_density_side(
 
 
 def _peel_start(program: _RatioProgram) -> list[int]:
-    """Best prefix of one c=1 peel of the program's integer weights, scored exactly."""
+    """Best prefix of one c=1 peel of a density program's integer weights, scored exactly."""
     n = program.n
-    sequence = peeling.peel_order(program, 1).removal_sequence  # int c keeps scores in ints
+    sequence = _min_degree_order(program)
     position = [0] * n
     for i, v in enumerate(sequence):
         position[v] = i
-    indptr, neighbor, arc_p, arc_r = program.arc_lists()
+    indptr, neighbor, arc_p, arc_r = program.indptr, program.neighbor, program.arc_p, program.arc_r
     num, den = sum(program.deg_p) // 2, sum(program.deg_r) // 2
     best_size, best_num, best_den = 0, 0, 1
     for idx, v in enumerate(sequence):
@@ -355,6 +346,42 @@ def _peel_start(program: _RatioProgram) -> list[int]:
                 num -= arc_p[i]
                 den -= arc_r[i]
     return sequence[n - best_size :]
+
+
+def _min_degree_order(program: _RatioProgram) -> list[int]:
+    """Removal order of the c=1 peel of a density program (R = 0): the least
+    integer degree P among the survivors leaves first, ties to the smallest id.
+
+    One heap of (degree, node) entries.  An entry is pushed only when a
+    node's degree falls, so every live node keeps an entry at or below its
+    degree.  A popped entry below its node's degree (which rose since)
+    re-queues the node at that degree; one equal to it is the live node of
+    least (degree, id).  Entries of removed nodes are skipped.
+    """
+    indptr, neighbor, arc_p = program.indptr, program.neighbor, program.arc_p
+    degree = list(program.deg_p)
+    heap = list(zip(degree, range(program.n)))
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    alive = [True] * program.n
+    sequence = []
+    for _ in range(program.n):
+        while True:
+            d, v = heappop(heap)
+            if alive[v]:
+                if d == degree[v]:
+                    break
+                heappush(heap, (degree[v], v))
+        alive[v] = False  # before the arcs, so a loop at v is skipped
+        sequence.append(v)
+        for i in range(indptr[v], indptr[v + 1]):
+            u = neighbor[i]
+            if alive[u]:
+                new = degree[u] - arc_p[i]
+                if new < degree[u]:
+                    heappush(heap, (new, u))
+                degree[u] = new
+    return sequence
 
 
 def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

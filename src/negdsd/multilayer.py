@@ -14,12 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .core import SignedGraph, _check_node_set, build_signed_graph
-from .errors import (
-    BadParametersError,
-    UnknownLayerError,
-    UnknownNodeError,
-)
+from .core import SignedGraph, _check_ids, _check_node_set, _node_count, build_signed_graph
+from .errors import BadParametersError, UnknownLayerError
 
 Layer = Hashable
 
@@ -42,21 +38,18 @@ def build_multilayer_graph(
     raw_edges: Iterable[tuple[int, int, Layer]],
     n: int | None = None,
 ) -> MultilayerGraph:
+    """A :class:`MultilayerGraph` of raw (u, v, layer) records, checked as
+    :func:`~negdsd.core.build_signed_graph` checks ids and ``n``."""
     edges = []
     max_id = -1
     for u, v, layer in raw_edges:
-        if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
-            raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
+        _check_ids(u, v)
         if u > max_id:
             max_id = u
         if v > max_id:
             max_id = v
         edges.append((u, v, layer))
-    if n is None:
-        n = max_id + 1
-    elif n < max_id + 1:
-        raise UnknownNodeError(f"edge references node {max_id} but n={n}")
-    return MultilayerGraph(n, edges)
+    return MultilayerGraph(max_id + 1 if n is None else _node_count(n, max_id), edges)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ output.
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import math
 import os
 import signal
@@ -49,25 +49,20 @@ _MODES = ("net_density", "objective")
 # nodes) from 164-168 to 112-113 ms (medians of 15 cold sweeps).
 _FORK_MIN_ARC_VISITS = 100_000
 
-# Which graphs peel_order peels over numpy columns.  The column kernel's
-# argmin scans cost about a*n^2 a peel, which the heap does not pay; the
-# heap's (score, id) entries cost about b*n + e*arcs more than the kernel's
-# updates.  So the kernel runs when n*n <= B*n + E*arcs and
-# n <= _COLUMN_PEEL_MAX_NODES, with B = b/a (_COLUMN_PEEL_NODE_COST) and
-# E = e/a (_COLUMN_PEEL_ARC_COST).  A least-squares fit to per-peel times
-# at c = 1 of 84 random graphs (2k-65k nodes, 0.5-32 arcs a node, uniform
-# and skewed ends; 2-vCPU VM; BENCH_10.json) gave b/a = 7,978 and
-# e/a = 5,851.  Beyond about 40k nodes the fit overrates the kernel: there
-# uniform graphs just inside the rule peeled 3-13% slower on it (0.667 s
-# against 0.645 s at 47.5k nodes and 8 arcs a node), so E is rounded down
-# and the node bound is 40,000.  Just inside the rule the kernel won or
-# tied at every size measured (medians of 3-5 peels): 0.023 s each at 8k
-# nodes and no arcs, 0.033 s against 0.044 s at 10k nodes and 0.5 arcs a
-# node, 0.260 s against 0.291 s at 27.5k and 4, 0.516 s against 0.620 s
-# at 40k and 8.
-_COLUMN_PEEL_MAX_NODES = 40_000
-_COLUMN_PEEL_NODE_COST = 8_000
-_COLUMN_PEEL_ARC_COST = 5_000
+# Nodes above which _peel_columns finds each step's node through per-block
+# lower bounds of the score column rather than one argmin of all of it, and
+# the nodes in a block.  On BENCH_11.json's grid of 84 graphs (2k-65k nodes,
+# 0.5-32 arcs a node; best of 2-3 peels at c = 1, 2-vCPU VM) the blocks took
+# 1.0-2.0 times as long as the single scan at 2,000-8,000 nodes (all but one
+# graph of half an arc a node), 0.6-1.3 times at 16,000 and 0.4-1.3 times at
+# 24,000-32,000, where only graphs of 32 arcs a node still lost.  Of splits
+# from 4,000 to 32,000, this one gave the least summed time (0.586 of that
+# under the rule it replaced, which sent large or sparse graphs to a heap)
+# and the fewest graphs more than 10% slower than under that rule (5).  On
+# the 100k-node probe graph one peel took 1.87 s with blocks of 256 nodes,
+# 2.01 s with 128 and 1.93-1.94 s with 512 or 1,024.
+_PEEL_SPLIT_NODES = 16_384
+_PEEL_BLOCK = 256
 
 # Arcs up to which a column-peel step re-scores in a Python loop: about
 # 0.4 us an arc, against about 3.5 us for the handful of numpy calls.
@@ -119,134 +114,135 @@ class PeelScoring:
 def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     """Peel nodes by ascending ``c*posdeg - negdeg``, ties to the smallest id.
 
-    Deterministic for a fixed (graph, c).  A :class:`SignedGraph` of at
-    most 40,000 nodes with enough arcs to pay for the argmin scans
-    (``n*n <= 8,000*n + 5,000*arcs``, so every graph of at most 8,000
-    nodes), whose scores cannot overflow (``2 * (c*posdeg + negdeg)``
-    finite for every node), is peeled over float64 columns: each step
-    removes ``argmin`` of the score column, the first index of the least
-    score, so ties go to the smallest id and ``-0.0`` ties with ``0.0``,
-    and re-scores the removed node's neighbours, one subtraction per
-    weight each (pairs are collapsed, so a neighbour appears once).  That
-    costs O(n^2 + m), with n argmin scans of the whole column; on larger or
-    sparser graphs the scans cost more than the heap below saves.
-
-    Everything else (larger and sparser graphs, overflowing scores, and
-    integer programs that peel in exact Python ints) runs in
-    O((n + m) log n) over the flat arc lists of ``graph.arc_lists()`` with
-    one heap of (score, node) entries.  An entry is pushed only when a
-    node's score falls, so every live node keeps an entry keyed at or
-    below its score.
-    A popped entry below its node's current score (the score rose since)
-    re-queues the node at that score; one equal to it is the live node of
-    least (score, id), so the pop order is that of a heap refreshed on
-    every change.  Entries of removed nodes are skipped.
-
-    Both paths compute every score with the same float operations in the
-    same order, so they give the same removal sequence and scores equal
-    by ``==`` (the sign of a zero score may differ).
+    Deterministic for a fixed (graph, c).  Scores are float64, computed with
+    ``float(c)`` (so an int or numpy multiplier peels as the equal float),
+    and each removal re-scores the removed node's neighbours with one
+    subtraction per weight each (pairs are collapsed, so a neighbour appears
+    once).  Every graph peels on one kernel, :func:`_peel_columns`: one
+    argmin of the score column a step up to 16,384 nodes, O(n^2 + m), and
+    an argmin over per-block lower bounds of the column above that or when
+    a score may overflow.  ``-0.0`` ties with ``0.0``, and scores that
+    overflow to ``+inf`` tie with each other, so they too leave by id.
     """
     _check_c(c)
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         raise EmptySetError("cannot peel an empty graph")
-    if _column_peel(graph, c):
-        return _peel_columns(graph, c)
-    indptr, neighbor, arc_pos, arc_neg = graph.arc_lists()
-    pos = graph.positive_degrees()
-    neg = graph.negative_degrees()
-    score = [c * p - q for p, q in zip(pos, neg)]
-    heap = list(zip(score, range(n)))
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    alive = [True] * n
-    sequence: list[int] = []
-    scores_out: list[float] = []
-    for _ in range(n):
-        while True:
-            s, v = heappop(heap)
-            if alive[v]:
-                if s == score[v]:
-                    break
-                heappush(heap, (score[v], v))
-        alive[v] = False  # before the arcs, so a loop at v is skipped
-        sequence.append(v)
-        scores_out.append(s)
-        start, end = indptr[v], indptr[v + 1]
-        for u, wpos, wneg in zip(neighbor[start:end], arc_pos[start:end], arc_neg[start:end]):
-            if alive[u]:
-                p = pos[u] = pos[u] - wpos
-                q = neg[u] = neg[u] - wneg
-                new = c * p - q
-                if new < score[u]:
-                    heappush(heap, (new, u))
-                score[u] = new
-    return PeelOrder(sequence, scores_out)
-
-
-def _column_peel(graph, c) -> bool:
-    """Whether :func:`peel_order` peels ``graph`` at ``c`` with :func:`_peel_columns`.
-
-    Only float scores of a graph within the node bound whose arcs pay for
-    the argmin scans qualify.  The kernel parks removed nodes at ``+inf``,
-    so no live score may reach an infinity: a score never exceeds
-    ``c*posdeg + negdeg`` in size, and twice that leaves room for rounding.
-    """
-    if not isinstance(graph, SignedGraph) or graph.n > _COLUMN_PEEL_MAX_NODES:
-        return False
-    n = graph.n
-    if n * (n - _COLUMN_PEEL_NODE_COST) > _COLUMN_PEEL_ARC_COST * graph.neighbor.shape[0]:
-        return False
-    if not isinstance(c, (int, float)):  # a numpy float32 multiplier scores in float32
-        return False
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(2 * (float(c) * graph.deg_pos + graph.deg_neg)).all())
+    return _peel_columns(graph, c)
 
 
 def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
-    """:func:`peel_order` over float64 columns: O(n^2 + m), for the graphs :func:`_column_peel` admits.
+    """:func:`peel_order` over float64 columns.
 
     ``p``, ``q`` and ``score = c*p - q`` hold each node's positive degree,
     negative degree and score among the survivors.  A removed node gets
-    ``p = score = +inf``; updates keep it there (``inf - w`` is ``inf``),
-    so ``argmin`` only ever finds live nodes.  A node with more than
-    ``_COLUMN_PEEL_LOOP_ARCS`` arcs re-scores its neighbours with numpy;
-    one with fewer in a Python loop over memoryviews of the same columns,
-    which skips numpy's fixed cost per call.  Both do the same float
-    operations in the same order as the heap loop.
+    ``p = score = +inf``; updates keep it there (``inf - w`` is ``inf``).
+
+    A graph of at most ``_PEEL_SPLIT_NODES`` nodes whose scores cannot
+    overflow takes ``argmin`` of the whole column each step, the first
+    index of the least score.  Any other graph cuts the column into blocks
+    of ``_PEEL_BLOCK`` nodes (the last padded with removed nodes), each with
+    a lower bound of its least score.  A step takes the first block of least
+    bound and the first node of least score in it; when that score equals
+    the bound it is the column's least score at its smallest id, else the
+    bound rises to it and the step looks again.  A falling score lowers its
+    block's bound; rises and removals leave the bound below every live
+    score of the block.  A live ``p`` stays finite, so when the least score
+    is ``+inf`` and belongs to a removed node, every live score is ``+inf``
+    and the smallest live id leaves.
+
+    A node with more than ``_COLUMN_PEEL_LOOP_ARCS`` arcs re-scores its
+    neighbours with numpy; one with fewer in a Python loop over memoryviews
+    of the same columns, which skips numpy's fixed cost per call.  Both do
+    the same float operations in the same order.
     """
     c = float(c)
+    n = graph.n
+    size = _PEEL_BLOCK
+    inf = math.inf
+    with np.errstate(over="ignore"):
+        # |score| stays within c*posdeg + negdeg, and twice that leaves room for rounding
+        overflow = not np.isfinite(2 * (c * graph.deg_pos + graph.deg_neg)).all()
+        blocked = overflow or n > _PEEL_SPLIT_NODES
+        width = -(-n // size) * size if blocked else n
+        p = np.full(width, inf)
+        p[:n] = graph.deg_pos
+        q = np.zeros(width)
+        q[:n] = graph.deg_neg
+        score = c * p - q
     indptr = graph.indptr.tolist()
     neighbor = graph.neighbor
     arc_pos = graph.wpos[graph.edge_id]
     arc_neg = graph.wneg[graph.edge_id]
-    p = graph.deg_pos.copy()
-    q = graph.deg_neg.copy()
-    score = c * p - q
     neighbor_at, pos_at, neg_at, p_at, q_at, score_at = map(memoryview, (neighbor, arc_pos, arc_neg, p, q, score))
-    argmin = score.argmin
-    inf = math.inf
     sequence: list[int] = []
     scores_out: list[float] = []
-    for _ in range(graph.n):
-        v = int(argmin())
-        sequence.append(v)
-        scores_out.append(score_at[v])
-        p_at[v] = score_at[v] = inf
-        start, end = indptr[v], indptr[v + 1]
-        if end - start > _COLUMN_PEEL_LOOP_ARCS:
-            nb = neighbor[start:end]
-            pn = p[nb] - arc_pos[start:end]
-            qn = q[nb] - arc_neg[start:end]
-            p[nb] = pn
-            q[nb] = qn
-            score[nb] = c * pn - qn
-        else:
-            for k in range(start, end):
-                u = neighbor_at[k]
-                pu = p_at[u] = p_at[u] - pos_at[k]
-                qu = q_at[u] = q_at[u] - neg_at[k]
-                score_at[u] = c * pu - qu
+    if not blocked:  # two copies of the loop: testing `blocked` at every step made 3k-node peels 5-10% slower
+        argmin = score.argmin
+        for _ in range(n):
+            v = int(argmin())
+            sequence.append(v)
+            scores_out.append(score_at[v])
+            p_at[v] = score_at[v] = inf
+            start, end = indptr[v], indptr[v + 1]
+            if end - start > _COLUMN_PEEL_LOOP_ARCS:
+                nb = neighbor[start:end]
+                pn = p[nb] - arc_pos[start:end]
+                qn = q[nb] - arc_neg[start:end]
+                p[nb] = pn
+                q[nb] = qn
+                score[nb] = c * pn - qn
+            else:
+                for k in range(start, end):
+                    u = neighbor_at[k]
+                    pu = p_at[u] = p_at[u] - pos_at[k]
+                    qu = q_at[u] = q_at[u] - neg_at[k]
+                    score_at[u] = c * pu - qu
+        return PeelOrder(sequence, scores_out)
+    blocks = score.reshape(-1, size)  # a view: writes to score show in it
+    bound = blocks.min(axis=1)
+    arc_block = neighbor // size  # the block of each arc's head (int64: ufunc.at casts other index types)
+    bound_at, block_at = memoryview(bound), memoryview(arc_block)
+    least_bound = bound.argmin
+    lower = np.minimum.at
+    first = 0  # no live node has a smaller id
+    # errstate only where a score may overflow: it made numpy's calls here 1-6% slower
+    with np.errstate(over="ignore") if overflow else contextlib.nullcontext():
+        for _ in range(n):
+            b = int(least_bound())
+            while True:
+                v = b * size + int(blocks[b].argmin())
+                s = score_at[v]
+                if s == bound_at[b]:
+                    break
+                bound_at[b] = s
+                least = int(least_bound())
+                if least == b:  # still first of least bound, and the bound is now its least score
+                    break
+                b = least
+            if s == inf and p_at[v] == inf:  # every live score is +inf
+                while p_at[first] == inf:
+                    first += 1
+                v = first
+            sequence.append(v)
+            scores_out.append(s)
+            p_at[v] = score_at[v] = inf
+            start, end = indptr[v], indptr[v + 1]
+            if end - start > _COLUMN_PEEL_LOOP_ARCS:
+                nb = neighbor[start:end]
+                pn = p[nb] - arc_pos[start:end]
+                qn = q[nb] - arc_neg[start:end]
+                p[nb] = pn
+                q[nb] = qn
+                sn = score[nb] = c * pn - qn
+                lower(bound, arc_block[start:end], sn)
+            else:
+                for k in range(start, end):
+                    u = neighbor_at[k]
+                    pu = p_at[u] = p_at[u] - pos_at[k]
+                    qu = q_at[u] = q_at[u] - neg_at[k]
+                    su = score_at[u] = c * pu - qu
+                    if su < bound_at[block_at[k]]:
+                        bound_at[block_at[k]] = su
     return PeelOrder(sequence, scores_out)
 
 
@@ -311,13 +307,12 @@ def c_sweep(
     distinct multiplier is peeled once.  The peels are independent reads of
     the graph: when arcs times multipliers still to peel reach 100,000 they
     are split over one process per usable CPU (at most one per multiplier);
-    the workers are forked from this process, share the graph copy-on-write
-    (the heap path's arc lists are built before the fork, and a graph that
-    :func:`peel_order` peels over columns needs none) and send their
-    removal orders back through pipes.  Prefix
-    scoring and the comparison run in this process, in ``c_list`` order, so
-    the result depends neither on how many processes peeled nor on which
-    orders were kept.
+    the workers are forked from this process, read the graph's numpy
+    columns copy-on-write (each peel builds its own score columns and no
+    Python lists of arcs) and send their removal orders back through
+    pipes.  Prefix scoring and the comparison run in this process, in
+    ``c_list`` order, so the result depends neither on how many processes
+    peeled nor on which orders were kept.
     """
     if scoring is None:
         scoring = PeelScoring()
@@ -377,8 +372,6 @@ def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> list[np.ndarra
     workers = _worker_count(graph, len(c_values))
     if workers == 1:
         return [_sequence(graph, c) for c in c_values]
-    if not all(_column_peel(graph, c) for c in c_values):
-        graph.arc_lists()  # built before the fork, so every worker shares them
     orders: list[np.ndarray | None] = [None] * len(c_values)
     children = {}  # pid -> (read end of its pipe, indices of its values)
     try:

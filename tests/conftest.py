@@ -64,13 +64,20 @@ def naive_best(graph: SignedGraph, mode: str = "density", params=None):
 
 def naive_peel(graph: SignedGraph, c: float) -> list[int]:
     """Peel by rescanning every survivor each round; ties to the smallest id."""
+    return naive_peel_scores(graph, c)[0]
+
+
+def naive_peel_scores(graph: SignedGraph, c: float) -> tuple[list[int], list[float]]:
+    """:func:`naive_peel`'s removal sequence and each node's score as it left."""
     alive = set(range(graph.n))
     pos = graph.positive_degrees()
     neg = graph.negative_degrees()
     sequence = []
+    scores = []
     while alive:
         target = min(alive, key=lambda v: (c * pos[v] - neg[v], v))
         sequence.append(target)
+        scores.append(c * pos[target] - neg[target])
         alive.remove(target)
         for e in graph.edges:
             if e.u == target and e.v in alive:
@@ -79,7 +86,7 @@ def naive_peel(graph: SignedGraph, c: float) -> list[int]:
             elif e.v == target and e.u in alive:
                 pos[e.u] -= e.wpos
                 neg[e.u] -= e.wneg
-    return sequence
+    return sequence, scores
 
 
 def naive_prefix(graph: SignedGraph, sequence, mode: str = "density", params=None):

@@ -9,7 +9,10 @@ acceptance criterion 9) is ``peel_order_seconds + best_prefix_seconds``.
 ``--sweep`` also times ``c_sweep`` over ``DEFAULT_C_LIST`` on the same
 graph (``c_sweep_seconds``) after the peel, and reports the largest peak
 RSS of its worker processes (``c_sweep_worker_peak_rss_mb``, which counts
-the pages a worker shares with this process as well as its own).  It then
+the pages a worker shares with this process as well as its own) and the
+largest private memory of a worker (``c_sweep_worker_private_mb``:
+``Private_Clean + Private_Dirty`` of ``/proc/self/smaps_rollup``, read in
+the worker after each of its peels; null where that file is missing).  It then
 times a second sweep of the same graph in objective mode
 (``c_sweep_warm_seconds``), which reuses the removal orders the first
 sweep kept on the graph and only scores prefixes.
@@ -26,7 +29,10 @@ the float prune), and the answer's size and density.
 import argparse
 import itertools
 import json
+import mmap
+import os
 import resource
+import struct
 import statistics
 import time
 
@@ -34,6 +40,7 @@ import numpy as np
 
 import negdsd.exact
 import negdsd.flow
+import negdsd.peeling
 from negdsd import (
     DEFAULT_C_LIST,
     ObjectiveParams,
@@ -108,6 +115,46 @@ def exact_stats() -> dict:
     return stats
 
 
+def private_mb() -> float | None:
+    """Private_Clean + Private_Dirty of this process in MB, or None without smaps_rollup."""
+    try:
+        with open("/proc/self/smaps_rollup") as rollup:
+            lines = rollup.readlines()
+    except OSError:
+        return None
+    fields = dict(line.split(":", 1) for line in lines if ":" in line)
+    return sum(int(fields[key].split()[0]) for key in ("Private_Clean", "Private_Dirty")) / 1024.0
+
+
+def sweep_with_worker_memory(graph, c_list) -> tuple:
+    """``c_sweep(graph, c_list)`` and the largest private MB any forked worker reported after a peel.
+
+    Each worker writes its reading into an anonymous shared mapping, which
+    forked processes share with this one.
+    """
+    shared = mmap.mmap(-1, 8)
+    shared.write(struct.pack("d", -1.0))
+    caller = os.getpid()
+    original = negdsd.peeling.peel_order
+
+    def measured(graph, c=1.0):
+        order = original(graph, c)
+        if os.getpid() != caller:
+            mb = private_mb()
+            if mb is not None and mb > struct.unpack("d", shared[:8])[0]:
+                shared[:8] = struct.pack("d", mb)
+        return order
+
+    negdsd.peeling.peel_order = measured
+    try:
+        result = c_sweep(graph, c_list)
+    finally:
+        negdsd.peeling.peel_order = original
+    worker_mb = struct.unpack("d", shared[:8])[0]
+    shared.close()
+    return result, (worker_mb if worker_mb >= 0 else None)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
     parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
@@ -147,11 +194,12 @@ def main() -> None:
     }
     if args.sweep:
         sweep_start = time.perf_counter()
-        swept = c_sweep(graph, DEFAULT_C_LIST)
+        swept, worker_private_mb = sweep_with_worker_memory(graph, DEFAULT_C_LIST)
         stats["c_sweep_seconds"] = time.perf_counter() - sweep_start
         stats["c_sweep_net_density"] = swept.net_density
         stats["c_sweep_c_used"] = swept.c_used
         stats["c_sweep_worker_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        stats["c_sweep_worker_private_mb"] = worker_private_mb
         warm_start = time.perf_counter()
         c_sweep(graph, DEFAULT_C_LIST, PeelScoring(mode="objective", params=ObjectiveParams()))
         stats["c_sweep_warm_seconds"] = time.perf_counter() - warm_start

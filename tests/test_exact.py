@@ -36,6 +36,7 @@ from negdsd.exact import (
     _dinkelbach,
     _float_core,
     _max_density_side,
+    _min_degree_order,
     _q_core,
     _ratio_program,
 )
@@ -309,6 +310,19 @@ class TestRatioProgram:
                 expected = reference_program(4, u, v, p_values, r_values, lambda1, lambda2, r_factor)
                 assert got == expected
                 assert all(type(x) is int for x in got[0] + got[1] + got[2] + got[3])
+
+    def test_min_degree_order_matches_naive_peel(self):
+        # Weights are multiples of 1/4, so the float peel of the oracle is exact.
+        rng = random.Random(107)
+        for _ in range(150):
+            n = rng.randint(1, 30)
+            records = []
+            for _ in range(rng.randint(0, 4 * n)):
+                u = rng.randrange(n)
+                records.append((u, u if rng.random() < 0.1 else rng.randrange(n), rng.randint(0, 12) / 4))
+            program = _density_program(WeightedGraph(n, records))
+            signed = build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n)
+            assert _min_degree_order(program) == naive_peel(signed, 1.0)
 
     def test_no_edges(self):
         empty = np.zeros(0)

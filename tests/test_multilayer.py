@@ -1,7 +1,9 @@
 """Exclusion-query rewriting, per-layer densities, and the hard-W guarantee."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
 from negdsd import (
@@ -19,6 +21,7 @@ from negdsd.errors import (
     BadParametersError,
     EmptySetError,
     UnknownLayerError,
+    UnknownNodeError,
 )
 
 
@@ -66,6 +69,19 @@ class TestApplyExclusion:
     def test_unknown_layer(self):
         with pytest.raises(UnknownLayerError):
             apply_exclusion(two_layer(), ExclusionQuery.soft({"quote"}, 1))
+
+    def test_node_count_validated(self):
+        edges = [(0, 1, "x"), (1, 2, "y")]
+        for n in (2.5, "3", -5):
+            with pytest.raises(BadParametersError, match=re.escape(f"n must be a nonnegative integer, got {n!r}")):
+                build_multilayer_graph(edges, n=n)
+        with pytest.raises(BadParametersError, match=re.escape("n must be a nonnegative integer, got -5")):
+            build_multilayer_graph([], n=-5)
+        with pytest.raises(UnknownNodeError, match="edge references node 2 but n=2"):
+            build_multilayer_graph(edges, n=2)
+        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
+            build_multilayer_graph([(0, 1.0, "x")])
+        assert build_multilayer_graph(edges, n=np.int64(3)).n == 3
 
     def test_query_validation(self):
         for w in (0, float("nan"), float("inf")):

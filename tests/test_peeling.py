@@ -1,5 +1,7 @@
 """Peeling order, prefix evaluation, and the multiplier sweep."""
 
+import functools
+import math
 import os
 import random
 import sys
@@ -8,14 +10,12 @@ import threading
 import numpy as np
 import pytest
 
-from negdsd import exact, peeling
+from negdsd import peeling
 from negdsd import (
     DEFAULT_C_LIST,
     ObjectiveParams,
     PeelOrder,
     PeelScoring,
-    SignedGraph,
-    WeightedGraph,
     best_prefix,
     build_signed_graph,
     c_sweep,
@@ -30,18 +30,18 @@ from negdsd.errors import (
     NonPositiveCError,
 )
 
-from conftest import naive_best, naive_peel, naive_prefix, random_multigraph, random_signed_graph
+from conftest import (
+    naive_best,
+    naive_peel,
+    naive_peel_scores,
+    naive_prefix,
+    random_multigraph,
+    random_signed_graph,
+)
 
 
 def triangle():
     return build_signed_graph([(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0)])
-
-
-def heap_peel(graph, c: float) -> PeelOrder:
-    """``peel_order`` on the heap loop, whatever the graph's size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", -1)
-        return peel_order(graph, c)
 
 
 def dyadic_multigraph(rng: random.Random, max_nodes: int = 30):
@@ -103,33 +103,42 @@ class TestPeelOrder:
             peel_order(build_signed_graph([]), 1.0)
 
 
+@functools.cache
+def naive_cases() -> list:
+    """(graph, c, naive sequence and scores) on 300 random and dyadic multigraphs at every default multiplier."""
+    rng = random.Random(59)
+    graphs = [random_multigraph(rng, max_nodes=40) for _ in range(150)]
+    graphs += [dyadic_multigraph(rng) for _ in range(150)]
+    return [(g, c, naive_peel_scores(g, c)) for g in graphs for c in DEFAULT_C_LIST]
+
+
+def assert_naive_orders(cases) -> None:
+    """Each peel equals the naive one, scores by == (so -0.0 equals 0.0), and exercises ties and zeros."""
+    zeros = ties = 0
+    for g, c, expected in cases:
+        order = peel_order(g, c)
+        assert (order.removal_sequence, order.score_at_removal) == expected
+        assert all(type(x) is float for x in order.score_at_removal)
+        zeros += order.score_at_removal.count(0.0)
+        ties += len(order.score_at_removal) - len(set(order.score_at_removal))
+    assert zeros > 1000 and ties > 1000
+
+
 class TestColumnPeel:
-    """The column kernel gives the heap loop's peel; on large or sparse graphs or with overflowing scores the heap runs."""
+    """The column kernel, with one argmin a step or over per-block bounds, gives the naive peel."""
 
     @pytest.mark.parametrize("loop_arcs", [-1, peeling._COLUMN_PEEL_LOOP_ARCS, 10**9], ids=["numpy", "mixed", "loop"])
-    def test_matches_heap_loop(self, monkeypatch, loop_arcs):
+    def test_matches_naive_peel(self, monkeypatch, loop_arcs):
         monkeypatch.setattr(peeling, "_COLUMN_PEEL_LOOP_ARCS", loop_arcs)
-        rng = random.Random(59)
-        graphs = [random_multigraph(rng, max_nodes=40) for _ in range(150)]
-        graphs += [dyadic_multigraph(rng) for _ in range(150)]
-        zeros = ties = 0
-        for g in graphs:
-            for c in DEFAULT_C_LIST:
-                assert peeling._column_peel(g, c)
-                columns, heap = peeling._peel_columns(g, c), heap_peel(g, c)
-                assert columns.removal_sequence == heap.removal_sequence
-                assert columns.score_at_removal == heap.score_at_removal  # by ==, so -0.0 equals 0.0
-                assert all(type(x) is float for x in columns.score_at_removal)
-                zeros += columns.score_at_removal.count(0.0)
-                ties += len(columns.score_at_removal) - len(set(columns.score_at_removal))
-        assert zeros > 1000 and ties > 1000  # the ties and zero scores were exercised
+        assert_naive_orders(naive_cases())
 
-    def test_heap_loop_matches_naive_reference(self):
-        rng = random.Random(73)
-        for _ in range(40):
-            g = dyadic_multigraph(rng)
-            for c in DEFAULT_C_LIST:
-                assert heap_peel(g, c).removal_sequence == naive_peel(g, c)
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_blocked_selection_matches_naive_peel(self, monkeypatch, block):
+        monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", 0)
+        monkeypatch.setattr(peeling, "_PEEL_BLOCK", block)
+        for loop_arcs in (-1, peeling._COLUMN_PEEL_LOOP_ARCS, 10**9):
+            monkeypatch.setattr(peeling, "_COLUMN_PEEL_LOOP_ARCS", loop_arcs)
+            assert_naive_orders(naive_cases())
 
     def test_peel_order_uses_the_kernel(self, monkeypatch):
         g = dyadic_multigraph(random.Random(61))
@@ -141,75 +150,58 @@ class TestColumnPeel:
 
         kernel = peeling._peel_columns
         monkeypatch.setattr(peeling, "_peel_columns", counting_kernel)
-        monkeypatch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", g.n)
         assert peel_order(g, 2).removal_sequence == naive_peel(g, 2)
         assert calls == [2]
 
-    def test_above_the_node_bound_the_heap_runs(self, monkeypatch):
-        monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
-        rng = random.Random(67)
-        for _ in range(20):
-            g = random_multigraph(rng, max_nodes=40)
-            monkeypatch.setattr(peeling, "_COLUMN_PEEL_MAX_NODES", g.n - 1)
-            for c in (0.25, 1.0, 10.0):
-                assert peel_order(g, c).removal_sequence == naive_peel(g, c)
+    def test_graphs_above_the_split_peel_on_blocks(self, monkeypatch):
+        g = random_multigraph(random.Random(67), max_nodes=40)
+        monkeypatch.setattr(peeling, "_PEEL_BLOCK", 0)  # any use of the blocks divides by zero
+        monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", g.n)
+        assert peel_order(g, 0.25).removal_sequence == naive_peel(g, 0.25)
+        monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", g.n - 1)
+        with pytest.raises(ZeroDivisionError):
+            peel_order(g, 0.25)
+        monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", 10**9)
+        with pytest.raises(ZeroDivisionError):  # scores that may overflow peel on blocks too
+            peel_order(triangle(), 1e308)
 
-    def test_sparse_graphs_run_on_the_heap(self, monkeypatch):
-        # the kernel runs when n*n <= 8,000*n + 5,000*arcs
-        assert peeling._column_peel(build_signed_graph([], n=8_000), 1.0)
-        edgeless = build_signed_graph([], n=8_001)
-        assert not peeling._column_peel(edgeless, 1.0)
-        monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
-        assert peel_order(edgeless, 1.0).removal_sequence == list(range(8_001))
-        n = 20_000  # needs 48,000 arcs: 24,000 edges between distinct nodes
-        ring = [(i, (i + 1) % n, 1.0, 0.0) for i in range(n)] + [(i, i + 2, 1.0, 0.0) for i in range(4_000)]
-        assert peeling._column_peel(build_signed_graph(ring, n=n), 1.0)
-        assert not peeling._column_peel(build_signed_graph(ring[:-1], n=n), 1.0)
+    @pytest.mark.parametrize("split", [peeling._PEEL_SPLIT_NODES, 0], ids=["scan", "blocked"])
+    def test_edgeless_graph_peels_by_id(self, monkeypatch, split):
+        monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", split)
+        order = peel_order(build_signed_graph([], n=8_001), 1.0)
+        assert order.removal_sequence == list(range(8_001))
+        assert order.score_at_removal == [0.0] * 8_001
 
-    def test_overflowing_scores_run_on_the_heap(self, monkeypatch):
-        monkeypatch.setattr(peeling, "_peel_columns", no_kernel)
+    @pytest.mark.parametrize("block", [None, 1, 3, 8, 64], ids=["default", "1", "3", "8", "64"])
+    def test_overflowing_scores_match_naive_peel(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", 0)
+            monkeypatch.setattr(peeling, "_PEEL_BLOCK", block)
         rng = random.Random(71)
         overflowing = 0
         for _ in range(40):
             g = random_multigraph(rng, max_nodes=30)
-            if peeling._column_peel(g, 1e308):  # no node has positive degree 2 or more
-                continue
-            overflowing += 1
-            assert peel_order(g, 1e308).removal_sequence == naive_peel(g, 1e308)
+            g = build_signed_graph(g.rows(), n=g.n + rng.randint(0, 70))  # isolated nodes in later blocks
+            expected = naive_peel_scores(g, 1e308)
+            overflowing += math.inf in expected[1]
+            order = peel_order(g, 1e308)
+            assert (order.removal_sequence, order.score_at_removal) == expected
         assert overflowing > 10
-        assert not peeling._column_peel(triangle(), 1e308)
 
     def test_finite_scores_at_a_huge_multiplier_use_the_kernel(self):
         g = build_signed_graph([(0, 1, 0, 1.0), (1, 2, 0, 0.5), (2, 2, 0, 0.25)], n=4)
-        assert peeling._column_peel(g, 1e308)  # no positive degree, so c * posdeg is 0
-        assert peeling._peel_columns(g, 1e308) == heap_peel(g, 1e308)
+        order = peel_order(g, 1e308)  # no positive degree, so c * posdeg is 0
+        assert (order.removal_sequence, order.score_at_removal) == naive_peel_scores(g, 1e308)
 
-    def test_only_signed_graphs_and_int_or_float_multipliers(self):
-        g = triangle()
-        assert peeling._column_peel(g, 1) and peeling._column_peel(g, np.float64(0.5))
-        assert not peeling._column_peel(g, np.float32(0.5))
-        program = exact._density_program(WeightedGraph(3, [(0, 1, 1), (1, 2, 2)]))
-        assert not peeling._column_peel(program, 1)  # Python-int programs peel on the heap
-
-    def test_forked_sweep_builds_no_arc_lists(self, cpus, counted_peels, monkeypatch):
-        def no_arc_lists(graph):
-            raise AssertionError("arc_lists built")
-
-        monkeypatch.setattr(SignedGraph, "arc_lists", no_arc_lists)
-        graph = large_graph(43, clique=False)
-        forked = cpus(2)
-        result = c_sweep(graph)
-        assert len(forked) == 1
-        # a worker that built arc lists would fail, and this process would peel its multipliers again
-        assert counted_peels == list(DEFAULT_C_LIST[::2])
-        assert graph._arcs is None
-        assert_no_child_left()
-        monkeypatch.undo()
-        assert repr(result) == repr(c_sweep(large_graph(43, clique=False), DEFAULT_C_LIST))
-
-
-def no_kernel(graph, c):
-    raise AssertionError("the column kernel ran")
+    def test_int_and_float32_multipliers_score_as_floats(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            g = dyadic_multigraph(rng)
+            assert peel_order(g, 2) == peel_order(g, 2.0)
+            for c in (np.float32(0.1), np.float64(0.25), np.float32(10)):
+                order = peel_order(g, c)
+                assert (order.removal_sequence, order.score_at_removal) == naive_peel_scores(g, float(c))
+                assert all(type(x) is float for x in order.score_at_removal)
 
 
 class TestBestPrefix:
