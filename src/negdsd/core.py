@@ -102,10 +102,7 @@ class SignedGraph:
         ends = np.stack([u, v], axis=1).ravel()  # loops appear twice, counting twice
         self.deg_pos = _bincount(ends, np.repeat(wpos, 2), n)
         self.deg_neg = _bincount(ends, np.repeat(wneg, 2), n)
-        self.total_pos = _sequential_sum(wpos)
-        self.total_neg = _sequential_sum(wneg)
-        _check_total_weight(self.total_pos)
-        _check_total_weight(self.total_neg)
+        self.total_pos, self.total_neg = _check_total_weight(wpos), _check_total_weight(wneg)
         self.indptr, self.neighbor, self.edge_id = _csr(n, u, v)
         arrays = (u, v, wpos, wneg, self.deg_pos, self.deg_neg, self.indptr, self.neighbor, self.edge_id)
         for array in arrays:
@@ -216,9 +213,7 @@ class WeightedGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         records = list(edges)
-        if any(len(record) != 3 for record in records):
-            raise BadParametersError("edges must be (u, v, w) records")
-        us, vs, ws = (list(column) for column in zip(*records)) if records else ([], [], [])
+        us, vs, ws = _record_columns(records, "(u, v, w)")
         n, u, v = _id_columns(n, us, vs)
         floats = set(map(type, ws)) <= {float, np.float64}
         if not floats:  # the exact solvers convert every weight to float64; 10**400 has none
@@ -257,20 +252,28 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m}, all_nonnegative={self.all_nonnegative})"
 
 
-def _id_columns(n, us: list, vs: list) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, u, v): n as an int and the node ids as int64 columns, each an int in 0..n-1.
+def _record_columns(records: list, fields: str) -> list[list]:
+    """The columns of records shaped like ``fields``, such as "(u, v, w)", as lists."""
+    width = fields.count(",") + 1
+    if not set(map(len, records)) <= {width}:
+        raise BadParametersError(f"edges must be {fields} records")
+    return [list(map(itemgetter(i), records)) for i in range(width)]
+
+
+def _id_columns(n, us: list, vs: list, limit: int = _MAX_INT64) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, u, v): n as an int (max id + 1 for None) and the node ids as int64 columns in 0..n-1.
 
     The ids are walked in order only when some is not an int or is negative,
     so the first bad one raises; an id of any size is compared with n and
-    with the int64 range before it becomes an int64.
+    with ``limit`` (at most the int64 range) before it becomes an int64.
     """
     if not set(map(type, us)) | set(map(type, vs)) <= {int} or (us and min(min(us), min(vs)) < 0):
         for u, v in zip(us, vs):
             _check_ids(u, v)
     max_id = max(max(us), max(vs)) if us else -1
-    n = _node_count(n, max_id)
-    if max_id > _MAX_INT64:
-        raise TooLargeError(f"node ids must be at most {_MAX_INT64}, got {max_id}")
+    n = max_id + 1 if n is None else _node_count(n, max_id)
+    if max_id > limit:
+        raise TooLargeError(f"node ids must be at most {limit}, got {max_id}")
     return n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
 
@@ -300,15 +303,20 @@ def _is_numpy_real(w) -> bool:
 
 def _node_count(n, max_id: int) -> int:
     """``n`` as an int, checked to be nonnegative and above every id."""
-    try:
-        count = index(n)
-    except TypeError:
-        count = -1
+    count = _int_or_negative(n)
     if count < 0:
         raise BadParametersError(f"n must be a nonnegative integer, got {n!r}")
     if count < max_id + 1:
         raise UnknownNodeError(f"edge references node {max_id} but n={n}")
     return count
+
+
+def _int_or_negative(x) -> int:
+    """``x`` as a Python int when it is an integer of any type, else -1."""
+    try:
+        return index(x)
+    except TypeError:
+        return -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,7 +406,7 @@ def build_signed_graph(
     total whose double overflows a float; the first bad record decides
     which.
     """
-    return SignedGraph(*_collapse(raw_edges, n, _check_magnitudes, _magnitudes_ok))
+    return SignedGraph(*_collapse(raw_edges, n, _check_magnitudes))
 
 
 def _check_magnitudes(u, v, wpos, wneg) -> None:
@@ -411,10 +419,6 @@ def _check_magnitudes(u, v, wpos, wneg) -> None:
         )
 
 
-def _magnitudes_ok(wpos: np.ndarray, wneg: np.ndarray) -> bool:
-    return all(bool(np.isfinite(w).all() and (w >= 0).all()) for w in (wpos, wneg))
-
-
 _DTYPES = (np.int64, np.int64, np.float64, np.float64)
 
 
@@ -422,46 +426,49 @@ def _collapse(
     raw_edges: Iterable[tuple[int, int, float, float]],
     n: int | None,
     check_weights: Callable[[int, int, float, float], None],
-    weights_ok: Callable[[np.ndarray, np.ndarray], bool],
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(n, u, v, a, b) of raw (u, v, a, b) records, one row per unordered pair.
+    """:func:`_collapse_columns` of raw (u, v, a, b) records with int ids and finite weights, all >= 0.
 
-    Rows have ``u <= v`` and follow the order of each pair's first record;
-    ``a`` and ``b`` of parallel records are added in record order.  Ids
-    must be nonnegative ints; ``weights_ok(a, b)`` vets the weight columns
-    at once.  When it or the type check fails, the records are walked in
-    order, so the first bad one raises: its ids and a weight that is not a
-    real number or lies beyond the float range by the shared checks, its
-    weights by
-    ``check_weights(u, v, a, b)``.
+    The records are checked as columns at once; when a check fails, they are
+    walked in order, so the first bad one raises: its ids and a weight that
+    is not a real number or beyond the float range by the shared checks, its
+    weights by ``check_weights``.
     """
     records = list(raw_edges)
     columns = _typed_columns(records)
-    if columns is None or not (_ids_ok(columns[0], columns[1]) and weights_ok(columns[2], columns[3])):
+    if columns is None or not all(bool((c >= 0).all()) for c in columns) or not np.isfinite(columns[2:]).all():
         for u, v, a, b in records:
             _check_ids(u, v)
             _check_float_range(u, v, a, b)
             check_weights(u, v, a, b)
-    if columns is not None:
-        max_id = max(int(columns[0].max()), int(columns[1].max())) if records else -1
-    else:  # Python ints of any size: compared before they become int64
-        max_id = max(max(record[0], record[1]) for record in records) if records else -1
+    if columns is None:  # valid, but of types such as numpy floats or ids of any size
+        us, vs, a, b = _record_columns(records, "(u, v, a, b)")
+        n, u, v = _id_columns(n, us, vs, _MAX_PACKED_ID)
+        columns = [u, v, np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)]
+    return _collapse_columns(n, *columns)
+
+
+def _collapse_columns(n, u, v, a, b) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v, a, b) of valid record columns, one row per unordered pair; ``n`` None counts max id + 1.
+
+    Rows have ``u <= v`` and follow the order of each pair's first record;
+    ``a`` and ``b`` of parallel records are added in record order.
+    """
+    records = u.shape[0]
+    max_id = max(int(u.max()), int(v.max())) if records else -1
     n = max_id + 1 if n is None else _node_count(n, max_id)
     if max_id > _MAX_PACKED_ID:
         raise TooLargeError(f"node ids must be at most {_MAX_PACKED_ID}, got {max_id}")
-    if columns is None:  # all valid, but of types such as numpy floats
-        columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*records), _DTYPES)]
-    u, v, a, b = columns
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     pairs, inverse = np.unique(lo * (max_id + 1) + hi, return_inverse=True)
-    first = np.full(pairs.shape[0], len(records))
-    np.minimum.at(first, inverse, np.arange(len(records)))
+    first = np.full(pairs.shape[0], records)
+    np.minimum.at(first, inverse, np.arange(records))
     by_appearance = np.argsort(first)
     head = first[by_appearance]  # the first record of each pair, in record order
     rank = np.empty_like(by_appearance)
     rank[by_appearance] = np.arange(by_appearance.shape[0])
     sums = [a[head], b[head]]
-    later = np.ones(len(records), dtype=bool)
+    later = np.ones(records, dtype=bool)
     later[head] = False
     if later.any():
         row = rank[inverse[later]]
@@ -474,10 +481,8 @@ def _collapse(
 def _typed_columns(records: list) -> list[np.ndarray] | None:
     """Column arrays of 4-item records with int ids and int or float weights, else None."""
     try:
-        if records and set(map(len, records)) != {4}:
-            return None
-        columns = [list(map(itemgetter(i), records)) for i in range(4)]
-    except TypeError:  # a record that is not a sequence
+        columns = _record_columns(records, "(u, v, a, b)")
+    except (BadParametersError, TypeError):  # a record of another length, or not a sequence
         return None
     ids = set(map(type, columns[0])) | set(map(type, columns[1]))
     weights = set(map(type, columns[2])) | set(map(type, columns[3]))
@@ -489,25 +494,24 @@ def _typed_columns(records: list) -> list[np.ndarray] | None:
         return None
 
 
-def _ids_ok(u: np.ndarray, v: np.ndarray) -> bool:
-    return not u.shape[0] or bool(u.min() >= 0 and v.min() >= 0)
-
-
-def _check_total_weight(total: float) -> None:
-    """Reject a total whose double overflows: it bounds every degree and induced weight."""
+def _check_total_weight(weights: np.ndarray) -> float:
+    """The sequential total of a weight column, rejected when its double
+    overflows: it bounds every degree and induced weight."""
+    total = _sequential_sum(weights)
     if not math.isfinite(2 * total):
         raise BadParametersError(f"total edge weight {total} is too large for a float")
+    return total
 
 
 def _check_node_set(graph, nodes: Iterable[int]) -> frozenset[int]:
-    """Nonempty frozenset of valid ids of any graph type; reads only ``graph.n``."""
+    """Nonempty frozenset of valid ids, integers of any type, as Python ints; reads only ``graph.n``."""
     node_set = frozenset(nodes)
     if not node_set:
         raise EmptySetError("node set must be nonempty")
     for v in node_set:
-        if not isinstance(v, int) or v < 0 or v >= graph.n:
+        if not 0 <= _int_or_negative(v) < graph.n:
             raise UnknownNodeError(f"node {v!r} not in 0..{graph.n - 1}")
-    return node_set
+    return frozenset(map(index, node_set))
 
 
 def induced_weights(graph: SignedGraph, nodes: Iterable[int]) -> tuple[float, float, float]:

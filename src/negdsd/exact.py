@@ -500,7 +500,7 @@ def _validate_nonnegative(graph: WeightedGraph) -> np.ndarray:
         if not finite[bad[0]]:
             raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
         raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
-    _check_total_weight(_sequential_sum(graph.w))
+    _check_total_weight(graph.w)
     return weights
 
 

@@ -5,33 +5,52 @@ every edge whose layer is allowed keeps weight +1, every edge of an excluded
 layer becomes a negative weight W.  Soft queries take a finite user-chosen W
 (a few excluded edges may survive in a dense output); hard queries compute a
 W large enough to certify that no optimal set induces any excluded edge.
+A query is one mask over the layer codes of a :class:`MultilayerGraph`,
+and per-layer counts are ``np.bincount`` calls over those codes.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .core import SignedGraph, _check_ids, _check_node_set, _node_count, build_signed_graph
+import numpy as np
+
+from .core import SignedGraph, _check_node_set, _collapse_columns, _id_columns, _induced_edges, _record_columns
+from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
 from .errors import BadParametersError, UnknownLayerError
 
 Layer = Hashable
 
 
 class MultilayerGraph:
-    """Multigraph whose edges carry a layer label; parallel edges allowed."""
+    """Multigraph whose edges carry a layer label; parallel edges allowed.
 
-    __slots__ = ("n", "edges", "layers")
+    Construct through :func:`build_multilayer_graph`.  The records are
+    read-only int64 columns ``u``, ``v`` and ``layer``, the last coding the
+    names in order of first appearance; ``edges`` is built on first access.
+    """
 
-    def __init__(self, n: int, edges: list[tuple[int, int, Layer]]):
-        self.n = n
-        self.edges = edges
-        self.layers = frozenset(layer for _, _, layer in edges)
+    __slots__ = ("n", "u", "v", "layer", "layers", "_names", "_edges")
+
+    def __init__(self, n: int, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
+        self.n, self.u, self.v, self.layer, self._names = n, u, v, layer, names
+        for array in (u, v, layer):
+            array.flags.writeable = False
+        self.layers = frozenset(names)
+        self._edges = None
+
+    @property
+    def edges(self) -> list[tuple[int, int, Layer]]:
+        """The (u, v, layer) records, in order."""
+        if self._edges is None:
+            names = map(self._names.__getitem__, self.layer.tolist())
+            self._edges = list(zip(self.u.tolist(), self.v.tolist(), names))
+        return self._edges
 
     def __repr__(self) -> str:
-        return f"MultilayerGraph(n={self.n}, m={len(self.edges)}, layers={len(self.layers)})"
+        return f"MultilayerGraph(n={self.n}, m={self.u.shape[0]}, layers={len(self.layers)})"
 
 
 def build_multilayer_graph(
@@ -39,17 +58,12 @@ def build_multilayer_graph(
     n: int | None = None,
 ) -> MultilayerGraph:
     """A :class:`MultilayerGraph` of raw (u, v, layer) records, checked as
-    :func:`~negdsd.core.build_signed_graph` checks ids and ``n``."""
-    edges = []
-    max_id = -1
-    for u, v, layer in raw_edges:
-        _check_ids(u, v)
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
-        edges.append((u, v, layer))
-    return MultilayerGraph(max_id + 1 if n is None else _node_count(n, max_id), edges)
+    :class:`~negdsd.core.WeightedGraph` checks ids and ``n``."""
+    us, vs, labels = _record_columns(list(raw_edges), "(u, v, layer)")
+    n, u, v = _id_columns(n, us, vs)
+    codes = {name: code for code, name in enumerate(dict.fromkeys(labels))}
+    layer = np.fromiter(map(codes.__getitem__, labels), dtype=np.int64, count=len(labels))
+    return MultilayerGraph(n, u, v, layer, tuple(codes))
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +100,18 @@ def hard_w(graph: MultilayerGraph, excluded: Iterable[Layer]) -> int:
     so it loses to any single node (density 0) and a fortiori to any clean
     positive pair (density 1/2).
     """
-    return _hard_w(Counter(layer for _, _, layer in graph.edges), excluded)
+    excluded = frozenset(excluded)
+    allowed = np.array([name not in excluded for name in graph._names], dtype=bool)
+    return int(allowed[graph.layer].sum()) + 1
 
 
-def _hard_w(layer_sizes: dict, excluded: Iterable[Layer]) -> int:
-    """:func:`hard_w` from the edge count of every layer."""
-    excluded_set = frozenset(excluded)
-    return sum(size for layer, size in layer_sizes.items() if layer not in excluded_set) + 1
+def _penalized(graph: MultilayerGraph, query: ExclusionQuery) -> tuple[np.ndarray, float]:
+    """Mask of the layer codes a query excludes, and its penalty W; every excluded layer must exist."""
+    unknown = query.excluded - graph.layers
+    if unknown:
+        raise UnknownLayerError(f"layers {sorted(map(str, unknown))} not present in the graph")
+    penalty = float(query.w) if query.mode == "soft" else float(hard_w(graph, query.excluded))
+    return np.array([name in query.excluded for name in graph._names], dtype=bool), penalty
 
 
 def apply_exclusion(graph: MultilayerGraph, query: ExclusionQuery) -> SignedGraph:
@@ -101,27 +120,18 @@ def apply_exclusion(graph: MultilayerGraph, query: ExclusionQuery) -> SignedGrap
     Allowed edges contribute wpos=1, excluded edges wneg=W; parallel edges
     sum componentwise, so two excluded parallels weigh 2W.
     """
-    unknown = query.excluded - graph.layers
-    if unknown:
-        raise UnknownLayerError(f"layers {sorted(map(str, unknown))} not present in the graph")
-    penalty = float(query.w) if query.mode == "soft" else float(hard_w(graph, query.excluded))
-    raw = [
-        (u, v, 0.0, penalty) if layer in query.excluded else (u, v, 1.0, 0.0)
-        for u, v, layer in graph.edges
-    ]
-    return build_signed_graph(raw, n=graph.n)
+    excluded, penalty = _penalized(graph, query)
+    dropped = excluded[graph.layer]
+    wpos, wneg = np.where(dropped, 0.0, 1.0), np.where(dropped, penalty, 0.0)
+    return SignedGraph(*_collapse_columns(graph.n, graph.u, graph.v, wpos, wneg))
 
 
 def layer_count(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> int:
     """Number of layer edges with both endpoints in the set."""
     if layer not in graph.layers:
         raise UnknownLayerError(f"layer {layer!r} not present in the graph")
-    node_set = _check_node_set(graph, nodes)
-    return sum(
-        1
-        for u, v, edge_layer in graph.edges
-        if edge_layer == layer and u in node_set and v in node_set
-    )
+    induced = graph.layer[_induced_edges(graph, _check_node_set(graph, nodes))]
+    return int(np.count_nonzero(induced == graph._names.index(layer)))
 
 
 def layer_density(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> float:
@@ -139,23 +149,14 @@ def layer_report(
 
     The signed density weighs excluded layers at -W (the density they carry
     in the rewritten graph); without a query it equals the raw density.
+    Layers are in order of ``str``, then of first appearance.
     """
     node_set = _check_node_set(graph, nodes)
-    counts = dict.fromkeys(graph.layers, 0)  # edges of each layer inside the set
-    sizes = dict.fromkeys(graph.layers, 0)  # edges of each layer
-    for u, v, layer in graph.edges:
-        sizes[layer] += 1
-        if u in node_set and v in node_set:
-            counts[layer] += 1
-    penalty = 0.0
-    excluded: frozenset = frozenset()
-    if query is not None:
-        excluded = query.excluded
-        penalty = float(query.w) if query.mode == "soft" else float(_hard_w(sizes, excluded))
+    counts = np.bincount(graph.layer[_induced_edges(graph, node_set)], minlength=len(graph._names)).tolist()
+    excluded, penalty = _penalized(graph, query) if query is not None else (np.zeros(len(counts), bool), 0.0)
     report = {}
-    for layer in sorted(graph.layers, key=str):
-        count = counts[layer]
+    for layer, count, dropped in sorted(zip(graph._names, counts, excluded), key=lambda row: str(row[0])):
         raw = count / len(node_set)
-        signed = -penalty * raw if (layer in excluded and count) else raw
+        signed = -penalty * raw if (dropped and count) else raw
         report[layer] = {"count": count, "density": raw, "signed_density": signed}
     return report

@@ -74,8 +74,10 @@ _COLUMN_PEEL_LOOP_ARCS = 8
 
 
 def _check_c(c: float) -> None:
-    if not 0 < c < math.inf:  # NaN fails too
-        raise NonPositiveCError(f"c must be finite and > 0, got {c}")
+    with contextlib.suppress(OverflowError):  # an int such as 10**400 has no float
+        if 0 < c < math.inf and float(c) < math.inf:  # NaN fails too
+            return
+    raise NonPositiveCError(f"c must be finite and > 0, got {c}")
 
 
 @dataclass(frozen=True, slots=True)

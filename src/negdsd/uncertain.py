@@ -4,12 +4,12 @@ Every downstream computation consumes only the first two moments of an
 edge's reward distribution, so that is all the representation keeps.  The
 classic on/off edge model (reward w with probability p, else 0) converts via
 :func:`bernoulli_moments`.  Converting an uncertain graph to a signed graph
-maps reward to the positive weight and variance to the negative weight; the
-risk-tolerance factor is deliberately *not* baked in here, so one conversion
-serves every tolerance sweep.  The peels are shared across such a sweep too:
-the signed graph keeps the removal order of each multiplier that
-:func:`~negdsd.peeling.c_sweep` peels on it, so sweeping it at a second
-tolerance only scores prefixes.
+hands its collapsed columns over as they are, reward as the positive weight
+and variance as the negative one; the risk-tolerance factor is deliberately
+*not* baked in, so one conversion serves every tolerance sweep.  The peels
+are shared across such a sweep too: the signed graph keeps the removal
+order of each multiplier that :func:`~negdsd.peeling.c_sweep` peels on it,
+so sweeping it at a second tolerance only scores prefixes.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import (
-    SignedGraph,
-    _check_node_set,
-    _collapse,
-    _induced_edges,
-    _rows,
-    _sequential_sum,
-    build_signed_graph,
-)
+from .core import SignedGraph, _check_node_set, _check_total_weight, _collapse, _induced_edges, _rows
+from .core import _sequential_sum
+from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
 from .errors import BadParametersError, EmptyFilmographyError, OutOfRangeError
 
 TOP_COSTARRED_MOVIES = 5
@@ -74,17 +68,18 @@ class UncertainGraph:
     """Immutable collapsed uncertain edges over ids 0..n-1, stored as columns.
 
     Edge ``e`` is ``(u[e], v[e], mu[e], sigma2[e])`` with ``u[e] <= v[e]``,
-    in the layout of :class:`~negdsd.core.SignedGraph`; ``edges`` is a
-    tuple of :class:`UncertainEdge` built on first access.
+    in the layout of :class:`~negdsd.core.SignedGraph`, totals checked as
+    there; ``edges`` is a tuple of :class:`UncertainEdge` built on first access.
     """
 
     __slots__ = ("n", "u", "v", "mu", "sigma2", "_edges")
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, mu: np.ndarray, sigma2: np.ndarray):
-        self.n = n
-        self.u, self.v, self.mu, self.sigma2 = u, v, mu, sigma2
+        self.n, self.u, self.v, self.mu, self.sigma2 = n, u, v, mu, sigma2
         for array in (u, v, mu, sigma2):
             array.flags.writeable = False
+        for moments in (mu, sigma2):
+            _check_total_weight(moments)
         self._edges = None
 
     @property
@@ -123,10 +118,10 @@ def build_uncertain_graph(
     Summing moments treats parallel records as independent rewards on the
     same pair.  Collapses like :func:`~negdsd.core.build_signed_graph`.
     Raises :class:`BadParametersError` on a moment that is not a finite real
-    number and :class:`OutOfRangeError` on a negative one; the first bad
-    record decides which.
+    number or sums beyond a float, and :class:`OutOfRangeError` on a
+    negative one; the first bad record decides which.
     """
-    return UncertainGraph(*_collapse(raw_edges, n, _check_moments, _moments_ok))
+    return UncertainGraph(*_collapse(raw_edges, n, _check_moments))
 
 
 def _check_moments(u, v, mu, sigma2) -> None:
@@ -134,10 +129,6 @@ def _check_moments(u, v, mu, sigma2) -> None:
         raise BadParametersError(f"edge ({u}, {v}) has non-finite moments ({mu}, {sigma2})")
     if mu < 0 or sigma2 < 0:
         raise OutOfRangeError(f"edge ({u}, {v}) needs mu >= 0 and sigma2 >= 0, got ({mu}, {sigma2})")
-
-
-def _moments_ok(mu: np.ndarray, sigma2: np.ndarray) -> bool:
-    return all(bool(np.isfinite(m).all() and (m >= 0).all()) for m in (mu, sigma2))
 
 
 def bernoulli_graph(
@@ -152,8 +143,8 @@ def bernoulli_graph(
 
 
 def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:
-    """Map each edge to (wpos=mu, wneg=sigma2) for the signed-graph solvers."""
-    return build_signed_graph(graph.rows(), n=graph.n)
+    """Map each edge to (wpos=mu, wneg=sigma2) for the signed-graph solvers, sharing the columns."""
+    return SignedGraph(graph.n, graph.u, graph.v, graph.mu, graph.sigma2)
 
 
 def risk_profile(graph: UncertainGraph, nodes: Iterable[int]) -> RiskReport:

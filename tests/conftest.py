@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 from hypothesis import settings
 
 from negdsd import SignedGraph, build_signed_graph
@@ -60,6 +61,14 @@ def naive_best(graph: SignedGraph, mode: str = "density", params=None):
             ):
                 best_value, best_subset = value, subset
     return best_subset, best_value
+
+
+def assert_same_signed(got: SignedGraph, want: SignedGraph) -> None:
+    """Two signed graphs hold equal arrays, dtype included, and equal totals."""
+    assert (got.n, got.total_pos, got.total_neg) == (want.n, want.total_pos, want.total_neg)
+    for name in ("u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
 
 
 def naive_peel(graph: SignedGraph, c: float) -> list[int]:

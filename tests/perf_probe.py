@@ -24,6 +24,15 @@ with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
 reports the median seconds, the number of minimum cuts in one solve, the
 node count of the exact program that solve built (``program_nodes``, after
 the float prune), and the answer's size and density.
+
+``--queries`` instead times the reductions of the two query primitives on
+graphs of 100k nodes and 1M records with the probe's endpoints:
+``uncertain_to_signed`` on an uncertain graph with uniform moments, and
+``apply_exclusion`` (hard and soft, excluding one layer) and
+``layer_report`` (a fixed 10% of the nodes) on a 3-layer graph.  Each call
+runs ``QUERY_REPEATS`` times; the probe reports the median seconds of each,
+the seconds of the two builds, and the edge count and weight totals of
+each signed graph, so two trees can be checked for equal answers.
 """
 
 import argparse
@@ -43,14 +52,20 @@ import negdsd.flow
 import negdsd.peeling
 from negdsd import (
     DEFAULT_C_LIST,
+    ExclusionQuery,
     ObjectiveParams,
     PeelScoring,
     WeightedGraph,
+    apply_exclusion,
     best_prefix,
+    build_multilayer_graph,
     build_signed_graph,
+    build_uncertain_graph,
     c_sweep,
     exact_dsd,
+    layer_report,
     peel_order,
+    uncertain_to_signed,
 )
 
 NODES = 100_000
@@ -61,6 +76,9 @@ EXACT_NODES = 5_000
 EXACT_EDGES = 50_000
 EXACT_CORE = 50
 EXACT_REPEATS = 5
+
+QUERY_REPEATS = 7
+QUERY_LAYERS = ("follow", "reply", "block")
 
 
 def exact_graph(planted: bool) -> WeightedGraph:
@@ -115,6 +133,50 @@ def exact_stats() -> dict:
     return stats
 
 
+def median_seconds(call) -> tuple[float, object]:
+    """Median wall seconds of ``QUERY_REPEATS`` calls, and the last answer."""
+    seconds = []
+    for _ in range(QUERY_REPEATS):
+        started = time.perf_counter()
+        answer = call()
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds), answer
+
+
+def query_stats() -> dict:
+    rng = np.random.default_rng(SEED)
+    us = rng.integers(0, NODES, size=EDGES).tolist()
+    vs = rng.integers(0, NODES, size=EDGES).tolist()
+    mus = rng.uniform(0.0, 1.0, size=EDGES).tolist()
+    sigma2s = rng.uniform(0.0, 0.25, size=EDGES).tolist()
+    layers = [QUERY_LAYERS[code] for code in rng.integers(0, len(QUERY_LAYERS), size=EDGES).tolist()]
+    nodes = set(rng.choice(NODES, size=NODES // 10, replace=False).tolist())
+
+    def signed_stats(graph) -> dict:
+        return {"edges": graph.m, "total_pos": graph.total_pos, "total_neg": graph.total_neg}
+
+    stats = {"nodes": NODES, "records": EDGES}
+    started = time.perf_counter()
+    uncertain = build_uncertain_graph(zip(us, vs, mus, sigma2s), n=NODES)
+    stats["uncertain_build_seconds"] = time.perf_counter() - started
+    stats["uncertain_to_signed_seconds"], signed = median_seconds(lambda: uncertain_to_signed(uncertain))
+    stats["uncertain_signed"] = signed_stats(signed)
+    del uncertain, signed, mus, sigma2s
+
+    started = time.perf_counter()
+    multilayer = build_multilayer_graph(zip(us, vs, layers), n=NODES)
+    stats["multilayer_build_seconds"] = time.perf_counter() - started
+    del us, vs, layers
+    for query in (ExclusionQuery.hard(["block"]), ExclusionQuery.soft(["block"], 0.5)):
+        seconds, signed = median_seconds(lambda: apply_exclusion(multilayer, query))
+        stats[f"apply_exclusion_{query.mode}_seconds"] = seconds
+        stats[f"apply_exclusion_{query.mode}"] = signed_stats(signed)
+        del signed
+    stats["layer_report_seconds"], report = median_seconds(lambda: layer_report(multilayer, nodes, query))
+    stats["layer_report_counts"] = {layer: entry["count"] for layer, entry in report.items()}
+    return stats
+
+
 def private_mb() -> float | None:
     """Private_Clean + Private_Dirty of this process in MB, or None without smaps_rollup."""
     try:
@@ -159,9 +221,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
     parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
     parser.add_argument("--exact", action="store_true", help="time exact_dsd on two 5k-node graphs instead")
+    parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
     args = parser.parse_args()
     if args.exact:
         print(json.dumps(exact_stats()))
+        return
+    if args.queries:
+        stats = query_stats()
+        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(stats))
         return
     rng = np.random.default_rng(SEED)
     us = rng.integers(0, NODES, size=EDGES)

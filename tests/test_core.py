@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from negdsd.errors import (
     TooLargeError,
     ZeroDenominatorError,
 )
+from negdsd.core import _check_node_set
 from negdsd.uncertain import build_uncertain_graph
 
 from conftest import naive_best, naive_induced
@@ -215,6 +217,19 @@ class TestInducedWeights:
             induced_weights(triangle(), set())
         with pytest.raises(UnknownNodeError):
             induced_weights(triangle(), {0, 9})
+
+    def test_numpy_integer_ids(self):
+        g = build_signed_graph([(0, 1, 1, 0), (1, 2, 0, 2)])
+        for nodes in (np.array([0, 1]), [np.int32(0), np.uint8(1)], {np.int64(0), 1}):
+            assert induced_weights(g, nodes) == induced_weights(g, {0, 1}) == (1.0, 0.0, 0.5)
+            assert objective_f(g, nodes, ObjectiveParams()) == objective_f(g, {0, 1}, ObjectiveParams())
+        assert _check_node_set(g, np.arange(3)) == {0, 1, 2}
+        assert set(map(type, _check_node_set(g, np.arange(3)))) == {int}
+
+    @pytest.mark.parametrize("bad", [np.int64(3), np.int64(-1), 1.0, np.float64(1.0), "1", None, 2**70])
+    def test_ids_that_are_not_nodes_rejected(self, bad):
+        with pytest.raises(UnknownNodeError, match=f"node {re.escape(repr(bad))} not in 0..2"):
+            induced_weights(triangle(), {0, bad})
 
 
 class TestObjective:

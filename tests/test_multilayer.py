@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from negdsd import (
     apply_exclusion,
     brute_force,
     build_multilayer_graph,
+    build_signed_graph,
     exact_dsd,
     hard_w,
     layer_count,
@@ -20,9 +22,12 @@ from negdsd import (
 from negdsd.errors import (
     BadParametersError,
     EmptySetError,
+    TooLargeError,
     UnknownLayerError,
     UnknownNodeError,
 )
+
+from conftest import assert_same_signed
 
 
 def two_layer():
@@ -40,6 +45,26 @@ def random_multilayer(rng: random.Random, max_nodes=10, layers=("a", "b", "c")):
             continue
         edges.append((u, v, rng.choice(layers)))
     return build_multilayer_graph(edges, n=n)
+
+
+# Layer names of mixed hashable types; their str values are distinct.
+LAYER_POOL = ("follow", "reply", 7, (1, "x"), None, frozenset({2}), 2.5)
+
+
+def random_layered_records(rng: random.Random) -> tuple[int, list]:
+    """(n, records) with loops and parallel records of the same or other layers."""
+    n = rng.randint(1, 10)
+    names = rng.sample(LAYER_POOL, rng.randint(1, len(LAYER_POOL)))
+    records = []
+    for _ in range(rng.randint(0, 30)):
+        if records and rng.random() < 0.3:
+            u, v, _ = rng.choice(records)
+            u, v = rng.choice([(u, v), (v, u)])
+        else:
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.15 else rng.randrange(n)
+        records.append((u, v, rng.choice(names)))
+    return n, records
 
 
 def excluded_count(graph, nodes, excluded):
@@ -69,6 +94,26 @@ class TestApplyExclusion:
     def test_unknown_layer(self):
         with pytest.raises(UnknownLayerError):
             apply_exclusion(two_layer(), ExclusionQuery.soft({"quote"}, 1))
+
+    def test_id_beyond_int64_rejected_at_build(self):
+        with pytest.raises(TooLargeError, match="got 18446744073709551616"):
+            build_multilayer_graph([(0, 2**64, "x")])
+        with pytest.raises(UnknownNodeError, match="references node 18446744073709551616 but n=3"):
+            build_multilayer_graph([(0, 2**64, "x")], n=3)
+        wide = build_multilayer_graph([(0, 2**40, "x")])  # an int64, but beyond the packed pair key
+        with pytest.raises(TooLargeError, match=f"got {2**40}"):
+            apply_exclusion(wide, ExclusionQuery.soft(set(), 1))
+
+    def test_records_must_have_three_items(self):
+        with pytest.raises(BadParametersError, match="edges must be"):
+            build_multilayer_graph([(0, 1, "x"), (1, 2)])
+
+    def test_columns(self):
+        graph = build_multilayer_graph([(2, 1, "b"), (0, 1, "a"), (2, 1, "b")])
+        assert graph.u.tolist() == [2, 0, 2] and graph.v.tolist() == [1, 1, 1]
+        assert graph.layer.tolist() == [0, 1, 0]  # codes in order of first appearance
+        for column in (graph.u, graph.v, graph.layer):
+            assert column.dtype == np.int64 and not column.flags.writeable
 
     def test_node_count_validated(self):
         edges = [(0, 1, "x"), (1, 2, "y")]
@@ -107,6 +152,21 @@ class TestLayerDensity:
             layer_density(graph, set(), "reply")
         with pytest.raises(UnknownLayerError):
             layer_density(graph, {1, 2}, "quote")
+
+    def test_report_rejects_unknown_layers_as_apply_does(self):
+        graph = build_multilayer_graph([(0, 1, "reply"), (1, 2, "follow")])
+        for query in (ExclusionQuery.soft({"typo"}, 5), ExclusionQuery.hard({"reply", "typo"})):
+            with pytest.raises(UnknownLayerError, match=re.escape("layers ['typo'] not present")):
+                apply_exclusion(graph, query)
+            with pytest.raises(UnknownLayerError, match=re.escape("layers ['typo'] not present")):
+                layer_report(graph, {0, 1}, query)
+
+    def test_numpy_integer_ids(self):
+        graph = two_layer()
+        nodes = np.array([1, 2])
+        assert layer_count(graph, nodes, "follow") == 1
+        assert layer_density(graph, nodes, "reply") == 0.0
+        assert layer_report(graph, nodes) == layer_report(graph, {1, 2})
 
     def test_layer_densities_sum_to_total(self):
         rng = random.Random(101)
@@ -170,3 +230,52 @@ class TestFlattening:
             via_flow = exact_dsd(signed.net_weighted())
             via_enumeration = brute_force(signed)
             assert via_flow.net_density == via_enumeration.net_density
+
+
+class TestColumnsAgainstRecords:
+    """Column paths against plain loops over the records, on 200 random graphs."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(113)
+        for _ in range(200):
+            n, records = random_layered_records(rng)
+            graph = build_multilayer_graph(records, n=n)
+            excluded = set(rng.sample(sorted(graph.layers, key=str), rng.randint(0, len(graph.layers))))
+            nodes = set(rng.sample(range(n), rng.randint(1, n)))
+            yield rng, records, graph, excluded, nodes
+
+    def test_edges_give_back_the_records(self):
+        for _, records, graph, _, _ in self.cases():
+            assert graph.edges == records
+            assert graph.layers == {layer for _, _, layer in records}
+
+    def test_apply_exclusion_equals_a_build_of_the_records(self):
+        for rng, records, graph, excluded, _ in self.cases():
+            allowed = sum(1 for _, _, layer in records if layer not in excluded)
+            for query, penalty in (
+                (ExclusionQuery.hard(excluded), float(allowed + 1)),
+                (ExclusionQuery.soft(excluded, w := rng.choice([0.5, 3, 1e3])), float(w)),
+            ):
+                raw = [(u, v, 0.0, penalty) if layer in excluded else (u, v, 1.0, 0.0) for u, v, layer in records]
+                assert_same_signed(apply_exclusion(graph, query), build_signed_graph(raw, n=graph.n))
+
+    def test_counts_equal_a_dict_loop(self):
+        for _, records, graph, excluded, nodes in self.cases():
+            sizes, counts = Counter(), Counter()
+            for u, v, layer in records:
+                sizes[layer] += 1
+                if u in nodes and v in nodes:
+                    counts[layer] += 1
+            assert hard_w(graph, excluded) == sum(size for layer, size in sizes.items() if layer not in excluded) + 1
+            for layer in graph.layers:
+                assert layer_count(graph, nodes, layer) == counts[layer]
+            query = ExclusionQuery.soft(excluded, 3.0)
+            report = layer_report(graph, nodes, query)
+            expected = {}
+            for layer in sorted(graph.layers, key=str):
+                raw = counts[layer] / len(nodes)
+                signed = -3.0 * raw if layer in excluded and counts[layer] else raw
+                expected[layer] = {"count": counts[layer], "density": raw, "signed_density": signed}
+            assert report == expected and list(report) == list(expected)
+            assert {type(value) for entry in report.values() for value in entry.values()} <= {int, float}

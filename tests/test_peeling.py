@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestPeelOrder:
                 peel_order(triangle(), bad)
         with pytest.raises(EmptySetError):
             peel_order(build_signed_graph([]), 1.0)
+
+    @pytest.mark.parametrize("bad", [10**400, Decimal("1e400")])
+    def test_multiplier_beyond_the_float_range_rejected(self, bad):
+        with pytest.raises(NonPositiveCError):
+            peel_order(triangle(), bad)
+        with pytest.raises(NonPositiveCError):
+            PeelScoring(c=bad)
+        with pytest.raises(NonPositiveCError):
+            c_sweep(triangle(), [1.0, bad])
 
 
 @functools.cache

@@ -3,12 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from negdsd import (
     ObjectiveParams,
     bernoulli_graph,
     bernoulli_moments,
+    build_signed_graph,
     build_uncertain_graph,
     induced_weights,
     objective_f,
@@ -23,6 +25,8 @@ from negdsd.errors import (
     OutOfRangeError,
     UnknownNodeError,
 )
+
+from conftest import assert_same_signed
 
 
 class TestBernoulliMoments:
@@ -70,6 +74,32 @@ class TestConversion:
         g = uncertain_to_signed(u)
         (e,) = g.edges
         assert (e.wpos, e.wneg) == (1.0, 1.0)
+
+    def test_columns_equal_a_build_of_the_rows(self):
+        rng = random.Random(131)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            raw = []
+            for _ in range(rng.randint(0, 30)):
+                if raw and rng.random() < 0.3:  # a parallel record, either way round
+                    u, v, _, _ = rng.choice(raw)
+                    u, v = rng.choice([(u, v), (v, u)])
+                else:
+                    u = rng.randrange(n)
+                    v = u if rng.random() < 0.15 else rng.randrange(n)
+                raw.append((u, v, rng.choice([0.0, rng.random() * 3]), rng.choice([0.0, 0.5, rng.random()])))
+            graph = build_uncertain_graph(raw, n=n)
+            assert_same_signed(uncertain_to_signed(graph), build_signed_graph(graph.rows(), n=graph.n))
+
+    @pytest.mark.parametrize("moments", [(6e307, 0.0), (0.0, 6e307)])
+    def test_overflowing_moment_totals_rejected(self, moments):
+        with pytest.raises(BadParametersError, match="too large for a float"):
+            build_uncertain_graph([(0, 1, 1e308, 0.0), (0, 1, 1e308, 0.0)])  # mu would be inf
+        for raw in ([(0, 1, *moments), (0, 1, *moments)], [(0, 1, *moments), (1, 2, *moments)]):
+            with pytest.raises(BadParametersError, match="too large for a float"):
+                build_uncertain_graph(raw)
+        signed = uncertain_to_signed(build_uncertain_graph([(0, 1, *moments)]))  # a built graph converts
+        assert (signed.total_pos, signed.total_neg) == moments
 
     def test_parallel_moments_add(self):
         u = build_uncertain_graph([(0, 1, 1.0, 0.5), (1, 0, 2.0, 0.25)])
@@ -153,6 +183,10 @@ class TestRiskProfile:
             risk_profile(u, set())
         with pytest.raises(UnknownNodeError):
             risk_profile(u, {0, 5})
+
+    def test_numpy_integer_ids(self):
+        u = build_uncertain_graph([(0, 1, 0.7, 0.1), (1, 2, 0.32, 0.2)])
+        assert risk_profile(u, np.arange(2)) == risk_profile(u, {0, 1})
 
 
 class TestRiskTolerancePipeline:
