@@ -29,6 +29,7 @@ Python scalars; the solvers never read it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -263,18 +264,28 @@ def _record_columns(records: list, fields: str) -> list[list]:
 def _id_columns(n, us: list, vs: list, limit: int = _MAX_INT64) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, u, v): n as an int (max id + 1 for None) and the node ids as int64 columns in 0..n-1.
 
-    The ids are walked in order only when some is not an int or is negative,
-    so the first bad one raises; an id of any size is compared with n and
-    with ``limit`` (at most the int64 range) before it becomes an int64.
+    When every id is an int, the ids become int64 columns at once and
+    their least and largest are taken in numpy.  They are walked in order
+    only when some is not an int, is negative or is beyond int64, so the
+    first bad one raises; an id of any size is compared with n and with
+    ``limit`` (at most the int64 range) before it becomes an int64.
     """
-    if not set(map(type, us)) | set(map(type, vs)) <= {int} or (us and min(min(us), min(vs)) < 0):
-        for u, v in zip(us, vs):
-            _check_ids(u, v)
-    max_id = max(max(us), max(vs)) if us else -1
+    u = v = None
+    if set(map(type, us)) | set(map(type, vs)) <= {int}:
+        with contextlib.suppress(OverflowError):  # an id beyond int64
+            u, v = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    if u is None or (us and min(u.min(), v.min()) < 0):
+        for a, b in zip(us, vs):
+            _check_ids(a, b)
+        max_id = max(max(us), max(vs)) if us else -1
+    else:
+        max_id = int(max(u.max(), v.max())) if us else -1
     n = max_id + 1 if n is None else _node_count(n, max_id)
     if max_id > limit:
         raise TooLargeError(f"node ids must be at most {limit}, got {max_id}")
-    return n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    if u is None:  # ints of other types, such as bools
+        u, v = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    return n, u, v
 
 
 def _check_ids(u, v) -> None:
@@ -319,6 +330,17 @@ def _int_or_negative(x) -> int:
         return -1
 
 
+def _is_finite_real(x) -> bool:
+    """Whether ``x`` is a number that a finite float holds.
+
+    NaN, infinities, ints no float holds (10**400), strings and None fail,
+    with no error of their own.
+    """
+    with contextlib.suppress(OverflowError, TypeError, ValueError):
+        return math.isfinite(x)
+    return False
+
+
 @dataclass(frozen=True, slots=True)
 class ObjectiveParams:
     """Parameters of the ratio objective.
@@ -338,7 +360,7 @@ class ObjectiveParams:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "risk_tolerance"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite_real(getattr(self, name)):
                 raise BadParametersError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda2 <= 0:
             raise ZeroDenominatorError(

@@ -9,8 +9,11 @@ N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
 * ``flow`` route, while q <= min P_e/R_e: every reweighted edge b*P_e - a*R_e
   is nonnegative, so one minimum cut answers the step exactly.  The source
   feeds each node its reweighted degree, each node pays 2*(a*l2 - b*l1) to
-  the sink, each edge is bidirected; the largest source side is the witness,
-  and a cut that finds nothing better certifies q as optimal.
+  the sink, each edge is one arc pair of its reweighted weight both ways;
+  the largest source side is the witness, and a cut that finds nothing
+  better certifies q as optimal.  The network is built from the program's
+  edge columns in numpy, with the flow of every s -> i -> t path pushed
+  already, and solved by :class:`~negdsd.flow.Dinic` on flat arc arrays.
   Before the cut, the graph shrinks to its q-core: nodes are dropped while
   their reweighted degree among the survivors is below a*l2 - b*l1, the
   cost of keeping them.  No node of the largest maximizer is ever dropped
@@ -71,6 +74,7 @@ from .core import (
     _check_total_weight,
     _csr,
     _induced_edges,
+    _is_finite_real,
     _sequential_sum,
     build_signed_graph,  # noqa: F401  re-exported; callers may look it up here
     objective_f,  # noqa: F401  re-exported; callers may look it up here
@@ -176,8 +180,8 @@ class _RatioProgram:
     Edge e joins ``u[e]`` and ``v[e]`` (int64 columns) with P_e = ``p[e]``
     and R_e = ``r[e]``, Python ints of any size in object arrays.  The arcs
     of node x are positions ``indptr[x]:indptr[x+1]`` of ``neighbor``,
-    ``arc_p`` and ``arc_r``, a loop once, as Python lists: the q-core, the
-    cut network and the start's peel walk them in exact arithmetic.
+    ``arc_p`` and ``arc_r``, a loop once, as Python lists: the q-core and
+    the start's peel walk them in exact arithmetic.
     """
 
     n: int
@@ -300,30 +304,40 @@ def _max_density_side(
     every node gains by joining, the network has no sink arcs, and all
     nodes are returned.  ``core`` is ``_q_core``'s answer at q when the
     caller has it already.
+
+    The network is built from the columns ``u``, ``v``, ``p`` and ``r``
+    with no loop over edges: the core is relabeled through one label
+    array, and each non-loop edge of positive reweighted weight w inside it
+    becomes one arc pair of capacity w both ways (object arrays, so w stays
+    an exact int).  Each node's sink arc comes first among its arcs, then
+    its source arc, then its edges.  min(supply, drain) is pushed along
+    every s -> i -> t path before the solver starts, which does the work of
+    Dinic's first phase.  The witness is the complement of the residual
+    sink side, the same set for every maximum flow, so neither the arc
+    order nor the pre-push can change it.
     """
     a, b = q.numerator, q.denominator
     cost = a * program.l2 - b * program.l1
     core, degree = core or _q_core(program, a, b, cost)
-    index = {u: i for i, u in enumerate(core)}
     k = len(core)
-    net = Dinic(k + 2)
     source, sink = k, k + 1
-    indptr, neighbor, arc_p, arc_r = program.indptr, program.neighbor, program.arc_p, program.arc_r
-    for i, u in enumerate(core):
-        if degree[u] > 0:
-            net.add_edge(source, i, degree[u])
-        if cost > 0:
-            net.add_edge(i, sink, 2 * cost)
-        for arc in range(indptr[u], indptr[u + 1]):
-            v = neighbor[arc]
-            j = index.get(v)
-            w = b * arc_p[arc] - a * arc_r[arc]
-            if j is not None and v > u and w > 0:  # loops act through degrees only
-                net.add_edge(i, j, w)
-                net.add_edge(j, i, w)
+    nodes = np.arange(k)
+    u, v, keep = _induced_columns(program.n, program.u, program.v, core)
+    w = b * program.p[keep] - a * program.r[keep]
+    edge = (w > 0) & (u != v)  # loops act through degrees only
+    supply = np.array([degree[x] for x in core], dtype=object)
+    fed = supply > 0
+    if cost > 0:  # min(supply, drain) already flows along each s -> i -> t
+        pushed = np.minimum(supply, 2 * cost)
+        sinks = (nodes, np.full(k, sink), 2 * cost - pushed, pushed)
+    else:
+        pushed = np.zeros(k, dtype=object)
+        sinks = (nodes[:0], nodes[:0], pushed[:0], pushed[:0])
+    sources = (np.full(np.count_nonzero(fed), source), nodes[fed], (supply - pushed)[fed], pushed[fed])
+    edges = (u[edge], v[edge], w[edge], w[edge])
+    net = Dinic(k + 2, *map(np.concatenate, zip(sinks, sources, edges)))
     net.max_flow(source, sink)
-    reaches_sink = net.residual_sink_side(sink)
-    return [u for i, u in enumerate(core) if i not in reaches_sink]
+    return np.asarray(core, dtype=np.int64)[~net.residual_sink_side(sink)[:k]].tolist()
 
 
 def _peel_start(program: _RatioProgram) -> list[int]:
@@ -556,7 +570,7 @@ def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
     Raises :class:`NegativeWeightError` on any negative weight.
     """
     weights = _validate_nonnegative(graph)
-    if not math.isfinite(g):
+    if not _is_finite_real(g):
         raise BadParametersError(f"density threshold must be finite, got {g}")
     nodes = _float_core(graph, weights, g, [])  # g is exact: the cut runs at Fraction(g)
     witness = _max_density_side(_density_program(graph, nodes), Fraction(g))

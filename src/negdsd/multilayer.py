@@ -11,13 +11,20 @@ and per-layer counts are ``np.bincount`` calls over those codes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import numpy as np
 
-from .core import SignedGraph, _check_node_set, _collapse_columns, _id_columns, _induced_edges, _record_columns
+from .core import (
+    SignedGraph,
+    _check_node_set,
+    _collapse_columns,
+    _id_columns,
+    _induced_edges,
+    _is_finite_real,
+    _record_columns,
+)
 from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
 from .errors import BadParametersError, UnknownLayerError
 
@@ -81,7 +88,7 @@ class ExclusionQuery:
     def __post_init__(self):
         if self.mode not in ("soft", "hard"):
             raise BadParametersError(f"mode must be 'soft' or 'hard', got {self.mode!r}")
-        if self.mode == "soft" and (self.w is None or not 0 < self.w < math.inf):  # NaN fails too
+        if self.mode == "soft" and not (_is_finite_real(self.w) and self.w > 0):
             raise BadParametersError(f"soft queries need a finite penalty weight W > 0, got {self.w}")
 
     @classmethod

@@ -28,6 +28,7 @@ from .core import (
     SignedGraph,
     TIE_TOLERANCE,
     _check_objective_range,
+    _is_finite_real,
     _objective,
 )
 from .errors import (
@@ -74,10 +75,8 @@ _COLUMN_PEEL_LOOP_ARCS = 8
 
 
 def _check_c(c: float) -> None:
-    with contextlib.suppress(OverflowError):  # an int such as 10**400 has no float
-        if 0 < c < math.inf and float(c) < math.inf:  # NaN fails too
-            return
-    raise NonPositiveCError(f"c must be finite and > 0, got {c}")
+    if not (_is_finite_real(c) and c > 0):
+        raise NonPositiveCError(f"c must be finite and > 0, got {c}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 from hypothesis import settings
 
@@ -21,6 +22,27 @@ TIE = 1e-12
 # Fuzz tests replay the same examples on every run and never time out.
 settings.register_profile("negdsd", deadline=None, derandomize=True, max_examples=150)
 settings.load_profile("negdsd")
+
+
+def reference_sink_side(graph: nx.DiGraph, source, sink) -> np.ndarray:
+    """Mask of the nodes 0..n-1 of ``graph`` (arcs with a "capacity") that
+    reach ``sink`` in the residual network of networkx's maximum flow.
+
+    That set is the same for every maximum flow; its complement is the
+    largest source side of a minimum cut.
+    """
+    _, flow = nx.maximum_flow(graph, source, sink)
+    residual = nx.DiGraph()
+    residual.add_nodes_from(graph)
+    for a, b, data in graph.edges(data=True):
+        back = flow[b][a] if graph.has_edge(b, a) else 0
+        if data["capacity"] - flow[a][b] + back > 0:
+            residual.add_edge(a, b)
+        if flow[a][b] > 0:  # the reverse residual arc, when b -> a is not an arc of its own
+            residual.add_edge(b, a)
+    side = np.zeros(graph.number_of_nodes(), dtype=bool)
+    side[list(nx.ancestors(residual, sink) | {sink})] = True
+    return side
 
 
 def naive_induced(graph: SignedGraph, nodes) -> tuple[float, float]:

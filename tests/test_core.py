@@ -262,6 +262,12 @@ class TestObjective:
             for name in ("lambda1", "lambda2", "risk_tolerance"):
                 with pytest.raises(BadParametersError):
                     ObjectiveParams(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [10**400, -(10**400), "a", None, 1j])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "risk_tolerance"])
+    def test_param_with_no_float_value_rejected(self, name, bad):
+        with pytest.raises(BadParametersError, match=f"{name} must be finite"):
+            ObjectiveParams(**{name: bad})
         assert ObjectiveParams(lambda1=2, lambda2=4).rho == 0.5
 
 

@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import negdsd.exact
 import negdsd.flow
 from negdsd import (
     ObjectiveParams,
@@ -47,6 +49,7 @@ from conftest import (
     naive_peel,
     random_nonnegative_graph,
     random_signed_graph,
+    reference_sink_side,
 )
 
 
@@ -142,8 +145,8 @@ class TestDecision:
             dsd_decision(WeightedGraph(2, [(0, 1, -1.0)]), 0.5)
 
     def test_non_finite_threshold_rejected(self):
-        for g in (float("nan"), float("inf")):
-            with pytest.raises(BadParametersError):
+        for g in (float("nan"), float("inf"), 10**400, -(10**400), "a", None):
+            with pytest.raises(BadParametersError, match="density threshold must be finite"):
                 dsd_decision(unit_triangle(), g)
 
     def test_empty_graph_is_infeasible(self):
@@ -231,9 +234,9 @@ class TestExactDsd:
         networks = []
         original = negdsd.flow.Dinic.__init__
 
-        def record(self, size):
+        def record(self, size, *pairs):
             networks.append(size)
-            original(self, size)
+            original(self, size, *pairs)
 
         monkeypatch.setattr(negdsd.flow.Dinic, "__init__", record)
         result = exact_dsd(WeightedGraph(n, edges))
@@ -433,9 +436,9 @@ class TestFloatPrune:
         networks = []
         original = negdsd.flow.Dinic.__init__
 
-        def record(self, size):
+        def record(self, size, *pairs):
             networks.append(size)
-            original(self, size)
+            original(self, size, *pairs)
 
         monkeypatch.setattr(negdsd.flow.Dinic, "__init__", record)
 
@@ -469,6 +472,90 @@ class TestFloatPrune:
         result = exact_dsd(WeightedGraph(2030, edges))
         assert result.nodes == frozenset(range(30))
         assert calls <= 8  # the bulk peel, one prune round and the CSR builds; not one per path node
+
+
+def networkx_max_density_side(program, q: Fraction, core=None) -> list[int]:
+    """Largest maximizer of N(S) - q*D(S) by a networkx minimum cut on the whole program.
+
+    Goldberg's network with no q-core, no pre-push and one arc per direction
+    and pair: s feeds each node its reweighted degree, each node pays twice
+    its cost to t, and each non-loop edge of positive reweighted weight adds
+    that weight both ways.  ``core`` is ignored.
+    """
+    a, b = q.numerator, q.denominator
+    cost = a * program.l2 - b * program.l1
+    source, sink = program.n, program.n + 1
+    network = nx.DiGraph()
+    network.add_nodes_from(range(program.n + 2))
+
+    def add(x, y, capacity):
+        previous = network.get_edge_data(x, y, {"capacity": 0})["capacity"]
+        network.add_edge(x, y, capacity=previous + capacity)
+
+    for x, (p, r) in enumerate(zip(program.deg_p, program.deg_r)):
+        if b * p - a * r > 0:
+            add(source, x, b * p - a * r)
+        if cost > 0:
+            add(x, sink, 2 * cost)
+    for x, y, p, r in zip(program.u.tolist(), program.v.tolist(), program.p.tolist(), program.r.tolist()):
+        if x != y and b * p - a * r > 0:
+            add(x, y, b * p - a * r)
+            add(y, x, b * p - a * r)
+    side = reference_sink_side(network, source, sink)
+    return [x for x in range(program.n) if not side[x]]
+
+
+class TestArrayNetwork:
+    """Answers through the array-built cut equal those through a networkx cut, by repr."""
+
+    @staticmethod
+    def both(monkeypatch, solve, *args) -> tuple[str, str]:
+        def answer():
+            try:
+                return repr(solve(*args))
+            except BadParametersError as error:  # a sum beyond the float range, raised the same way
+                return repr(error)
+
+        got = answer()
+        with monkeypatch.context() as patched:
+            patched.setattr(negdsd.exact, "_max_density_side", networkx_max_density_side)
+            return got, answer()
+
+    def test_float_prune_graphs(self, monkeypatch):
+        rng = random.Random(137)
+        for _ in range(300):
+            graph = prune_prone_graph(rng)
+            got, expected = self.both(monkeypatch, exact_dsd, graph)
+            assert got == expected
+            program = _density_program(graph)
+            degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
+            for g in (0.0, 1.0, 3.5, *degrees):
+                got, expected = self.both(monkeypatch, dsd_decision, graph, g)
+                assert got == expected
+
+    def test_criterion_2_graphs(self, monkeypatch):
+        rng = random.Random(2025)
+        params = [ObjectiveParams(), ObjectiveParams(0.3, 0.7, 0.25), ObjectiveParams(0, 1, 1)]
+        for i in range(500):
+            signed = random_nonnegative_graph(rng, max_nodes=12, max_weight=3)
+            got, expected = self.both(monkeypatch, exact_dsd, signed.net_weighted())
+            assert got == expected
+            if i % 5 == 0:  # results and SearchTrace of the search, flow steps only
+                got, expected = self.both(monkeypatch, binary_search_objective, signed, params[i % 3])
+                assert got == expected
+
+    def test_searches_on_signed_graphs(self, monkeypatch):
+        # flow steps only on the corollary graphs, peel steps on most of the others
+        rng = random.Random(139)
+        for unit, params in itertools.product((1.0, 0.1), (ObjectiveParams(), ObjectiveParams(0.3, 0.7, 0.25))):
+            for _ in range(15):
+                graph = corollary_regime_graph(rng, params, unit)
+                mixed = build_signed_graph(
+                    [(e.u, e.v, e.wpos, e.wneg * rng.choice([1.0, 3.0, 40.0])) for e in graph.edges], n=graph.n
+                )
+                for g in (graph, mixed, random_signed_graph(rng, max_nodes=10)):
+                    got, expected = self.both(monkeypatch, binary_search_objective, g, params)
+                    assert got == expected
 
 
 class TestBruteForce:

@@ -129,7 +129,7 @@ class TestApplyExclusion:
         assert build_multilayer_graph(edges, n=np.int64(3)).n == 3
 
     def test_query_validation(self):
-        for w in (0, float("nan"), float("inf")):
+        for w in (0, float("nan"), float("inf"), 10**400, "abc", None):
             with pytest.raises(BadParametersError, match="penalty"):
                 ExclusionQuery.soft({"follow"}, w)
         with pytest.raises(BadParametersError):

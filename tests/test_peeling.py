@@ -97,7 +97,7 @@ class TestPeelOrder:
     def test_validation(self):
         with pytest.raises(NonPositiveCError):
             peel_order(triangle(), 0.0)
-        for bad in (-1.0, float("nan"), float("inf")):
+        for bad in (-1.0, float("nan"), float("inf"), "a", None):
             with pytest.raises(NonPositiveCError):
                 peel_order(triangle(), bad)
         with pytest.raises(EmptySetError):
