@@ -22,6 +22,7 @@ from .errors import BadParametersError, NegDsdError, ParseError
 from .exact import binary_search_objective, brute_force, exact_dsd
 from .generators import gen_bad_peeling, gen_shift_failure, gen_two_component
 from .io import (
+    decode,
     format_signed,
     parse_bernoulli,
     parse_moments,
@@ -135,9 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return decode(sys.stdin.buffer.read())
+    with open(path, "rb") as handle:
+        return decode(handle.read())
 
 
 def _read_signed(path: str):
@@ -184,19 +185,19 @@ def _cmd_peel(args) -> int:
     else:
         scoring = PeelScoring()
     result = c_sweep(graph, args.c_list, scoring)
-    return _emit(_result_payload(result, labels.labels), args.started)
+    return _emit(_result_payload(result, labels), args.started)
 
 
 def _cmd_exact(args) -> int:
     graph, labels = _read_signed(args.input)
     result = exact_dsd(graph.net_weighted())
-    return _emit(_result_payload(result, labels.labels), args.started)
+    return _emit(_result_payload(result, labels), args.started)
 
 
 def _cmd_search(args) -> int:
     graph, labels = _read_signed(args.input)
     result, trace = binary_search_objective(graph, _params(args))
-    payload = _result_payload(result, labels.labels)
+    payload = _result_payload(result, labels)
     payload["trace"] = {**asdict(trace), "lo": trace.lo, "hi": trace.hi}
     return _emit(payload, args.started)
 
@@ -212,7 +213,7 @@ def _cmd_risk(args) -> int:
     graph = uncertain_to_signed(uncertain)
     result = c_sweep(graph, args.c_list, PeelScoring(mode="objective", params=_params(args)))
     report = risk_profile(uncertain, result.nodes)
-    payload = _result_payload(result, labels.labels)
+    payload = _result_payload(result, labels)
     payload["risk"] = {
         "avg_expected_reward": report.avg_expected_reward,
         "avg_risk": report.avg_risk,
@@ -228,7 +229,7 @@ def _cmd_exclude(args) -> int:
     query = ExclusionQuery.hard(excluded) if args.hard else ExclusionQuery.soft(excluded, args.W)
     signed = apply_exclusion(graph, query)
     result = c_sweep(signed, args.c_list, PeelScoring())
-    payload = _result_payload(result, labels.labels)
+    payload = _result_payload(result, labels)
     payload["per_layer"] = {
         str(layer): stats for layer, stats in layer_report(graph, result.nodes, query).items()
     }
@@ -241,7 +242,7 @@ def _cmd_oracle(args) -> int:
         result = brute_force(graph, mode="objective", params=_params(args))
     else:
         result = brute_force(graph)
-    return _emit(_result_payload(result, labels.labels), args.started)
+    return _emit(_result_payload(result, labels), args.started)
 
 
 def _cmd_gen_bad_peeling(args) -> int:

@@ -195,6 +195,28 @@ def _rows(*columns: np.ndarray) -> Iterator[tuple]:
     return zip(*(column.tolist() for column in columns))
 
 
+class EdgeColumns:
+    """Raw (u, v, a, b) records as columns: int64 ids ``u``, ``v`` and float64 values ``a``, ``b``.
+
+    The parsers of :mod:`negdsd.io` return one, and :func:`build_signed_graph`,
+    :func:`~negdsd.uncertain.build_uncertain_graph` and
+    :func:`~negdsd.uncertain.bernoulli_graph` take it in place of an iterable of
+    records, with no per-record tuple.  ``len`` is the number of records;
+    iterating yields them as tuples of Python scalars.
+    """
+
+    __slots__ = ("u", "v", "a", "b")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray):
+        self.u, self.v, self.a, self.b = u, v, a, b
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __iter__(self) -> Iterator[tuple[int, int, float, float]]:
+        return _rows(self.u, self.v, self.a, self.b)
+
+
 class WeightedGraph:
     """Undirected graph with one real weight per record (may be negative).
 
@@ -412,10 +434,10 @@ class DsdResult:
 
 
 def build_signed_graph(
-    raw_edges: Iterable[tuple[int, int, float, float]],
+    raw_edges: Iterable[tuple[int, int, float, float]] | EdgeColumns,
     n: int | None = None,
 ) -> SignedGraph:
-    """Collapse raw (u, v, wpos, wneg) records into a :class:`SignedGraph`.
+    """Collapse raw (u, v, wpos, wneg) records, or :class:`EdgeColumns`, into a :class:`SignedGraph`.
 
     Parallel records on the same unordered pair are summed componentwise.
     Node count defaults to ``max id + 1``; pass ``n`` to keep trailing
@@ -445,19 +467,23 @@ _DTYPES = (np.int64, np.int64, np.float64, np.float64)
 
 
 def _collapse(
-    raw_edges: Iterable[tuple[int, int, float, float]],
+    raw_edges: Iterable[tuple[int, int, float, float]] | EdgeColumns,
     n: int | None,
     check_weights: Callable[[int, int, float, float], None],
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_collapse_columns` of raw (u, v, a, b) records with int ids and finite weights, all >= 0.
 
-    The records are checked as columns at once; when a check fails, they are
-    walked in order, so the first bad one raises: its ids and a weight that
-    is not a real number or beyond the float range by the shared checks, its
-    weights by ``check_weights``.
+    The records, or the arrays of :class:`EdgeColumns`, are checked as
+    columns at once; when a check fails, they are walked in order, so the
+    first bad one raises: its ids and a weight that is not a real number or
+    beyond the float range by the shared checks, its weights by
+    ``check_weights``.
     """
-    records = list(raw_edges)
-    columns = _typed_columns(records)
+    if isinstance(raw_edges, EdgeColumns):
+        records, columns = raw_edges, [raw_edges.u, raw_edges.v, raw_edges.a, raw_edges.b]
+    else:
+        records = list(raw_edges)
+        columns = _typed_columns(records)
     if columns is None or not all(bool((c >= 0).all()) for c in columns) or not np.isfinite(columns[2:]).all():
         for u, v, a, b in records:
             _check_ids(u, v)
@@ -477,8 +503,7 @@ def _collapse_columns(n, u, v, a, b) -> tuple[int, np.ndarray, np.ndarray, np.nd
     ``a`` and ``b`` of parallel records are added in record order.
     """
     records = u.shape[0]
-    max_id = max(int(u.max()), int(v.max())) if records else -1
-    n = max_id + 1 if n is None else _node_count(n, max_id)
+    n, max_id = _column_node_count(n, u, v)
     if max_id > _MAX_PACKED_ID:
         raise TooLargeError(f"node ids must be at most {_MAX_PACKED_ID}, got {max_id}")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -498,6 +523,12 @@ def _collapse_columns(n, u, v, a, b) -> tuple[int, np.ndarray, np.ndarray, np.nd
             for total, column in zip(sums, (a, b)):
                 np.add.at(total, row, column[later])  # in record order
     return n, lo[head], hi[head], sums[0], sums[1]
+
+
+def _column_node_count(n, u: np.ndarray, v: np.ndarray) -> tuple[int, int]:
+    """(n, largest id) of nonnegative int64 id columns; ``n`` None counts largest id + 1."""
+    max_id = max(int(u.max()), int(v.max())) if u.shape[0] else -1
+    return (max_id + 1 if n is None else _node_count(n, max_id)), max_id
 
 
 def _typed_columns(records: list) -> list[np.ndarray] | None:

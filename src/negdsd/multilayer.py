@@ -12,16 +12,17 @@ and per-layer counts are ``np.bincount`` calls over those codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 
 from .core import (
     SignedGraph,
+    _check_ids,
     _check_node_set,
     _collapse_columns,
+    _column_node_count,
     _id_columns,
-    _induced_edges,
     _is_finite_real,
     _record_columns,
 )
@@ -52,20 +53,55 @@ class MultilayerGraph:
     def edges(self) -> list[tuple[int, int, Layer]]:
         """The (u, v, layer) records, in order."""
         if self._edges is None:
-            names = map(self._names.__getitem__, self.layer.tolist())
-            self._edges = list(zip(self.u.tolist(), self.v.tolist(), names))
+            self._edges = list(_layer_rows(self.u, self.v, self.layer, self._names))
         return self._edges
 
     def __repr__(self) -> str:
         return f"MultilayerGraph(n={self.n}, m={self.u.shape[0]}, layers={len(self.layers)})"
 
 
+class LayerColumns:
+    """Raw (u, v, layer) records as columns: int64 ids ``u``, ``v`` and int64
+    ``layer`` codes into ``names``, the layer names in order of first appearance.
+
+    :func:`~negdsd.io.parse_multilayer` returns one, and
+    :func:`build_multilayer_graph` takes it in place of an iterable of
+    records.  ``len`` is the number of records; iterating yields them as
+    (u, v, name) tuples.
+    """
+
+    __slots__ = ("u", "v", "layer", "names")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
+        self.u, self.v, self.layer, self.names = u, v, layer, names
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __iter__(self) -> Iterator[tuple[int, int, Layer]]:
+        return _layer_rows(self.u, self.v, self.layer, self.names)
+
+
+def _layer_rows(u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple) -> Iterator[tuple[int, int, Layer]]:
+    return zip(u.tolist(), v.tolist(), map(names.__getitem__, layer.tolist()))
+
+
 def build_multilayer_graph(
-    raw_edges: Iterable[tuple[int, int, Layer]],
+    raw_edges: Iterable[tuple[int, int, Layer]] | LayerColumns,
     n: int | None = None,
 ) -> MultilayerGraph:
     """A :class:`MultilayerGraph` of raw (u, v, layer) records, checked as
-    :class:`~negdsd.core.WeightedGraph` checks ids and ``n``."""
+    :class:`~negdsd.core.WeightedGraph` checks ids and ``n``.
+
+    :class:`LayerColumns` become the graph's columns as they are, with no copy.
+    """
+    if isinstance(raw_edges, LayerColumns):
+        u, v = raw_edges.u, raw_edges.v
+        if len(raw_edges) and min(u.min(), v.min()) < 0:
+            for a, b, _ in raw_edges:
+                _check_ids(a, b)
+        n, _ = _column_node_count(n, u, v)
+        return MultilayerGraph(n, u, v, raw_edges.layer, raw_edges.names)
     us, vs, labels = _record_columns(list(raw_edges), "(u, v, layer)")
     n, u, v = _id_columns(n, us, vs)
     codes = {name: code for code, name in enumerate(dict.fromkeys(labels))}
@@ -133,11 +169,17 @@ def apply_exclusion(graph: MultilayerGraph, query: ExclusionQuery) -> SignedGrap
     return SignedGraph(*_collapse_columns(graph.n, graph.u, graph.v, wpos, wneg))
 
 
+def _induced_records(graph: MultilayerGraph, node_set: frozenset[int]) -> np.ndarray:
+    """Mask of the records with both ends in the set; nothing n long is allocated, as n may be near 2**63."""
+    members = np.fromiter(node_set, dtype=np.int64, count=len(node_set))
+    return np.isin(graph.u, members) & np.isin(graph.v, members)
+
+
 def layer_count(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> int:
     """Number of layer edges with both endpoints in the set."""
     if layer not in graph.layers:
         raise UnknownLayerError(f"layer {layer!r} not present in the graph")
-    induced = graph.layer[_induced_edges(graph, _check_node_set(graph, nodes))]
+    induced = graph.layer[_induced_records(graph, _check_node_set(graph, nodes))]
     return int(np.count_nonzero(induced == graph._names.index(layer)))
 
 
@@ -159,7 +201,7 @@ def layer_report(
     Layers are in order of ``str``, then of first appearance.
     """
     node_set = _check_node_set(graph, nodes)
-    counts = np.bincount(graph.layer[_induced_edges(graph, node_set)], minlength=len(graph._names)).tolist()
+    counts = np.bincount(graph.layer[_induced_records(graph, node_set)], minlength=len(graph._names)).tolist()
     excluded, penalty = _penalized(graph, query) if query is not None else (np.zeros(len(counts), bool), 0.0)
     report = {}
     for layer, count, dropped in sorted(zip(graph._names, counts, excluded), key=lambda row: str(row[0])):

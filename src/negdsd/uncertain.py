@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import SignedGraph, _check_node_set, _check_total_weight, _collapse, _induced_edges, _rows
+from .core import EdgeColumns, SignedGraph, _check_node_set, _check_total_weight, _collapse, _induced_edges, _rows
 from .core import _sequential_sum
 from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
 from .errors import BadParametersError, EmptyFilmographyError, OutOfRangeError
@@ -110,10 +110,10 @@ def bernoulli_moments(p: float, w: float) -> tuple[float, float]:
 
 
 def build_uncertain_graph(
-    raw_edges: Iterable[tuple[int, int, float, float]],
+    raw_edges: Iterable[tuple[int, int, float, float]] | EdgeColumns,
     n: int | None = None,
 ) -> UncertainGraph:
-    """Collapse raw (u, v, mu, sigma2) records; parallel moments add.
+    """Collapse raw (u, v, mu, sigma2) records, or :class:`~negdsd.core.EdgeColumns`; parallel moments add.
 
     Summing moments treats parallel records as independent rewards on the
     same pair.  Collapses like :func:`~negdsd.core.build_signed_graph`.
@@ -132,14 +132,25 @@ def _check_moments(u, v, mu, sigma2) -> None:
 
 
 def bernoulli_graph(
-    raw_edges: Iterable[tuple[int, int, float, float]],
+    raw_edges: Iterable[tuple[int, int, float, float]] | EdgeColumns,
     n: int | None = None,
 ) -> UncertainGraph:
-    """Build an uncertain graph from (u, v, p, w) on/off edges."""
-    return build_uncertain_graph(
-        ((u, v, *bernoulli_moments(p, w)) for u, v, p, w in raw_edges),
-        n=n,
-    )
+    """Build an uncertain graph from (u, v, p, w) on/off edges.
+
+    :class:`~negdsd.core.EdgeColumns` (``a`` = p, ``b`` = w) convert as
+    columns, to the same moments as :func:`bernoulli_moments`; when a
+    probability or reward is out of range, the records are walked in order,
+    so the first bad one raises.
+    """
+    if not isinstance(raw_edges, EdgeColumns):
+        return build_uncertain_graph(((u, v, *bernoulli_moments(p, w)) for u, v, p, w in raw_edges), n=n)
+    p, w = raw_edges.a, raw_edges.b
+    if not ((0 < p) & (p <= 1) & (w >= 0)).all():
+        for _, _, p_e, w_e in raw_edges:
+            bernoulli_moments(p_e, w_e)
+    with np.errstate(over="ignore", invalid="ignore"):  # as with floats, build_uncertain_graph rejects the result
+        moments = EdgeColumns(raw_edges.u, raw_edges.v, w * p, w * w * p * (1.0 - p))
+    return build_uncertain_graph(moments, n=n)
 
 
 def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:

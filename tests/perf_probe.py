@@ -33,9 +33,21 @@ graphs of 100k nodes and 1M records with the probe's endpoints:
 runs ``QUERY_REPEATS`` times; the probe reports the median seconds of each,
 the seconds of the two builds, and the edge count and weight totals of
 each signed graph, so two trees can be checked for equal answers.
+
+``--cli`` instead writes the probe graph (its seed, ends and net weights)
+as a 1M-line 3-column text file, ``u v w`` with the decimal ids as labels,
+and times ``negdsd peel`` on it twice.  First as a child process
+(``process_wall_seconds``, the child's own ``wall_time_s`` and its
+``ru_maxrss``, which also counts the pages this process held when it
+spawned the child), then in this process, one layer at a time: read,
+parse, build, ``peel_order`` and ``best_prefix`` at c = 1, and the JSON
+emit.  It reports the answer's size and density, so two trees can be
+checked for equal answers.
 """
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import mmap
@@ -43,10 +55,15 @@ import os
 import resource
 import struct
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+import negdsd.cli
 import negdsd.exact
 import negdsd.flow
 import negdsd.peeling
@@ -177,6 +194,58 @@ def query_stats() -> dict:
     return stats
 
 
+def probe_edges() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends and net weights of the probe graph's records."""
+    rng = np.random.default_rng(SEED)
+    us = rng.integers(0, NODES, size=EDGES)
+    vs = rng.integers(0, NODES, size=EDGES)
+    return us, vs, rng.uniform(-1.0, 3.0, size=EDGES)
+
+
+def cli_stats(scratch: str) -> dict:
+    """The ``--cli`` probe, with its text file in the directory ``scratch``."""
+    path = os.path.join(scratch, "probe.tsv")
+    us, vs, nets = probe_edges()
+    with open(path, "w") as handle:
+        handle.writelines(f"{u} {v} {w!r}\n" for u, v, w in zip(us.tolist(), vs.tolist(), nets.tolist()))
+    del us, vs, nets
+    src = str(Path(negdsd.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    started = time.perf_counter()
+    child = subprocess.run([sys.executable, "-m", "negdsd.cli", "peel", path], env=env, capture_output=True, check=True)
+    stats = {
+        "records": EDGES,
+        "process_wall_seconds": time.perf_counter() - started,
+        "process_reported_wall_time_s": json.loads(child.stdout)["wall_time_s"],
+        "process_ru_maxrss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
+    marks = [time.perf_counter()]
+
+    def lap() -> float:
+        marks.append(time.perf_counter())
+        return marks[-1] - marks[-2]
+
+    text = negdsd.cli._read_input(path)
+    stats["read_seconds"] = lap()
+    edges, labels = negdsd.cli.parse_signed(text)
+    stats["parse_seconds"] = lap()
+    del text
+    graph = negdsd.cli.build_signed_graph(edges, n=len(labels))
+    stats["build_seconds"] = lap()
+    del edges
+    order = peel_order(graph, 1.0)
+    stats["peel_order_seconds"] = lap()
+    result = best_prefix(graph, order, PeelScoring())
+    stats["best_prefix_seconds"] = lap()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        negdsd.cli._emit(negdsd.cli._result_payload(result, labels), marks[0])
+    stats["emit_seconds"] = lap()
+    stats["in_process_seconds"] = marks[-1] - marks[0]
+    stats.update(labels=len(labels), edges=graph.m, result_size=result.size, net_density=result.net_density)
+    stats["same_nodes_as_process"] = json.loads(out.getvalue())["nodes"] == json.loads(child.stdout)["nodes"]
+    return stats
+
+
 def private_mb() -> float | None:
     """Private_Clean + Private_Dirty of this process in MB, or None without smaps_rollup."""
     try:
@@ -222,7 +291,14 @@ def main() -> None:
     parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
     parser.add_argument("--exact", action="store_true", help="time exact_dsd on two 5k-node graphs instead")
     parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
+    parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
     args = parser.parse_args()
+    if args.cli:
+        with tempfile.TemporaryDirectory() as scratch:
+            stats = cli_stats(scratch)
+        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(stats))
+        return
     if args.exact:
         print(json.dumps(exact_stats()))
         return
@@ -231,10 +307,7 @@ def main() -> None:
         stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(json.dumps(stats))
         return
-    rng = np.random.default_rng(SEED)
-    us = rng.integers(0, NODES, size=EDGES)
-    vs = rng.integers(0, NODES, size=EDGES)
-    nets = rng.uniform(-1.0, 3.0, size=EDGES)
+    us, vs, nets = probe_edges()
     wpos = np.maximum(nets, 0.0)
     wneg = np.maximum(-nets, 0.0)
 

@@ -1,6 +1,8 @@
 """Property-based fuzzing of the input parsers and the command-line front end.
 
-Any text must parse or raise ``ParseError``; any input file and parameters
+Any text must parse or raise ``ParseError``, and the column path must give
+what the line walk gives: the same columns to the bit and the same labels,
+or the same ``ParseError`` line and message; any input file and parameters
 must make ``negdsd`` exit 0, 1 or 2 without a traceback, and print strict
 JSON (no NaN or Infinity) when it succeeds.  Sweeps of one graph under
 random multiplier lists and scorings, which reuse the removal orders the
@@ -12,6 +14,7 @@ exact program, must answer as their steps over the whole program do.
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,9 @@ from negdsd import (
     dsd_decision,
     exact_dsd,
 )
+import negdsd.io
 from negdsd.cli import run
+from negdsd.core import EdgeColumns
 from negdsd.errors import ParseError
 from negdsd.io import parse_bernoulli, parse_moments, parse_multilayer, parse_signed
 
@@ -52,6 +57,82 @@ def test_parsers_return_or_raise_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+# Edge lists as the column path takes them (plain text: ASCII, no '#', only
+# space, tab and newline as whitespace; all lines 3 fields wide, all 4, or
+# either, as Bernoulli files may be), then lines with every kind of
+# whitespace, line break, comment and label that it must leave to the line
+# walk.
+ascii_labels = st.sampled_from(["a", "b", "c", "0", "n1", "x_y"])
+good_values = ["0.5", "1", "0.25", "2", "3e-2", "5e-324", "0", "-0.0", "+1", "1_0", "infinity", "1e-300"]
+bad_values = ["-1", "nan", "1e999", "x", "0x10", "1__0", "a"]
+plain_gaps, plain_breaks = st.sampled_from([" ", "  ", "\t"]), st.sampled_from(["\n", "\n\n", "\n \t\n"])
+
+
+def plain_line(widths, values):
+    fields = widths.flatmap(lambda width: st.tuples(ascii_labels, ascii_labels, *[values] * (width - 2)))
+    return st.tuples(fields, plain_gaps, plain_breaks).map(lambda row: row[1].join(row[0]) + row[2])
+
+
+plain_values = st.sampled_from(good_values * 20 + bad_values)
+plain_texts = st.sampled_from([[3], [4], [3, 4]]).flatmap(
+    lambda widths: st.lists(plain_line(st.sampled_from(widths), plain_values), max_size=10)
+).map("".join)
+any_labels = st.sampled_from(["a", "b", "c", "0", "\u00e9", "\u00fc\u00df"])
+odd_gaps = st.sampled_from(
+    [" "] * 10 + ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+)
+odd_breaks = st.sampled_from(["\n"] * 10 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2029", " # note\n", "#\n"])
+odd_line = st.tuples(
+    st.lists(any_labels | st.sampled_from(good_values + bad_values), min_size=2, max_size=5), odd_gaps, odd_breaks
+).map(lambda row: row[1].join(row[0]) + row[2])
+parser_texts = plain_texts | st.lists(odd_line, max_size=8).map("".join) | texts
+
+
+def outcome(parse, text):
+    """The columns (dtype, shape and bytes of each array) and labels that ``parse`` returns, or its error."""
+    try:
+        columns, labels = parse(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    extra = (columns.a, columns.b) if isinstance(columns, EdgeColumns) else (columns.layer,)
+    arrays = [(array.dtype.str, array.shape, array.tobytes()) for array in (columns.u, columns.v, *extra)]
+    return arrays, getattr(columns, "names", None), labels
+
+
+def plain(text: str) -> bool:
+    """Whether the column path must take ``text``: ASCII, no '#', no control character but tab and newline."""
+    return text.isascii() and "#" not in text and all(ch >= " " or ch in "\t\n" for ch in text)
+
+
+column_path = negdsd.io._split
+
+
+def recording(returns: list):
+    """The column path, keeping what it returns in ``returns``."""
+
+    def split(text, formats):
+        returns.append(column_path(text, formats))
+        return returns[-1]
+
+    return split
+
+
+@settings(max_examples=300)
+@given(text=parser_texts)
+def test_column_path_equals_line_walk(text):
+    for parse in (parse_signed, parse_bernoulli, parse_moments, parse_multilayer):
+        returns = []
+        with mock.patch.object(negdsd.io, "_split", recording(returns)):
+            fast = outcome(parse, text)
+        with mock.patch.object(negdsd.io, "_split", lambda text, formats: None):
+            walked = outcome(parse, text)
+        with mock.patch.object(negdsd.io, "_CHUNK", 7):  # a chunk of one or two lines
+            chunked = outcome(parse, text)
+        assert fast == walked == chunked
+        if plain(text) and not isinstance(walked[0], int):
+            assert returns[0] is not None  # plain text that parses is parsed as columns
 
 
 weights = st.sampled_from(["0", "0.5", "1", "3", "0.1"])

@@ -4,12 +4,21 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 
 import negdsd.cli
-from negdsd import build_signed_graph, gen_bad_peeling, gen_two_component
+from negdsd import (
+    bernoulli_graph,
+    build_multilayer_graph,
+    build_signed_graph,
+    build_uncertain_graph,
+    gen_bad_peeling,
+    gen_two_component,
+)
 from negdsd.cli import run
-from negdsd.errors import ParseError
+from negdsd.core import EdgeColumns
+from negdsd.errors import NegativeMagnitudeError, OutOfRangeError, ParseError, UnknownNodeError
 from negdsd.io import (
     format_signed,
     parse_bernoulli,
@@ -18,20 +27,29 @@ from negdsd.io import (
     parse_signed,
 )
 
+from conftest import assert_same_signed
+
 
 class TestParsing:
     def test_net_format_splits_by_sign(self):
         edges, labels = parse_signed("a b 2\nb c -0.5\n")
-        assert labels.labels == ["a", "b", "c"]
-        assert edges == [(0, 1, 2.0, 0.0), (1, 2, 0.0, 0.5)]
+        assert labels == ["a", "b", "c"]
+        assert list(edges) == [(0, 1, 2.0, 0.0), (1, 2, 0.0, 0.5)]
+        assert len(edges) == 2
+
+    def test_net_weights_split_as_pythons_max_does(self):
+        weights = [0.0, -0.0, 5e-324, -5e-324, 2.5, -1.0]
+        edges, _ = parse_signed("".join(f"a b {w!r}\n" for w in weights))
+        expected = np.array([(max(w, 0.0), max(-w, 0.0)) for w in weights])
+        assert np.stack([edges.a, edges.b], axis=1).tobytes() == expected.tobytes()
 
     def test_pair_format(self):
         edges, _ = parse_signed("x y 1 0.5\n")
-        assert edges == [(0, 1, 1.0, 0.5)]
+        assert list(edges) == [(0, 1, 1.0, 0.5)]
 
     def test_comments_and_blank_lines(self):
         edges, _ = parse_signed("# header\n\na b 1  # trailing\n")
-        assert edges == [(0, 1, 1.0, 0.0)]
+        assert list(edges) == [(0, 1, 1.0, 0.0)]
 
     def test_mixed_widths_rejected_with_line_number(self):
         with pytest.raises(ParseError) as err:
@@ -64,20 +82,44 @@ class TestParsing:
 
     def test_bernoulli_with_default_reward(self):
         edges, _ = parse_bernoulli("a b 0.5\nb c 0.25 4\n")
-        assert edges == [(0, 1, 0.5, 1.0), (1, 2, 0.25, 4.0)]
+        assert list(edges) == [(0, 1, 0.5, 1.0), (1, 2, 0.25, 4.0)]
         with pytest.raises(ParseError):
             parse_bernoulli("a b 0\n")
 
     def test_moments(self):
         edges, _ = parse_moments("a b 0.17 0.08\n")
-        assert edges == [(0, 1, 0.17, 0.08)]
+        assert list(edges) == [(0, 1, 0.17, 0.08)]
         with pytest.raises(ParseError):
             parse_moments("a b 0.17\n")
 
     def test_multilayer(self):
         edges, labels = parse_multilayer("u v follow\nv w reply\n")
-        assert edges == [(0, 1, "follow"), (1, 2, "reply")]
-        assert labels.labels == ["u", "v", "w"]
+        assert list(edges) == [(0, 1, "follow"), (1, 2, "reply")]
+        assert labels == ["u", "v", "w"]
+
+    def test_builders_take_columns_as_they_take_records(self):
+        signed, _ = parse_signed("a b 2 0\nb c 0 0.5\nb a 1 1\n")
+        assert_same_signed(build_signed_graph(signed, n=4), build_signed_graph(list(signed), n=4))
+        bernoulli, _ = parse_bernoulli("a b 0.5\nb c 0.25 4\nb a 0.1 3\n")
+        moments, _ = parse_moments("a b 0.5 0.25\nb a 1 2\n")
+        for built, records in (
+            (bernoulli_graph(bernoulli), bernoulli_graph(list(bernoulli))),
+            (build_uncertain_graph(moments, n=3), build_uncertain_graph(list(moments), n=3)),
+        ):
+            assert built.n == records.n and list(built.rows()) == list(records.rows())
+        layered, _ = parse_multilayer("u v follow\nv w reply\nu v reply\n")
+        graph = build_multilayer_graph(layered, n=4)
+        assert (graph.n, graph.edges, graph.layers) == (4, list(layered), {"follow", "reply"})
+        with pytest.raises(UnknownNodeError):
+            build_multilayer_graph(layered, n=2)
+
+    def test_columns_with_bad_values_raise_as_records_do(self):
+        ids = np.array([0, 1], dtype=np.int64)
+        bad = EdgeColumns(ids, ids[::-1].copy(), np.array([1.0, -2.0]), np.array([0.0, 0.5]))
+        with pytest.raises(NegativeMagnitudeError, match=r"edge \(1, 0\)"):
+            build_signed_graph(bad)
+        with pytest.raises(OutOfRangeError, match="probability"):
+            bernoulli_graph(bad)
 
     def test_roundtrip_is_bit_exact(self):
         for graph in (gen_bad_peeling(16, 0.01), gen_two_component(4, 9, seed=2)):
@@ -86,7 +128,7 @@ class TestParsing:
             rebuilt = build_signed_graph(edges, n=len(labels))
             original = {(e.u, e.v): (e.wpos, e.wneg) for e in graph.edges}
             relabeled = {
-                tuple(sorted((int(labels.labels[e.u]), int(labels.labels[e.v])))): (e.wpos, e.wneg)
+                tuple(sorted((int(labels[e.u]), int(labels[e.v])))): (e.wpos, e.wneg)
                 for e in rebuilt.edges
             }
             assert original == relabeled
@@ -123,10 +165,35 @@ class TestCli:
         assert report["net_density"] == pytest.approx(3.0075, abs=1e-9)
 
     def test_reads_stdin_by_default(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\nb c 1\na c 1\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a b 1\nb c 1\na c 1\n")))
         code, out, _ = run_cli(capsys, "exact")
         assert code == 0
         assert json.loads(out)["net_density"] == 1.0
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"a b 1\n\xff c 2\n", 2), (b"\xc3\xa9 b 1\r\nb c 1\r\nc \xc3", 3), (b"\xe9 b 1\n", 1)],
+    )
+    def test_invalid_utf8_is_a_parse_error(self, capsys, tmp_path, monkeypatch, data, line):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "peel", str(path))
+        assert (code, out) == (2, "")
+        assert f"line {line}: byte" in err and "not valid UTF-8" in err and "Traceback" not in err
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run_cli(capsys, "peel") == (2, "", err)
+
+    def test_line_breaks_and_utf8_labels_read_alike(self, capsys, tmp_path):
+        outputs = []
+        for data in (b"\xc3\xa9 b 1\nb c 2\n", b"\xc3\xa9 b 1\r\nb c 2\r\n", b"\xc3\xa9 b 1\rb c 2"):
+            path = tmp_path / "g.tsv"
+            path.write_bytes(data)
+            code, out, _ = run_cli(capsys, "peel", str(path))
+            assert code == 0
+            report = json.loads(out)
+            del report["wall_time_s"]
+            outputs.append(report)
+        assert outputs[0]["nodes"] == ["b", "c"] and outputs[1:] == outputs[:1] * 2
 
     def test_exact_rejects_negative_weights(self, capsys, tmp_path):
         path = tmp_path / "neg.tsv"

@@ -177,6 +177,14 @@ class TestLayerDensity:
             induced = sum(1 for u, v, _ in graph.edges if u in nodes and v in nodes)
             assert total == pytest.approx(induced / len(nodes))
 
+    def test_ids_near_the_int64_limit(self):
+        # no query allocates anything n long: a MultilayerGraph holds no such array
+        graph = build_multilayer_graph([(0, 2**50, "x"), (2**50, 2**62, "y")])
+        assert layer_count(graph, {0}, "x") == 0
+        assert layer_count(graph, {0, 2**50}, "x") == 1
+        assert layer_density(graph, {2**50, 2**62}, "y") == 0.5
+        assert layer_report(graph, {0, 2**62})["x"]["count"] == 0
+
     def test_report_includes_signed_view(self):
         graph = build_multilayer_graph(
             [(0, 1, "reply"), (0, 1, "follow"), (1, 2, "reply")]
