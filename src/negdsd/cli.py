@@ -6,11 +6,18 @@ uncertain graph and reports the reward/risk profile of the winner; ``exclude``
 runs layer-exclusion queries on multilayer inputs.  Reports are JSON on
 stdout.  Exit codes: 0 success, 1 solver precondition failures, 2 input
 parse/format problems.
+
+Importing this module loads only what ``peel`` runs (``core``, ``errors``,
+``io`` and ``peeling``); every other handler imports its solver modules when
+it runs, so a process loads only what its subcommand uses.  The peel path's
+names stay attributes of this module, where ``perfbench/layers.py`` wraps
+them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -19,8 +26,6 @@ from dataclasses import asdict
 
 from .core import ObjectiveParams, build_signed_graph
 from .errors import BadParametersError, NegDsdError, ParseError
-from .exact import binary_search_objective, brute_force, exact_dsd
-from .generators import gen_bad_peeling, gen_shift_failure, gen_two_component
 from .io import (
     decode,
     format_signed,
@@ -29,9 +34,7 @@ from .io import (
     parse_multilayer,
     parse_signed,
 )
-from .multilayer import ExclusionQuery, apply_exclusion, build_multilayer_graph, layer_report
 from .peeling import DEFAULT_C_LIST, PeelScoring, c_sweep
-from .uncertain import bernoulli_graph, build_uncertain_graph, risk_profile, uncertain_to_signed
 
 RULE_OF_THUMB_C_LIST = ",".join(str(c) for c in DEFAULT_C_LIST)
 
@@ -189,12 +192,16 @@ def _cmd_peel(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .exact import exact_dsd
+
     graph, labels = _read_signed(args.input)
     result = exact_dsd(graph.net_weighted())
     return _emit(_result_payload(result, labels), args.started)
 
 
 def _cmd_search(args) -> int:
+    from .exact import binary_search_objective
+
     graph, labels = _read_signed(args.input)
     result, trace = binary_search_objective(graph, _params(args))
     payload = _result_payload(result, labels)
@@ -203,6 +210,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    from .uncertain import bernoulli_graph, build_uncertain_graph, risk_profile, uncertain_to_signed
+
     text = _read_input(args.input)
     if args.bernoulli:
         edges, labels = parse_bernoulli(text)
@@ -223,6 +232,8 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_exclude(args) -> int:
+    from .multilayer import ExclusionQuery, apply_exclusion, build_multilayer_graph, layer_report
+
     edges, labels = parse_multilayer(_read_input(args.input))
     graph = build_multilayer_graph(edges, n=len(labels))
     excluded = [name for name in args.exclude.split(",") if name]
@@ -237,6 +248,8 @@ def _cmd_exclude(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .exact import brute_force
+
     graph, labels = _read_signed(args.input)
     if args.objective:
         result = brute_force(graph, mode="objective", params=_params(args))
@@ -246,16 +259,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_bad_peeling(args) -> int:
+    from .generators import gen_bad_peeling
+
     sys.stdout.write(format_signed(gen_bad_peeling(args.n, args.eps)))
     return 0
 
 
 def _cmd_gen_two_component(args) -> int:
+    from .generators import gen_two_component
+
     sys.stdout.write(format_signed(gen_two_component(args.r, args.n, args.seed)))
     return 0
 
 
 def _cmd_gen_shift_failure(args) -> int:
+    from .generators import gen_shift_failure
+
     sys.stdout.write(format_signed(gen_shift_failure(args.n, args.delta, args.eps)))
     return 0
 
@@ -283,6 +302,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # What is loaded now lives until the process exits; frozen, it is left out
+    # of every later collection, the ones at exit included.
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import starmap
 from operator import index, itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -215,6 +215,32 @@ class EdgeColumns:
 
     def __iter__(self) -> Iterator[tuple[int, int, float, float]]:
         return _rows(self.u, self.v, self.a, self.b)
+
+
+class LayerColumns:
+    """Raw (u, v, layer) records as columns: int64 ids ``u``, ``v`` and int64
+    ``layer`` codes into ``names``, the layer names in order of first appearance.
+
+    :func:`~negdsd.io.parse_multilayer` returns one, and
+    :func:`~negdsd.multilayer.build_multilayer_graph` takes it in place of an
+    iterable of records.  ``len`` is the number of records; iterating yields
+    them as (u, v, name) tuples.
+    """
+
+    __slots__ = ("u", "v", "layer", "names")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
+        self.u, self.v, self.layer, self.names = u, v, layer, names
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __iter__(self) -> Iterator[tuple[int, int, Hashable]]:
+        return _layer_rows(self.u, self.v, self.layer, self.names)
+
+
+def _layer_rows(u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple) -> Iterator[tuple[int, int, Hashable]]:
+    return zip(u.tolist(), v.tolist(), map(names.__getitem__, layer.tolist()))
 
 
 class WeightedGraph:

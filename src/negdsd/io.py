@@ -11,7 +11,7 @@ Three whitespace-delimited formats, ``#`` starting a comment anywhere:
 Node labels are arbitrary strings mapped to dense ids in order of first
 appearance; parsers return the records as columns
 (:class:`~negdsd.core.EdgeColumns`, or
-:class:`~negdsd.multilayer.LayerColumns` for a multilayer file) alongside
+:class:`~negdsd.core.LayerColumns` for a multilayer file) alongside
 the list of labels, and the builders take those columns as they are.
 
 Parsing is one tokenizer for every format.  Plain text (ASCII, with no
@@ -34,9 +34,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import EdgeColumns, SignedGraph
+from .core import EdgeColumns, LayerColumns, SignedGraph
 from .errors import ParseError
-from .multilayer import LayerColumns
 
 
 def decode(data: bytes) -> str:

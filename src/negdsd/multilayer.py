@@ -12,11 +12,12 @@ and per-layer counts are ``np.bincount`` calls over those codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from .core import (
+    LayerColumns,
     SignedGraph,
     _check_ids,
     _check_node_set,
@@ -24,6 +25,7 @@ from .core import (
     _column_node_count,
     _id_columns,
     _is_finite_real,
+    _layer_rows,
     _record_columns,
 )
 from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
@@ -58,32 +60,6 @@ class MultilayerGraph:
 
     def __repr__(self) -> str:
         return f"MultilayerGraph(n={self.n}, m={self.u.shape[0]}, layers={len(self.layers)})"
-
-
-class LayerColumns:
-    """Raw (u, v, layer) records as columns: int64 ids ``u``, ``v`` and int64
-    ``layer`` codes into ``names``, the layer names in order of first appearance.
-
-    :func:`~negdsd.io.parse_multilayer` returns one, and
-    :func:`build_multilayer_graph` takes it in place of an iterable of
-    records.  ``len`` is the number of records; iterating yields them as
-    (u, v, name) tuples.
-    """
-
-    __slots__ = ("u", "v", "layer", "names")
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
-        self.u, self.v, self.layer, self.names = u, v, layer, names
-
-    def __len__(self) -> int:
-        return self.u.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[int, int, Layer]]:
-        return _layer_rows(self.u, self.v, self.layer, self.names)
-
-
-def _layer_rows(u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple) -> Iterator[tuple[int, int, Layer]]:
-    return zip(u.tolist(), v.tolist(), map(names.__getitem__, layer.tolist()))
 
 
 def build_multilayer_graph(
@@ -170,9 +146,25 @@ def apply_exclusion(graph: MultilayerGraph, query: ExclusionQuery) -> SignedGrap
 
 
 def _induced_records(graph: MultilayerGraph, node_set: frozenset[int]) -> np.ndarray:
-    """Mask of the records with both ends in the set; nothing n long is allocated, as n may be near 2**63."""
+    """Mask of the records with both ends in the nonempty set.
+
+    Nothing n long is allocated, as n may be near 2**63: when the set's ids
+    span fewer values than there are records, a lookup table over that span
+    marks the members; otherwise the records are matched with ``np.isin``.
+    """
     members = np.fromiter(node_set, dtype=np.int64, count=len(node_set))
-    return np.isin(graph.u, members) & np.isin(graph.v, members)
+    lo, hi = int(members.min()), int(members.max())
+    if hi - lo >= graph.u.shape[0]:
+        return np.isin(graph.u, members) & np.isin(graph.v, members)
+    # The slot past the span stays False: ids above the span are clipped to
+    # that slot, ids below it to -1, which indexes the same slot.
+    table = np.zeros(hi - lo + 2, dtype=bool)
+    table[members - lo] = True
+
+    def inside(ids: np.ndarray) -> np.ndarray:
+        return table[np.clip(ids - lo, -1, hi - lo + 1)]  # ids and lo are >= 0: no overflow
+
+    return inside(graph.u) & inside(graph.v)
 
 
 def layer_count(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> int:

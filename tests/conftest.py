@@ -9,12 +9,15 @@ these.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 from hypothesis import settings
 
+import negdsd
 from negdsd import SignedGraph, build_signed_graph
 
 TIE = 1e-12
@@ -22,6 +25,12 @@ TIE = 1e-12
 # Fuzz tests replay the same examples on every run and never time out.
 settings.register_profile("negdsd", deadline=None, derandomize=True, max_examples=150)
 settings.load_profile("negdsd")
+
+
+def child_env() -> dict:
+    """Environment in which a child process imports ``negdsd`` from the tree under test."""
+    src = str(Path(negdsd.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def reference_sink_side(graph: nx.DiGraph, source, sink) -> np.ndarray:

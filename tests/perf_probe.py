@@ -42,7 +42,10 @@ and times ``negdsd peel`` on it twice.  First as a child process
 spawned the child), then in this process, one layer at a time: read,
 parse, build, ``peel_order`` and ``best_prefix`` at c = 1, and the JSON
 emit.  It reports the answer's size and density, so two trees can be
-checked for equal answers.
+checked for equal answers.  It also times interpreter start and imports:
+``bare_python_seconds`` and ``import_seconds`` are the median spawn-to-exit
+seconds of ``STARTUP_REPEATS`` children running ``python -c pass`` and
+``python -c "import negdsd.cli"``.
 """
 
 import argparse
@@ -96,6 +99,8 @@ EXACT_REPEATS = 5
 
 QUERY_REPEATS = 7
 QUERY_LAYERS = ("follow", "reply", "block")
+
+STARTUP_REPEATS = 3
 
 
 def exact_graph(planted: bool) -> WeightedGraph:
@@ -202,6 +207,16 @@ def probe_edges() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return us, vs, rng.uniform(-1.0, 3.0, size=EDGES)
 
 
+def child_seconds(code: str, env: dict) -> float:
+    """Median spawn-to-exit seconds of ``STARTUP_REPEATS`` children running ``python -c code``."""
+    seconds = []
+    for _ in range(STARTUP_REPEATS):
+        started = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds)
+
+
 def cli_stats(scratch: str) -> dict:
     """The ``--cli`` probe, with its text file in the directory ``scratch``."""
     path = os.path.join(scratch, "probe.tsv")
@@ -218,6 +233,8 @@ def cli_stats(scratch: str) -> dict:
         "process_wall_seconds": time.perf_counter() - started,
         "process_reported_wall_time_s": json.loads(child.stdout)["wall_time_s"],
         "process_ru_maxrss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "bare_python_seconds": child_seconds("pass", env),
+        "import_seconds": child_seconds("import negdsd.cli", env),
     }
     marks = [time.perf_counter()]
 

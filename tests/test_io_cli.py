@@ -2,6 +2,8 @@
 
 import io
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -27,7 +29,7 @@ from negdsd.io import (
     parse_signed,
 )
 
-from conftest import assert_same_signed
+from conftest import assert_same_signed, child_env
 
 
 class TestParsing:
@@ -380,3 +382,69 @@ class TestCli:
         _, first, _ = run_cli(capsys, "gen", "two-component", "--r", "3", "--n", "8", "--seed", "7")
         _, second, _ = run_cli(capsys, "gen", "two-component", "--r", "3", "--n", "8", "--seed", "7")
         assert first == second
+
+
+def without_wall_time(out: str) -> str:
+    return "\n".join(line for line in out.splitlines() if "wall_time_s" not in line)
+
+
+# Imports the CLI, lists the negdsd modules loaded, runs ``peel`` on the
+# file named by argv[1] and lists them again.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import negdsd.cli
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "negdsd")
+imported = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = negdsd.cli.run(["peel", sys.argv[1]])
+print(json.dumps({"imported": imported, "code": code, "after_peel": loaded()}))
+"""
+
+
+class TestCliImports:
+    PEEL_MODULES = ["negdsd", "negdsd.cli", "negdsd.core", "negdsd.errors", "negdsd.io", "negdsd.peeling"]
+    SIGNED = "a b 1\nb c 1\na c 1\nc d -0.5\n"
+    FILES = {
+        "signed.tsv": SIGNED,
+        "triangle.tsv": "a b 1\nb c 1\na c 1\n",
+        "bernoulli.tsv": "a b 0.9 2\nb c 0.9 2\na c 0.9 2\nc d 0.1 1\n",
+        "layers.tsv": "a b follow\nb c reply\na c reply\nc d reply\nb d reply\nc e follow\n",
+    }
+
+    def test_peel_loads_only_its_own_modules(self, tmp_path):
+        path = tmp_path / "signed.tsv"
+        path.write_text(self.SIGNED)
+        child = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(path)], env=child_env(), capture_output=True, text=True, check=True
+        )
+        report = json.loads(child.stdout)
+        assert report["imported"] == self.PEEL_MODULES
+        assert report["code"] == 0
+        assert report["after_peel"] == self.PEEL_MODULES
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "triangle.tsv"],
+            ["search", "signed.tsv"],
+            ["oracle", "signed.tsv", "--objective"],
+            ["risk", "bernoulli.tsv", "--bernoulli"],
+            ["exclude", "layers.tsv", "--exclude", "follow", "--hard"],
+            ["gen", "bad-peeling", "--n", "16", "--eps", "0.01"],
+            ["gen", "two-component", "--r", "3", "--n", "8", "--seed", "7"],
+            ["gen", "shift-failure", "--n", "20", "--delta", "10", "--eps", "0.01"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]) if argv[0] == "gen" else argv[0],
+    )
+    def test_subcommand_in_a_fresh_process(self, capsys, tmp_path, argv):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg) if arg in self.FILES else arg for arg in argv]
+        child = subprocess.run(
+            [sys.executable, "-m", "negdsd.cli", *argv], env=child_env(), capture_output=True, text=True
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert without_wall_time(child.stdout) == without_wall_time(out)

@@ -26,6 +26,7 @@ from negdsd.errors import (
     UnknownLayerError,
     UnknownNodeError,
 )
+from negdsd.multilayer import _induced_records
 
 from conftest import assert_same_signed
 
@@ -184,6 +185,24 @@ class TestLayerDensity:
         assert layer_count(graph, {0, 2**50}, "x") == 1
         assert layer_density(graph, {2**50, 2**62}, "y") == 0.5
         assert layer_report(graph, {0, 2**62})["x"]["count"] == 0
+
+    @pytest.mark.parametrize("base", [0, 1000, 2**62, 2**63 - 1 - 600])
+    def test_induced_records_match_isin(self, base):
+        # sets whose ids span fewer than the 400 records take the lookup table, wider ones np.isin
+        rng = np.random.default_rng(base % 1000)
+        u, v = base + rng.integers(0, 600, size=(2, 400))
+        graph = build_multilayer_graph(zip(u.tolist(), v.tolist(), ["x"] * 400))
+        ids = np.unique(np.concatenate([u, v]))
+        for size in (1, 2, 5, 50, 200):
+            for spread in (ids, ids[: len(ids) // 3], np.array([ids[0], ids[-1]])):
+                nodes = frozenset(rng.choice(spread, size=min(size, len(spread)), replace=False).tolist())
+                members = np.array(sorted(nodes), dtype=np.int64)
+                expected = np.isin(graph.u, members) & np.isin(graph.v, members)
+                assert np.array_equal(_induced_records(graph, nodes), expected)
+        wide = frozenset((int(ids[0]), 2**63 - 1))
+        graph = build_multilayer_graph([(int(ids[0]), 2**63 - 1, "x"), (int(ids[0]), int(ids[0]), "x")])
+        assert _induced_records(graph, wide).tolist() == [True, True]
+        assert _induced_records(graph, frozenset((int(ids[0]),))).tolist() == [False, True]
 
     def test_report_includes_signed_view(self):
         graph = build_multilayer_graph(
