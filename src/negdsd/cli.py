@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict
 
 from .core import ObjectiveParams, build_signed_graph
-from .errors import BadParametersError, NegDsdError, ParseError
+from .errors import BadParametersError, NegativeWeightError, NegDsdError, ParseError
 from .io import (
     decode,
     format_signed,
@@ -195,7 +195,12 @@ def _cmd_exact(args) -> int:
     from .exact import exact_dsd
 
     graph, labels = _read_signed(args.input)
-    result = exact_dsd(graph.net_weighted())
+    net = graph.net_weighted()
+    try:
+        result = exact_dsd(net)
+    except NegativeWeightError:  # the library names internal ids; name the labels
+        u, v, w = net.edges[int((net.w < 0).argmax())]
+        raise NegativeWeightError(f"edge ({labels[u]}, {labels[v]}) has negative weight {w}") from None
     return _emit(_result_payload(result, labels), args.started)
 
 

@@ -24,11 +24,14 @@ N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
 
 ``exact_dsd`` starts near the optimum, so the q-core is small: a bulk peel
 over the edge columns (every node of degree at most 2(1 + eps) times the
-density leaves in one round) finds a set B, and the start is the better of
-B and the best prefix of one exact c=1 peel (the warm start of Greedy++)
-of the q-core at B's value only.  That is never worse than the best prefix
-of a c=1 peel of the whole graph (see ``_density_start``); on a planted
-dense set B is that set, and one cut on it certifies it.
+density leaves in one round) finds a set B, and the start is the better,
+in exact value, of B and the best prefix of one c=1 peel (the warm start
+of Greedy++) of the q-core at B's value.  That peel is the package's
+column peel on the core's float64 weights: the cuts certify any start,
+so it needs no exact arithmetic.  Only the core is peeled, because a c=1
+peel of the whole graph removes the nodes outside it first, so the start
+is never worse than that peel's best prefix (see ``_density_start``); on
+a planted dense set B is that set, and one cut on it certifies it.
 The exact program is built only on B and a superset S of that q-core,
 pruned first in float64 columns (``_float_core``): q is bounded below by
 a float a few ulps under B's density, every round sums each survivor's
@@ -54,7 +57,6 @@ columns are split with ``np.frexp`` at once), and q is a
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +74,7 @@ from .core import (
     _check_objective_range,
     _check_arc_keys,
     _check_total_weight,
+    _collapse_columns,
     _csr,
     _induced_edges,
     _is_finite_real,
@@ -180,8 +183,8 @@ class _RatioProgram:
     Edge e joins ``u[e]`` and ``v[e]`` (int64 columns) with P_e = ``p[e]``
     and R_e = ``r[e]``, Python ints of any size in object arrays.  The arcs
     of node x are positions ``indptr[x]:indptr[x+1]`` of ``neighbor``,
-    ``arc_p`` and ``arc_r``, a loop once, as Python lists: the q-core and
-    the start's peel walk them in exact arithmetic.
+    ``arc_p`` and ``arc_r``, a loop once, as Python lists: the q-core walks
+    them in exact arithmetic.
     """
 
     n: int
@@ -206,23 +209,6 @@ class _RatioProgram:
         return Fraction(self.p[induced].sum() + self.l1 * size, self.r[induced].sum() + self.l2 * size)
 
 
-def _program(
-    n: int, u: np.ndarray, v: np.ndarray, p: np.ndarray, r: np.ndarray,
-    l1: int, l2: int, q_max: Fraction | float,
-) -> _RatioProgram:
-    """The program of integer edge weights ``p``, ``r`` (object arrays) on edges (u[e], v[e])."""
-    indptr, neighbor, edge_id = _csr(n, u, v)
-    ends = np.stack([u, v], axis=1).ravel()  # a loop twice, counting twice
-    degrees = []
-    for weights in (p, r):
-        degree = np.zeros(n, dtype=object)
-        if weights.any():  # R is all zero in a density program
-            np.add.at(degree, ends, np.repeat(weights, 2))
-        degrees.append(degree.tolist())
-    arcs = indptr.tolist(), neighbor.tolist(), p[edge_id].tolist(), r[edge_id].tolist()
-    return _RatioProgram(n, u, v, p, r, *arcs, *degrees, l1, l2, q_max)
-
-
 def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
     """Scale edges (u[e], v[e]) with P_e, R_e (R_e multiplied by ``r_factor``) to integers.
 
@@ -243,7 +229,16 @@ def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) 
             q_num, q_den = p_e, r_e
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
     q_max = Fraction(q_num, q_den) if q_den else math.inf
-    return _program(n, u, v, p, r, l1, l2, q_max)
+    indptr, neighbor, edge_id = _csr(n, u, v)
+    ends = np.stack([u, v], axis=1).ravel()  # a loop twice, counting twice
+    degrees = []
+    for weights in (p, r):
+        degree = np.zeros(n, dtype=object)
+        if weights.any():  # R is all zero in a density program
+            np.add.at(degree, ends, np.repeat(weights, 2))
+        degrees.append(degree.tolist())
+    arcs = indptr.tolist(), neighbor.tolist(), p[edge_id].tolist(), r[edge_id].tolist()
+    return _RatioProgram(n, u, v, p, r, *arcs, *degrees, l1, l2, q_max)
 
 
 def _induced_columns(
@@ -256,15 +251,6 @@ def _induced_columns(
     u, v = label[u], label[v]
     keep = (u >= 0) & (v >= 0)
     return u[keep], v[keep], keep
-
-
-def _restrict(program: _RatioProgram, nodes: list[int]) -> _RatioProgram:
-    """The program on the subgraph induced by ``nodes`` (ascending); ``nodes[i]`` becomes i."""
-    if len(nodes) == program.n:
-        return program
-    u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
-    p, r = program.p[keep], program.r[keep]
-    return _program(len(nodes), u, v, p, r, program.l1, program.l2, program.q_max)
 
 
 def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
@@ -340,64 +326,6 @@ def _max_density_side(
     return np.asarray(core, dtype=np.int64)[~net.residual_sink_side(sink)[:k]].tolist()
 
 
-def _peel_start(program: _RatioProgram) -> list[int]:
-    """Best prefix of one c=1 peel of a density program's integer weights, scored exactly."""
-    n = program.n
-    sequence = _min_degree_order(program)
-    position = [0] * n
-    for i, v in enumerate(sequence):
-        position[v] = i
-    indptr, neighbor, arc_p, arc_r = program.indptr, program.neighbor, program.arc_p, program.arc_r
-    num, den = sum(program.deg_p) // 2, sum(program.deg_r) // 2
-    best_size, best_num, best_den = 0, 0, 1
-    for idx, v in enumerate(sequence):
-        size = n - idx
-        cand_num, cand_den = num + program.l1 * size, den + program.l2 * size
-        if best_size == 0 or cand_num * best_den > best_num * cand_den:  # ties keep the larger
-            best_size, best_num, best_den = size, cand_num, cand_den
-        for i in range(indptr[v], indptr[v + 1]):
-            if position[neighbor[i]] >= idx:  # still present, or the loop at v
-                num -= arc_p[i]
-                den -= arc_r[i]
-    return sequence[n - best_size :]
-
-
-def _min_degree_order(program: _RatioProgram) -> list[int]:
-    """Removal order of the c=1 peel of a density program (R = 0): the least
-    integer degree P among the survivors leaves first, ties to the smallest id.
-
-    One heap of (degree, node) entries.  An entry is pushed only when a
-    node's degree falls, so every live node keeps an entry at or below its
-    degree.  A popped entry below its node's degree (which rose since)
-    re-queues the node at that degree; one equal to it is the live node of
-    least (degree, id).  Entries of removed nodes are skipped.
-    """
-    indptr, neighbor, arc_p = program.indptr, program.neighbor, program.arc_p
-    degree = list(program.deg_p)
-    heap = list(zip(degree, range(program.n)))
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    alive = [True] * program.n
-    sequence = []
-    for _ in range(program.n):
-        while True:
-            d, v = heappop(heap)
-            if alive[v]:
-                if d == degree[v]:
-                    break
-                heappush(heap, (degree[v], v))
-        alive[v] = False  # before the arcs, so a loop at v is skipped
-        sequence.append(v)
-        for i in range(indptr[v], indptr[v + 1]):
-            u = neighbor[i]
-            if alive[u]:
-                new = degree[u] - arc_p[i]
-                if new < degree[u]:
-                    heappush(heap, (new, u))
-                degree[u] = new
-    return sequence
-
-
 def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Float degrees of nodes 0..n-1 over edges (u[e], v[e]) of float weights ``w``.
 
@@ -445,7 +373,7 @@ def _density_floor(weights: np.ndarray, size: int) -> float:
 
 
 def _density_start(
-    program: _RatioProgram, bulk: list[int]
+    program: _RatioProgram, weights: np.ndarray, bulk: list[int]
 ) -> tuple[list[int], tuple[list[int], list[int]] | None]:
     """A nonempty start for ``exact_dsd`` at least as dense as the best prefix of a c=1 peel.
 
@@ -456,8 +384,14 @@ def _density_start(
     within the core.  While it does, the density stays at most q, or, once
     above q, keeps rising, since each removed node takes less than q away.
     So that peel's best prefix is no better than B or is a prefix of the
-    same peel of the core alone, and only the core is peeled.  The program
-    may be that of any induced subgraph holding B and the q-core.
+    same peel of the core alone, and only the core is peeled:
+    :func:`~negdsd.peeling.peel_order` and
+    :func:`~negdsd.peeling.best_prefix` on its float64 weights ``weights``
+    (those of the program's edges; parallel records are collapsed first).
+    The cuts certify whatever start they get, so the float peel needs no
+    exact arithmetic; only the choice between its prefix and B compares
+    exact values.  The program may be that of any induced subgraph holding
+    B and the q-core.
 
     Returns the start and, when it is B, the q-core at its value (the
     survivors and their degrees), which the first cut needs again.
@@ -465,7 +399,12 @@ def _density_start(
     q = program.value(bulk)
     a, b = q.numerator, q.denominator
     core = _q_core(program, a, b, a * program.l2 - b * program.l1)
-    peeled = [core[0][i] for i in _peel_start(_restrict(program, core[0]))]
+    nodes = core[0]
+    u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
+    w = weights[keep]
+    graph = SignedGraph(*_collapse_columns(len(nodes), u, v, w, np.zeros_like(w)))
+    prefix = peeling.best_prefix(graph, peeling.peel_order(graph), peeling.PeelScoring()).nodes
+    peeled = [nodes[i] for i in prefix]
     return (peeled, None) if program.value(peeled) > q else (bulk, core)
 
 
@@ -518,14 +457,14 @@ def _validate_nonnegative(graph: WeightedGraph) -> np.ndarray:
     return weights
 
 
-def _density_program(graph: WeightedGraph, nodes: np.ndarray | None = None) -> _RatioProgram:
+def _density_program(graph: WeightedGraph, nodes: np.ndarray | None = None) -> tuple[_RatioProgram, np.ndarray]:
     """The density program of the subgraph induced by ``nodes`` (ascending; all
-    by default), ``nodes[i]`` as node i."""
+    by default), ``nodes[i]`` as node i, and its edges' weights as float64."""
     n, u, v, w = graph.n, graph.u, graph.v, graph.w
     if nodes is not None and len(nodes) < n:
         u, v, keep = _induced_columns(n, u, v, nodes)
         n, w = len(nodes), w[keep]
-    return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1)
+    return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1), w.astype(np.float64, copy=False)
 
 
 def _float_core(graph: WeightedGraph, weights: np.ndarray, q_lo: float, keep: list[int]) -> np.ndarray:
@@ -573,7 +512,8 @@ def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
     if not _is_finite_real(g):
         raise BadParametersError(f"density threshold must be finite, got {g}")
     nodes = _float_core(graph, weights, g, [])  # g is exact: the cut runs at Fraction(g)
-    witness = _max_density_side(_density_program(graph, nodes), Fraction(g))
+    program, _ = _density_program(graph, nodes)
+    witness = _max_density_side(program, Fraction(g))
     if witness:
         return DecisionOutcome(True, frozenset(nodes[witness].tolist()))
     return DecisionOutcome(False, None)
@@ -582,10 +522,11 @@ def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
 def exact_dsd(graph: WeightedGraph) -> DsdResult:
     """True maximizer of w(S)/|S| over nonempty S; ties go to the largest set.
 
-    Dinkelbach iteration starts from the denser of a bulk peel's best round
-    and the best prefix of one peel of that round's q-core, and every step
-    is a minimum cut, so the answer is always exact.  The exact program is
-    built only on the bulk round and a float-pruned superset of its q-core.
+    Dinkelbach iteration starts from the denser, in exact value, of a bulk
+    peel's best round and the best prefix of one float c=1 peel of that
+    round's q-core, and every step is a minimum cut, so the answer is
+    always exact whatever the start.  The exact program is built only on
+    the bulk round and a float-pruned superset of its q-core.
     """
     weights = _validate_nonnegative(graph)
     if graph.n == 0:
@@ -593,8 +534,8 @@ def exact_dsd(graph: WeightedGraph) -> DsdResult:
     bulk = _bulk_peel(graph.n, graph.u, graph.v, weights)
     q_lo = _density_floor(weights[_induced_edges(graph, frozenset(bulk))], len(bulk))
     kept = _float_core(graph, weights, q_lo, bulk)
-    program = _density_program(graph, kept)
-    start, core = _density_start(program, np.searchsorted(kept, bulk).tolist())
+    program, kept_weights = _density_program(graph, kept)
+    start, core = _density_start(program, kept_weights, np.searchsorted(kept, bulk).tolist())
     best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(kept[list(best)].tolist())
     w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .core import DsdResult, SignedGraph, WeightedGraph, build_signed_graph, induced_weights
+from .core import DsdResult, SignedGraph, WeightedGraph, _is_finite_real, build_signed_graph, induced_weights
 from .errors import BadParametersError
 from .exact import exact_dsd
 
@@ -86,11 +86,14 @@ def gen_shift_failure(n: int, delta: float, eps: float) -> SignedGraph:
     (n-1)*(delta-eps)/2 exceeds the triangle's 1+delta, so the baseline
     returns the clique whose true density is negative.
 
-    Requires n >= 3, delta > 0, 0 < eps < delta, and the failure inequality
+    Requires n >= 3, finite delta > 0, 0 < eps < delta, and the failure inequality
     (n-1)*(delta-eps)/2 > 1 + delta.
     """
     if n < 3:
         raise BadParametersError(f"n must be >= 3, got {n}")
+    for name, value in (("delta", delta), ("eps", eps)):
+        if not _is_finite_real(value):
+            raise BadParametersError(f"{name} must be finite, got {value}")
     if delta <= 0:
         raise BadParametersError(f"delta must be > 0, got {delta}")
     if not 0 < eps < delta:

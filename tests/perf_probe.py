@@ -21,9 +21,17 @@ sweep kept on the graph and only scores prefixes.
 edges with uniform endpoints and integer weights 1..3: ``planted``, where
 1,225 of the edges form a 50-node clique of weight 3, and ``uniform``,
 with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
-reports the median seconds, the number of minimum cuts in one solve, the
-node count of the exact program that solve built (``program_nodes``, after
-the float prune), and the answer's size and density.
+reports the median seconds of the solve and of its warm start
+(``start_seconds``, ``exact._density_start``), the number of minimum cuts
+in one solve, the node count of the exact program that solve built
+(``program_nodes``, after the float prune), and the answer's size and
+density.
+
+``--clipped`` instead solves ``exact_dsd`` once on the probe graph with
+each collapsed pair's net weight clipped at 0, and reports the total,
+warm-start and per-cut seconds (``cut_seconds``: q-core, network build and
+max flow of each minimum cut), the cut count, ``program_nodes``, and the
+answer's size and density.
 
 ``--queries`` instead times the reductions of the two query primitives on
 graphs of 100k nodes and 1M records with the probe's endpoints:
@@ -68,7 +76,6 @@ import numpy as np
 
 import negdsd.cli
 import negdsd.exact
-import negdsd.flow
 import negdsd.peeling
 from negdsd import (
     DEFAULT_C_LIST,
@@ -114,45 +121,89 @@ def exact_graph(planted: bool) -> WeightedGraph:
     return WeightedGraph(EXACT_NODES, list(zip(us, vs, ws)) + clique)
 
 
-def exact_stats() -> dict:
-    cuts = program_nodes = 0
-    original = negdsd.flow.Dinic.max_flow
-    original_program = negdsd.exact._density_program
+@contextlib.contextmanager
+def exact_spans():
+    """Time ``exact_dsd``'s steps while inside; yields a dict that each solve fills.
 
-    def counted(self, source, sink):
-        nonlocal cuts
-        cuts += 1
-        return original(self, source, sink)
+    ``program_nodes`` is the node count of the exact program, after the float
+    prune; ``start_seconds`` the seconds of ``_density_start``, the warm
+    start; ``cut_seconds`` the seconds of each minimum cut
+    (``_max_density_side``: q-core, network build and max flow).  Clear the
+    dict before each solve.
+    """
+    spans: dict = {}
+    names = ("_density_program", "_density_start", "_max_density_side")
+    originals = {name: getattr(negdsd.exact, name) for name in names}
 
-    def sized(graph, nodes=None):
-        nonlocal program_nodes
-        program = original_program(graph, nodes)
-        program_nodes = program.n
-        return program
+    def program(graph, nodes=None):
+        built = originals["_density_program"](graph, nodes)
+        spans["program_nodes"] = built[0].n
+        return built
 
-    negdsd.flow.Dinic.max_flow = counted
-    negdsd.exact._density_program = sized
-    stats = {}
+    def start(*args):
+        started = time.perf_counter()
+        answer = originals["_density_start"](*args)
+        spans["start_seconds"] = time.perf_counter() - started
+        return answer
+
+    def cut(*args):
+        started = time.perf_counter()
+        answer = originals["_max_density_side"](*args)
+        spans.setdefault("cut_seconds", []).append(time.perf_counter() - started)
+        return answer
+
+    for name, wrapper in zip(names, (program, start, cut)):
+        setattr(negdsd.exact, name, wrapper)
     try:
+        yield spans
+    finally:
+        for name, original in originals.items():
+            setattr(negdsd.exact, name, original)
+
+
+def exact_stats() -> dict:
+    stats = {}
+    with exact_spans() as spans:
         for name, planted in (("planted", True), ("uniform", False)):
             graph = exact_graph(planted)
-            seconds = []
+            seconds, starts = [], []
             for _ in range(EXACT_REPEATS):
-                cuts = 0
+                spans.clear()
                 started = time.perf_counter()
                 result = exact_dsd(graph)
                 seconds.append(time.perf_counter() - started)
+                starts.append(spans["start_seconds"])
             stats[name] = {
                 "exact_dsd_seconds": statistics.median(seconds),
-                "min_cuts": cuts,
-                "program_nodes": program_nodes,
+                "start_seconds": statistics.median(starts),
+                "min_cuts": len(spans["cut_seconds"]),
+                "program_nodes": spans["program_nodes"],
                 "result_size": result.size,
                 "net_density": result.net_density,
             }
-    finally:
-        negdsd.flow.Dinic.max_flow = original
-        negdsd.exact._density_program = original_program
     return stats
+
+
+def clipped_stats() -> dict:
+    """One ``exact_dsd`` solve of the probe graph with its net weights clipped at 0."""
+    graph = probe_graph(*probe_edges())
+    clipped = WeightedGraph._from_columns(graph.n, graph.u, graph.v, np.maximum(graph.wpos - graph.wneg, 0.0))
+    del graph
+    with exact_spans() as spans:
+        started = time.perf_counter()
+        result = exact_dsd(clipped)
+        seconds = time.perf_counter() - started
+    return {
+        "nodes": clipped.n,
+        "edges": clipped.m,
+        "exact_dsd_seconds": seconds,
+        "start_seconds": spans["start_seconds"],
+        "cut_seconds": spans["cut_seconds"],
+        "min_cuts": len(spans["cut_seconds"]),
+        "program_nodes": spans["program_nodes"],
+        "result_size": result.size,
+        "net_density": result.net_density,
+    }
 
 
 def median_seconds(call) -> tuple[float, object]:
@@ -205,6 +256,12 @@ def probe_edges() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     us = rng.integers(0, NODES, size=EDGES)
     vs = rng.integers(0, NODES, size=EDGES)
     return us, vs, rng.uniform(-1.0, 3.0, size=EDGES)
+
+
+def probe_graph(us: np.ndarray, vs: np.ndarray, nets: np.ndarray):
+    """The probe graph of ``probe_edges()``: each net weight split by sign, parallel records collapsed."""
+    records = zip(us.tolist(), vs.tolist(), np.maximum(nets, 0.0).tolist(), np.maximum(-nets, 0.0).tolist())
+    return build_signed_graph(records, n=NODES)
 
 
 def child_seconds(code: str, env: dict) -> float:
@@ -307,6 +364,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
     parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
     parser.add_argument("--exact", action="store_true", help="time exact_dsd on two 5k-node graphs instead")
+    parser.add_argument("--clipped", action="store_true", help="time exact_dsd on the graph clipped at 0 instead")
     parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
     parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
     args = parser.parse_args()
@@ -319,20 +377,21 @@ def main() -> None:
     if args.exact:
         print(json.dumps(exact_stats()))
         return
+    if args.clipped:
+        stats = clipped_stats()
+        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(stats))
+        return
     if args.queries:
         stats = query_stats()
         stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(json.dumps(stats))
         return
     us, vs, nets = probe_edges()
-    wpos = np.maximum(nets, 0.0)
-    wneg = np.maximum(-nets, 0.0)
-
     build_start = time.perf_counter()
-    records = zip(us.tolist(), vs.tolist(), wpos.tolist(), wneg.tolist())
-    graph = build_signed_graph(records, n=NODES)
+    graph = probe_graph(us, vs, nets)
     build_seconds = time.perf_counter() - build_start
-    del us, vs, nets, wpos, wneg, records
+    del us, vs, nets
 
     peel_start = time.perf_counter()
     order = peel_order(graph, 1.0)

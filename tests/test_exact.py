@@ -38,7 +38,6 @@ from negdsd.exact import (
     _dinkelbach,
     _float_core,
     _max_density_side,
-    _min_degree_order,
     _q_core,
     _ratio_program,
 )
@@ -314,19 +313,6 @@ class TestRatioProgram:
                 assert got == expected
                 assert all(type(x) is int for x in got[0] + got[1] + got[2] + got[3])
 
-    def test_min_degree_order_matches_naive_peel(self):
-        # Weights are multiples of 1/4, so the float peel of the oracle is exact.
-        rng = random.Random(107)
-        for _ in range(150):
-            n = rng.randint(1, 30)
-            records = []
-            for _ in range(rng.randint(0, 4 * n)):
-                u = rng.randrange(n)
-                records.append((u, u if rng.random() < 0.1 else rng.randrange(n), rng.randint(0, 12) / 4))
-            program = _density_program(WeightedGraph(n, records))
-            signed = build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n)
-            assert _min_degree_order(program) == naive_peel(signed, 1.0)
-
     def test_no_edges(self):
         empty = np.zeros(0)
         ids = empty.astype(np.int64)
@@ -355,8 +341,8 @@ class TestDensityStart:
                 inside = set(nodes)
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
-            program = _density_program(graph)
-            start, core = _density_start(program, _bulk_peel(graph.n, graph.u, graph.v, graph.w))
+            program, weights = _density_program(graph)
+            start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, graph.w))
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
@@ -368,9 +354,8 @@ class TestDensityStart:
 
 def full_program_exact_dsd(graph: WeightedGraph) -> DsdResult:
     """exact_dsd's steps over the program of the whole graph, with no float prune."""
-    program = _density_program(graph)
-    bulk = _bulk_peel(graph.n, graph.u, graph.v, graph.w.astype(np.float64))
-    start, core = _density_start(program, bulk)
+    program, weights = _density_program(graph)
+    start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights))
     best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(best)
     w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
@@ -379,7 +364,7 @@ def full_program_exact_dsd(graph: WeightedGraph) -> DsdResult:
 
 def full_program_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
     """dsd_decision's cut over the program of the whole graph, with no float prune."""
-    witness = _max_density_side(_density_program(graph), Fraction(g))
+    witness = _max_density_side(_density_program(graph)[0], Fraction(g))
     return DecisionOutcome(True, frozenset(witness)) if witness else DecisionOutcome(False, None)
 
 
@@ -407,7 +392,7 @@ class TestFloatPrune:
         pruned = 0
         for _ in range(400):
             graph = prune_prone_graph(rng)
-            program = _density_program(graph)
+            program, _ = _density_program(graph)
             weights = graph.w.astype(np.float64)
             for x in rng.sample(range(graph.n), min(3, graph.n)):
                 q = Fraction(program.deg_p[x], program.l2)  # exactly x's degree
@@ -450,7 +435,7 @@ class TestFloatPrune:
         for _ in range(300):
             graph = prune_prone_graph(rng)
             assert solved(exact_dsd, graph) == solved(full_program_exact_dsd, graph)
-            program = _density_program(graph)
+            program, _ = _density_program(graph)
             degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
             for g in (0.0, 1.0, 3.5, exact_dsd(graph).net_density, *degrees):
                 assert solved(dsd_decision, graph, g) == solved(full_program_decision, graph, g)
@@ -458,8 +443,6 @@ class TestFloatPrune:
     def test_rounds_stop_early_on_a_comet(self, monkeypatch):
         # a 30-clique of density 14.5 with a path of weight 7.5 attached: path
         # nodes have degree 15, so each round would shed only the path's end
-        edges = [(u, v, 1.0) for u, v in itertools.combinations(range(30), 2)]
-        edges += [(0 if k == 30 else k - 1, k, 7.5) for k in range(30, 2030)]
         calls = 0
         original = np.bincount
 
@@ -469,9 +452,19 @@ class TestFloatPrune:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", counted)
-        result = exact_dsd(WeightedGraph(2030, edges))
-        assert result.nodes == frozenset(range(30))
-        assert calls <= 8  # the bulk peel, one prune round and the CSR builds; not one per path node
+        counts = []
+        for tail in (2000, 4000):
+            edges = [(u, v, 1.0) for u, v in itertools.combinations(range(30), 2)]
+            edges += [(0 if k == 30 else k - 1, k, 7.5) for k in range(30, 30 + tail)]
+            calls = 0
+            result = exact_dsd(WeightedGraph(30 + tail, edges))
+            assert result.nodes == frozenset(range(30))
+            counts.append(calls)
+        # Fixed calls, none per path node: two bulk-peel rounds, one prune
+        # round, the program's CSR; the start's SignedGraph (two degree
+        # columns and its CSR) and best_prefix (the permutation check and
+        # two weight columns).  A longer tail adds none.
+        assert counts == [10, 10]
 
 
 def networkx_max_density_side(program, q: Fraction, core=None) -> list[int]:
@@ -527,7 +520,7 @@ class TestArrayNetwork:
             graph = prune_prone_graph(rng)
             got, expected = self.both(monkeypatch, exact_dsd, graph)
             assert got == expected
-            program = _density_program(graph)
+            program, _ = _density_program(graph)
             degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
             for g in (0.0, 1.0, 3.5, *degrees):
                 got, expected = self.both(monkeypatch, dsd_decision, graph, g)

@@ -1,5 +1,6 @@
 """Adversarial instance generators and the weight-shift baseline."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -130,6 +131,15 @@ class TestShiftFailure:
             gen_shift_failure(20, 10, 10.0)
         with pytest.raises(BadParametersError):
             gen_shift_failure(3, 10, 9.99)  # clique too small to trip the baseline
+
+    @pytest.mark.parametrize(
+        "delta, eps, message",
+        [(math.nan, 0.1, "delta must be finite, got nan"), (math.inf, 1.0, "delta must be finite, got inf"),
+         (10.0, math.nan, "eps must be finite, got nan"), (10.0, math.inf, "eps must be finite, got inf")],
+    )
+    def test_non_finite_parameter_is_named(self, delta, eps, message):
+        with pytest.raises(BadParametersError, match=f"^{message}$"):
+            gen_shift_failure(20, delta, eps)
 
 
 class TestShiftBaseline:

@@ -203,6 +203,19 @@ class TestCli:
         code, _, err = run_cli(capsys, "exact", str(path))
         assert code == 1
         assert "negative" in err
+        path.write_text("alice bob 2 0\nbob carol 0 5\n")
+        code, _, err = run_cli(capsys, "exact", str(path))
+        assert code == 1
+        assert err == "negdsd: edge (bob, carol) has negative weight -5.0\n"  # labels, not internal ids
+
+    @pytest.mark.parametrize(
+        "delta, eps, message",
+        [("nan", "0.1", "delta must be finite, got nan"), ("inf", "1", "delta must be finite, got inf"),
+         ("10", "nan", "eps must be finite, got nan")],
+    )
+    def test_gen_shift_failure_rejects_non_finite(self, capsys, delta, eps, message):
+        code, out, err = run_cli(capsys, "gen", "shift-failure", "--n", "20", "--delta", delta, "--eps", eps)
+        assert (code, out, err) == (1, "", f"negdsd: {message}\n")
 
     def test_parse_error_exit_code_and_line(self, capsys, tmp_path):
         path = tmp_path / "bad.tsv"
