@@ -23,7 +23,6 @@ _HOMES = {
         "SignedEdge",
         "SignedGraph",
         "TIE_TOLERANCE",
-        "WeightedGraph",
         "build_signed_graph",
         "induced_weights",
         "objective_f",

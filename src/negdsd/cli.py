@@ -195,12 +195,13 @@ def _cmd_exact(args) -> int:
     from .exact import exact_dsd
 
     graph, labels = _read_signed(args.input)
-    net = graph.net_weighted()
     try:
-        result = exact_dsd(net)
+        result = exact_dsd(graph)
     except NegativeWeightError:  # the library names internal ids; name the labels
-        u, v, w = net.edges[int((net.w < 0).argmax())]
-        raise NegativeWeightError(f"edge ({labels[u]}, {labels[v]}) has negative weight {w}") from None
+        net = graph.wpos - graph.wneg
+        e = int((net < 0).argmax())
+        u, v = labels[graph.u[e]], labels[graph.v[e]]
+        raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {net[e].item()}") from None
     return _emit(_result_payload(result, labels), args.started)
 
 

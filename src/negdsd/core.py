@@ -11,13 +11,18 @@ Conventions shared by every solver in the package:
 
 Keeping (wpos, wneg) pairs instead of one net value preserves the degree of
 freedom needed to rescale the negative side independently (the
-``risk_tolerance`` factor of :class:`ObjectiveParams`).
+``risk_tolerance`` factor of :class:`ObjectiveParams`).  It is the one graph
+type of the solvers: the exact max-flow ones solve on the net weights
+``wpos - wneg``, all of which must be >= 0.
 
 Layout.  A :class:`SignedGraph` is a set of read-only numpy arrays.  Edge
 ``e`` is ``(u[e], v[e], wpos[e], wneg[e])`` with ``u[e] <= v[e]``, edges in
 order of first appearance among the input records.  A CSR index lists the
 arcs of node ``x`` as positions ``indptr[x]:indptr[x+1]`` of ``neighbor``
-and ``edge_id``, in edge order; a loop has one arc.  ``deg_pos``/``deg_neg``
+and ``edge_id``, in edge order; a loop has one arc.  The peel reads the
+index and the exact solvers do not, so it is built on first read (its size
+bound is checked at construction); a sweep builds it before it forks, and
+workers share it.  ``deg_pos``/``deg_neg``
 are summed by one ``np.bincount`` over the interleaved endpoints
 ``u[0], v[0], u[1], v[1], ...``: that adds the weights in the order of a
 per-edge loop, so degrees, and every peel score built from them, are the
@@ -92,8 +97,7 @@ class SignedGraph:
     """
 
     __slots__ = (
-        "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id",
-        "total_pos", "total_neg", "_edges", "_orders",
+        "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "total_pos", "total_neg", "_index", "_edges", "_orders",
     )
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, wpos: np.ndarray, wneg: np.ndarray):
@@ -104,12 +108,25 @@ class SignedGraph:
         self.deg_pos = _bincount(ends, np.repeat(wpos, 2), n)
         self.deg_neg = _bincount(ends, np.repeat(wneg, 2), n)
         self.total_pos, self.total_neg = _check_total_weight(wpos), _check_total_weight(wneg)
-        self.indptr, self.neighbor, self.edge_id = _csr(n, u, v)
-        arrays = (u, v, wpos, wneg, self.deg_pos, self.deg_neg, self.indptr, self.neighbor, self.edge_id)
-        for array in arrays:
+        _check_arc_keys(n, 2 * u.shape[0] - int(np.count_nonzero(u == v)))
+        for array in (u, v, wpos, wneg, self.deg_pos, self.deg_neg):
             array.flags.writeable = False
+        self._index = None
         self._edges = None
         self._orders: dict[float, np.ndarray] = {}  # multiplier -> removal sequence
+
+    indptr = property(lambda self: self._arc_index()[0])
+    neighbor = property(lambda self: self._arc_index()[1])
+    edge_id = property(lambda self: self._arc_index()[2])
+
+    def _arc_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, neighbor, edge_id), built on first read; threads that race store equal arrays."""
+        if self._index is None:
+            index = _csr(self.n, self.u, self.v)
+            for array in index:
+                array.flags.writeable = False
+            self._index = index
+        return self._index
 
     @property
     def m(self) -> int:
@@ -143,9 +160,9 @@ class SignedGraph:
     def negative_degrees(self) -> list[float]:
         return self.deg_neg.tolist()
 
-    def net_weighted(self) -> "WeightedGraph":
-        """Collapse each pair to its single net weight ``wpos - wneg``."""
-        return WeightedGraph._from_columns(self.n, self.u, self.v, self.wpos - self.wneg)
+    def net_weighted(self) -> "SignedGraph":
+        """The pairs' net weights ``wpos - wneg``, split by sign: ``tilde_weights(self, 1.0)``."""
+        return tilde_weights(self, 1.0)
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, m={self.m})"
@@ -174,8 +191,7 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     keep[1::2] = u != v
     tail = np.stack([u, v], axis=1).ravel()[keep]
     head = np.stack([v, u], axis=1).ravel()[keep]
-    arcs = tail.shape[0]
-    _check_arc_keys(n, arcs)
+    arcs = tail.shape[0]  # the key fits: SignedGraph checks it, and exact programs are its subgraphs
     # distinct keys, ordered by node and then by edge: a fast unstable sort will do
     order = np.argsort(tail * arcs + np.arange(arcs))
     edge = np.flatnonzero(keep) // 2
@@ -241,64 +257,6 @@ class LayerColumns:
 
 def _layer_rows(u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple) -> Iterator[tuple[int, int, Hashable]]:
     return zip(u.tolist(), v.tolist(), map(names.__getitem__, layer.tolist()))
-
-
-class WeightedGraph:
-    """Undirected graph with one real weight per record (may be negative).
-
-    Records are kept as given, parallel ones and loops included, in
-    read-only columns: ids ``u``, ``v`` (int64, checked to lie in 0..n-1)
-    and weights ``w``, float64 when every weight is a float and otherwise
-    an object array of the weights as passed (each checked to be a real
-    number within the float range), which the exact solvers then read one
-    by one.
-    ``edges`` lists the (u, v, w) records: those passed to the constructor,
-    or, for a graph made from columns, rows of Python scalars built on
-    first access.  ``all_nonnegative`` records whether every weight is
-    >= 0, which is the regime where exact max-flow solving applies.
-    """
-
-    __slots__ = ("n", "u", "v", "w", "all_nonnegative", "_edges")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        records = list(edges)
-        us, vs, ws = _record_columns(records, "(u, v, w)")
-        n, u, v = _id_columns(n, us, vs)
-        floats = set(map(type, ws)) <= {float, np.float64}
-        if not floats:  # the exact solvers convert every weight to float64; 10**400 has none
-            for record in records:
-                _check_float_range(*record)
-        self._set(n, u, v, np.array(ws, dtype=np.float64 if floats else object))
-        self._edges = records
-
-    @classmethod
-    def _from_columns(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "WeightedGraph":
-        """Wrap valid id columns and a float64 weight column without a copy."""
-        graph = cls.__new__(cls)
-        graph._set(n, u, v, w)
-        graph._edges = None
-        return graph
-
-    def _set(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-        self.n, self.u, self.v, self.w = n, u, v, w
-        for array in (u, v, w):
-            array.flags.writeable = False
-        self.all_nonnegative = bool((w >= 0).all())
-
-    @property
-    def m(self) -> int:
-        """Number of records."""
-        return self.w.shape[0]
-
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        """The (u, v, w) records, in order."""
-        if self._edges is None:
-            self._edges = list(_rows(self.u, self.v, self.w))
-        return self._edges
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(n={self.n}, m={self.m}, all_nonnegative={self.all_nonnegative})"
 
 
 def _record_columns(records: list, fields: str) -> list[list]:
@@ -643,16 +601,18 @@ def _check_objective_range(graph: SignedGraph, params: ObjectiveParams) -> float
     return upper
 
 
-def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> WeightedGraph:
-    """Reweight each pair to the single value ``wpos - q*risk_tolerance*wneg``.
+def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> SignedGraph:
+    """Reweight each pair to the single value ``wpos - q*risk_tolerance*wneg``, split by sign.
 
     This converts the question "is the objective >= q somewhere" into a plain
-    density threshold on the returned graph.  Its ``all_nonnegative`` flag
-    tells whether the query can be answered exactly by max-flow.
+    density threshold on the returned graph, whose ``wpos`` holds the values
+    >= 0 (-0.0 too) and ``wneg`` the magnitudes of the others.  When its
+    ``total_neg`` is 0 the query can be answered exactly by max-flow.
     """
     if q < 0:
         raise BadParametersError(f"query value must be >= 0, got {q}")
     if risk_tolerance <= 0:
         raise BadParametersError(f"risk_tolerance must be > 0, got {risk_tolerance}")
     net = graph.wpos - q * risk_tolerance * graph.wneg
-    return WeightedGraph._from_columns(graph.n, graph.u, graph.v, net)
+    positive = net >= 0
+    return SignedGraph(graph.n, graph.u, graph.v, np.where(positive, net, 0.0), np.where(positive, 0.0, -net))

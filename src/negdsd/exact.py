@@ -22,6 +22,9 @@ N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
   reweighted graph.  Its "nothing better" is no certificate, so the search
   then ends flagged inexact.
 
+``exact_dsd`` and ``dsd_decision`` take a :class:`~negdsd.core.SignedGraph`
+and solve on the float64 net weights ``wpos - wneg`` of its pairs, which
+must all be >= 0: Goldberg's (1984) case of the problem.
 ``exact_dsd`` starts near the optimum, so the q-core is small: a bulk peel
 over the edge columns (every node of degree at most 2(1 + eps) times the
 density leaves in one round) finds a set B, and the start is the better,
@@ -50,8 +53,8 @@ finish in two or three cuts, and a peel start that stays safe past
 ``q_max`` (a sweep of several multipliers) would cost more than it saves.
 
 P, R, l1 and l2 are scaled to integers once by their common denominator.
-Every finite float is a dyadic rational, so this is always exact (float
-columns are split with ``np.frexp`` at once), and q is a
+Every finite float is a dyadic rational, so this is always exact (the
+float64 columns are split with ``np.frexp`` at once), and q is a
 :class:`~fractions.Fraction`: no step ever rounds.
 """
 
@@ -70,11 +73,7 @@ from .core import (
     ObjectiveParams,
     SignedGraph,
     TIE_TOLERANCE,
-    WeightedGraph,
     _check_objective_range,
-    _check_arc_keys,
-    _check_total_weight,
-    _collapse_columns,
     _csr,
     _induced_edges,
     _is_finite_real,
@@ -147,22 +146,16 @@ def _integer_ratios(values: list) -> list[tuple[int, int]]:
 
 
 def _exact_column(values: np.ndarray) -> tuple[int, Callable[[int], np.ndarray]]:
-    """The lcm of the denominators of a column of finite numbers, and a map
-    from any multiple ``s`` of it to the values times ``s``, as an object
-    array of Python ints.
+    """The lcm of the denominators of a float64 column of finite values, and
+    a map from any multiple ``s`` of it to the values times ``s``, as an
+    object array of Python ints.
 
-    A float64 column is split at once by ``np.frexp``: a finite double is
+    The column is split at once by ``np.frexp``: a finite double is
     M * 2**E with |M| < 2**53, and dropping the trailing zero bits of M
     leaves it odd (or 0, then with E = 0), the form ``as_integer_ratio``
     reduces to.  So its denominator is 2**max(-E, 0), and for s = t * 2**k
-    with t odd the scaled value is (M * t) << (E + k).  Other columns (ints,
-    numpy ints) go value by value.
+    with t odd the scaled value is (M * t) << (E + k).
     """
-    if values.dtype != np.float64:
-        ratios = _integer_ratios(values.tolist())
-        num = np.array([a for a, _ in ratios], dtype=object)
-        den = np.array([b for _, b in ratios], dtype=object)
-        return math.lcm(*set(den.tolist())), lambda s: num * (s // den)
     mantissa, exponent = np.frexp(values)
     whole = (mantissa * 2.0**53).astype(np.int64)  # exact: a double has 53 significant bits
     zeros = np.frexp(np.maximum(whole & -whole, 1).astype(np.float64))[1] - 1  # trailing zero bits
@@ -212,7 +205,7 @@ class _RatioProgram:
 def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
     """Scale edges (u[e], v[e]) with P_e, R_e (R_e multiplied by ``r_factor``) to integers.
 
-    ``u``, ``v`` are int64 arrays and ``p_values``, ``r_values`` numpy arrays.
+    ``u``, ``v`` are int64 arrays and ``p_values``, ``r_values`` float64 arrays.
     The scale is the lcm of the denominators of lambda1, lambda2, every P_e
     and every R_e's times that of ``r_factor``.
     """
@@ -387,10 +380,11 @@ def _density_start(
     same peel of the core alone, and only the core is peeled:
     :func:`~negdsd.peeling.peel_order` and
     :func:`~negdsd.peeling.best_prefix` on its float64 weights ``weights``
-    (those of the program's edges; parallel records are collapsed first).
-    The cuts certify whatever start they get, so the float peel needs no
-    exact arithmetic; only the choice between its prefix and B compares
-    exact values.  The program may be that of any induced subgraph holding
+    (those of the program's edges, which are distinct pairs with u <= v, as
+    in the :class:`SignedGraph` the program was taken from; the ascending
+    relabel keeps both).  The cuts certify whatever start they get, so the
+    float peel needs no exact arithmetic; only the choice between its
+    prefix and B compares exact values.  The program may be that of any induced subgraph holding
     B and the q-core.
 
     Returns the start and, when it is B, the q-core at its value (the
@@ -402,7 +396,7 @@ def _density_start(
     nodes = core[0]
     u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
     w = weights[keep]
-    graph = SignedGraph(*_collapse_columns(len(nodes), u, v, w, np.zeros_like(w)))
+    graph = SignedGraph(len(nodes), u, v, w, np.zeros_like(w))
     prefix = peeling.best_prefix(graph, peeling.peel_order(graph), peeling.PeelScoring()).nodes
     peeled = [nodes[i] for i in prefix]
     return (peeled, None) if program.value(peeled) > q else (bulk, core)
@@ -438,47 +432,40 @@ def _dinkelbach(
         best, q = side, value
 
 
-def _validate_nonnegative(graph: WeightedGraph) -> np.ndarray:
-    """Check every weight is finite and >= 0; return the weights as float64.
-
-    The whole graph's CSR bound is checked too, before the float stage
-    makes arrays of n entries.
-    """
-    _check_arc_keys(graph.n, 2 * graph.m - int(np.count_nonzero(graph.u == graph.v)))
-    weights = graph.w.astype(np.float64, copy=False)
-    finite = np.isfinite(weights)
-    bad = np.flatnonzero(~finite | (graph.w < 0))
-    if bad.shape[0]:  # the first bad record decides the error
-        u, v, w = graph.edges[bad[0]]
-        if not finite[bad[0]]:
-            raise BadParametersError(f"edge ({u}, {v}) has non-finite weight")
-        raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
-    _check_total_weight(graph.w)
-    return weights
+def _validate_nonnegative(graph: SignedGraph) -> np.ndarray:
+    """The pairs' net weights ``wpos - wneg``, checked to be >= 0; the graph's
+    constructor has checked that they are finite and their total fits a float."""
+    net = graph.wpos - graph.wneg
+    negative = net < 0
+    if negative.any():  # the first negative pair decides the error
+        e = int(negative.argmax())
+        raise NegativeWeightError(f"edge ({graph.u[e]}, {graph.v[e]}) has negative weight {net[e].item()}")
+    return net
 
 
-def _density_program(graph: WeightedGraph, nodes: np.ndarray | None = None) -> tuple[_RatioProgram, np.ndarray]:
-    """The density program of the subgraph induced by ``nodes`` (ascending; all
-    by default), ``nodes[i]`` as node i, and its edges' weights as float64."""
-    n, u, v, w = graph.n, graph.u, graph.v, graph.w
+def _density_program(graph: SignedGraph, weights: np.ndarray, nodes=None) -> tuple[_RatioProgram, np.ndarray]:
+    """The density program of edge weights ``weights`` (float64, >= 0) on the
+    subgraph induced by ``nodes`` (ascending; all by default), ``nodes[i]``
+    as node i, and its edges' weights."""
+    n, u, v, w = graph.n, graph.u, graph.v, weights
     if nodes is not None and len(nodes) < n:
         u, v, keep = _induced_columns(n, u, v, nodes)
         n, w = len(nodes), w[keep]
-    return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1), w.astype(np.float64, copy=False)
+    return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1), w
 
 
-def _float_core(graph: WeightedGraph, weights: np.ndarray, q_lo: float, keep: list[int]) -> np.ndarray:
+def _float_core(graph: SignedGraph, weights: np.ndarray, q_lo: float, keep: list[int]) -> np.ndarray:
     """Ascending ids of ``keep`` and of a superset of the exact q-core, for
     any exact q >= ``q_lo``, pruned in float64 rounds.
 
-    ``weights`` holds the float64 values nearest to the graph's exact
-    weights, all >= 0.  Each round sums every survivor's degree afresh with
-    one bincount over the surviving edges, from nonnegative terms only, so
-    the float degree is at least the exact one times 1 - delta, where delta
-    = (2m + 4) * 2**-52 covers the rounding of up to 2m terms, the weights'
-    conversion and that of the threshold q_lo * (1 - delta); below the
-    normal range sums are exact.  A node is dropped only when its float
-    degree is below that threshold.  A node of the exact q-core has exact
+    ``weights`` holds the graph's net weights, all >= 0, which the exact
+    program takes as they are.  Each round sums every survivor's degree
+    afresh with one bincount over the surviving edges, from nonnegative
+    terms only, so the float degree is at least the exact one times
+    1 - delta, where delta = (2m + 4) * 2**-52 covers the rounding of up to
+    2m terms and that of the threshold q_lo * (1 - delta), with room to
+    spare; below the normal range sums are exact.  A node is dropped only
+    when its float degree is below that threshold.  A node of the exact q-core has exact
     degree at least q >= q_lo among any survivors that hold the core, so
     it is never dropped, and stopping after any round leaves a superset.
     Rounds stop once one drops fewer than ``_PRUNE_STOP_FRACTION`` of the
@@ -503,25 +490,28 @@ def _float_core(graph: WeightedGraph, weights: np.ndarray, q_lo: float, keep: li
     return np.flatnonzero(alive)
 
 
-def dsd_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
-    """Decide exactly, by one minimum cut, whether some nonempty S has w(S)/|S| >= g.
+def dsd_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
+    """Decide exactly, by one minimum cut, whether some nonempty S has w(S)/|S| >= g,
+    w being the net weight ``wpos - wneg`` of each pair.
 
-    Raises :class:`NegativeWeightError` on any negative weight.
+    Raises :class:`NegativeWeightError` on any negative net weight.
     """
     weights = _validate_nonnegative(graph)
     if not _is_finite_real(g):
         raise BadParametersError(f"density threshold must be finite, got {g}")
     nodes = _float_core(graph, weights, g, [])  # g is exact: the cut runs at Fraction(g)
-    program, _ = _density_program(graph, nodes)
+    program, _ = _density_program(graph, weights, nodes)
     witness = _max_density_side(program, Fraction(g))
     if witness:
         return DecisionOutcome(True, frozenset(nodes[witness].tolist()))
     return DecisionOutcome(False, None)
 
 
-def exact_dsd(graph: WeightedGraph) -> DsdResult:
-    """True maximizer of w(S)/|S| over nonempty S; ties go to the largest set.
+def exact_dsd(graph: SignedGraph) -> DsdResult:
+    """True maximizer of w(S)/|S| over nonempty S, w being the net weight
+    ``wpos - wneg`` of each pair; ties go to the largest set.
 
+    Raises :class:`NegativeWeightError` on any negative net weight.
     Dinkelbach iteration starts from the denser, in exact value, of a bulk
     peel's best round and the best prefix of one float c=1 peel of that
     round's q-core, and every step is a minimum cut, so the answer is
@@ -534,11 +524,11 @@ def exact_dsd(graph: WeightedGraph) -> DsdResult:
     bulk = _bulk_peel(graph.n, graph.u, graph.v, weights)
     q_lo = _density_floor(weights[_induced_edges(graph, frozenset(bulk))], len(bulk))
     kept = _float_core(graph, weights, q_lo, bulk)
-    program, kept_weights = _density_program(graph, kept)
+    program, kept_weights = _density_program(graph, weights, kept)
     start, core = _density_start(program, kept_weights, np.searchsorted(kept, bulk).tolist())
     best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(kept[list(best)].tolist())
-    w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
+    w_float = _sequential_sum(weights[_induced_edges(graph, nodes)])
     return DsdResult(
         nodes=nodes,
         net_density=w_float / len(nodes),
@@ -634,11 +624,8 @@ def binary_search_objective(
     )
 
     def peel(q: Fraction) -> frozenset[int]:
-        net = tilde_weights(graph, float(q), rt).w
-        positive = net >= 0  # -0.0 too: it stays a positive magnitude
-        wpos, wneg = np.where(positive, net, 0.0), np.where(positive, 0.0, -net)
-        signed = SignedGraph(graph.n, graph.u, graph.v, wpos, wneg)
-        return peeling.c_sweep(signed, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
+        reweighted = tilde_weights(graph, float(q), rt)
+        return peeling.c_sweep(reweighted, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
 
     nodes, exact, history, routes = _dinkelbach(program, range(graph.n), peel)
     lo_history = [float(q) for q in history]

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .core import DsdResult, SignedGraph, WeightedGraph, _is_finite_real, build_signed_graph, induced_weights
+import numpy as np
+
+from .core import DsdResult, SignedGraph, _is_finite_real, build_signed_graph, induced_weights
 from .errors import BadParametersError
 from .exact import exact_dsd
 
@@ -125,8 +127,8 @@ def shift_baseline(graph: SignedGraph) -> DsdResult:
     nets = graph.wpos - graph.wneg
     lowest = float(nets.min(initial=0.0))
     shift = -lowest if lowest < 0 else 0.0
-    shifted = WeightedGraph._from_columns(graph.n, graph.u, graph.v, nets + shift)
-    solved = exact_dsd(shifted)
+    shifted = nets + shift
+    solved = exact_dsd(SignedGraph(graph.n, graph.u, graph.v, shifted, np.zeros_like(shifted)))
     wpos, wneg, density = induced_weights(graph, solved.nodes)
     return DsdResult(
         nodes=solved.nodes,

@@ -66,8 +66,8 @@ def build_multilayer_graph(
     raw_edges: Iterable[tuple[int, int, Layer]] | LayerColumns,
     n: int | None = None,
 ) -> MultilayerGraph:
-    """A :class:`MultilayerGraph` of raw (u, v, layer) records, checked as
-    :class:`~negdsd.core.WeightedGraph` checks ids and ``n``.
+    """A :class:`MultilayerGraph` of raw (u, v, layer) records, ids and ``n``
+    checked with the errors of :func:`~negdsd.core.build_signed_graph`.
 
     :class:`LayerColumns` become the graph's columns as they are, with no copy.
     """

@@ -17,10 +17,10 @@ times a second sweep of the same graph in objective mode
 (``c_sweep_warm_seconds``), which reuses the removal orders the first
 sweep kept on the graph and only scores prefixes.
 
-``--exact`` instead times ``exact_dsd`` on two graphs of 5k nodes and 50k
-edges with uniform endpoints and integer weights 1..3: ``planted``, where
-1,225 of the edges form a 50-node clique of weight 3, and ``uniform``,
-with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
+``--exact`` instead times ``exact_dsd`` on two signed graphs of 5k nodes
+built from 50k records with uniform endpoints and integer weights 1..3
+(parallel records collapse): ``planted``, where 1,225 of the records form
+a 50-node clique of weight 3, and ``uniform``, with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
 reports the median seconds of the solve and of its warm start
 (``start_seconds``, ``exact._density_start``), the number of minimum cuts
 in one solve, the node count of the exact program that solve built
@@ -82,7 +82,7 @@ from negdsd import (
     ExclusionQuery,
     ObjectiveParams,
     PeelScoring,
-    WeightedGraph,
+    SignedGraph,
     apply_exclusion,
     best_prefix,
     build_multilayer_graph,
@@ -110,15 +110,18 @@ QUERY_LAYERS = ("follow", "reply", "block")
 STARTUP_REPEATS = 3
 
 
-def exact_graph(planted: bool) -> WeightedGraph:
-    """Uniform endpoints and weights 1..3; with ``planted``, a weight-3 clique takes its edges' share."""
+def exact_graph(planted: bool) -> SignedGraph:
+    """Uniform endpoints and weights 1..3; with ``planted``, a weight-3 clique takes its edges' share.
+
+    Parallel records collapse by sum, as in every :class:`SignedGraph`.
+    """
     rng = np.random.default_rng([SEED, int(planted)])
     core = rng.choice(EXACT_NODES, size=EXACT_CORE, replace=False).tolist() if planted else []
-    clique = [(u, v, 3.0) for u, v in itertools.combinations(sorted(core), 2)]
+    clique = [(u, v, 3.0, 0.0) for u, v in itertools.combinations(sorted(core), 2)]
     m = EXACT_EDGES - len(clique)
     us, vs = rng.integers(0, EXACT_NODES, size=(2, m)).tolist()
     ws = rng.integers(1, 4, size=m).astype(np.float64).tolist()
-    return WeightedGraph(EXACT_NODES, list(zip(us, vs, ws)) + clique)
+    return build_signed_graph([(u, v, w, 0.0) for u, v, w in zip(us, vs, ws)] + clique, n=EXACT_NODES)
 
 
 @contextlib.contextmanager
@@ -135,8 +138,8 @@ def exact_spans():
     names = ("_density_program", "_density_start", "_max_density_side")
     originals = {name: getattr(negdsd.exact, name) for name in names}
 
-    def program(graph, nodes=None):
-        built = originals["_density_program"](graph, nodes)
+    def program(*args):
+        built = originals["_density_program"](*args)
         spans["program_nodes"] = built[0].n
         return built
 
@@ -187,7 +190,7 @@ def exact_stats() -> dict:
 def clipped_stats() -> dict:
     """One ``exact_dsd`` solve of the probe graph with its net weights clipped at 0."""
     graph = probe_graph(*probe_edges())
-    clipped = WeightedGraph._from_columns(graph.n, graph.u, graph.v, np.maximum(graph.wpos - graph.wneg, 0.0))
+    clipped = SignedGraph(graph.n, graph.u, graph.v, np.maximum(graph.wpos - graph.wneg, 0.0), np.zeros(graph.m))
     del graph
     with exact_spans() as spans:
         started = time.perf_counter()

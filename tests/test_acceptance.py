@@ -78,7 +78,7 @@ def test_criterion_2_exact_solver_matches_oracle():
     mismatches = 0
     for _ in range(500):
         graph = random_nonnegative_graph(rng, max_nodes=12, max_weight=3)
-        flow_result = exact_dsd(graph.net_weighted())
+        flow_result = exact_dsd(graph)
         oracle = brute_force(graph)
         if flow_result.net_density != oracle.net_density or not flow_result.exact:
             mismatches += 1
@@ -146,7 +146,7 @@ def _equivalence_via_api(n: int) -> int:
             threshold = q * params.lambda2 - params.lambda1
             for subset in subsets:
                 total = sum(
-                    w for u, v, w in reweighted.edges if u in subset and v in subset
+                    e.net for e in reweighted.edges if e.u in subset and e.v in subset
                 )
                 lhs = f_values[frozenset(subset)] >= q
                 rhs = total >= threshold * len(subset)
@@ -220,7 +220,7 @@ def test_criterion_4_query_equivalence_exhaustive():
             for size in range(1, 6):
                 for subset in itertools.combinations(range(5), size):
                     inside = set(subset)
-                    total = sum(w for u, v, w in reweighted.edges if u in inside and v in inside)
+                    total = sum(e.net for e in reweighted.edges if e.u in inside and e.v in inside)
                     if (objective_f(graph, subset, params) >= q) != (total >= threshold * size):
                         violations += 1
     report(4, "query equivalence", violations == 0, f"{violations} violations across all graphs with n <= 5")

@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 import re
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ import numpy as np
 from negdsd import (
     ObjectiveParams,
     SignedGraph,
-    WeightedGraph,
     build_signed_graph,
     gen_bad_peeling,
     induced_weights,
@@ -74,10 +75,14 @@ class TestBuild:
             build_signed_graph([(0, 1, 0, -0.5)])
 
     def test_bad_ids_rejected(self):
-        with pytest.raises(BadParametersError):
+        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
             build_signed_graph([(-1, 0, 1, 0)])
-        with pytest.raises(BadParametersError):
+        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
             build_signed_graph([(0.5, 1, 1, 0)])
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(BadParametersError, match="n must be a nonnegative integer"):
+            build_signed_graph([], n=-1)
 
     def test_explicit_n_keeps_isolated_nodes(self):
         g = build_signed_graph([(0, 1, 1, 0)], n=5)
@@ -160,6 +165,38 @@ class TestBuild:
         raw = [(0, 1, 1.0, 0.0), (2, 1, 0.5, 0.25), (1, 0, 2.0, 0.0)]
         g = build_signed_graph(record for record in raw)
         assert [(e.u, e.v, e.wpos, e.wneg) for e in g.edges] == [(0, 1, 3.0, 0.0), (1, 2, 0.5, 0.25)]
+
+    def test_arc_index_built_on_first_read(self):
+        g = build_signed_graph([(2, 0, 1.0, 0.0), (1, 1, 2.0, 0.0), (0, 1, 0.0, 1.0)])
+        assert g._index is None
+        assert g.indptr.tolist() == [0, 2, 4, 5]
+        assert g.neighbor.tolist() == [2, 1, 1, 0, 0] and g.edge_id.tolist() == [0, 2, 1, 2, 0]
+        assert g.neighbor is g.neighbor  # built once, then kept
+
+    def test_arc_index_race_stores_equal_arrays(self):
+        # threads that build the index at once each store a full, equal one
+        rng = random.Random(17)
+        raw = [(rng.randrange(300), rng.randrange(300), 1.0, 0.0) for _ in range(3000)]
+        expected = build_signed_graph(raw)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = build_signed_graph(raw)
+                seen = []
+                threads = [
+                    threading.Thread(target=lambda: seen.append((g.indptr, g.neighbor, g.edge_id))) for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads) and len(seen) == 8
+                for arrays in seen:
+                    for got, want in zip(arrays, (expected.indptr, expected.neighbor, expected.edge_id)):
+                        assert np.array_equal(got, want) and not got.flags.writeable
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_arrays_are_read_only(self):
         g = build_signed_graph([(0, 1, 1.0, 0.5), (1, 1, 2.0, 0.0)])
@@ -272,20 +309,26 @@ class TestObjective:
 
 
 class TestTildeWeights:
+    @staticmethod
+    def rows(graph):
+        return [(e.u, e.v, e.wpos, e.wneg) for e in graph.edges]
+
     def test_substitution(self):
         g = build_signed_graph([(0, 1, 3, 1)])
-        assert tilde_weights(g, 2, 1).edges == [(0, 1, 1.0)]
-        assert tilde_weights(g, 2, 1).all_nonnegative
+        reweighted = tilde_weights(g, 2, 1)
+        assert isinstance(reweighted, SignedGraph)
+        assert self.rows(reweighted) == [(0, 1, 1.0, 0.0)] and reweighted.total_neg == 0.0
 
     def test_negative_result_clears_flag(self):
+        # a negative value goes to wneg as a magnitude, so total_neg no longer reads 0
         g = build_signed_graph([(0, 1, 3, 1)])
         reweighted = tilde_weights(g, 4, 1)
-        assert reweighted.edges == [(0, 1, -1.0)]
-        assert not reweighted.all_nonnegative
+        assert self.rows(reweighted) == [(0, 1, 0.0, 1.0)]
+        assert reweighted.total_neg == 1.0 and reweighted.edges[0].net == -1.0
 
     def test_risk_tolerance_folds_into_negative_weight(self):
         g = build_signed_graph([(0, 1, 3, 1)])
-        assert tilde_weights(g, 4, 0.25).edges == [(0, 1, 2.0)]
+        assert self.rows(tilde_weights(g, 4, 0.25)) == [(0, 1, 2.0, 0.0)]
 
     def test_validation(self):
         g = triangle()
@@ -294,65 +337,12 @@ class TestTildeWeights:
         with pytest.raises(BadParametersError):
             tilde_weights(g, 1.0, risk_tolerance=0)
 
-
-class TestWeightedGraph:
-    """Ids are checked where the columns are built, with build_signed_graph's errors."""
-
-    def test_id_beyond_n_rejected(self):
-        with pytest.raises(UnknownNodeError, match="edge references node 2 but n=2"):
-            WeightedGraph(2, [(0, 1, 1.0), (0, 2, 1.0)])
-        with pytest.raises(UnknownNodeError):  # beyond int64 too
-            WeightedGraph(2, [(0, 2**64, 1.0)])
-
-    def test_id_beyond_int64_rejected(self):
-        with pytest.raises(TooLargeError, match="got 18446744073709551616"):
-            WeightedGraph(2**70, [(0, 1, 1.0), (2**64, 0, 1.0)])
-        assert WeightedGraph(2**63, [(2**63 - 1, 0, 1.0)]).u.tolist() == [2**63 - 1]
-
-    def test_weight_beyond_float_rejected(self):
-        with pytest.raises(BadParametersError, match=r"edge \(1, 2\) has a weight beyond the float range"):
-            WeightedGraph(3, [(0, 1, 1), (1, 2, 10**400)])
-        assert WeightedGraph(3, [(0, 1, 2**1023)]).w.tolist() == [2**1023]
-
-    @pytest.mark.parametrize("weight", ["a", "1.5", None, 1j, np.array([1.0])])
-    def test_weight_that_is_not_a_number_rejected(self, weight):
-        with pytest.raises(BadParametersError, match=r"edge \(0, 2\) has a weight that is not a real number"):
-            WeightedGraph(3, [(0, 1, 1.0), (0, 2, weight), (1, 2, 10**400)])
-        with pytest.raises(BadParametersError, match=r"edge \(1, 2\) has a weight beyond the float range"):
-            WeightedGraph(3, [(0, 1, 1.0), (1, 2, 10**400), (0, 2, weight)])
-        assert WeightedGraph(3, [(0, 1, Fraction(1, 3)), (1, 2, Decimal("1.5"))]).all_nonnegative
-        assert WeightedGraph(3, [(0, 1, np.True_), (1, 2, np.array(2.0))]).all_nonnegative
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
-            WeightedGraph(2, [(-1, 0, 1.0)])
-
-    def test_float_id_rejected(self):
-        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
-            WeightedGraph(2, [(0.0, 1, 1.0)])
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(BadParametersError, match="n must be a nonnegative integer"):
-            WeightedGraph(-1, [])
-        with pytest.raises(BadParametersError, match="n must be a nonnegative integer"):
-            build_signed_graph([], n=-1)
-
-    def test_columns_keep_records_as_given(self):
-        records = [(0, 1, 2), (1, 1, 0.5), (1, 0, 2)]
-        g = WeightedGraph(3, records)
-        assert g.edges == records and g.m == 3
-        assert g.u.tolist() == [0, 1, 1] and g.v.tolist() == [1, 1, 0]
-        assert g.w.dtype == object and g.w.tolist() == [2, 0.5, 2]
-        assert WeightedGraph(2, [(0, 1, 1.5)]).w.dtype == np.float64
-        assert not WeightedGraph(2, [(0, 1, -1.0)]).all_nonnegative
-        with pytest.raises(BadParametersError):
-            WeightedGraph(2, [(0, 1)])
-
     def test_net_weighted_rows(self):
-        net = build_signed_graph([(0, 1, 3, 1), (1, 1, 0.5, 0), (2, 0, 0, 1)]).net_weighted()
-        assert net.edges == [(0, 1, 2.0), (1, 1, 0.5), (0, 2, -1.0)]
-        assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in net.edges)
-        assert not net.all_nonnegative and not net.w.flags.writeable
+        g = build_signed_graph([(0, 1, 3, 1), (1, 1, 0.5, 0), (2, 0, 0, 1)])
+        net = g.net_weighted()
+        assert self.rows(net) == self.rows(tilde_weights(g, 1.0)) == [(0, 1, 2.0, 0.0), (1, 1, 0.5, 0.0), (0, 2, 0.0, 1.0)]
+        assert all(type(e.u) is int and type(e.wpos) is float for e in net.edges)
+        assert net.u is g.u and not net.wpos.flags.writeable and not net.wneg.flags.writeable
 
 
 class TestQueryEquivalence:
@@ -381,7 +371,7 @@ class TestQueryEquivalence:
             for params in self.PARAMS:
                 for q in self.QUERIES:
                     reweighted = tilde_weights(g, q, params.risk_tolerance)
-                    tilde = {(u, v): w for u, v, w in reweighted.edges}
+                    tilde = {(e.u, e.v): e.net for e in reweighted.edges}
                     threshold = q * params.lambda2 - params.lambda1
                     for size in range(1, n + 1):
                         for subset in itertools.combinations(range(n), size):

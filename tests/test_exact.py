@@ -13,7 +13,7 @@ import negdsd.exact
 import negdsd.flow
 from negdsd import (
     ObjectiveParams,
-    WeightedGraph,
+    SignedGraph,
     binary_search_objective,
     brute_force,
     build_signed_graph,
@@ -52,8 +52,17 @@ from conftest import (
 )
 
 
-def unit_triangle() -> WeightedGraph:
-    return WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+def weighted(n: int, records) -> SignedGraph:
+    """The signed graph of (u, v, w) records: w >= 0 (-0.0 too) as wpos, w < 0 as wneg."""
+    return build_signed_graph([(u, v, w, 0.0) if w >= 0 else (u, v, 0.0, -w) for u, v, w in records], n=n)
+
+
+def net_weights(graph: SignedGraph) -> np.ndarray:
+    return graph.wpos - graph.wneg
+
+
+def unit_triangle() -> SignedGraph:
+    return weighted(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 
 
 def _nonempty_subsets(n: int):
@@ -61,7 +70,7 @@ def _nonempty_subsets(n: int):
         yield from itertools.combinations(range(n), size)
 
 
-def tie_prone_graph(rng: random.Random) -> WeightedGraph:
+def tie_prone_graph(rng: random.Random) -> SignedGraph:
     """Random nonnegative multigraph, n <= 10, with loops, parallel records,
     zero weights and, on some draws, a disjoint copy of itself so that the
     optimum is attained by more than one set."""
@@ -77,10 +86,10 @@ def tie_prone_graph(rng: random.Random) -> WeightedGraph:
     if n <= 5 and rng.random() < 0.5:
         edges += [(u + n, v + n, w) for u, v, w in edges]
         n *= 2
-    return WeightedGraph(n, edges)
+    return weighted(n, edges)
 
 
-def subset_weights(graph: WeightedGraph) -> dict[frozenset, Fraction]:
+def subset_weights(graph: SignedGraph) -> dict[frozenset, Fraction]:
     """w(S) as an exact Fraction for every subset S, the empty set included.
 
     The weights are small multiples of 1/2, so their float sums are exact.
@@ -90,7 +99,7 @@ def subset_weights(graph: WeightedGraph) -> dict[frozenset, Fraction]:
         for subset in itertools.combinations(range(graph.n), size):
             members = frozenset(subset)
             weights[members] = Fraction(
-                sum(w for u, v, w in graph.edges if u in members and v in members)
+                sum(e.net for e in graph.edges if e.u in members and e.v in members)
             )
     return weights
 
@@ -117,14 +126,13 @@ class TestDecision:
         rng = random.Random(43)
         for _ in range(40):
             signed = random_nonnegative_graph(rng, max_nodes=10)
-            g = signed.net_weighted()
             exact_best = max(
                 Fraction(int(naive_induced(signed, s)[0]), len(s))
                 for s in _nonempty_subsets(signed.n)
             )
             _, best = naive_best(signed, "density")
             for g_query in (0.0, best / 2, best, best + 0.05):
-                outcome = dsd_decision(g, g_query)
+                outcome = dsd_decision(signed, g_query)
                 assert outcome.feasible == (exact_best >= Fraction(g_query))
                 if outcome.feasible:
                     witness_density = Fraction(
@@ -135,13 +143,13 @@ class TestDecision:
     def test_monotone_in_guess(self):
         rng = random.Random(47)
         for _ in range(20):
-            g = random_nonnegative_graph(rng, max_nodes=9).net_weighted()
+            g = random_nonnegative_graph(rng, max_nodes=9)
             answers = [dsd_decision(g, q).feasible for q in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)]
             assert answers == sorted(answers, reverse=True)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeightError):
-            dsd_decision(WeightedGraph(2, [(0, 1, -1.0)]), 0.5)
+            dsd_decision(weighted(2, [(0, 1, -1.0)]), 0.5)
 
     def test_non_finite_threshold_rejected(self):
         for g in (float("nan"), float("inf"), 10**400, -(10**400), "a", None):
@@ -149,7 +157,7 @@ class TestDecision:
                 dsd_decision(unit_triangle(), g)
 
     def test_empty_graph_is_infeasible(self):
-        assert not dsd_decision(WeightedGraph(0, []), 0.5).feasible
+        assert not dsd_decision(weighted(0, []), 0.5).feasible
 
     def test_witness_is_largest_maximizer(self):
         rng = random.Random(89)
@@ -173,13 +181,13 @@ class TestExactDsd:
         assert result.exact
 
     def test_path(self):
-        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = weighted(3, [(0, 1, 1.0), (1, 2, 1.0)])
         result = exact_dsd(g)
         assert result.nodes == frozenset({0, 1, 2})
         assert result.net_density == pytest.approx(2 / 3)
 
     def test_star(self):
-        g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
+        g = weighted(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
         result = exact_dsd(g)
         assert result.nodes == frozenset({0, 1, 2, 3})
         assert result.net_density == pytest.approx(3 / 4)
@@ -188,26 +196,26 @@ class TestExactDsd:
         rng = random.Random(53)
         for _ in range(100):
             signed = random_nonnegative_graph(rng, max_nodes=10)
-            result = exact_dsd(signed.net_weighted())
+            result = exact_dsd(signed)
             _, best = naive_best(signed, "density")
             assert result.exact
             assert result.net_density == best
 
     def test_dyadic_weights_stay_exact(self):
-        g = WeightedGraph(3, [(0, 1, 0.25), (1, 2, 0.5), (0, 2, 0.75)])
+        g = weighted(3, [(0, 1, 0.25), (1, 2, 0.5), (0, 2, 0.75)])
         result = exact_dsd(g)
         assert result.exact
         assert result.net_density == pytest.approx(0.5)
 
     def test_non_dyadic_weights_stay_exact(self):
         signed = build_signed_graph([(0, 1, 0.3, 0), (1, 2, 0.1, 0), (0, 2, 0.2, 0)])
-        result = exact_dsd(signed.net_weighted())
+        result = exact_dsd(signed)
         assert result.exact
         _, best = naive_best(signed, "density")
         assert result.net_density == pytest.approx(best, abs=1e-6)
 
     def test_no_edges(self):
-        result = exact_dsd(WeightedGraph(3, []))
+        result = exact_dsd(weighted(3, []))
         assert result.net_density == 0.0
 
     def test_returns_union_of_all_maximizers(self):
@@ -238,7 +246,7 @@ class TestExactDsd:
             original(self, size, *pairs)
 
         monkeypatch.setattr(negdsd.flow.Dinic, "__init__", record)
-        result = exact_dsd(WeightedGraph(n, edges))
+        result = exact_dsd(weighted(n, edges))
         assert result.nodes == frozenset(range(r))
         assert len(networks) == 1 and networks[0] <= r + 2
 
@@ -254,17 +262,44 @@ class TestExactDsd:
             return original(program, a, b, cost)
 
         monkeypatch.setattr(negdsd.exact, "_q_core", record)
-        result = exact_dsd(WeightedGraph(61, edges))
+        result = exact_dsd(weighted(61, edges))
         assert result.nodes == frozenset(range(8))
         assert cores == [Fraction(28, 8)]
 
     def test_validation(self):
         with pytest.raises(EmptySetError):
-            exact_dsd(WeightedGraph(0, []))
-        with pytest.raises(NegativeWeightError):
-            exact_dsd(WeightedGraph(2, [(0, 1, -0.5)]))
-        with pytest.raises(BadParametersError):  # its degree sum overflows
-            exact_dsd(WeightedGraph(2, [(0, 1, 1e308)]))
+            exact_dsd(weighted(0, []))
+        with pytest.raises(NegativeWeightError, match=r"edge \(0, 1\) has negative weight -0.5"):
+            exact_dsd(weighted(2, [(0, 1, -0.5)]))
+        with pytest.raises(NegativeWeightError, match=r"edge \(1, 2\) has negative weight -1.5"):
+            exact_dsd(build_signed_graph([(0, 1, 2.0, 1.0), (1, 2, 0.5, 2.0), (0, 2, 0.0, 1.0)]))
+        with pytest.raises(BadParametersError):  # its degree sum overflows, rejected at the build
+            exact_dsd(weighted(2, [(0, 1, 1e308)]))
+
+    def test_int_total_beyond_float_rejected_at_build(self):
+        # each int fits a float, their sum does not: the build rejects it with
+        # the typed error of any float total, before a solver sees the graph
+        with pytest.raises(BadParametersError, match="too large for a float"):
+            build_signed_graph([(0, 1, 10**308, 0.0), (0, 1, 10**308, 0.0)])
+
+    def test_both_magnitudes_answer_as_the_net_graph(self):
+        # pairs carry both magnitudes, net >= 0: the solvers read only the net
+        # weights, so they answer as on net_weighted(), whose wneg is all zero
+        rng = random.Random(149)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            records = []
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                net = rng.choice((0.0, 0.5, 1.0, 1 / 3, 2.0, 3.0, 1e-300))
+                wneg = rng.choice((0.0, 0.25, 1.0, 0.1, 7.0))
+                records.append((u, v, net + wneg, wneg))
+            graph = build_signed_graph(records, n=n)  # each wpos >= its wneg, so sums keep net >= 0
+            net = graph.net_weighted()
+            assert net.total_neg == 0.0 and np.array_equal(net.wpos, net_weights(graph))
+            assert repr(exact_dsd(graph)) == repr(exact_dsd(net))
+            for q in (0.0, 0.5, 1.0, exact_dsd(graph).net_density, 2.5):
+                assert repr(dsd_decision(graph, q)) == repr(dsd_decision(net, q))
 
 
 def reference_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor):
@@ -291,8 +326,7 @@ class TestRatioProgram:
         np.array(FLOATS),
         np.array(FLOATS[::-1]),
         np.array([2.0, 4.0, 1.0, 8.0, 0.0, 6.0, 1.0, 2.0, 3.0, 1.0]),
-        np.array([3, 0, 2**70, 1, 5, 6, 7, 8, 9, 10], dtype=object),  # ints, one beyond 64 bits
-        np.array([np.int64(x) for x in (3, 0, 2, 1, 5, 6, 7, 8, 9, 10)], dtype=object),
+        np.array([3, 0, 2**70, 1, 5, 6, 7, 8, 9, 10], dtype=np.float64),  # 2**70 exactly
     ]
     PARAMS = [(0, 1, 1.0), (0.7, 0.1, 0.3), (5e-324, 3, 2.5), (2, 1e-3, 3), (np.int64(1), 0.5, 0.1)]
 
@@ -335,14 +369,14 @@ class TestDensityStart:
                 records.append((u, v, rng.randint(0, 12) / 4))
             if records and rng.random() < 0.5:
                 records += rng.choices(records, k=rng.randint(1, len(records)))  # parallel records
-            graph = WeightedGraph(n, records)
+            graph = weighted(n, records)
 
             def value(nodes):
                 inside = set(nodes)
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
-            program, weights = _density_program(graph)
-            start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, graph.w))
+            program, weights = _density_program(graph, net_weights(graph))
+            start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights))
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
@@ -352,25 +386,26 @@ class TestDensityStart:
                 assert core == _q_core(program, a, b, a * program.l2 - b * program.l1)
 
 
-def full_program_exact_dsd(graph: WeightedGraph) -> DsdResult:
+def full_program_exact_dsd(graph: SignedGraph) -> DsdResult:
     """exact_dsd's steps over the program of the whole graph, with no float prune."""
-    program, weights = _density_program(graph)
+    program, weights = _density_program(graph, net_weights(graph))
     start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights))
     best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(best)
-    w_float = _sequential_sum(graph.w[_induced_edges(graph, nodes)])
+    w_float = _sequential_sum(weights[_induced_edges(graph, nodes)])
     return DsdResult(nodes, w_float / len(nodes), w_float, 0.0, True, "exact_dsd")
 
 
-def full_program_decision(graph: WeightedGraph, g: float) -> DecisionOutcome:
+def full_program_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
     """dsd_decision's cut over the program of the whole graph, with no float prune."""
-    witness = _max_density_side(_density_program(graph)[0], Fraction(g))
+    witness = _max_density_side(_density_program(graph, net_weights(graph))[0], Fraction(g))
     return DecisionOutcome(True, frozenset(witness)) if witness else DecisionOutcome(False, None)
 
 
-def prune_prone_graph(rng: random.Random) -> WeightedGraph:
-    """Random nonnegative multigraph, n <= 30, with a denser part, loops,
-    parallel records, zeros, subnormals and, on some draws, ints beyond 2**53."""
+def prune_prone_graph(rng: random.Random) -> SignedGraph:
+    """Random nonnegative graph, n <= 30, with a denser part, loops, parallel
+    records, zeros, subnormals and, on some draws, ints beyond 2**53 (which
+    the build rounds to float64)."""
     n = rng.randint(1, 30)
     pool = [0.0, -0.0, 5e-324, 2.5e-310, 0.1, 1 / 3, 0.5, 1.0, 2.0, 3.0, 7.5, 1e290]
     if rng.random() < 0.3:
@@ -383,7 +418,7 @@ def prune_prone_graph(rng: random.Random) -> WeightedGraph:
         records.append((u, u if rng.random() < 0.15 else v, rng.choice(pool)))
     if records and rng.random() < 0.4:
         records += rng.choices(records, k=rng.randint(1, len(records)))  # parallel records
-    return WeightedGraph(n, records)
+    return weighted(n, records)
 
 
 class TestFloatPrune:
@@ -392,8 +427,8 @@ class TestFloatPrune:
         pruned = 0
         for _ in range(400):
             graph = prune_prone_graph(rng)
-            program, _ = _density_program(graph)
-            weights = graph.w.astype(np.float64)
+            weights = net_weights(graph)
+            program, _ = _density_program(graph, weights)
             for x in rng.sample(range(graph.n), min(3, graph.n)):
                 q = Fraction(program.deg_p[x], program.l2)  # exactly x's degree
                 if not q:
@@ -413,8 +448,8 @@ class TestFloatPrune:
             graph = prune_prone_graph(rng)
             nodes = frozenset(rng.sample(range(graph.n), rng.randint(1, graph.n)))
             induced = _induced_edges(graph, nodes)
-            exact = sum(map(Fraction, graph.w[induced].tolist()), Fraction(0)) / len(nodes)
-            floor = _density_floor(graph.w.astype(np.float64)[induced], len(nodes))
+            exact = sum(map(Fraction, net_weights(graph)[induced].tolist()), Fraction(0)) / len(nodes)
+            floor = _density_floor(net_weights(graph)[induced], len(nodes))
             assert Fraction(floor) <= exact
 
     def test_answers_match_the_full_program(self, monkeypatch):
@@ -435,7 +470,7 @@ class TestFloatPrune:
         for _ in range(300):
             graph = prune_prone_graph(rng)
             assert solved(exact_dsd, graph) == solved(full_program_exact_dsd, graph)
-            program, _ = _density_program(graph)
+            program, _ = _density_program(graph, net_weights(graph))
             degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
             for g in (0.0, 1.0, 3.5, exact_dsd(graph).net_density, *degrees):
                 assert solved(dsd_decision, graph, g) == solved(full_program_decision, graph, g)
@@ -456,14 +491,16 @@ class TestFloatPrune:
         for tail in (2000, 4000):
             edges = [(u, v, 1.0) for u, v in itertools.combinations(range(30), 2)]
             edges += [(0 if k == 30 else k - 1, k, 7.5) for k in range(30, 30 + tail)]
+            graph = weighted(30 + tail, edges)
             calls = 0
-            result = exact_dsd(WeightedGraph(30 + tail, edges))
+            result = exact_dsd(graph)
             assert result.nodes == frozenset(range(30))
             counts.append(calls)
+            assert graph._index is None  # the exact solver never builds the input's CSR
         # Fixed calls, none per path node: two bulk-peel rounds, one prune
         # round, the program's CSR; the start's SignedGraph (two degree
-        # columns and its CSR) and best_prefix (the permutation check and
-        # two weight columns).  A longer tail adds none.
+        # columns and its CSR, read by the peel) and best_prefix (the
+        # permutation check and two weight columns).  A longer tail adds none.
         assert counts == [10, 10]
 
 
@@ -520,7 +557,7 @@ class TestArrayNetwork:
             graph = prune_prone_graph(rng)
             got, expected = self.both(monkeypatch, exact_dsd, graph)
             assert got == expected
-            program, _ = _density_program(graph)
+            program, _ = _density_program(graph, net_weights(graph))
             degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
             for g in (0.0, 1.0, 3.5, *degrees):
                 got, expected = self.both(monkeypatch, dsd_decision, graph, g)
@@ -531,7 +568,7 @@ class TestArrayNetwork:
         params = [ObjectiveParams(), ObjectiveParams(0.3, 0.7, 0.25), ObjectiveParams(0, 1, 1)]
         for i in range(500):
             signed = random_nonnegative_graph(rng, max_nodes=12, max_weight=3)
-            got, expected = self.both(monkeypatch, exact_dsd, signed.net_weighted())
+            got, expected = self.both(monkeypatch, exact_dsd, signed)
             assert got == expected
             if i % 5 == 0:  # results and SearchTrace of the search, flow steps only
                 got, expected = self.both(monkeypatch, binary_search_objective, signed, params[i % 3])
@@ -613,7 +650,7 @@ class TestBinarySearch:
             g = random_nonnegative_graph(rng, max_nodes=9)
             result, trace = binary_search_objective(g, params)
             assert result.exact
-            assert result.f_value == pytest.approx(exact_dsd(g.net_weighted()).net_density, abs=1e-6)
+            assert result.f_value == pytest.approx(exact_dsd(g).net_density, abs=1e-6)
             assert trace.iterations <= 64
 
     def test_exact_in_corollary_regime(self):

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from negdsd import (
     ObjectiveParams,
     PeelScoring,
-    WeightedGraph,
     build_signed_graph,
     c_sweep,
     dsd_decision,
@@ -234,7 +233,8 @@ weighted_records = st.integers(1, 12).flatmap(
 
 @given(records=weighted_records, g=st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-320, 1e290]))
 def test_float_prune_keeps_exact_answers(records, g):
-    graph = WeightedGraph(*records)
+    n, edges = records
+    graph = build_signed_graph([(u, v, w, 0.0) for u, v, w in edges], n=n)
     assert repr(exact_dsd(graph)) == repr(full_program_exact_dsd(graph))
     for q in (g, exact_dsd(graph).net_density):
         assert repr(dsd_decision(graph, q)) == repr(full_program_decision(graph, q))

@@ -63,7 +63,7 @@ class TestTwoComponent:
 
     def test_clique_only(self):
         g = gen_two_component(10, 0, seed=0)
-        assert exact_dsd(g.net_weighted()).net_density == pytest.approx(4.5)
+        assert exact_dsd(g).net_density == pytest.approx(4.5)
 
     def test_deterministic_per_seed(self):
         a = gen_two_component(4, 10, seed=42)
@@ -146,7 +146,7 @@ class TestShiftBaseline:
     def test_noop_on_nonnegative_graph(self):
         g = build_signed_graph([(0, 1, 2, 0), (1, 2, 1, 0)])
         baseline = shift_baseline(g)
-        reference = exact_dsd(g.net_weighted())
+        reference = exact_dsd(g)
         assert baseline.nodes == reference.nodes
         assert baseline.net_density == reference.net_density
         assert baseline.exact

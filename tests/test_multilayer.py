@@ -254,7 +254,7 @@ class TestFlattening:
         for _ in range(15):
             graph = random_multilayer(rng, max_nodes=8)
             signed = apply_exclusion(graph, ExclusionQuery.soft(set(), 1))
-            via_flow = exact_dsd(signed.net_weighted())
+            via_flow = exact_dsd(signed)
             via_enumeration = brute_force(signed)
             assert via_flow.net_density == via_enumeration.net_density
 

@@ -14,7 +14,7 @@ from conftest import child_env
 PUBLIC = """
 BernoulliEdge DEFAULT_C_LIST DecisionOutcome DsdResult ExclusionQuery MultilayerGraph ObjectiveParams
 PeelOrder PeelScoring RiskReport SearchTrace SignedEdge SignedGraph TIE_TOLERANCE UncertainEdge
-UncertainGraph WeightedGraph apply_exclusion bernoulli_graph bernoulli_moments best_prefix
+UncertainGraph apply_exclusion bernoulli_graph bernoulli_moments best_prefix
 binary_search_objective brute_force build_multilayer_graph build_signed_graph build_uncertain_graph
 c_sweep dsd_decision exact_dsd gen_bad_peeling gen_shift_failure gen_two_component hard_w
 induced_weights layer_count layer_density layer_report objective_f objective_upper_bound peel_order
