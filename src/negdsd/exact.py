@@ -38,16 +38,18 @@ a planted dense set B is that set, and one cut on it certifies it.
 The exact program is built only on B and a superset S of that q-core,
 pruned first in float64 columns (``_float_core``): q is bounded below by
 a float a few ulps under B's density, every round sums each survivor's
-degree afresh from nonnegative terms with one bincount, and a node is
-dropped only when that degree is below the bound times 1 - delta, a
-margin that covers every rounding of the sum and of the weights'
-conversion.  So no core node is ever dropped.  The rounds stop once one
-drops fewer than 1/8 of the survivors (a path hanging off the core would
-otherwise shed one end per round), and the exact q-core, run on the
-program of G[S + B] with ids relabeled in ascending order, finishes the
-prune: it is the core of the whole graph, so the start, the cuts and the
-answer are those of the whole program.  ``dsd_decision`` prunes likewise
-at its threshold g.
+degree afresh from nonnegative terms (a bincount per end column, added),
+and a node is dropped only when that degree is below the bound times
+1 - delta, a margin that covers every rounding of the sum and of the
+weights' conversion.  So no core node is ever dropped.  The rounds stop
+once one drops fewer than 1/8 of the survivors (a path hanging off the
+core would otherwise shed one end per round), and the exact q-core, run
+on the program of G[S + B] with ids relabeled in ascending order,
+finishes the prune: it is the core of the whole graph, so the start, the
+cuts and the answer are those of the whole program.  One degree pass
+reads the whole edge list: the prune's first round takes the bulk peel's
+first, B's density comes from the weights its round kept, and the answer
+is re-scored from the program.  ``dsd_decision`` prunes likewise at g.
 ``binary_search_objective`` starts from the whole node set: its searches
 finish in two or three cuts, and a peel start that stays safe past
 ``q_max`` (a sweep of several multipliers) would cost more than it saves.
@@ -101,7 +103,7 @@ _BULK_EPSILON = 0.1
 # The float prune ahead of the exact program stops after a round that drops
 # fewer than this share of the survivors: the exact q-core finishes the job,
 # and a long tail of small rounds (a path peeled one end at a time) costs a
-# whole-graph bincount each.
+# whole-graph degree pass each.
 _PRUNE_STOP_FRACTION = 1 / 8
 
 
@@ -322,32 +324,35 @@ def _max_density_side(
 def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Float degrees of nodes 0..n-1 over edges (u[e], v[e]) of float weights ``w``.
 
-    One ``np.bincount`` sums each node's terms from 0.0, a loop's twice.
+    Two ``np.bincount`` calls, one per end column, each sum their terms from
+    0.0, and the two sums are added: a loop counts twice.
     """
-    return np.bincount(np.stack([u, v], axis=1).ravel(), weights=np.repeat(w, 2), minlength=n)
+    return np.bincount(u, w, n) + np.bincount(v, w, n)
 
 
-def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]:
-    """Nodes of the densest round of a bulk peel of float weights ``w`` on edges (u[e], v[e]).
+def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Nodes of the densest round of a bulk peel of float weights ``w`` on edges (u[e], v[e]),
+    the weights of the edges they induce (in edge order), and the first round's degrees.
 
     Each round drops every node whose degree among the survivors is at most
     2(1 + ``_BULK_EPSILON``) times their density.
     """
     alive = np.ones(n, dtype=bool)
-    best, best_density = alive, -math.inf
-    size = n
+    best, best_w, best_density = alive, w, -math.inf
+    size, first = n, _degrees(n, u, v, w)
     while size:
         density = w.sum() / size
         if density > best_density:
-            best, best_density = alive, density
-        drop = alive & (_degrees(n, u, v, w) <= 2 * (1 + _BULK_EPSILON) * density)
+            best, best_w, best_density = alive, w, density
+        degrees = first if size == n else _degrees(n, u, v, w)  # every later round has dropped a node
+        drop = alive & (degrees <= 2 * (1 + _BULK_EPSILON) * density)
         if not drop.any():  # rounding (subnormal weights) can keep every degree above the bound
             break
         alive = alive & ~drop
         size = int(alive.sum())
         keep = alive[u] & alive[v]
         u, v, w = u[keep], v[keep], w[keep]
-    return np.flatnonzero(best).tolist()
+    return np.flatnonzero(best).tolist(), best_w, first
 
 
 def _density_floor(weights: np.ndarray, size: int) -> float:
@@ -434,7 +439,10 @@ def _dinkelbach(
 
 def _validate_nonnegative(graph: SignedGraph) -> np.ndarray:
     """The pairs' net weights ``wpos - wneg``, checked to be >= 0; the graph's
-    constructor has checked that they are finite and their total fits a float."""
+    constructor has checked that they are finite and their total fits a float.
+    With no negative weight that is ``wpos`` itself, up to the sign of a zero."""
+    if graph.total_neg == 0:
+        return graph.wpos
     net = graph.wpos - graph.wneg
     negative = net < 0
     if negative.any():  # the first negative pair decides the error
@@ -454,13 +462,16 @@ def _density_program(graph: SignedGraph, weights: np.ndarray, nodes=None) -> tup
     return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1), w
 
 
-def _float_core(graph: SignedGraph, weights: np.ndarray, q_lo: float, keep: list[int]) -> np.ndarray:
+def _float_core(
+    graph: SignedGraph, weights: np.ndarray, q_lo: float, keep: list[int], degrees: np.ndarray
+) -> np.ndarray:
     """Ascending ids of ``keep`` and of a superset of the exact q-core, for
     any exact q >= ``q_lo``, pruned in float64 rounds.
 
     ``weights`` holds the graph's net weights, all >= 0, which the exact
-    program takes as they are.  Each round sums every survivor's degree
-    afresh with one bincount over the surviving edges, from nonnegative
+    program takes as they are, and ``degrees`` the whole graph's degrees
+    (``_degrees``), which the first round takes.  Each later round sums
+    every survivor's degree afresh over the surviving edges, from nonnegative
     terms only, so the float degree is at least the exact one times
     1 - delta, where delta = (2m + 4) * 2**-52 covers the rounding of up to
     2m terms and that of the threshold q_lo * (1 - delta), with room to
@@ -478,7 +489,9 @@ def _float_core(graph: SignedGraph, weights: np.ndarray, q_lo: float, keep: list
     threshold = q_lo * (1 - (2 * graph.m + 4) * 2.0**-52)
     size = n if q_lo > 0 else 0
     while size:
-        drop = alive & (_degrees(n, u, v, w) < threshold)
+        if size < n:  # every later round has dropped a node
+            degrees = _degrees(n, u, v, w)
+        drop = alive & (degrees < threshold)
         dropped = int(np.count_nonzero(drop))
         alive &= ~drop
         if dropped < size * _PRUNE_STOP_FRACTION:
@@ -499,7 +512,8 @@ def dsd_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
     weights = _validate_nonnegative(graph)
     if not _is_finite_real(g):
         raise BadParametersError(f"density threshold must be finite, got {g}")
-    nodes = _float_core(graph, weights, g, [])  # g is exact: the cut runs at Fraction(g)
+    degrees = _degrees(graph.n, graph.u, graph.v, weights)
+    nodes = _float_core(graph, weights, g, [], degrees)  # g is exact: the cut runs at Fraction(g)
     program, _ = _density_program(graph, weights, nodes)
     witness = _max_density_side(program, Fraction(g))
     if witness:
@@ -521,14 +535,13 @@ def exact_dsd(graph: SignedGraph) -> DsdResult:
     weights = _validate_nonnegative(graph)
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
-    bulk = _bulk_peel(graph.n, graph.u, graph.v, weights)
-    q_lo = _density_floor(weights[_induced_edges(graph, frozenset(bulk))], len(bulk))
-    kept = _float_core(graph, weights, q_lo, bulk)
+    bulk, bulk_weights, degrees = _bulk_peel(graph.n, graph.u, graph.v, weights)
+    kept = _float_core(graph, weights, _density_floor(bulk_weights, len(bulk)), bulk, degrees)
     program, kept_weights = _density_program(graph, weights, kept)
     start, core = _density_start(program, kept_weights, np.searchsorted(kept, bulk).tolist())
     best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(kept[list(best)].tolist())
-    w_float = _sequential_sum(weights[_induced_edges(graph, nodes)])
+    w_float = _sequential_sum(kept_weights[_induced_edges(program, frozenset(best))])  # in graph edge order
     return DsdResult(
         nodes=nodes,
         net_density=w_float / len(nodes),

@@ -17,19 +17,22 @@ times a second sweep of the same graph in objective mode
 (``c_sweep_warm_seconds``), which reuses the removal orders the first
 sweep kept on the graph and only scores prefixes.
 
-``--exact`` instead times ``exact_dsd`` on two signed graphs of 5k nodes
-built from 50k records with uniform endpoints and integer weights 1..3
-(parallel records collapse): ``planted``, where 1,225 of the records form
-a 50-node clique of weight 3, and ``uniform``, with no planted set.  Each is solved ``EXACT_REPEATS`` times; the probe
-reports the median seconds of the solve and of its warm start
-(``start_seconds``, ``exact._density_start``), the number of minimum cuts
-in one solve, the node count of the exact program that solve built
-(``program_nodes``, after the float prune), and the answer's size and
-density.
+``--exact`` instead times ``exact_dsd`` on three signed graphs built from
+records with uniform endpoints and integer weights 1..3 (parallel records
+collapse): ``planted``, 5k nodes and 50k records of which 1,225 form a
+50-node clique of weight 3; ``uniform``, the same size with no planted
+set; and ``large``, 100k nodes and 1M records of which 19,900 form a
+200-node clique of weight 3.  Each is solved ``EXACT_REPEATS`` times; the
+probe reports the median seconds of the solve, of its float prune
+(``prune_seconds``, ``exact._bulk_peel`` plus ``exact._float_core``) and
+of its warm start (``start_seconds``, ``exact._density_start``), the
+number of minimum cuts in one solve, the node count of the exact program
+that solve built (``program_nodes``, after the float prune), the answer's
+size and density, and the probe's peak RSS.
 
 ``--clipped`` instead solves ``exact_dsd`` once on the probe graph with
 each collapsed pair's net weight clipped at 0, and reports the total,
-warm-start and per-cut seconds (``cut_seconds``: q-core, network build and
+prune, warm-start and per-cut seconds (``cut_seconds``: q-core, network build and
 max flow of each minimum cut), the cut count, ``program_nodes``, and the
 answer's size and density.
 
@@ -75,6 +78,7 @@ from pathlib import Path
 import numpy as np
 
 import negdsd.cli
+import negdsd.core
 import negdsd.exact
 import negdsd.peeling
 from negdsd import (
@@ -99,9 +103,11 @@ NODES = 100_000
 EDGES = 1_000_000
 SEED = 20240301
 
-EXACT_NODES = 5_000
-EXACT_EDGES = 50_000
-EXACT_CORE = 50
+EXACT_GRAPHS = {  # name: nodes, records, planted clique size, seed salt
+    "planted": (5_000, 50_000, 50, 1),
+    "uniform": (5_000, 50_000, 0, 0),
+    "large": (100_000, 1_000_000, 200, 2),
+}
 EXACT_REPEATS = 5
 
 QUERY_REPEATS = 7
@@ -110,18 +116,21 @@ QUERY_LAYERS = ("follow", "reply", "block")
 STARTUP_REPEATS = 3
 
 
-def exact_graph(planted: bool) -> SignedGraph:
-    """Uniform endpoints and weights 1..3; with ``planted``, a weight-3 clique takes its edges' share.
+def exact_graph(nodes: int, records: int, clique: int, salt: int) -> SignedGraph:
+    """Uniform endpoints and weights 1..3, after which a weight-3 clique of
+    ``clique`` random nodes takes its edges' share of the ``records``.
 
     Parallel records collapse by sum, as in every :class:`SignedGraph`.
     """
-    rng = np.random.default_rng([SEED, int(planted)])
-    core = rng.choice(EXACT_NODES, size=EXACT_CORE, replace=False).tolist() if planted else []
-    clique = [(u, v, 3.0, 0.0) for u, v in itertools.combinations(sorted(core), 2)]
-    m = EXACT_EDGES - len(clique)
-    us, vs = rng.integers(0, EXACT_NODES, size=(2, m)).tolist()
-    ws = rng.integers(1, 4, size=m).astype(np.float64).tolist()
-    return build_signed_graph([(u, v, w, 0.0) for u, v, w in zip(us, vs, ws)] + clique, n=EXACT_NODES)
+    rng = np.random.default_rng([SEED, salt])
+    core = rng.choice(nodes, size=clique, replace=False).tolist() if clique else []
+    pairs = np.array(list(itertools.combinations(sorted(core), 2)), dtype=np.int64).reshape(-1, 2)
+    m = records - pairs.shape[0]
+    us, vs = rng.integers(0, nodes, size=(2, m))
+    ws = rng.integers(1, 4, size=m).astype(np.float64)
+    wpos = np.concatenate([ws, np.full(pairs.shape[0], 3.0)])
+    columns = np.concatenate([us, pairs[:, 0]]), np.concatenate([vs, pairs[:, 1]]), wpos, np.zeros_like(wpos)
+    return SignedGraph(*negdsd.core._collapse_columns(nodes, *columns))
 
 
 @contextlib.contextmanager
@@ -129,13 +138,14 @@ def exact_spans():
     """Time ``exact_dsd``'s steps while inside; yields a dict that each solve fills.
 
     ``program_nodes`` is the node count of the exact program, after the float
-    prune; ``start_seconds`` the seconds of ``_density_start``, the warm
-    start; ``cut_seconds`` the seconds of each minimum cut
+    prune; ``prune_seconds`` the seconds of ``_bulk_peel`` and ``_float_core``,
+    the float prune; ``start_seconds`` the seconds of ``_density_start``, the
+    warm start; ``cut_seconds`` the seconds of each minimum cut
     (``_max_density_side``: q-core, network build and max flow).  Clear the
     dict before each solve.
     """
     spans: dict = {}
-    names = ("_density_program", "_density_start", "_max_density_side")
+    names = ("_density_program", "_density_start", "_max_density_side", "_bulk_peel", "_float_core")
     originals = {name: getattr(negdsd.exact, name) for name in names}
 
     def program(*args):
@@ -155,7 +165,16 @@ def exact_spans():
         spans.setdefault("cut_seconds", []).append(time.perf_counter() - started)
         return answer
 
-    for name, wrapper in zip(names, (program, start, cut)):
+    def prune(name):
+        def timed(*args):
+            started = time.perf_counter()
+            answer = originals[name](*args)
+            spans["prune_seconds"] = spans.get("prune_seconds", 0.0) + time.perf_counter() - started
+            return answer
+
+        return timed
+
+    for name, wrapper in zip(names, (program, start, cut, prune("_bulk_peel"), prune("_float_core"))):
         setattr(negdsd.exact, name, wrapper)
     try:
         yield spans
@@ -167,17 +186,21 @@ def exact_spans():
 def exact_stats() -> dict:
     stats = {}
     with exact_spans() as spans:
-        for name, planted in (("planted", True), ("uniform", False)):
-            graph = exact_graph(planted)
-            seconds, starts = [], []
+        for name, shape in EXACT_GRAPHS.items():
+            graph = exact_graph(*shape)
+            seconds, prunes, starts = [], [], []
             for _ in range(EXACT_REPEATS):
                 spans.clear()
                 started = time.perf_counter()
                 result = exact_dsd(graph)
                 seconds.append(time.perf_counter() - started)
+                prunes.append(spans["prune_seconds"])
                 starts.append(spans["start_seconds"])
             stats[name] = {
+                "nodes": graph.n,
+                "edges": graph.m,
                 "exact_dsd_seconds": statistics.median(seconds),
+                "prune_seconds": statistics.median(prunes),
                 "start_seconds": statistics.median(starts),
                 "min_cuts": len(spans["cut_seconds"]),
                 "program_nodes": spans["program_nodes"],
@@ -200,6 +223,7 @@ def clipped_stats() -> dict:
         "nodes": clipped.n,
         "edges": clipped.m,
         "exact_dsd_seconds": seconds,
+        "prune_seconds": spans["prune_seconds"],
         "start_seconds": spans["start_seconds"],
         "cut_seconds": spans["cut_seconds"],
         "min_cuts": len(spans["cut_seconds"]),
@@ -366,7 +390,7 @@ def sweep_with_worker_memory(graph, c_list) -> tuple:
 def main() -> None:
     parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
     parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
-    parser.add_argument("--exact", action="store_true", help="time exact_dsd on two 5k-node graphs instead")
+    parser.add_argument("--exact", action="store_true", help="time exact_dsd on three planted or uniform graphs instead")
     parser.add_argument("--clipped", action="store_true", help="time exact_dsd on the graph clipped at 0 instead")
     parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
     parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
@@ -378,7 +402,9 @@ def main() -> None:
         print(json.dumps(stats))
         return
     if args.exact:
-        print(json.dumps(exact_stats()))
+        stats = exact_stats()
+        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(stats))
         return
     if args.clipped:
         stats = clipped_stats()

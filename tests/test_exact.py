@@ -32,6 +32,7 @@ from negdsd.core import DsdResult, _induced_edges, _sequential_sum
 from negdsd.exact import (
     DecisionOutcome,
     _bulk_peel,
+    _degrees,
     _density_floor,
     _density_program,
     _density_start,
@@ -376,7 +377,7 @@ class TestDensityStart:
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
             program, weights = _density_program(graph, net_weights(graph))
-            start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights))
+            start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
@@ -389,7 +390,7 @@ class TestDensityStart:
 def full_program_exact_dsd(graph: SignedGraph) -> DsdResult:
     """exact_dsd's steps over the program of the whole graph, with no float prune."""
     program, weights = _density_program(graph, net_weights(graph))
-    start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights))
+    start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
     best, _, _, _ = _dinkelbach(program, start, core=core)
     nodes = frozenset(best)
     w_float = _sequential_sum(weights[_induced_edges(graph, nodes)])
@@ -437,7 +438,7 @@ class TestFloatPrune:
                 if Fraction(q_lo) > q:
                     q_lo = math.nextafter(q_lo, 0.0)
                 core, _ = _q_core(program, q.numerator, q.denominator, q.numerator * program.l2)
-                kept = _float_core(graph, weights, q_lo, [])
+                kept = _float_core(graph, weights, q_lo, [], _degrees(graph.n, graph.u, graph.v, weights))
                 assert set(core) <= set(kept.tolist())
                 pruned += len(kept) < graph.n
         assert pruned > 300  # the rounds had work to do
@@ -451,6 +452,46 @@ class TestFloatPrune:
             exact = sum(map(Fraction, net_weights(graph)[induced].tolist()), Fraction(0)) / len(nodes)
             floor = _density_floor(net_weights(graph)[induced], len(nodes))
             assert Fraction(floor) <= exact
+
+    def test_bulk_round_keeps_its_induced_weights(self):
+        rng = random.Random(139)
+        for _ in range(300):
+            graph = prune_prone_graph(rng)
+            weights = net_weights(graph)
+            bulk, bulk_weights, degrees = _bulk_peel(graph.n, graph.u, graph.v, weights)
+            induced = weights[_induced_edges(graph, frozenset(bulk))]
+            assert len(bulk_weights) == len(induced)
+            assert math.fsum(bulk_weights.tolist()) == math.fsum(induced.tolist())
+            assert np.array_equal(degrees, _degrees(graph.n, graph.u, graph.v, weights))
+
+    def test_prune_from_the_bulk_degrees_keeps_the_same_ids(self):
+        rng = random.Random(149)
+        pruned = 0
+        for _ in range(300):
+            graph = prune_prone_graph(rng)
+            weights = net_weights(graph)
+            bulk, bulk_weights, degrees = _bulk_peel(graph.n, graph.u, graph.v, weights)
+            ends = np.stack([graph.u, graph.v], axis=1).ravel()  # summed afresh, in another order
+            summed = np.bincount(ends, np.repeat(weights, 2), graph.n)
+            for q_lo in (_density_floor(bulk_weights, len(bulk)), *rng.sample(degrees.tolist(), min(2, graph.n))):
+                kept = _float_core(graph, weights, q_lo, bulk, degrees)
+                assert np.array_equal(kept, _float_core(graph, weights, q_lo, bulk, summed))
+                pruned += len(kept) < graph.n
+        assert pruned > 100  # the shared first round dropped nodes
+
+    def test_negative_zero_weights_answer_as_positive_zero(self):
+        # no negative weight, so exact_dsd solves on wpos itself, whose zeros
+        # keep their sign where wpos - wneg would have given +0.0
+        rng = random.Random(151)
+        for _ in range(200):
+            graph = prune_prone_graph(rng)
+            zero = graph.wpos == 0
+            negative, positive = (
+                SignedGraph(graph.n, graph.u, graph.v, np.where(zero, sign, graph.wpos), np.full(graph.m, sign))
+                for sign in (-0.0, 0.0)
+            )
+            assert np.signbit(negative.wpos[zero]).all() and np.signbit(negative.wneg).all()
+            assert repr(exact_dsd(negative)) == repr(exact_dsd(positive))
 
     def test_answers_match_the_full_program(self, monkeypatch):
         networks = []
@@ -497,11 +538,13 @@ class TestFloatPrune:
             assert result.nodes == frozenset(range(30))
             counts.append(calls)
             assert graph._index is None  # the exact solver never builds the input's CSR
-        # Fixed calls, none per path node: two bulk-peel rounds, one prune
-        # round, the program's CSR; the start's SignedGraph (two degree
-        # columns and its CSR, read by the peel) and best_prefix (the
-        # permutation check and two weight columns).  A longer tail adds none.
-        assert counts == [10, 10]
+        # Fixed calls, none per path node: two bulk-peel rounds of two (one
+        # per end column), none for the prune's one round (it takes the bulk
+        # peel's first-round degrees), the program's CSR; the start's
+        # SignedGraph (two degree columns and its CSR, read by the peel) and
+        # best_prefix (the permutation check and two weight columns).  A
+        # longer tail adds none.
+        assert counts == [11, 11]
 
 
 def networkx_max_density_side(program, q: Fraction, core=None) -> list[int]:
