@@ -7,6 +7,9 @@ peeled early, smaller ``c`` drives out nodes whose positive and negative
 degrees roughly cancel.  Because single values of ``c`` can each fail on
 adversarial inputs, :func:`c_sweep` runs a list of values and keeps the best
 output.
+
+Sweeps of small graphs peel their multipliers at once over dense rows of
+pair weights (:func:`_peel_dense`), with the orders of :func:`peel_order`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import signal
 import threading
 from array import array
 from dataclasses import dataclass, replace
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -72,6 +75,14 @@ _PEEL_BLOCK = 256
 # 30 s pairs, BENCH_10.json); cli-peel and flow-search held within their
 # runs' spread.
 _COLUMN_PEEL_LOOP_ARCS = 8
+
+# Nodes up to which, and multipliers to peel from which, a sweep peels on
+# _peel_dense.  On BENCH_19.json's grid (2-vCPU VM) a cold c_sweep took
+# 0.41-0.75 times as long as on the column peel with 7 multipliers up to
+# 512 nodes, and 0.67-1.06 with 3 (near parity at 400-512 nodes and 10
+# arcs a node).  2 multipliers lost from 200 nodes, 3 from 640, 7 from 768.
+_DENSE_MAX_NODES = 512
+_DENSE_MIN_MULTIPLIERS = 3
 
 
 def _check_c(c: float) -> None:
@@ -160,9 +171,8 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
     n = graph.n
     size = _PEEL_BLOCK
     inf = math.inf
+    overflow = _may_overflow(graph, c)
     with np.errstate(over="ignore"):
-        # |score| stays within c*posdeg + negdeg, and twice that leaves room for rounding
-        overflow = not np.isfinite(2 * (c * graph.deg_pos + graph.deg_neg)).all()
         blocked = overflow or n > _PEEL_SPLIT_NODES
         width = -(-n // size) * size if blocked else n
         p = np.full(width, inf)
@@ -247,6 +257,46 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
     return PeelOrder(sequence, scores_out)
 
 
+def _may_overflow(graph: SignedGraph, c: "float | np.ndarray") -> bool:
+    """Whether a score ``c*p - q`` of a peel at ``c`` (a float or a column of them) may overflow."""
+    with np.errstate(over="ignore"):
+        # |score| stays within c*posdeg + negdeg, and twice that leaves room for rounding
+        return not np.isfinite(2 * (c * graph.deg_pos + graph.deg_neg)).all()
+
+
+def _peel_dense(graph: SignedGraph, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`peel_order` at each value of the column ``c`` at once: (read-only sequences, scores), a row each.
+
+    Row ``r`` of ``p``, ``q`` and ``score`` is :func:`_peel_columns`' column
+    at ``c[r]``.  Each step removes each row's first node of least score and
+    subtracts its row of pair weights (dense: 16 bytes per node pair) from
+    ``p`` and ``q``.  A non-neighbour loses ``0.0``, which leaves a finite
+    value as it is, and a removed node keeps ``p = +inf``; so when no score
+    can overflow (:func:`_may_overflow`, checked by the caller) every order
+    and score equals the column peel's.
+    """
+    n, k = graph.n, c.shape[0]
+    weights = np.zeros((n, 2, n))  # weights[v, 0] is v's row of positive weights, weights[v, 1] of negative
+    for column, w in enumerate((graph.wpos, graph.wneg)):
+        weights[graph.u, column, graph.v] = w
+        weights[graph.v, column, graph.u] = w
+    pq = np.tile(np.stack([graph.deg_pos, graph.deg_neg]), (k, 1, 1))
+    p, q = pq[:, 0], pq[:, 1]
+    score = c * p - q
+    rows = np.arange(k)
+    sequences = np.empty((k, n), dtype=np.int64)
+    scores = np.empty((k, n))
+    for step in range(n):
+        removed = score.argmin(axis=1, out=sequences[:, step])
+        scores[:, step] = score[rows, removed]
+        p[rows, removed] = math.inf
+        pq -= weights[removed]
+        np.multiply(c, p, out=score)
+        score -= q
+    sequences.flags.writeable = False
+    return sequences, scores
+
+
 def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> DsdResult:
     """Score every prefix of a peel at once and return the best one.
 
@@ -293,7 +343,7 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
 
 def c_sweep(
     graph: SignedGraph,
-    c_list: "list[float] | tuple[float, ...]" = DEFAULT_C_LIST,
+    c_list: Iterable[float] = DEFAULT_C_LIST,
     scoring: PeelScoring | None = None,
 ) -> DsdResult:
     """Run the peel for every multiplier in ``c_list`` and keep the best output.
@@ -305,22 +355,27 @@ def c_sweep(
     order of each multiplier it was peeled at (an int64 array, 8 bytes per
     node, for as long as the graph lives): a later sweep of the same graph,
     under any scoring, peels only multipliers it has not seen, and each
-    distinct multiplier is peeled once.  The peels are independent reads of
-    the graph: when arcs times multipliers still to peel reach 100,000 they
-    are split over one process per usable CPU (at most one per multiplier);
-    the workers are forked from this process, read the graph's numpy
-    columns copy-on-write (each peel builds its own score columns and no
-    Python lists of arcs) and send their removal orders back through
-    pipes.  Prefix scoring and the comparison run in this process, in
-    ``c_list`` order, so the result depends neither on how many processes
-    peeled nor on which orders were kept.
+    distinct multiplier is peeled once, as the equal float (also its
+    ``c_used``).  On a graph of at most 512 nodes, 3 or more multipliers to
+    peel are peeled together in this process, never forked, with the pair
+    weights held as dense rows (16 bytes per node pair, 4 MB at 512 nodes).
+    Otherwise the peels are independent reads of the graph: when arcs times
+    multipliers still to peel reach 100,000 they are split over one process
+    per usable CPU (at most one per multiplier); the workers are forked from
+    this process, read the graph's numpy columns copy-on-write (each peel
+    builds its own score columns and no Python lists of arcs) and send their
+    removal orders back through pipes.  Prefix scoring and the comparison
+    run in this process, in ``c_list`` order, so the result depends neither
+    on how the multipliers were peeled nor on which orders were kept.
     """
     if scoring is None:
         scoring = PeelScoring()
+    c_list = list(c_list)
     if not c_list:
         raise EmptyCListError("c_list must contain at least one value")
     for c in c_list:
         _check_c(c)
+    c_list = [float(c) for c in c_list]
     best: DsdResult | None = None
     best_value = 0.0
     best_c = 0.0
@@ -363,13 +418,18 @@ def _peel_orders(graph: SignedGraph, c_values: "list[float] | tuple[float, ...]"
 
 
 def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> list[np.ndarray]:
-    """The removal sequence of each value, peeled on up to ``_worker_count`` processes.
+    """The removal sequence of each value, all at once or on up to ``_worker_count`` processes.
 
-    Worker ``k`` peels values ``k, k + w, ...``; this process is worker 0.
-    Values whose worker could not be forked, exited nonzero or sent fewer
-    bytes than its sequences take are peeled here afterwards.  Every child
-    is reaped before this returns or raises.
+    A small graph peels enough values together on :func:`_peel_dense`, when
+    no score can overflow.  Else worker ``k`` peels values ``k, k + w, ...``;
+    this process is worker 0.  Values whose worker could not be forked,
+    exited nonzero or sent fewer bytes than its sequences take are peeled
+    here afterwards.  Every child is reaped before this returns or raises.
     """
+    if len(c_values) >= _DENSE_MIN_MULTIPLIERS and 0 < graph.n <= _DENSE_MAX_NODES:
+        c = np.array(c_values, dtype=np.float64)[:, None]
+        if not _may_overflow(graph, c):
+            return list(_peel_dense(graph, c)[0])
     workers = _worker_count(graph, len(c_values))
     if workers == 1:
         return [_sequence(graph, c) for c in c_values]

@@ -45,6 +45,19 @@ runs ``QUERY_REPEATS`` times; the probe reports the median seconds of each,
 the seconds of the two builds, and the edge count and weight totals of
 each signed graph, so two trees can be checked for equal answers.
 
+``--small-sweeps`` instead times cold ``c_sweep`` runs on small graphs with
+each of the sweep's two serial paths forced: ``dense``, every multiplier
+peeled together on ``peeling._peel_dense``, and ``columns``, each
+multiplier on ``peel_order`` (forked above the fork threshold, as
+``c_sweep`` does).  The grid is ``SMALL_SWEEP_NODES`` nodes times
+``SMALL_SWEEP_ARCS`` arcs a node (uniform endpoints, net weights uniform in
+[-1, 2] split by sign, parallel records collapsed) times the first ``k`` of
+``DEFAULT_C_LIST`` for each ``k`` in ``SMALL_SWEEP_MULTIPLIERS``.  Each cell
+runs ``SMALL_SWEEP_REPEATS`` pairs, each pair on a freshly built graph of
+its own seed and alternating which path runs first; the probe reports the
+median milliseconds of each path, their ratio, and whether both paths gave
+equal answers by ``repr`` in every pair.
+
 ``--cli`` instead writes the probe graph (its seed, ends and net weights)
 as a 1M-line 3-column text file, ``u v w`` with the decimal ids as labels,
 and times ``negdsd peel`` on it twice.  First as a child process
@@ -114,6 +127,11 @@ QUERY_REPEATS = 7
 QUERY_LAYERS = ("follow", "reply", "block")
 
 STARTUP_REPEATS = 3
+
+SMALL_SWEEP_NODES = (50, 100, 200, 300, 400, 512, 640, 768, 1024)
+SMALL_SWEEP_ARCS = (10, 40)
+SMALL_SWEEP_MULTIPLIERS = (2, 3, 7)
+SMALL_SWEEP_REPEATS = 9
 
 
 def exact_graph(nodes: int, records: int, clique: int, salt: int) -> SignedGraph:
@@ -277,6 +295,56 @@ def query_stats() -> dict:
     return stats
 
 
+def small_graph(nodes: int, arcs_per_node: int, seed: int) -> SignedGraph:
+    """``nodes * arcs_per_node / 2`` records with uniform endpoints and net weights in [-1, 2], collapsed."""
+    rng = np.random.default_rng([SEED, nodes, arcs_per_node, seed])
+    records = nodes * arcs_per_node // 2
+    us, vs = rng.integers(0, nodes, size=(2, records))
+    nets = rng.uniform(-1.0, 2.0, size=records)
+    return SignedGraph(*negdsd.core._collapse_columns(nodes, us, vs, np.maximum(nets, 0.0), np.maximum(-nets, 0.0)))
+
+
+@contextlib.contextmanager
+def sweep_path(path: str):
+    """Force every ``c_sweep`` of two or more multipliers onto the ``dense`` or the ``columns`` path while inside."""
+    saved = negdsd.peeling._DENSE_MAX_NODES, negdsd.peeling._DENSE_MIN_MULTIPLIERS
+    negdsd.peeling._DENSE_MAX_NODES = max(SMALL_SWEEP_NODES) if path == "dense" else 0
+    negdsd.peeling._DENSE_MIN_MULTIPLIERS = 2
+    try:
+        yield
+    finally:
+        negdsd.peeling._DENSE_MAX_NODES, negdsd.peeling._DENSE_MIN_MULTIPLIERS = saved
+
+
+def small_sweep_stats() -> list:
+    rows = []
+    for nodes, arcs, k in itertools.product(SMALL_SWEEP_NODES, SMALL_SWEEP_ARCS, SMALL_SWEEP_MULTIPLIERS):
+        c_list = DEFAULT_C_LIST[:k]
+        seconds: dict = {"dense": [], "columns": []}
+        same = True
+        for seed in range(SMALL_SWEEP_REPEATS):
+            answers = {}
+            for path in ("dense", "columns") if seed % 2 == 0 else ("columns", "dense"):
+                graph = small_graph(nodes, arcs, seed)
+                with sweep_path(path):
+                    started = time.perf_counter()
+                    answers[path] = repr(c_sweep(graph, c_list))
+                    seconds[path].append(time.perf_counter() - started)
+            same = same and answers["dense"] == answers["columns"]
+        dense_ms, columns_ms = (1e3 * statistics.median(seconds[path]) for path in ("dense", "columns"))
+        rows.append({
+            "nodes": nodes,
+            "arcs_per_node": arcs,
+            "edges": graph.m,
+            "multipliers": k,
+            "dense_ms": round(dense_ms, 3),
+            "columns_ms": round(columns_ms, 3),
+            "dense_over_columns": round(dense_ms / columns_ms, 3),
+            "same_answers": same,
+        })
+    return rows
+
+
 def probe_edges() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ends and net weights of the probe graph's records."""
     rng = np.random.default_rng(SEED)
@@ -394,7 +462,13 @@ def main() -> None:
     parser.add_argument("--clipped", action="store_true", help="time exact_dsd on the graph clipped at 0 instead")
     parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
     parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
+    parser.add_argument("--small-sweeps", action="store_true", help="time both sweep paths on small graphs instead")
     args = parser.parse_args()
+    if args.small_sweeps:
+        stats = {"small_sweeps": small_sweep_stats()}
+        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(stats))
+        return
     if args.cli:
         with tempfile.TemporaryDirectory() as scratch:
             stats = cli_stats(scratch)

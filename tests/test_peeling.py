@@ -214,6 +214,102 @@ class TestColumnPeel:
                 assert all(type(x) is float for x in order.score_at_removal)
 
 
+def negative_zeros(graph):
+    """The graph with every zero weight stored as ``-0.0``."""
+    return build_signed_graph([(u, v, wp or -0.0, wn or -0.0) for u, v, wp, wn in graph.rows()], n=graph.n)
+
+
+def dense_orders(graph, c_values) -> list:
+    """``_peel_dense``'s (sequence, scores) of each value, as lists."""
+    sequences, scores = peeling._peel_dense(graph, np.array(c_values, dtype=np.float64)[:, None])
+    return list(zip(sequences.tolist(), scores.tolist()))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The multipliers each kernel peels from now on, under ``dense`` and ``columns``."""
+    calls = {"dense": [], "columns": []}
+    dense, columns = peeling._peel_dense, peeling._peel_columns
+
+    def counting_dense(graph, c):
+        calls["dense"].extend(c[:, 0].tolist())
+        return dense(graph, c)
+
+    def counting_columns(graph, c):
+        calls["columns"].append(c)
+        return columns(graph, c)
+
+    monkeypatch.setattr(peeling, "_peel_dense", counting_dense)
+    monkeypatch.setattr(peeling, "_peel_columns", counting_columns)
+    return calls
+
+
+class TestDensePeel:
+    """The lockstep kernel peels several multipliers of a small graph at once, each as the naive peel."""
+
+    def test_matches_naive_peel(self):
+        rng = random.Random(79)
+        by_graph: dict = {}
+        for g, c, expected in naive_cases():
+            by_graph.setdefault(g, {})[c] = expected
+        zeros = ties = 0
+        for g, expected in by_graph.items():
+            for size in range(2, len(DEFAULT_C_LIST) + 1):
+                c_values = rng.sample(DEFAULT_C_LIST, size)
+                orders = dense_orders(g, c_values)
+                assert orders == [expected[c] for c in c_values]
+                assert all(type(x) is float for _, scores in orders for x in scores)
+                zeros += sum(scores.count(0.0) for _, scores in orders)
+                ties += sum(len(scores) - len(set(scores)) for _, scores in orders)
+            repeated = [DEFAULT_C_LIST[3], DEFAULT_C_LIST[0], DEFAULT_C_LIST[3]]
+            assert dense_orders(g, repeated) == [expected[c] for c in repeated]
+            assert dense_orders(negative_zeros(g), repeated) == [expected[c] for c in repeated]
+        assert zeros > 1000 and ties > 1000
+
+    def test_sweeps_of_small_graphs_peel_together(self, kernel_calls):
+        g = gen_bad_peeling(16, 0.01)
+        c_list = DEFAULT_C_LIST[: peeling._DENSE_MIN_MULTIPLIERS]
+        orders = peeling._peel_orders(g, list(c_list))
+        assert kernel_calls == {"dense": list(c_list), "columns": []}
+        assert [order.tolist() for order in orders] == [naive_peel(g, c) for c in c_list]
+        assert all(order.dtype == np.int64 and not order.flags.writeable for order in orders)
+        fewer = DEFAULT_C_LIST[-peeling._DENSE_MIN_MULTIPLIERS + 1 :]
+        peeling._peel_orders(gen_bad_peeling(16, 0.01), list(fewer))
+        assert kernel_calls["columns"] == list(fewer)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["split", "above"])
+    def test_split(self, kernel_calls, extra):
+        rng = random.Random(83)
+        n = peeling._DENSE_MAX_NODES + extra
+        raw = [(rng.randrange(n), rng.randrange(n), rng.choice((0.0, 0.5)), rng.uniform(0.0, 1.0)) for _ in range(n)]
+        g = build_signed_graph(raw, n=n)
+        c_values = [0.25, 4.0, 1.0]
+        orders = peeling._peel_sequences(g, c_values)
+        assert [order.tolist() for order in orders] == [naive_peel(g, c) for c in c_values]
+        assert kernel_calls == ({"dense": c_values, "columns": []} if not extra else {"dense": [], "columns": c_values})
+
+    def test_overflowing_scores_peel_on_columns(self, kernel_calls):
+        g = build_signed_graph([(0, 1, 1e10, 0.0), (1, 2, 1.0, 2.0), (2, 2, 0.0, 0.5)], n=4)
+        c_values = [1.0, 1e308, 4.0]
+        orders = peeling._peel_sequences(g, c_values)
+        assert kernel_calls == {"dense": [], "columns": c_values}
+        assert [order.tolist() for order in orders] == [naive_peel(g, c) for c in c_values]
+        assert math.inf in naive_peel_scores(g, 1e308)[1]
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["isolated", "loop"])
+    def test_one_node(self, kernel_calls, loop):
+        g = build_signed_graph([(0, 0, 1.5, 0.25)] if loop else [], n=1)
+        assert dense_orders(g, [0.5, 2.0]) == [naive_peel_scores(g, 0.5), naive_peel_scores(g, 2.0)]
+        assert [order.tolist() for order in peeling._peel_sequences(g, [0.5, 2.0])] == [[0], [0]]
+
+    def test_empty_graph_rejected(self, kernel_calls):
+        with pytest.raises(EmptySetError):
+            peeling._peel_sequences(build_signed_graph([]), list(DEFAULT_C_LIST))
+        with pytest.raises(EmptySetError):
+            c_sweep(build_signed_graph([]))
+        assert kernel_calls["dense"] == []
+
+
 class TestBestPrefix:
     def test_triangle_keeps_everything(self):
         g = triangle()
@@ -322,6 +418,20 @@ class TestApproximationGuarantee:
             assert result.net_density >= best / 2 - 1e-9
 
 
+@pytest.fixture
+def counted_peels(monkeypatch):
+    """The multipliers this process peels from now on, as sweeps hand them to either kernel."""
+    peeled = []
+    peel = peeling._peel_sequences
+
+    def counting_peel(graph, c_values):
+        peeled.extend(c_values)
+        return peel(graph, c_values)
+
+    monkeypatch.setattr(peeling, "_peel_sequences", counting_peel)
+    return peeled
+
+
 class TestCSweep:
     def test_default_list(self):
         assert DEFAULT_C_LIST == (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
@@ -363,19 +473,27 @@ class TestCSweep:
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyCListError):
             c_sweep(triangle(), [])
+        with pytest.raises(EmptyCListError):
+            c_sweep(triangle(), iter([]))
 
-    def test_repeated_multipliers_peeled_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "c_list",
+        [iter([1.0, 2.0]), np.array([1.0, 2.0]), [np.float64(1.0), np.float32(2.0)], (True, 2.0)],
+        ids=["iterator", "array", "numpy_scalars", "bool"],
+    )
+    def test_any_iterable_of_multipliers(self, c_list):
+        g = triangle()
+        swept = c_sweep(g, c_list)
+        assert repr(swept) == repr(c_sweep(triangle(), [1.0, 2.0]))
+        assert type(swept.c_used) is float and swept.c_used == 1.0  # every value ties, and the smallest wins
+        assert sorted(kept(g)) == [1.0, 2.0]
+
+    def test_repeated_multipliers_peeled_once(self, counted_peels):
         expected = repr(c_sweep(gen_bad_peeling(16, 0.01), [4.0, 2.0, 10.0]))
         g = gen_bad_peeling(16, 0.01)  # a fresh graph, so every multiplier is peeled
-        peeled = []
-
-        def counting_peel(graph, c=1.0):
-            peeled.append(c)
-            return peel_order(graph, c)
-
-        monkeypatch.setattr(peeling, "peel_order", counting_peel)
+        counted_peels.clear()
         swept = c_sweep(g, [4.0, 2.0, 4.0, 10.0, 2.0])
-        assert peeled == [4.0, 2.0, 10.0]
+        assert counted_peels == [4.0, 2.0, 10.0]
         assert repr(swept) == expected
         assert swept.c_used == 2.0  # the tie among 2, 4 and 10 still goes to the smallest
 
@@ -535,19 +653,6 @@ class TestForkedSweep:
             with pytest.raises(NonPositiveCError):
                 c_sweep(self.graph(), [*DEFAULT_C_LIST, bad])
         assert peeled == [] and forked == []
-
-
-@pytest.fixture
-def counted_peels(monkeypatch):
-    """The multipliers this process peels from now on."""
-    peeled = []
-
-    def counting_peel(graph, c=1.0):
-        peeled.append(c)
-        return peel_order(graph, c)
-
-    monkeypatch.setattr(peeling, "peel_order", counting_peel)
-    return peeled
 
 
 class TestKeptOrders:
