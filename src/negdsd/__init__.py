@@ -62,7 +62,6 @@ _HOMES = {
         "peel_order",
     ),
     "uncertain": (
-        "BernoulliEdge",
         "RiskReport",
         "UncertainEdge",
         "UncertainGraph",

@@ -197,11 +197,8 @@ def _cmd_exact(args) -> int:
     graph, labels = _read_signed(args.input)
     try:
         result = exact_dsd(graph)
-    except NegativeWeightError:  # the library names internal ids; name the labels
-        net = graph.wpos - graph.wneg
-        e = int((net < 0).argmax())
-        u, v = labels[graph.u[e]], labels[graph.v[e]]
-        raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {net[e].item()}") from None
+    except NegativeWeightError as error:  # the library names internal ids; name the labels
+        raise NegativeWeightError(labels[error.u], labels[error.v], error.weight) from None
     return _emit(_result_payload(result, labels), args.started)
 
 
@@ -216,7 +213,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    from .uncertain import bernoulli_graph, build_uncertain_graph, risk_profile, uncertain_to_signed
+    from .uncertain import bernoulli_graph, build_uncertain_graph, risk_profile
 
     text = _read_input(args.input)
     if args.bernoulli:
@@ -225,8 +222,7 @@ def _cmd_risk(args) -> int:
     else:
         edges, labels = parse_moments(text)
         uncertain = build_uncertain_graph(edges, n=len(labels))
-    graph = uncertain_to_signed(uncertain)
-    result = c_sweep(graph, args.c_list, PeelScoring(mode="objective", params=_params(args)))
+    result = c_sweep(uncertain, args.c_list, PeelScoring(mode="objective", params=_params(args)))
     report = risk_profile(uncertain, result.nodes)
     payload = _result_payload(result, labels)
     payload["risk"] = {

@@ -96,6 +96,8 @@ class SignedGraph:
     sweeps that peel one multiplier at once store the same order.
     """
 
+    _EDGE = SignedEdge  # the record type of ``edges``
+
     __slots__ = (
         "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "total_pos", "total_neg", "_index", "_edges", "_orders",
     )
@@ -135,9 +137,9 @@ class SignedGraph:
 
     @property
     def edges(self) -> tuple[SignedEdge, ...]:
-        """The collapsed edges as :class:`SignedEdge` objects, in edge order."""
+        """The collapsed edges as :class:`SignedEdge` objects (a subclass's ``_EDGE``), in edge order."""
         if self._edges is None:
-            self._edges = tuple(starmap(SignedEdge, self.rows()))
+            self._edges = tuple(starmap(self._EDGE, self.rows()))
         return self._edges
 
     def rows(self) -> Iterator[tuple[int, int, float, float]]:
@@ -165,7 +167,7 @@ class SignedGraph:
         return tilde_weights(self, 1.0)
 
     def __repr__(self) -> str:
-        return f"SignedGraph(n={self.n}, m={self.m})"
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -311,6 +313,8 @@ def _check_float_range(u, v, *weights) -> None:
             float(w)
         except OverflowError:
             raise BadParametersError(f"edge ({u}, {v}) has a weight beyond the float range") from None
+        except ValueError:  # a signaling NaN, which no float holds
+            raise BadParametersError(f"edge ({u}, {v}) has a weight that is not a real number: {w!r}") from None
 
 
 def _is_numpy_real(w) -> bool:
@@ -434,7 +438,7 @@ def build_signed_graph(
     total whose double overflows a float; the first bad record decides
     which.
     """
-    return SignedGraph(*_collapse(raw_edges, n, _check_magnitudes))
+    return SignedGraph(*_collapse_columns(*_intake(raw_edges, n, _check_magnitudes)))
 
 
 def _check_magnitudes(u, v, wpos, wneg) -> None:
@@ -450,34 +454,52 @@ def _check_magnitudes(u, v, wpos, wneg) -> None:
 _DTYPES = (np.int64, np.int64, np.float64, np.float64)
 
 
-def _collapse(
+def _intake(
     raw_edges: Iterable[tuple[int, int, float, float]] | EdgeColumns,
     n: int | None,
     check_weights: Callable[[int, int, float, float], None],
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_collapse_columns` of raw (u, v, a, b) records with int ids and finite weights, all >= 0.
+) -> tuple[int | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v, a, b) of raw (u, v, a, b) records, or :class:`EdgeColumns`, as int64 and float64 columns.
 
-    The records, or the arrays of :class:`EdgeColumns`, are checked as
-    columns at once; when a check fails, they are walked in order, so the
-    first bad one raises: its ids and a weight that is not a real number or
-    beyond the float range by the shared checks, its weights by
-    ``check_weights``.
+    The ids and weights must be >= 0 and the weights finite.  The arrays of
+    :class:`EdgeColumns`, or records of int ids and int or float weights,
+    are checked as columns at once; when a check fails, or a record holds
+    other types, :func:`_check_records` walks them in order, so the first
+    bad one raises.  ``n`` is returned as given, or counted by
+    :func:`_id_columns` for records of other types.
     """
     if isinstance(raw_edges, EdgeColumns):
         records, columns = raw_edges, [raw_edges.u, raw_edges.v, raw_edges.a, raw_edges.b]
     else:
-        records = list(raw_edges)
-        columns = _typed_columns(records)
+        records, columns = list(raw_edges), None
+        with contextlib.suppress(BadParametersError, TypeError):  # a record of another length, or not a sequence
+            fields = _record_columns(records, "(u, v, a, b)")
+            ids = set(map(type, fields[0])) | set(map(type, fields[1]))
+            weights = set(map(type, fields[2])) | set(map(type, fields[3]))
+            if ids <= {int} and weights <= {int, float}:
+                with contextlib.suppress(OverflowError):  # an id beyond 64 bits or an int weight beyond a float
+                    columns = [np.array(field, dtype=dtype) for field, dtype in zip(fields, _DTYPES)]
     if columns is None or not all(bool((c >= 0).all()) for c in columns) or not np.isfinite(columns[2:]).all():
-        for u, v, a, b in records:
-            _check_ids(u, v)
-            _check_float_range(u, v, a, b)
-            check_weights(u, v, a, b)
+        _check_records(records, check_weights)
     if columns is None:  # valid, but of types such as numpy floats or ids of any size
         us, vs, a, b = _record_columns(records, "(u, v, a, b)")
         n, u, v = _id_columns(n, us, vs, _MAX_PACKED_ID)
         columns = [u, v, np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)]
-    return _collapse_columns(n, *columns)
+    return n, *columns
+
+
+def _check_records(records: Iterable[tuple], check_weights: Callable[[int, int, float, float], None]) -> None:
+    """Walk (u, v, a, b) records in order, so the first bad one raises: its ids and a weight
+    that is not a real number or beyond the float range by the shared checks, its weights by
+    ``check_weights``."""
+    for record in records:
+        try:
+            u, v, a, b = record
+        except (TypeError, ValueError):  # not a sequence, or of another length
+            raise BadParametersError(f"edges must be (u, v, a, b) records, got {record!r}") from None
+        _check_ids(u, v)
+        _check_float_range(u, v, a, b)
+        check_weights(u, v, a, b)
 
 
 def _collapse_columns(n, u, v, a, b) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -513,22 +535,6 @@ def _column_node_count(n, u: np.ndarray, v: np.ndarray) -> tuple[int, int]:
     """(n, largest id) of nonnegative int64 id columns; ``n`` None counts largest id + 1."""
     max_id = max(int(u.max()), int(v.max())) if u.shape[0] else -1
     return (max_id + 1 if n is None else _node_count(n, max_id)), max_id
-
-
-def _typed_columns(records: list) -> list[np.ndarray] | None:
-    """Column arrays of 4-item records with int ids and int or float weights, else None."""
-    try:
-        columns = _record_columns(records, "(u, v, a, b)")
-    except (BadParametersError, TypeError):  # a record of another length, or not a sequence
-        return None
-    ids = set(map(type, columns[0])) | set(map(type, columns[1]))
-    weights = set(map(type, columns[2])) | set(map(type, columns[3]))
-    if not (ids <= {int} and weights <= {int, float}):
-        return None
-    try:
-        return [np.array(column, dtype=dtype) for column, dtype in zip(columns, _DTYPES)]
-    except OverflowError:  # an id beyond 64 bits or an int weight beyond a float
-        return None
 
 
 def _check_total_weight(weights: np.ndarray) -> float:

@@ -35,7 +35,11 @@ class EmptyCListError(NegDsdError):
 
 
 class NegativeWeightError(NegDsdError):
-    """An operation restricted to nonnegative-weight graphs saw a negative weight."""
+    """An operation restricted to nonnegative-weight graphs saw a negative ``weight`` on edge (``u``, ``v``)."""
+
+    def __init__(self, u, v, weight: float):
+        super().__init__(f"edge ({u}, {v}) has negative weight {weight}")
+        self.u, self.v, self.weight = u, v, weight
 
 
 class TooLargeError(NegDsdError):

@@ -447,7 +447,7 @@ def _validate_nonnegative(graph: SignedGraph) -> np.ndarray:
     negative = net < 0
     if negative.any():  # the first negative pair decides the error
         e = int(negative.argmax())
-        raise NegativeWeightError(f"edge ({graph.u[e]}, {graph.v[e]}) has negative weight {net[e].item()}")
+        raise NegativeWeightError(int(graph.u[e]), int(graph.v[e]), net[e].item())
     return net
 
 

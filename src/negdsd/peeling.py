@@ -119,6 +119,7 @@ class PeelScoring:
         if self.mode not in _MODES:
             raise BadParametersError(f"mode must be one of {_MODES}, got {self.mode!r}")
         _check_c(self.c)
+        object.__setattr__(self, "c", float(self.c))  # frozen; c_used reports the float peel_order peels at
         if self.mode == "objective" and self.params is None:
             raise BadParametersError("objective mode needs ObjectiveParams")
 

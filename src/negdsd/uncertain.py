@@ -3,26 +3,26 @@
 Every downstream computation consumes only the first two moments of an
 edge's reward distribution, so that is all the representation keeps.  The
 classic on/off edge model (reward w with probability p, else 0) converts via
-:func:`bernoulli_moments`.  Converting an uncertain graph to a signed graph
-hands its collapsed columns over as they are, reward as the positive weight
-and variance as the negative one; the risk-tolerance factor is deliberately
-*not* baked in, so one conversion serves every tolerance sweep.  The peels
-are shared across such a sweep too: the signed graph keeps the removal
-order of each multiplier that :func:`~negdsd.peeling.c_sweep` peels on it,
-so sweeping it at a second tolerance only scores prefixes.
+:func:`bernoulli_moments`, whose rules :func:`bernoulli_graph` applies to
+columns and records alike.  Risk-averse DSD on an uncertain graph is DSD on
+a signed graph, reward as the positive weight and variance as the negative
+one, so an :class:`UncertainGraph` is a :class:`~negdsd.core.SignedGraph`
+and every solver takes it as it is.  The risk-tolerance factor is
+deliberately *not* baked in, so one graph serves every tolerance sweep.  The
+peels are shared across such a sweep too: the graph keeps the removal order
+of each multiplier that :func:`~negdsd.peeling.c_sweep` peels on it, so
+sweeping it at a second tolerance only scores prefixes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .core import EdgeColumns, SignedGraph, _check_node_set, _check_total_weight, _collapse, _induced_edges, _rows
-from .core import _sequential_sum
+from .core import EdgeColumns, SignedGraph, _check_node_set, _check_records, _collapse_columns, _intake, induced_weights
 from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
 from .errors import BadParametersError, EmptyFilmographyError, OutOfRangeError
 
@@ -40,22 +40,6 @@ class UncertainEdge:
 
 
 @dataclass(frozen=True, slots=True)
-class BernoulliEdge:
-    """Edge that pays ``w`` with probability ``p`` and 0 otherwise."""
-
-    u: int
-    v: int
-    p: float
-    w: float
-
-    def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise OutOfRangeError(f"probability must be in (0, 1], got {self.p}")
-        if self.w < 0:
-            raise OutOfRangeError(f"reward must be >= 0, got {self.w}")
-
-
-@dataclass(frozen=True, slots=True)
 class RiskReport:
     """Average induced reward and risk of a node set, plus its size."""
 
@@ -64,36 +48,17 @@ class RiskReport:
     size: int
 
 
-class UncertainGraph:
-    """Immutable collapsed uncertain edges over ids 0..n-1, stored as columns.
+class UncertainGraph(SignedGraph):
+    """A :class:`~negdsd.core.SignedGraph` of collapsed uncertain edges: ``mu``
+    is ``wpos`` and ``sigma2`` is ``wneg``, and ``edges`` are :class:`UncertainEdge`.
 
-    Edge ``e`` is ``(u[e], v[e], mu[e], sigma2[e])`` with ``u[e] <= v[e]``,
-    in the layout of :class:`~negdsd.core.SignedGraph`, totals checked as
-    there; ``edges`` is a tuple of :class:`UncertainEdge` built on first access.
+    Edge ``e`` is ``(u[e], v[e], mu[e], sigma2[e])`` with ``u[e] <= v[e]``.
     """
 
-    __slots__ = ("n", "u", "v", "mu", "sigma2", "_edges")
-
-    def __init__(self, n: int, u: np.ndarray, v: np.ndarray, mu: np.ndarray, sigma2: np.ndarray):
-        self.n, self.u, self.v, self.mu, self.sigma2 = n, u, v, mu, sigma2
-        for array in (u, v, mu, sigma2):
-            array.flags.writeable = False
-        for moments in (mu, sigma2):
-            _check_total_weight(moments)
-        self._edges = None
-
-    @property
-    def edges(self) -> tuple[UncertainEdge, ...]:
-        if self._edges is None:
-            self._edges = tuple(starmap(UncertainEdge, self.rows()))
-        return self._edges
-
-    def rows(self) -> Iterator[tuple[int, int, float, float]]:
-        """(u, v, mu, sigma2) of each edge as Python scalars, in edge order."""
-        return _rows(self.u, self.v, self.mu, self.sigma2)
-
-    def __repr__(self) -> str:
-        return f"UncertainGraph(n={self.n}, m={self.u.shape[0]})"
+    __slots__ = ()
+    _EDGE = UncertainEdge
+    mu = property(lambda self: self.wpos, doc="Expected reward of each edge: ``wpos``.")
+    sigma2 = property(lambda self: self.wneg, doc="Variance of each edge's reward: ``wneg``.")
 
 
 def bernoulli_moments(p: float, w: float) -> tuple[float, float]:
@@ -121,7 +86,7 @@ def build_uncertain_graph(
     number or sums beyond a float, and :class:`OutOfRangeError` on a
     negative one; the first bad record decides which.
     """
-    return UncertainGraph(*_collapse(raw_edges, n, _check_moments))
+    return UncertainGraph(*_collapse_columns(*_intake(raw_edges, n, _check_moments)))
 
 
 def _check_moments(u, v, mu, sigma2) -> None:
@@ -135,35 +100,36 @@ def bernoulli_graph(
     raw_edges: Iterable[tuple[int, int, float, float]] | EdgeColumns,
     n: int | None = None,
 ) -> UncertainGraph:
-    """Build an uncertain graph from (u, v, p, w) on/off edges.
+    """Build an uncertain graph from (u, v, p, w) on/off edges, or :class:`~negdsd.core.EdgeColumns` (``a`` = p, ``b`` = w).
 
-    :class:`~negdsd.core.EdgeColumns` (``a`` = p, ``b`` = w) convert as
-    columns, to the same moments as :func:`bernoulli_moments`; when a
-    probability or reward is out of range, the records are walked in order,
-    so the first bad one raises.
+    Records become columns as in :func:`~negdsd.core.build_signed_graph`,
+    and the moments are those of :func:`bernoulli_moments`, taken over the
+    columns.  When a probability or reward is out of range, or a moment is
+    not finite, the records are walked in order, so the first bad one
+    raises.
     """
-    if not isinstance(raw_edges, EdgeColumns):
-        return build_uncertain_graph(((u, v, *bernoulli_moments(p, w)) for u, v, p, w in raw_edges), n=n)
-    p, w = raw_edges.a, raw_edges.b
-    if not ((0 < p) & (p <= 1) & (w >= 0)).all():
-        for _, _, p_e, w_e in raw_edges:
-            bernoulli_moments(p_e, w_e)
+    n, u, v, p, w = _intake(raw_edges, n, _check_bernoulli)
+    if not ((0 < p) & (p <= 1)).all():
+        _check_records(EdgeColumns(u, v, p, w), _check_bernoulli)
     with np.errstate(over="ignore", invalid="ignore"):  # as with floats, build_uncertain_graph rejects the result
-        moments = EdgeColumns(raw_edges.u, raw_edges.v, w * p, w * w * p * (1.0 - p))
+        moments = EdgeColumns(u, v, w * p, w * w * p * (1.0 - p))
     return build_uncertain_graph(moments, n=n)
 
 
+def _check_bernoulli(u, v, p, w) -> None:
+    _check_moments(u, v, *bernoulli_moments(float(p), float(w)))  # as floats: a Decimal takes no float factor
+
+
 def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:
-    """Map each edge to (wpos=mu, wneg=sigma2) for the signed-graph solvers, sharing the columns."""
+    """A plain :class:`~negdsd.core.SignedGraph` (wpos=mu, wneg=sigma2) sharing the columns; its edges are SignedEdge."""
     return SignedGraph(graph.n, graph.u, graph.v, graph.mu, graph.sigma2)
 
 
 def risk_profile(graph: UncertainGraph, nodes: Iterable[int]) -> RiskReport:
     """Average induced expected reward and risk of a nonempty node set."""
     node_set = _check_node_set(graph, nodes)
-    induced = _induced_edges(graph, node_set)
+    mu, risk, _ = induced_weights(graph, node_set)
     size = len(node_set)
-    mu, risk = _sequential_sum(graph.mu[induced]), _sequential_sum(graph.sigma2[induced])
     return RiskReport(mu / size, risk / size, size)
 
 

@@ -42,8 +42,10 @@ graphs of 100k nodes and 1M records with the probe's endpoints:
 ``apply_exclusion`` (hard and soft, excluding one layer) and
 ``layer_report`` (a fixed 10% of the nodes) on a 3-layer graph.  Each call
 runs ``QUERY_REPEATS`` times; the probe reports the median seconds of each,
-the seconds of the two builds, and the edge count and weight totals of
-each signed graph, so two trees can be checked for equal answers.
+the seconds of the two builds, the seconds of ``bernoulli_graph`` on 1M
+(u, v, p, w) records with those endpoints (``bernoulli_build_seconds``),
+and the edge count and weight totals of each graph, so two trees can be
+checked for equal answers.
 
 ``--small-sweeps`` instead times cold ``c_sweep`` runs on small graphs with
 each of the sweep's two serial paths forced: ``dense``, every multiplier
@@ -101,6 +103,7 @@ from negdsd import (
     PeelScoring,
     SignedGraph,
     apply_exclusion,
+    bernoulli_graph,
     best_prefix,
     build_multilayer_graph,
     build_signed_graph,
@@ -269,6 +272,8 @@ def query_stats() -> dict:
     sigma2s = rng.uniform(0.0, 0.25, size=EDGES).tolist()
     layers = [QUERY_LAYERS[code] for code in rng.integers(0, len(QUERY_LAYERS), size=EDGES).tolist()]
     nodes = set(rng.choice(NODES, size=NODES // 10, replace=False).tolist())
+    ps = (1.0 - rng.uniform(0.0, 1.0, size=EDGES)).tolist()  # in (0, 1]
+    ws = rng.uniform(0.0, 4.0, size=EDGES).tolist()
 
     def signed_stats(graph) -> dict:
         return {"edges": graph.m, "total_pos": graph.total_pos, "total_neg": graph.total_neg}
@@ -280,6 +285,12 @@ def query_stats() -> dict:
     stats["uncertain_to_signed_seconds"], signed = median_seconds(lambda: uncertain_to_signed(uncertain))
     stats["uncertain_signed"] = signed_stats(signed)
     del uncertain, signed, mus, sigma2s
+
+    started = time.perf_counter()
+    bernoulli = bernoulli_graph(zip(us, vs, ps, ws), n=NODES)
+    stats["bernoulli_build_seconds"] = time.perf_counter() - started
+    stats["bernoulli"] = signed_stats(uncertain_to_signed(bernoulli))
+    del bernoulli, ps, ws
 
     started = time.perf_counter()
     multilayer = build_multilayer_graph(zip(us, vs, layers), n=NODES)

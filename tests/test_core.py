@@ -33,7 +33,7 @@ from negdsd.errors import (
     ZeroDenominatorError,
 )
 from negdsd.core import _check_node_set
-from negdsd.uncertain import build_uncertain_graph
+from negdsd.uncertain import bernoulli_graph, build_uncertain_graph
 
 from conftest import naive_best, naive_induced
 
@@ -90,7 +90,7 @@ class TestBuild:
         with pytest.raises(UnknownNodeError):
             build_signed_graph([(0, 7, 1, 0)], n=3)
 
-    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
+    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph, bernoulli_graph])
     @pytest.mark.parametrize(
         "n, error, message",
         [(3, UnknownNodeError, "references node 18446744073709551616 but n=3"), (None, TooLargeError, "got 18446744073709551616")],
@@ -133,6 +133,15 @@ class TestBuild:
         with pytest.raises(BadParametersError, match="node ids"):
             build_signed_graph([bad_id, negative])
 
+    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph, bernoulli_graph])
+    @pytest.mark.parametrize("record", [(0, 1, 1.0), (0, 1, 1.0, 0.0, 0.0), 5, None])
+    def test_record_of_another_shape_rejected(self, build, record):
+        bad_id = (-1, 0, 1.0, 0.0)
+        with pytest.raises(BadParametersError, match=r"edges must be \(u, v, a, b\) records, got "):
+            build([(0, 1, 1.0, 0.0), record])
+        with pytest.raises(BadParametersError, match="node ids"):  # the first bad record decides
+            build([bad_id, record])
+
     @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
     def test_weight_beyond_float_rejected(self, build):
         huge, negative = (2, 3, 0.0, 10**400), (0, 1, -1.0, 0.0)
@@ -144,8 +153,10 @@ class TestBuild:
             build([negative, huge])
         assert build([(0, 1, 2**1000, 0)]).u.tolist() == [0]  # a large int that a float holds is kept
 
-    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph])
-    @pytest.mark.parametrize("weight", ["x", "1.5", None, 1j, b"1", np.complex128(1), np.array([1.0]), np.str_("1")])
+    @pytest.mark.parametrize("build", [build_signed_graph, build_uncertain_graph, bernoulli_graph])
+    @pytest.mark.parametrize(
+        "weight", ["x", "1.5", None, 1j, b"1", np.complex128(1), np.array([1.0]), np.str_("1"), Decimal("sNaN")]
+    )
     def test_weight_that_is_not_a_number_rejected(self, build, weight):
         bad, negative = (2, 3, 0.0, weight), (0, 1, -1.0, 0.0)
         with pytest.raises(BadParametersError, match=r"edge \(2, 3\) has a weight that is not a real number"):

@@ -277,6 +277,15 @@ class TestExactDsd:
         with pytest.raises(BadParametersError):  # its degree sum overflows, rejected at the build
             exact_dsd(weighted(2, [(0, 1, 1e308)]))
 
+    def test_negative_weight_error_names_the_pair(self):
+        graph = build_signed_graph([(0, 1, 2.0, 1.0), (2, 1, 0.5, 2.0), (0, 2, 0.0, 1.0)])
+        with pytest.raises(NegativeWeightError) as caught:
+            exact_dsd(graph)
+        error = caught.value
+        assert (error.u, error.v, error.weight) == (1, 2, -1.5)
+        assert type(error.u) is int and type(error.v) is int and type(error.weight) is float
+        assert str(error) == "edge (1, 2) has negative weight -1.5"
+
     def test_int_total_beyond_float_rejected_at_build(self):
         # each int fits a float, their sum does not: the build rejects it with
         # the typed error of any float total, before a solver sees the graph

@@ -12,7 +12,7 @@ import negdsd
 from conftest import child_env
 
 PUBLIC = """
-BernoulliEdge DEFAULT_C_LIST DecisionOutcome DsdResult ExclusionQuery MultilayerGraph ObjectiveParams
+DEFAULT_C_LIST DecisionOutcome DsdResult ExclusionQuery MultilayerGraph ObjectiveParams
 PeelOrder PeelScoring RiskReport SearchTrace SignedEdge SignedGraph TIE_TOLERANCE UncertainEdge
 UncertainGraph apply_exclusion bernoulli_graph bernoulli_moments best_prefix
 binary_search_objective brute_force build_multilayer_graph build_signed_graph build_uncertain_graph

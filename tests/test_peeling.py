@@ -398,6 +398,14 @@ class TestBestPrefix:
         with pytest.raises(BadParametersError):
             PeelScoring(mode="objective")
 
+    @pytest.mark.parametrize("c", [True, 2, np.float32(2), np.int64(3), Decimal("0.5")])
+    def test_multiplier_stored_as_float(self, c):
+        scoring = PeelScoring(c=c)
+        assert type(scoring.c) is float and scoring.c == float(c)
+        result = best_prefix(triangle(), peel_order(triangle(), c), scoring)
+        assert type(result.c_used) is float and result.c_used == float(c)
+        assert repr(result) == repr(best_prefix(triangle(), peel_order(triangle(), float(c)), PeelScoring(c=float(c))))
+
 
 class TestApproximationGuarantee:
     def test_half_optimal_minus_half_max_negative_degree(self):

@@ -2,22 +2,32 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from negdsd import (
+    DEFAULT_C_LIST,
     ObjectiveParams,
+    PeelScoring,
+    SignedEdge,
+    SignedGraph,
+    UncertainEdge,
+    UncertainGraph,
     bernoulli_graph,
     bernoulli_moments,
     build_signed_graph,
     build_uncertain_graph,
+    c_sweep,
     induced_weights,
     objective_f,
     risk_profile,
     tmdb_edge,
     uncertain_to_signed,
 )
+from negdsd.core import EdgeColumns
 from negdsd.errors import (
     BadParametersError,
     EmptyFilmographyError,
@@ -146,6 +156,98 @@ class TestConversion:
             bernoulli_graph([(0, 1, 0.5, 2.0), (1, 2, p, math.inf)])
         with pytest.raises(BadParametersError, match="non-finite moments"):  # w*w overflows
             bernoulli_graph([(0, 1, 0.5, 1e300)])
+
+
+def random_bernoulli_records(rng: random.Random, n: int, count: int) -> list[tuple[int, int, float, float]]:
+    """On/off records over 0..n-1, loops and parallel pairs (either way round) included."""
+    records = []
+    for _ in range(count):
+        u, v = rng.randrange(n), rng.randrange(n)
+        p = rng.choice([1.0, 0.5, rng.uniform(1e-9, 1.0)])
+        records.append((u, v, p, rng.choice([0.0, 1.0, rng.uniform(0.0, 10.0)])))
+    return records
+
+
+class TestUncertainGraph:
+    """An uncertain graph is a signed graph whose weights are the moments."""
+
+    def test_moments_are_the_signed_columns(self):
+        g = build_uncertain_graph([(0, 1, 1.0, 0.5), (1, 2, 0.25, 0.0)], n=4)
+        assert isinstance(g, SignedGraph) and type(g) is UncertainGraph
+        assert g.mu is g.wpos and g.sigma2 is g.wneg
+        assert repr(g) == "UncertainGraph(n=4, m=2)" and repr(build_signed_graph(g.rows(), n=4)) == "SignedGraph(n=4, m=2)"
+        assert g.edges == (UncertainEdge(0, 1, 1.0, 0.5), UncertainEdge(1, 2, 0.25, 0.0))
+        assert list(g.rows()) == [(0, 1, 1.0, 0.5), (1, 2, 0.25, 0.0)]
+        with pytest.raises(AttributeError):
+            g.mu = g.wneg
+
+    def test_positional_construction(self):
+        columns = [np.array([0, 1]), np.array([1, 1]), np.array([2.0, 1.0]), np.array([0.5, 0.0])]
+        g = UncertainGraph(3, *columns)
+        assert (g.n, g.m, g.total_pos, g.total_neg) == (3, 2, 3.0, 0.5)
+        assert g.deg_pos.tolist() == [2.0, 4.0, 0.0]  # the loop counts twice
+        assert g.mu is columns[2] and not g.mu.flags.writeable
+
+    def test_converted_graph_holds_signed_edges(self):
+        g = bernoulli_graph([(0, 1, 0.5, 2.0), (1, 2, 1.0, 1.0)])
+        signed = uncertain_to_signed(g)
+        assert type(signed) is SignedGraph
+        assert all(type(e) is SignedEdge for e in signed.edges) and all(type(e) is UncertainEdge for e in g.edges)
+        assert_same_signed(signed, g)
+
+    def test_sweep_of_the_graph_equals_a_sweep_of_its_conversion(self):
+        rng = random.Random(149)
+        for _ in range(60):
+            g = bernoulli_graph(random_bernoulli_records(rng, rng.randint(1, 14), rng.randint(1, 40)))
+            for scoring in (PeelScoring(), PeelScoring(mode="objective", params=ObjectiveParams(1.0, 1.0, rng.choice([0.25, 2.0])))):
+                assert repr(c_sweep(g, DEFAULT_C_LIST, scoring)) == repr(c_sweep(uncertain_to_signed(g), DEFAULT_C_LIST, scoring))
+
+
+class TestBernoulliRecords:
+    """Records take the shared intake: checked in order, then converted as columns."""
+
+    def test_records_equal_columns_and_a_per_record_loop(self):
+        rng = random.Random(151)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            records = random_bernoulli_records(rng, n, rng.randint(0, 30))
+            built = bernoulli_graph(records, n=n)
+            u, v, p, w = (np.array([r[i] for r in records], dtype=np.int64 if i < 2 else np.float64) for i in range(4))
+            moments = [(a, b, *bernoulli_moments(p_e, w_e)) for a, b, p_e, w_e in records]
+            for other in (bernoulli_graph(EdgeColumns(u, v, p, w), n=n), build_uncertain_graph(moments, n=n)):
+                assert_same_signed(built, other)
+                assert built.mu.tobytes() == other.mu.tobytes() and built.sigma2.tobytes() == other.sigma2.tobytes()
+
+    @pytest.mark.parametrize("field", [2, 3], ids=["p", "w"])
+    @pytest.mark.parametrize("value", ["x", None, "2", 1j, 10**400])
+    def test_bad_value_names_the_edge(self, field, value):
+        bad = [2, 3, 0.5, 1.0]
+        bad[field] = value
+        with pytest.raises(BadParametersError, match=r"edge \(2, 3\) has a weight"):
+            bernoulli_graph([(0, 1, 0.5, 1.0), tuple(bad)])
+
+    def test_first_bad_record_decides_the_error(self):
+        bad_id, not_real, probability = (-1, 0, 0.5, 1.0), (0, 1, "x", 1.0), (0, 1, 2.0, 1.0)
+        reward, overflow = (0, 1, 0.5, -1.0), (0, 1, 0.5, 1e300)
+        with pytest.raises(BadParametersError, match="node ids"):
+            bernoulli_graph([bad_id, probability])
+        with pytest.raises(OutOfRangeError, match="probability"):
+            bernoulli_graph([probability, bad_id])
+        with pytest.raises(BadParametersError, match="not a real number"):
+            bernoulli_graph([not_real, reward])
+        with pytest.raises(OutOfRangeError, match="reward"):
+            bernoulli_graph([reward, not_real])
+        with pytest.raises(BadParametersError, match="non-finite moments"):  # w*w overflows
+            bernoulli_graph([overflow, probability])
+        with pytest.raises(OutOfRangeError, match="probability"):
+            bernoulli_graph([probability, overflow])
+
+    def test_real_number_types_accepted(self):
+        records = [(0, 1, Decimal("0.5"), Fraction(2)), (1, 2, np.float32(0.25), True), (0, 1, True, np.int64(3))]
+        got = bernoulli_graph(records)
+        want = bernoulli_graph([(u, v, float(p), float(w)) for u, v, p, w in records])
+        assert_same_signed(got, want)
+        assert got.mu.tolist() == [4.0, 0.25]
 
 
 class TestRiskProfile:
