@@ -301,20 +301,20 @@ def _check_ids(u, v) -> None:
         raise BadParametersError(f"node ids must be nonnegative integers, got ({u!r}, {v!r})")
 
 
-def _check_float_range(u, v, *weights) -> None:
-    """Reject a weight of record (u, v, ...) that is not a real number or that no float holds (10**400).
+def _real_float(w, subject: str) -> float:
+    """``float(w)``; :class:`BadParametersError` "<subject> that is not a real number" (or
+    "beyond the float range") when ``w`` is not a real number or no float holds it (10**400).
 
     The type is tested, not the conversion: ``float('1.5')`` takes a string.
     """
-    for w in weights:
-        if not (isinstance(w, _REAL_TYPES) or _is_numpy_real(w)):
-            raise BadParametersError(f"edge ({u}, {v}) has a weight that is not a real number: {w!r}")
-        try:
-            float(w)
-        except OverflowError:
-            raise BadParametersError(f"edge ({u}, {v}) has a weight beyond the float range") from None
-        except ValueError:  # a signaling NaN, which no float holds
-            raise BadParametersError(f"edge ({u}, {v}) has a weight that is not a real number: {w!r}") from None
+    if not (isinstance(w, _REAL_TYPES) or _is_numpy_real(w)):
+        raise BadParametersError(f"{subject} that is not a real number: {w!r}")
+    try:
+        return float(w)
+    except OverflowError:
+        raise BadParametersError(f"{subject} beyond the float range") from None
+    except ValueError:  # a signaling NaN, which no float holds
+        raise BadParametersError(f"{subject} that is not a real number: {w!r}") from None
 
 
 def _is_numpy_real(w) -> bool:
@@ -498,7 +498,8 @@ def _check_records(records: Iterable[tuple], check_weights: Callable[[int, int, 
         except (TypeError, ValueError):  # not a sequence, or of another length
             raise BadParametersError(f"edges must be (u, v, a, b) records, got {record!r}") from None
         _check_ids(u, v)
-        _check_float_range(u, v, a, b)
+        for w in (a, b):
+            _real_float(w, f"edge ({u}, {v}) has a weight")
         check_weights(u, v, a, b)
 
 

@@ -50,9 +50,10 @@ cuts and the answer are those of the whole program.  One degree pass
 reads the whole edge list: the prune's first round takes the bulk peel's
 first, B's density comes from the weights its round kept, and the answer
 is re-scored from the program.  ``dsd_decision`` prunes likewise at g.
-``binary_search_objective`` starts from the whole node set: its searches
-finish in two or three cuts, and a peel start that stays safe past
-``q_max`` (a sweep of several multipliers) would cost more than it saves.
+``binary_search_objective`` starts from the best prefix S0 of one float c=1
+peel in objective scoring when V < S0 <= ``q_max`` in exact value (V: all
+nodes), and from V otherwise or once a step from S0 passes ``q_max``; when
+every step is a cut, both starts end on V's answer, the largest optimal set.
 
 P, R, l1 and l2 are scaled to integers once by their common denominator.
 Every finite float is a dyadic rational, so this is always exact (the
@@ -119,7 +120,7 @@ class DecisionOutcome:
 class SearchTrace:
     """Bounds after each Dinkelbach step, and the route ("flow"/"peel") of each.
 
-    ``lo_history`` starts at the objective of the whole node set.
+    ``lo_history`` starts at the objective of the start set.
     ``hi_history`` stays at ``objective_upper_bound`` until a flow step
     certifies the optimum, and then equals it.
     """
@@ -225,14 +226,12 @@ def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) 
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
     q_max = Fraction(q_num, q_den) if q_den else math.inf
     indptr, neighbor, edge_id = _csr(n, u, v)
-    ends = np.stack([u, v], axis=1).ravel()  # a loop twice, counting twice
-    degrees = []
-    for weights in (p, r):
-        degree = np.zeros(n, dtype=object)
-        if weights.any():  # R is all zero in a density program
-            np.add.at(degree, ends, np.repeat(weights, 2))
-        degrees.append(degree.tolist())
     arcs = indptr.tolist(), neighbor.tolist(), p[edge_id].tolist(), r[edge_id].tolist()
+    degrees = [[sum(arc_w[a:b]) for a, b in zip(arcs[0], arcs[0][1:])] for arc_w in arcs[2:]]
+    loops = u == v  # a loop has one arc and counts twice
+    for degree, weights in zip(degrees, (p, r)):
+        for x, w_e in zip(u[loops].tolist(), weights[loops].tolist()):
+            degree[x] += w_e
     return _RatioProgram(n, u, v, p, r, *arcs, *degrees, l1, l2, q_max)
 
 
@@ -412,20 +411,24 @@ def _dinkelbach(
     start: Iterable[int],
     peel: Callable[[Fraction], Iterable[int]] | None = None,
     core: tuple[list[int], list[int]] | None = None,
+    q: Fraction | None = None,
 ) -> tuple[Iterable[int], bool, list[Fraction], list[str]]:
     """Return (witness, exact, q at the start and after each step, routes).
 
     ``start`` is a nonempty set whose value is the first q; ``peel(q)``
-    proposes a set for steps past ``q_max``; ``core``, when given, is the
-    q-core at the first q (see ``_max_density_side``).
+    proposes a set for steps past ``q_max``, and with no ``peel`` the driver
+    stops, inexact, at the first such step; ``core``, when given, is the
+    q-core at the first q (see ``_max_density_side``), and ``q`` that q.
     """
     best = start
-    q = program.value(best)
+    q = program.value(best) if q is None else q
     history = [q]
     routes: list[str] = []
     while True:
         route = "flow" if q <= program.q_max else "peel"
         routes.append(route)
+        if route == "peel" and peel is None:
+            return best, False, history, routes
         side = _max_density_side(program, q, core) if route == "flow" else peel(q)
         core = None
         value = program.value(side)
@@ -624,7 +627,11 @@ def binary_search_objective(
     Steps are exact minimum cuts while q <= min wpos/(rt*wneg), where the
     reweighted graph stays nonnegative; past it they reweight with
     :func:`tilde_weights` and peel, and the result is flagged inexact.  The
-    returned set is a real witness re-scored under the true objective, so
+    driver starts from a c=1 peel's best prefix when that is better than the
+    whole node set and at most ``q_max``, and starts over from the whole set
+    if a step then passes ``q_max``: the answer is the whole set's, in fewer
+    cuts (47 ms against 107 ms on a planted 2,000-node graph, ``BENCH_21.json``).
+    The returned set is a real witness re-scored under the true objective, so
     it never overestimates.  The name predates the driver, which replaced a
     bisection; it stays so existing callers keep working.
     """
@@ -632,15 +639,23 @@ def binary_search_objective(
         raise EmptySetError("graph has no nodes")
     upper = _check_objective_range(graph, params)
     rt = params.risk_tolerance
-    program = _ratio_program(
-        graph.n, graph.u, graph.v, graph.wpos, graph.wneg, params.lambda1, params.lambda2, rt
-    )
+    program = _ratio_program(graph.n, graph.u, graph.v, graph.wpos, graph.wneg, params.lambda1, params.lambda2, rt)
 
     def peel(q: Fraction) -> frozenset[int]:
         reweighted = tilde_weights(graph, float(q), rt)
         return peeling.c_sweep(reweighted, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
 
-    nodes, exact, history, routes = _dinkelbach(program, range(graph.n), peel)
+    answer = None
+    whole = program.value(range(graph.n))
+    if whole <= program.q_max:  # a warm start that all cuts answer ends on the whole set's answer
+        scoring = peeling.PeelScoring("objective", params=params)
+        prefix = peeling.best_prefix(graph, peeling.peel_order(graph), scoring).nodes
+        first = program.value(prefix)
+        if whole < first <= program.q_max:
+            answer = _dinkelbach(program, prefix, q=first)
+    if answer is None or not answer[1]:  # no warm start, or it reached a peel step
+        answer = _dinkelbach(program, range(graph.n), peel, q=whole)
+    nodes, exact, history, routes = answer
     lo_history = [float(q) for q in history]
     hi_history = [upper] * len(history)
     if exact:

@@ -265,37 +265,35 @@ def _may_overflow(graph: SignedGraph, c: "float | np.ndarray") -> bool:
         return not np.isfinite(2 * (c * graph.deg_pos + graph.deg_neg)).all()
 
 
-def _peel_dense(graph: SignedGraph, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`peel_order` at each value of the column ``c`` at once: (read-only sequences, scores), a row each.
+def _peel_dense(graph: SignedGraph, c: np.ndarray) -> np.ndarray:
+    """:func:`peel_order` at each value of the column ``c`` at once: read-only sequences, a row each.
 
     Row ``r`` of ``p``, ``q`` and ``score`` is :func:`_peel_columns`' column
     at ``c[r]``.  Each step removes each row's first node of least score and
     subtracts its row of pair weights (dense: 16 bytes per node pair) from
     ``p`` and ``q``.  A non-neighbour loses ``0.0``, which leaves a finite
-    value as it is, and a removed node keeps ``p = +inf``; so when no score
+    value as it is, and the removed node loses ``-inf``, the diagonal of the
+    positive rows, so it keeps ``p = +inf`` from then on; so when no score
     can overflow (:func:`_may_overflow`, checked by the caller) every order
-    and score equals the column peel's.
+    equals the column peel's.
     """
     n, k = graph.n, c.shape[0]
     weights = np.zeros((n, 2, n))  # weights[v, 0] is v's row of positive weights, weights[v, 1] of negative
     for column, w in enumerate((graph.wpos, graph.wneg)):
         weights[graph.u, column, graph.v] = w
         weights[graph.v, column, graph.u] = w
+    weights[np.arange(n), 0, np.arange(n)] = -math.inf  # a diagonal (loop) is subtracted only as its node leaves
     pq = np.tile(np.stack([graph.deg_pos, graph.deg_neg]), (k, 1, 1))
     p, q = pq[:, 0], pq[:, 1]
     score = c * p - q
-    rows = np.arange(k)
     sequences = np.empty((k, n), dtype=np.int64)
-    scores = np.empty((k, n))
     for step in range(n):
         removed = score.argmin(axis=1, out=sequences[:, step])
-        scores[:, step] = score[rows, removed]
-        p[rows, removed] = math.inf
         pq -= weights[removed]
         np.multiply(c, p, out=score)
         score -= q
     sequences.flags.writeable = False
-    return sequences, scores
+    return sequences
 
 
 def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> DsdResult:
@@ -430,7 +428,7 @@ def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> list[np.ndarra
     if len(c_values) >= _DENSE_MIN_MULTIPLIERS and 0 < graph.n <= _DENSE_MAX_NODES:
         c = np.array(c_values, dtype=np.float64)[:, None]
         if not _may_overflow(graph, c):
-            return list(_peel_dense(graph, c)[0])
+            return list(_peel_dense(graph, c))
     workers = _worker_count(graph, len(c_values))
     if workers == 1:
         return [_sequence(graph, c) for c in c_values]

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import EdgeColumns, SignedGraph, _check_node_set, _check_records, _collapse_columns, _intake, induced_weights
-from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
+from .core import _real_float, build_signed_graph  # noqa: F401  the second is re-exported; callers may look it up here
 from .errors import BadParametersError, EmptyFilmographyError, OutOfRangeError
 
 TOP_COSTARRED_MOVIES = 5
@@ -65,13 +65,23 @@ def bernoulli_moments(p: float, w: float) -> tuple[float, float]:
     """Mean and variance of a reward that is w with probability p, else 0.
 
     mu = w*p and sigma2 = w**2 * p * (1 - p), the unique variance of a
-    two-point {0, w} distribution.
+    two-point {0, w} distribution, over ``float(p)`` and ``float(w)``.
+    Raises the error :func:`bernoulli_graph` raises on a record of this p and w.
     """
+    return _bernoulli_moments("bernoulli_moments got", p, w)
+
+
+def _bernoulli_moments(subject: str, p, w) -> tuple[float, float]:
+    """:func:`bernoulli_moments`, its errors led by ``subject``."""
+    p, w = _real_float(p, f"{subject} a probability"), _real_float(w, f"{subject} a reward")
     if not 0 < p <= 1:
         raise OutOfRangeError(f"probability must be in (0, 1], got {p}")
     if w < 0:
         raise OutOfRangeError(f"reward must be >= 0, got {w}")
-    return w * p, w * w * p * (1.0 - p)
+    mu, sigma2 = w * p, w * w * p * (1.0 - p)
+    if not (math.isfinite(mu) and math.isfinite(sigma2)):
+        raise BadParametersError(f"{subject} non-finite moments ({mu}, {sigma2})")
+    return mu, sigma2
 
 
 def build_uncertain_graph(
@@ -117,7 +127,7 @@ def bernoulli_graph(
 
 
 def _check_bernoulli(u, v, p, w) -> None:
-    _check_moments(u, v, *bernoulli_moments(float(p), float(w)))  # as floats: a Decimal takes no float factor
+    _bernoulli_moments(f"edge ({u}, {v}) has", p, w)
 
 
 def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:

@@ -60,6 +60,18 @@ its own seed and alternating which path runs first; the probe reports the
 median milliseconds of each path, their ratio, and whether both paths gave
 equal answers by ``repr`` in every pair.
 
+``--search`` instead times ``binary_search_objective`` on graphs built like
+the benchmark's ratio-search inputs: ``SEARCH_NODES`` nodes with
+``SEARCH_PER_NODE`` records a node (uniform endpoints, positive weights
+1-4) and a planted ``SEARCH_CORE``-node clique of weight 4, in two
+regimes: ``mixed`` (rt = 0.25, each negative weight at most 1/32 of its
+positive one, in steps of 1/64, so the first steps are minimum cuts) and
+``peel`` (rt = 1, a fifth of the positive weights zeroed and negative
+weights 0-2, so every step peels).  Each search runs ``SEARCH_REPEATS``
+times; the probe reports the median seconds, the routes and cut count of
+the trace, and the answer's size, objective value and ``exact`` flag, so
+two trees can be checked for equal answers.
+
 ``--cli`` instead writes the probe graph (its seed, ends and net weights)
 as a 1M-line 3-column text file, ``u v w`` with the decimal ids as labels,
 and times ``negdsd peel`` on it twice.  First as a child process
@@ -105,6 +117,7 @@ from negdsd import (
     apply_exclusion,
     bernoulli_graph,
     best_prefix,
+    binary_search_objective,
     build_multilayer_graph,
     build_signed_graph,
     build_uncertain_graph,
@@ -135,6 +148,11 @@ SMALL_SWEEP_NODES = (50, 100, 200, 300, 400, 512, 640, 768, 1024)
 SMALL_SWEEP_ARCS = (10, 40)
 SMALL_SWEEP_MULTIPLIERS = (2, 3, 7)
 SMALL_SWEEP_REPEATS = 9
+
+SEARCH_NODES = (200, 2_000, 10_000)
+SEARCH_PER_NODE, SEARCH_CORE = 10, 24
+SEARCH_REGIMES = {"mixed": (0.25, 1 / 32), "peel": (1.0, 0.0)}  # name: risk tolerance, most negative/positive
+SEARCH_REPEATS = 5
 
 
 def exact_graph(nodes: int, records: int, clique: int, salt: int) -> SignedGraph:
@@ -356,6 +374,53 @@ def small_sweep_stats() -> list:
     return rows
 
 
+def search_graph(nodes: int, neg_ratio: float) -> SignedGraph:
+    """A graph of ``nodes * SEARCH_PER_NODE`` background records and a planted clique (see ``--search``)."""
+    rng = np.random.default_rng([SEED, nodes, round(64 * neg_ratio)])
+    records = nodes * SEARCH_PER_NODE
+    us, vs = rng.integers(0, nodes, size=(2, records))
+    wpos = rng.integers(1, 5, size=records).astype(np.float64)
+    if neg_ratio > 0:
+        wneg = wpos * rng.integers(0, round(64 * neg_ratio) + 1, size=records) / 64
+    else:
+        wpos[rng.random(records) < 0.2] = 0.0
+        wneg = rng.integers(0, 3, size=records).astype(np.float64)
+    core = np.sort(rng.permutation(nodes)[:SEARCH_CORE])
+    inside = np.zeros(nodes, dtype=bool)
+    inside[core] = True
+    keep = (us != vs) & ~(inside[us] & inside[vs])  # the clique is planted as designed
+    iu, iv = np.triu_indices(SEARCH_CORE, k=1)
+    cu, cv = core[iu], core[iv]
+    us, vs = np.concatenate([us[keep], cu]), np.concatenate([vs[keep], cv])
+    wpos = np.concatenate([wpos[keep], np.full(cu.shape[0], 4.0)])
+    wneg = np.concatenate([wneg[keep], np.zeros(cu.shape[0])])
+    return SignedGraph(*negdsd.core._collapse_columns(nodes, us, vs, wpos, wneg))
+
+
+def search_stats() -> list:
+    rows = []
+    for nodes, (regime, (rt, neg_ratio)) in itertools.product(SEARCH_NODES, SEARCH_REGIMES.items()):
+        graph = search_graph(nodes, neg_ratio)
+        params = ObjectiveParams(1.0, 1.0, rt)
+        seconds = []
+        for _ in range(SEARCH_REPEATS):
+            started = time.perf_counter()
+            result, trace = binary_search_objective(graph, params)
+            seconds.append(time.perf_counter() - started)
+        rows.append({
+            "nodes": nodes,
+            "edges": graph.m,
+            "regime": regime,
+            "seconds": statistics.median(seconds),
+            "routes": trace.routes,
+            "cuts": trace.routes.count("flow"),
+            "size": result.size,
+            "f_value": result.f_value,
+            "exact": result.exact,
+        })
+    return rows
+
+
 def probe_edges() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ends and net weights of the probe graph's records."""
     rng = np.random.default_rng(SEED)
@@ -474,7 +539,13 @@ def main() -> None:
     parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
     parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
     parser.add_argument("--small-sweeps", action="store_true", help="time both sweep paths on small graphs instead")
+    parser.add_argument("--search", action="store_true", help="time the ratio-objective search instead")
     args = parser.parse_args()
+    if args.search:
+        stats = {"searches": search_stats()}
+        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(stats))
+        return
     if args.small_sweeps:
         stats = {"small_sweeps": small_sweep_stats()}
         stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -12,15 +12,19 @@ import pytest
 import negdsd.exact
 import negdsd.flow
 from negdsd import (
+    DEFAULT_C_LIST,
     ObjectiveParams,
+    PeelScoring,
     SignedGraph,
     binary_search_objective,
     brute_force,
     build_signed_graph,
+    c_sweep,
     dsd_decision,
     exact_dsd,
     objective_f,
     objective_upper_bound,
+    tilde_weights,
 )
 from negdsd.errors import (
     BadParametersError,
@@ -47,6 +51,7 @@ from conftest import (
     naive_best,
     naive_induced,
     naive_peel,
+    random_multigraph,
     random_nonnegative_graph,
     random_signed_graph,
     reference_sink_side,
@@ -356,6 +361,27 @@ class TestRatioProgram:
                 expected = reference_program(4, u, v, p_values, r_values, lambda1, lambda2, r_factor)
                 assert got == expected
                 assert all(type(x) is int for x in got[0] + got[1] + got[2] + got[3])
+
+    def test_degrees_equal_an_add_at_over_both_ends(self):
+        # the program sums its degrees over its arc lists, a loop's one arc added twice
+        rng = random.Random(211)
+        for i in range(300):
+            if i % 2:
+                graph = random_multigraph(rng, max_nodes=20)  # collapsed, with loops
+                n, u, v, p_values, r_values = graph.n, graph.u, graph.v, graph.wpos, graph.wneg
+            else:  # raw records: loops and parallel pairs
+                n = rng.randint(1, 8)
+                m = rng.randint(0, 25)
+                u = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
+                v = np.array([a if rng.random() < 0.25 else rng.randrange(n) for a in u.tolist()], dtype=np.int64)
+                p_values = np.array([rng.choice((0.0, 0.5, 3.0, 0.1)) for _ in range(m)])
+                r_values = np.array([rng.choice((0.0, 0.25, 1 / 3)) for _ in range(m)])
+            program = _ratio_program(n, u, v, p_values, r_values, 1, 1, rng.choice((1.0, 0.3)))
+            for got, weights in ((program.deg_p, program.p), (program.deg_r, program.r)):
+                expected = np.zeros(n, dtype=object)
+                np.add.at(expected, np.concatenate([u, v]), np.concatenate([weights, weights]))
+                assert got == expected.tolist()
+                assert all(type(x) is int for x in got)
 
     def test_no_edges(self):
         empty = np.zeros(0)
@@ -763,3 +789,104 @@ class TestBinarySearch:
         g = build_signed_graph([(0, 1, 5e-324, 0.0), (1, 2, 1.0, 0.5)])
         result, _ = binary_search_objective(g, ObjectiveParams(lambda1=np.int64(1)))
         assert result.nodes == frozenset({1, 2})
+
+
+def whole_set_search(graph: SignedGraph, params: ObjectiveParams) -> tuple[DsdResult, list[Fraction], list[str]]:
+    """The search's result with the driver started from the whole node set, its q history and its routes."""
+    rt = params.risk_tolerance
+    program = _ratio_program(graph.n, graph.u, graph.v, graph.wpos, graph.wneg, params.lambda1, params.lambda2, rt)
+
+    def peel(q):
+        return c_sweep(tilde_weights(graph, float(q), rt), DEFAULT_C_LIST, PeelScoring()).nodes
+
+    nodes, exact, history, routes = _dinkelbach(program, range(graph.n), peel)  # the driver itself, never a spy
+    return DsdResult.evaluate(graph, nodes, algorithm="binary_search", exact=exact, params=params), history, routes
+
+
+def small_negatives_graph(rng: random.Random, max_nodes: int = 14) -> SignedGraph:
+    """A random graph of positive weights 1-4, some with a negative weight of 1/32 to 1/2 of it, and a denser set."""
+    n = rng.randint(2, max_nodes)
+    dense = set(rng.sample(range(n), rng.randint(1, n)))
+    raw = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < (0.8 if u in dense and v in dense else 0.3):
+                wpos = float(rng.randint(1, 4))
+                raw.append((u, v, wpos, wpos * rng.choice((0.0, 0.0, 1 / 32, 1 / 8, 0.5))))
+    return build_signed_graph(raw, n=n)
+
+
+@pytest.fixture
+def driver_starts(monkeypatch):
+    """The start set of each ``_dinkelbach`` call from now on, as a sorted list."""
+    starts = []
+    driver = negdsd.exact._dinkelbach
+
+    def spy(program, start, *args, **kwargs):
+        starts.append(sorted(start))
+        return driver(program, start, *args, **kwargs)
+
+    monkeypatch.setattr(negdsd.exact, "_dinkelbach", spy)
+    return starts
+
+
+class TestWarmStart:
+    """The search may start from a c=1 peel's best prefix; its answers stay those of the whole-set start."""
+
+    PARAMS = [ObjectiveParams(), ObjectiveParams(0.3, 0.7, 0.25), ObjectiveParams(0, 1, 1), ObjectiveParams(0.5, 2, 4)]
+
+    def test_answers_equal_the_whole_set_start(self, driver_starts):
+        rng = random.Random(223)
+        generators = [
+            lambda: random_signed_graph(rng, max_nodes=12),
+            lambda: random_multigraph(rng, max_nodes=16),
+            lambda: random_nonnegative_graph(rng, max_nodes=12),
+            lambda: corollary_regime_graph(rng, rng.choice(self.PARAMS), rng.choice((1.0, 0.1))),
+            lambda: small_negatives_graph(rng),
+        ]
+        counts = {"whole": 0, "warm": 0, "again": 0}
+        for i in range(1000):
+            graph = generators[i % len(generators)]()
+            whole = list(range(graph.n))
+            for params in rng.sample(self.PARAMS, 2):
+                del driver_starts[:]
+                result, trace = binary_search_objective(graph, params)
+                expected, history, routes = whole_set_search(graph, params)
+                assert repr(result) == repr(expected)
+                assert trace.exact == result.exact and trace.lo == float(history[-1])
+                if driver_starts[-1] != whole:  # a warm start that every cut answered
+                    assert len(driver_starts) == 1 and trace.exact
+                    assert trace.routes == ["flow"] * trace.iterations and trace.iterations <= len(routes)
+                    counts["warm"] += 1
+                else:  # the whole set's search, run first or again after the warm run passed q_max
+                    assert (trace.lo_history, trace.routes) == ([float(q) for q in history], routes)
+                    counts["whole" if len(driver_starts) == 1 else "again"] += 1
+        assert sum(counts.values()) == 2000 and counts["warm"] > 300, counts
+
+    def test_warm_run_past_q_max_starts_over_from_the_whole_set(self, driver_starts):
+        # q_max = 4/2 = 2 (edge 0-2); V = 23/14 < S0 = {0, 3} = 2 <= q_max < OPT = {0, 1, 3} = 13/6
+        graph = build_signed_graph([(0, 1, 2.0, 0.0), (0, 2, 4.0, 2.0), (0, 3, 3.0, 0.0)], n=5)
+        params = ObjectiveParams(0.5, 1, 1)
+        result, trace = binary_search_objective(graph, params)
+        assert driver_starts == [[0, 3], [0, 1, 2, 3, 4]]
+        expected, history, routes = whole_set_search(graph, params)
+        assert repr(result) == repr(expected)
+        assert trace.lo_history == [float(q) for q in history] and trace.routes == routes
+        assert trace.lo_history[0] == 23 / 14 and "peel" in routes and not trace.exact
+
+    def test_prefix_no_better_than_the_whole_set_is_not_used(self, driver_starts):
+        triangle = build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, 1.0, 0.0)])
+        result, trace = binary_search_objective(triangle, ObjectiveParams())
+        assert driver_starts == [[0, 1, 2]]  # the peel's best prefix is the whole triangle
+        assert result.nodes == frozenset({0, 1, 2}) and trace.lo_history == [2.0, 2.0]
+
+    def test_planted_set_is_certified_by_one_cut(self, driver_starts):
+        rng = random.Random(227)
+        raw = [(u, v, 1.0, 1 / 32) for u, v in (rng.sample(range(40), 2) for _ in range(60))]
+        raw += [(u, v, 4.0, 0.0) for u, v in itertools.combinations(range(40, 48), 2)]
+        graph = build_signed_graph(raw, n=48)
+        params = ObjectiveParams(1, 1, 0.25)
+        result, trace = binary_search_objective(graph, params)
+        assert result.nodes == frozenset(range(40, 48)) and result.exact
+        assert driver_starts == [list(range(40, 48))] and trace.routes == ["flow"]
+        assert repr(result) == repr(whole_set_search(graph, params)[0])

@@ -60,6 +60,50 @@ class TestBernoulliMoments:
         with pytest.raises(OutOfRangeError):
             bernoulli_moments(0.5, -1.0)
 
+    @staticmethod
+    def graph_error(p, w) -> type:
+        """The error ``bernoulli_graph`` raises on one record of this p and w."""
+        with pytest.raises(Exception) as raised:
+            bernoulli_graph([(0, 1, p, w)])
+        return raised.type
+
+    @pytest.mark.parametrize(
+        "p, w",
+        [("x", 1.0), (0.5, None), (1j, 1.0), (0.5, "2"), (10**400, 1.0), (0.5, 10**400)],
+        ids=["str-p", "none-w", "complex-p", "str-w", "huge-p", "huge-w"],
+    )
+    def test_value_that_is_not_a_real_float_rejected(self, p, w):
+        with pytest.raises(BadParametersError, match="bernoulli_moments got a (probability|reward)"):
+            bernoulli_moments(p, w)
+        assert self.graph_error(p, w) is BadParametersError
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, Decimal("Infinity"), 1e200])
+    def test_non_finite_moment_rejected(self, w):
+        with pytest.raises(BadParametersError, match="non-finite moments"):
+            bernoulli_moments(0.5, w)
+        assert self.graph_error(0.5, w) is BadParametersError
+
+    @pytest.mark.parametrize("p", [math.nan, Decimal("NaN"), math.inf])
+    def test_nan_or_infinite_probability_out_of_range(self, p):
+        with pytest.raises(OutOfRangeError, match="probability"):
+            bernoulli_moments(p, 1.0)
+        assert self.graph_error(p, 1.0) is OutOfRangeError
+
+    def test_negative_infinite_reward_out_of_range(self):
+        with pytest.raises(OutOfRangeError, match="reward"):
+            bernoulli_moments(0.5, -math.inf)
+        assert self.graph_error(0.5, -math.inf) is OutOfRangeError
+
+    def test_real_number_types_taken_as_floats(self):
+        assert bernoulli_moments(Decimal("0.5"), 2.0) == (1.0, 1.0)
+        assert bernoulli_moments(Decimal("0.1"), Decimal("3")) == bernoulli_moments(0.1, 3.0)
+        for p, w in ((Fraction(1, 2), 2), (np.float32(0.25), np.int64(3)), (True, 5)):
+            got = bernoulli_moments(p, w)
+            assert got == bernoulli_moments(float(p), float(w))
+            assert all(type(x) is float for x in got)
+            graph = bernoulli_graph([(0, 1, p, w)])
+            assert (graph.mu[0], graph.sigma2[0]) == got
+
     def test_variance_vanishes_only_at_certainty_or_zero_reward(self):
         for p in (0.1, 0.3, 0.5, 0.9):
             assert bernoulli_moments(p, 2.0)[1] > 0
