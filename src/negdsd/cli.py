@@ -118,21 +118,22 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(handler=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="emit a generator instance as a signed edge list")
+    gen.set_defaults(handler=_cmd_gen)
     kinds = gen.add_subparsers(dest="kind", required=True)
     bad = kinds.add_parser("bad-peeling", help="hub-and-triangle peeling trap")
     bad.add_argument("--n", type=int, required=True)
     bad.add_argument("--eps", type=float, required=True)
-    bad.set_defaults(handler=_cmd_gen_bad_peeling)
+    bad.set_defaults(generate=lambda lib, a: lib.gen_bad_peeling(a.n, a.eps))
     two = kinds.add_parser("two-component", help="clique plus random +/-1 noise component")
     two.add_argument("--r", type=int, required=True)
     two.add_argument("--n", type=int, required=True)
     two.add_argument("--seed", type=int, default=0)
-    two.set_defaults(handler=_cmd_gen_two_component)
+    two.set_defaults(generate=lambda lib, a: lib.gen_two_component(a.r, a.n, a.seed))
     shift = kinds.add_parser("shift-failure", help="instance defeating the weight-shift baseline")
     shift.add_argument("--n", type=int, required=True)
     shift.add_argument("--delta", type=float, required=True)
     shift.add_argument("--eps", type=float, required=True)
-    shift.set_defaults(handler=_cmd_gen_shift_failure)
+    shift.set_defaults(generate=lambda lib, a: lib.gen_shift_failure(a.n, a.delta, a.eps))
 
     return parser
 
@@ -253,31 +254,14 @@ def _cmd_oracle(args) -> int:
     from .exact import brute_force
 
     graph, labels = _read_signed(args.input)
-    if args.objective:
-        result = brute_force(graph, mode="objective", params=_params(args))
-    else:
-        result = brute_force(graph)
+    result = brute_force(graph, _params(args) if args.objective else None)
     return _emit(_result_payload(result, labels), args.started)
 
 
-def _cmd_gen_bad_peeling(args) -> int:
-    from .generators import gen_bad_peeling
+def _cmd_gen(args) -> int:
+    from . import generators
 
-    sys.stdout.write(format_signed(gen_bad_peeling(args.n, args.eps)))
-    return 0
-
-
-def _cmd_gen_two_component(args) -> int:
-    from .generators import gen_two_component
-
-    sys.stdout.write(format_signed(gen_two_component(args.r, args.n, args.seed)))
-    return 0
-
-
-def _cmd_gen_shift_failure(args) -> int:
-    from .generators import gen_shift_failure
-
-    sys.stdout.write(format_signed(gen_shift_failure(args.n, args.delta, args.eps)))
+    sys.stdout.write(format_signed(args.generate(generators, args)))
     return 0
 
 

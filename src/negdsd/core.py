@@ -616,6 +616,9 @@ def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> 
     >= 0 (-0.0 too) and ``wneg`` the magnitudes of the others.  When its
     ``total_neg`` is 0 the query can be answered exactly by max-flow.
     """
+    for name, value in (("q", q), ("risk_tolerance", risk_tolerance)):
+        if not _is_finite_real(value):
+            raise BadParametersError(f"{name} must be finite, got {value!r}")
     if q < 0:
         raise BadParametersError(f"query value must be >= 0, got {q}")
     if risk_tolerance <= 0:

@@ -555,30 +555,24 @@ def exact_dsd(graph: SignedGraph) -> DsdResult:
     )
 
 
-def brute_force(
-    graph: SignedGraph,
-    mode: str = "density",
-    params: ObjectiveParams | None = None,
-) -> DsdResult:
+def brute_force(graph: SignedGraph, params: ObjectiveParams | None = None) -> DsdResult:
     """Exhaustive maximizer over all nonempty subsets (n <= 22).
 
-    Ties within ``TIE_TOLERANCE`` resolve to the lexicographically smallest
-    sorted node tuple.  This is the reference oracle the rest of the test
-    suite leans on, so it stays independent of every solver above.
+    Maximizes net density, or the ratio objective of ``params`` when they
+    are given.  Ties within ``TIE_TOLERANCE`` resolve to the
+    lexicographically smallest sorted node tuple.  This is the reference
+    oracle the rest of the test suite leans on, so it stays independent of
+    every solver above.
     """
-    if mode not in ("density", "objective"):
-        raise BadParametersError(f"mode must be 'density' or 'objective', got {mode!r}")
-    if mode == "objective" and params is None:
-        raise BadParametersError("objective mode needs ObjectiveParams")
     n = graph.n
     if n == 0:
         raise EmptySetError("graph has no nodes")
     if n > MAX_BRUTE_FORCE_NODES:
         raise TooLargeError(f"brute force capped at n={MAX_BRUTE_FORCE_NODES}, got {n}")
-    if mode == "objective":
+    if params is not None:
         _check_objective_range(graph, params)
     masks = np.arange(1, 2**n, dtype=np.int64)
-    sizes = _popcount(masks)
+    sizes = np.bitwise_count(masks).astype(np.float64)
     wpos = np.zeros(masks.shape[0], dtype=np.float64)
     wneg = np.zeros(masks.shape[0], dtype=np.float64)
     for u, v, ew_pos, ew_neg in graph.rows():
@@ -587,7 +581,7 @@ def brute_force(
             wpos[both] += ew_pos
         if ew_neg:
             wneg[both] += ew_neg
-    if mode == "density":
+    if params is None:
         values = (wpos - wneg) / sizes
     else:
         values = (wpos + params.lambda1 * sizes) / (params.risk_tolerance * wneg + params.lambda2 * sizes)
@@ -600,18 +594,8 @@ def brute_force(
         nodes,
         algorithm="brute_force",
         exact=True,
-        params=params if mode == "objective" else None,
+        params=params,
     )
-
-
-_POP16 = None
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int32)
-    return _POP16[masks & 0xFFFF] + _POP16[(masks >> 16) & 0xFFFF]
 
 
 def _mask_nodes(mask: int) -> tuple[int, ...]:

@@ -89,27 +89,31 @@ def build_multilayer_graph(
 class ExclusionQuery:
     """Which layers to penalize and how hard.
 
-    ``mode`` is "soft" (finite penalty ``w`` per excluded edge) or "hard"
-    (penalty resolved by :func:`hard_w` at apply time, certifying exclusion).
+    A soft query charges a finite penalty ``w`` per excluded edge; ``w is
+    None`` makes the query hard, its penalty resolved by :func:`hard_w` at
+    apply time, certifying exclusion.  ``mode`` reads "soft" or "hard".
     """
 
     excluded: frozenset
-    mode: str = "soft"
     w: float | None = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("soft", "hard"):
-            raise BadParametersError(f"mode must be 'soft' or 'hard', got {self.mode!r}")
-        if self.mode == "soft" and not (_is_finite_real(self.w) and self.w > 0):
+        if self.w is not None and not (_is_finite_real(self.w) and self.w > 0):
             raise BadParametersError(f"soft queries need a finite penalty weight W > 0, got {self.w}")
+
+    @property
+    def mode(self) -> str:
+        return "hard" if self.w is None else "soft"
 
     @classmethod
     def soft(cls, excluded: Iterable[Layer], w: float) -> "ExclusionQuery":
-        return cls(frozenset(excluded), "soft", w)
+        if w is None:  # None would make the query hard
+            raise BadParametersError("soft queries need a finite penalty weight W > 0, got None")
+        return cls(frozenset(excluded), w)
 
     @classmethod
     def hard(cls, excluded: Iterable[Layer]) -> "ExclusionQuery":
-        return cls(frozenset(excluded), "hard", None)
+        return cls(frozenset(excluded), None)
 
 
 def hard_w(graph: MultilayerGraph, excluded: Iterable[Layer]) -> int:
@@ -129,7 +133,7 @@ def _penalized(graph: MultilayerGraph, query: ExclusionQuery) -> tuple[np.ndarra
     unknown = query.excluded - graph.layers
     if unknown:
         raise UnknownLayerError(f"layers {sorted(map(str, unknown))} not present in the graph")
-    penalty = float(query.w) if query.mode == "soft" else float(hard_w(graph, query.excluded))
+    penalty = float(hard_w(graph, query.excluded) if query.w is None else query.w)
     return np.array([name in query.excluded for name in graph._names], dtype=bool), penalty
 
 

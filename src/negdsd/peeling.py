@@ -6,7 +6,8 @@ degree; larger ``c`` protects nodes with high positive degree from being
 peeled early, smaller ``c`` drives out nodes whose positive and negative
 degrees roughly cancel.  Because single values of ``c`` can each fail on
 adversarial inputs, :func:`c_sweep` runs a list of values and keeps the best
-output.
+output.  A :class:`PeelOrder` carries the multiplier it was peeled at, and
+:class:`PeelScoring` says only how its prefixes are scored.
 
 Sweeps of small graphs peel their multipliers at once over dense rows of
 pair weights (:func:`_peel_dense`), with the orders of :func:`peel_order`.
@@ -92,34 +93,33 @@ def _check_c(c: float) -> None:
 
 @dataclass(frozen=True, slots=True)
 class PeelOrder:
-    """Removal order of a peel; prefix i is the last i surviving nodes.
+    """Removal order of a peel at multiplier ``c``; prefix i is the last i surviving nodes.
 
     ``removal_sequence[0]`` is the first node removed; ``score_at_removal``
     is aligned with it and records each node's score at the moment it left.
+    ``c`` is the float the peel scored with, which :func:`best_prefix`
+    reports as ``c_used``.
     """
 
     removal_sequence: list[int]
     score_at_removal: list[float]
+    c: float
 
 
 @dataclass(frozen=True, slots=True)
 class PeelScoring:
-    """How prefixes are evaluated and which score multiplier produced them.
+    """How prefixes are evaluated.
 
     ``mode`` is ``"net_density"`` (net induced weight over size) or
     ``"objective"`` (the ratio objective, which requires ``params``).
-    ``c == 1`` reproduces the plain minimum-degree peel exactly.
     """
 
     mode: str = "net_density"
-    c: float = 1.0
     params: ObjectiveParams | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise BadParametersError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        _check_c(self.c)
-        object.__setattr__(self, "c", float(self.c))  # frozen; c_used reports the float peel_order peels at
         if self.mode == "objective" and self.params is None:
             raise BadParametersError("objective mode needs ObjectiveParams")
 
@@ -140,7 +140,7 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     _check_c(c)
     if graph.n == 0:
         raise EmptySetError("cannot peel an empty graph")
-    return _peel_columns(graph, c)
+    return _peel_columns(graph, float(c))
 
 
 def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
@@ -168,7 +168,6 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
     of the same columns, which skips numpy's fixed cost per call.  Both do
     the same float operations in the same order.
     """
-    c = float(c)
     n = graph.n
     size = _PEEL_BLOCK
     inf = math.inf
@@ -209,7 +208,7 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
                     pu = p_at[u] = p_at[u] - pos_at[k]
                     qu = q_at[u] = q_at[u] - neg_at[k]
                     score_at[u] = c * pu - qu
-        return PeelOrder(sequence, scores_out)
+        return PeelOrder(sequence, scores_out, c)
     blocks = score.reshape(-1, size)  # a view: writes to score show in it
     bound = blocks.min(axis=1)
     arc_block = neighbor // size  # the block of each arc's head (int64: ufunc.at casts other index types)
@@ -255,7 +254,7 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
                     su = score_at[u] = c * pu - qu
                     if su < bound_at[block_at[k]]:
                         bound_at[block_at[k]] = su
-    return PeelOrder(sequence, scores_out)
+    return PeelOrder(sequence, scores_out, c)
 
 
 def _may_overflow(graph: SignedGraph, c: "float | np.ndarray") -> bool:
@@ -299,7 +298,8 @@ def _peel_dense(graph: SignedGraph, c: np.ndarray) -> np.ndarray:
 def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> DsdResult:
     """Score every prefix of a peel at once and return the best one.
 
-    Ties within ``TIE_TOLERANCE`` go to the smallest prefix (smallest set).
+    The result's ``c_used`` is the order's ``c``.  Ties within
+    ``TIE_TOLERANCE`` go to the smallest prefix (smallest set).
     An edge belongs to every prefix of at most ``n - k`` nodes, where ``k``
     is the earlier removal position of its two ends, so the induced weights
     of all prefixes are one ``np.bincount`` over ``k`` summed from the last
@@ -336,7 +336,7 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
         algorithm="peel",
         exact=False,
         params=scoring.params,
-        c_used=scoring.c,
+        c_used=order.c,
     )
 
 
@@ -379,8 +379,8 @@ def c_sweep(
     best_value = 0.0
     best_c = 0.0
     for c, sequence in zip(c_list, _peel_orders(graph, c_list)):
-        # best_prefix reads only the removal sequence, and the graph keeps no scores
-        result = best_prefix(graph, PeelOrder(sequence, []), replace(scoring, c=c))
+        # best_prefix reads only the removal sequence and c, and the graph keeps no scores
+        result = best_prefix(graph, PeelOrder(sequence, [], c), scoring)
         value = result.f_value if scoring.mode == "objective" else result.net_density
         if (
             best is None

@@ -103,7 +103,7 @@ def test_criterion_3_binary_search_exact_regime():
         raw = [(u, v, w, w / (bound * margin)) for u, v, w, _ in raw]
         graph = build_signed_graph(raw, n=n)
         result, _ = binary_search_objective(graph, params)
-        reference = brute_force(graph, "objective", params)
+        reference = brute_force(graph, params)
         gap = abs(result.f_value - reference.f_value)
         worst = max(worst, gap)
         if gap > 1e-6 or not result.exact:

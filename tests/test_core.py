@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -347,6 +348,18 @@ class TestTildeWeights:
             tilde_weights(g, -0.5)
         with pytest.raises(BadParametersError):
             tilde_weights(g, 1.0, risk_tolerance=0)
+
+    @pytest.mark.parametrize("name", ["q", "risk_tolerance"])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), 10**400, "x", None],
+        ids=["nan", "inf", "-inf", "10**400", "str", "None"],
+    )
+    def test_value_that_is_not_a_finite_real_rejected(self, name, bad):
+        args = {"q": 1.0, "risk_tolerance": 1.0, name: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised at the boundary, before numpy sees the value
+            with pytest.raises(BadParametersError, match=f"^{name} must be finite"):
+                tilde_weights(triangle(), **args)
 
     def test_net_weighted_rows(self):
         g = build_signed_graph([(0, 1, 3, 1), (1, 1, 0.5, 0), (2, 0, 0, 1)])

@@ -669,13 +669,13 @@ class TestArrayNetwork:
 class TestBruteForce:
     def test_triangle_objective(self):
         g = build_signed_graph([(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0)])
-        result = brute_force(g, "objective", ObjectiveParams())
+        result = brute_force(g, ObjectiveParams())
         assert result.nodes == frozenset({0, 1, 2})
         assert result.f_value == 2.0
 
     def test_single_node_objective_is_lambda_ratio(self):
         g = build_signed_graph([], n=1)
-        result = brute_force(g, "objective", ObjectiveParams(lambda1=3, lambda2=4))
+        result = brute_force(g, ObjectiveParams(lambda1=3, lambda2=4))
         assert result.f_value == pytest.approx(0.75)
         assert result.nodes == frozenset({0})
 
@@ -684,10 +684,6 @@ class TestBruteForce:
             brute_force(build_signed_graph([], n=23))
         with pytest.raises(EmptySetError):
             brute_force(build_signed_graph([]))
-        with pytest.raises(BadParametersError):
-            brute_force(build_signed_graph([], n=2), "objective")
-        with pytest.raises(BadParametersError):
-            brute_force(build_signed_graph([], n=2), "bogus")
 
     def test_matches_naive_enumeration(self):
         rng = random.Random(59)
@@ -695,7 +691,7 @@ class TestBruteForce:
         for _ in range(40):
             g = random_signed_graph(rng, max_nodes=8)
             for mode, p in (("density", None), ("objective", params)):
-                result = brute_force(g, mode, p)
+                result = brute_force(g, p)
                 subset, value = naive_best(g, mode, p)
                 assert result.nodes == frozenset(subset)
                 got = result.net_density if mode == "density" else result.f_value
@@ -738,7 +734,7 @@ class TestBinarySearch:
             for _ in range(30):
                 g = corollary_regime_graph(rng, params, unit)
                 result, trace = binary_search_objective(g, params)
-                reference = brute_force(g, "objective", params)
+                reference = brute_force(g, params)
                 assert result.exact
                 assert result.f_value == pytest.approx(reference.f_value, abs=1e-9)
                 assert trace.routes == ["flow"] * trace.iterations
@@ -753,7 +749,7 @@ class TestBinarySearch:
                 [(e.u, e.v, e.wpos, 10.0 * e.wpos) for e in base.edges], n=base.n
             )
             result, trace = binary_search_objective(g, params)
-            reference = brute_force(g, "objective", params)
+            reference = brute_force(g, params)
             assert result.f_value <= reference.f_value + 1e-9
             assert not result.exact
             assert trace.routes[-1] == "peel" and not trace.exact

@@ -133,10 +133,10 @@ class TestApplyExclusion:
         for w in (0, float("nan"), float("inf"), 10**400, "abc", None):
             with pytest.raises(BadParametersError, match="penalty"):
                 ExclusionQuery.soft({"follow"}, w)
-        with pytest.raises(BadParametersError):
-            ExclusionQuery(frozenset(), mode="bogus")
         hard = ExclusionQuery.hard({"follow"})
         assert hard.mode == "hard" and hard.w is None
+        soft = ExclusionQuery.soft({"follow"}, 2)
+        assert soft.mode == "soft" and soft.w == 2
 
 
 class TestLayerDensity:

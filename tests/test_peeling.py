@@ -108,8 +108,6 @@ class TestPeelOrder:
         with pytest.raises(NonPositiveCError):
             peel_order(triangle(), bad)
         with pytest.raises(NonPositiveCError):
-            PeelScoring(c=bad)
-        with pytest.raises(NonPositiveCError):
             c_sweep(triangle(), [1.0, bad])
 
 
@@ -325,10 +323,14 @@ class TestBestPrefix:
 
     def test_trap_c10_recovers_core(self):
         g = gen_bad_peeling(16, 0.01)
-        result = best_prefix(g, peel_order(g, 10.0), PeelScoring(c=10.0))
+        result = best_prefix(g, peel_order(g, 10.0), PeelScoring())
         assert result.nodes == frozenset({0, 1, 2, 3})
         assert result.net_density == pytest.approx(3.0075, abs=1e-12)
         assert result.c_used == 10.0
+
+    def test_c_used_is_the_orders_multiplier(self):
+        g = gen_bad_peeling(16, 0.01)
+        assert best_prefix(g, peel_order(g, 2.0), PeelScoring()).c_used == 2.0
 
     def test_tie_prefers_smaller_prefix(self):
         two_triangles = build_signed_graph(
@@ -352,8 +354,8 @@ class TestBestPrefix:
             for c in (0.25, 1.0, 4.0):
                 order = peel_order(g, c)
                 for mode, scoring in (
-                    ("density", PeelScoring(c=c)),
-                    ("objective", PeelScoring("objective", c, params)),
+                    ("density", PeelScoring()),
+                    ("objective", PeelScoring("objective", params)),
                 ):
                     size, value = naive_prefix(g, order.removal_sequence, mode, params)
                     result = best_prefix(g, order, scoring)
@@ -383,26 +385,23 @@ class TestBestPrefix:
 
     def test_rejects_foreign_order(self):
         with pytest.raises(BadParametersError):
-            best_prefix(triangle(), PeelOrder([0, 1], [0.0, 0.0]), PeelScoring())
+            best_prefix(triangle(), PeelOrder([0, 1], [0.0, 0.0], 1.0), PeelScoring())
         with pytest.raises(BadParametersError):
-            best_prefix(triangle(), PeelOrder([0, 1, 1], [0.0] * 3), PeelScoring())
+            best_prefix(triangle(), PeelOrder([0, 1, 1], [0.0] * 3, 1.0), PeelScoring())
 
     def test_scoring_validation(self):
         with pytest.raises(BadParametersError):
             PeelScoring(mode="bogus")
-        for bad in (0, float("nan"), float("inf")):
-            with pytest.raises(NonPositiveCError):
-                PeelScoring(c=bad)
         with pytest.raises(BadParametersError):
             PeelScoring(mode="objective")
 
     @pytest.mark.parametrize("c", [True, 2, np.float32(2), np.int64(3), Decimal("0.5")])
     def test_multiplier_stored_as_float(self, c):
-        scoring = PeelScoring(c=c)
-        assert type(scoring.c) is float and scoring.c == float(c)
-        result = best_prefix(triangle(), peel_order(triangle(), c), scoring)
+        order = peel_order(triangle(), c)
+        assert type(order.c) is float and order.c == float(c)
+        result = best_prefix(triangle(), order, PeelScoring())
         assert type(result.c_used) is float and result.c_used == float(c)
-        assert repr(result) == repr(best_prefix(triangle(), peel_order(triangle(), float(c)), PeelScoring(c=float(c))))
+        assert repr(result) == repr(best_prefix(triangle(), peel_order(triangle(), float(c)), PeelScoring()))
 
 
 class TestApproximationGuarantee:
@@ -460,7 +459,7 @@ class TestCSweep:
             g = random_signed_graph(rng, max_nodes=10)
             swept = c_sweep(g)
             for c in DEFAULT_C_LIST:
-                single = best_prefix(g, peel_order(g, c), PeelScoring(c=c))
+                single = best_prefix(g, peel_order(g, c), PeelScoring())
                 assert swept.net_density >= single.net_density - 1e-12
 
     def test_objective_mode_comparison_uses_objective(self):
@@ -473,7 +472,7 @@ class TestCSweep:
             _, best = naive_best(g, "objective", params)
             assert swept.f_value <= best + 1e-9
             for c in (0.5, 1.0, 4.0):
-                single = best_prefix(g, peel_order(g, c), PeelScoring("objective", c, params))
+                single = best_prefix(g, peel_order(g, c), PeelScoring("objective", params))
                 assert swept.f_value >= single.f_value - 1e-12
 
     def test_empty_list_rejected(self):
@@ -626,7 +625,7 @@ class TestForkedSweep:
                 return order
             if failure == "raises":
                 raise RuntimeError("worker failure")
-            return PeelOrder(order.removal_sequence[1:], order.score_at_removal[1:])
+            return PeelOrder(order.removal_sequence[1:], order.score_at_removal[1:], order.c)
 
         monkeypatch.setattr(peeling, "peel_order", failing_peel)
         forked = cpus(2)
@@ -699,9 +698,9 @@ class TestKeptOrders:
     def test_equal_multipliers_share_one_order(self, counted_peels):
         graph = gen_bad_peeling(16, 0.01)
         c_sweep(graph, [2.0])
-        warm = c_sweep(graph, [2], PeelScoring(c=2))
+        warm = c_sweep(graph, [2], PeelScoring())
         assert counted_peels == [2.0]
-        assert repr(warm) == repr(c_sweep(gen_bad_peeling(16, 0.01), [2], PeelScoring(c=2)))
+        assert repr(warm) == repr(c_sweep(gen_bad_peeling(16, 0.01), [2], PeelScoring()))
 
     def test_missing_multipliers_decide_the_fork(self, cpus, counted_peels):
         graph = large_graph(43, clique=False)
