@@ -92,12 +92,14 @@ class ExclusionQuery:
     A soft query charges a finite penalty ``w`` per excluded edge; ``w is
     None`` makes the query hard, its penalty resolved by :func:`hard_w` at
     apply time, certifying exclusion.  ``mode`` reads "soft" or "hard".
+    ``excluded`` is kept as a frozenset of names (:func:`_layer_set`).
     """
 
     excluded: frozenset
     w: float | None = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "excluded", _layer_set(self.excluded))
         if self.w is not None and not (_is_finite_real(self.w) and self.w > 0):
             raise BadParametersError(f"soft queries need a finite penalty weight W > 0, got {self.w}")
 
@@ -109,11 +111,21 @@ class ExclusionQuery:
     def soft(cls, excluded: Iterable[Layer], w: float) -> "ExclusionQuery":
         if w is None:  # None would make the query hard
             raise BadParametersError("soft queries need a finite penalty weight W > 0, got None")
-        return cls(frozenset(excluded), w)
+        return cls(excluded, w)
 
     @classmethod
     def hard(cls, excluded: Iterable[Layer]) -> "ExclusionQuery":
-        return cls(frozenset(excluded), None)
+        return cls(excluded, None)
+
+
+def _layer_set(excluded: Iterable[Layer]) -> frozenset:
+    """The layer names of an iterable as a frozenset; a bare string (one name, not a set of letters) is rejected."""
+    if isinstance(excluded, str):
+        raise BadParametersError(f"excluded layers must be a collection of names, not the string {excluded!r}")
+    try:
+        return frozenset(excluded)
+    except TypeError:  # not iterable, or a name that is not hashable
+        raise BadParametersError(f"excluded layers must be an iterable of hashable names, got {excluded!r}") from None
 
 
 def hard_w(graph: MultilayerGraph, excluded: Iterable[Layer]) -> int:
@@ -123,7 +135,7 @@ def hard_w(graph: MultilayerGraph, excluded: Iterable[Layer]) -> int:
     so it loses to any single node (density 0) and a fortiori to any clean
     positive pair (density 1/2).
     """
-    excluded = frozenset(excluded)
+    excluded = _layer_set(excluded)
     allowed = np.array([name not in excluded for name in graph._names], dtype=bool)
     return int(allowed[graph.layer].sum()) + 1
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import signal
 import threading
-from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable, NoReturn
 
@@ -264,11 +264,12 @@ def _may_overflow(graph: SignedGraph, c: "float | np.ndarray") -> bool:
         return not np.isfinite(2 * (c * graph.deg_pos + graph.deg_neg)).all()
 
 
-def _peel_dense(graph: SignedGraph, c: np.ndarray) -> np.ndarray:
-    """:func:`peel_order` at each value of the column ``c`` at once: read-only sequences, a row each.
+def _peel_dense(graph: SignedGraph, c: np.ndarray, out: np.ndarray) -> None:
+    """:func:`peel_order` at each value of the column ``c`` at once, row ``r`` of ``out`` at ``c[r]``.
 
     Row ``r`` of ``p``, ``q`` and ``score`` is :func:`_peel_columns`' column
-    at ``c[r]``.  Each step removes each row's first node of least score and
+    at ``c[r]``.  Each step removes each row's first node of least score,
+    writes it to that row's column of the ``(k, n)`` int64 array ``out``, and
     subtracts its row of pair weights (dense: 16 bytes per node pair) from
     ``p`` and ``q``.  A non-neighbour loses ``0.0``, which leaves a finite
     value as it is, and the removed node loses ``-inf``, the diagonal of the
@@ -285,14 +286,11 @@ def _peel_dense(graph: SignedGraph, c: np.ndarray) -> np.ndarray:
     pq = np.tile(np.stack([graph.deg_pos, graph.deg_neg]), (k, 1, 1))
     p, q = pq[:, 0], pq[:, 1]
     score = c * p - q
-    sequences = np.empty((k, n), dtype=np.int64)
     for step in range(n):
-        removed = score.argmin(axis=1, out=sequences[:, step])
+        removed = score.argmin(axis=1, out=out[:, step])
         pq -= weights[removed]
         np.multiply(c, p, out=score)
         score -= q
-    sequences.flags.writeable = False
-    return sequences
 
 
 def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> DsdResult:
@@ -362,10 +360,11 @@ def c_sweep(
     multipliers still to peel reach 100,000 they are split over one process
     per usable CPU (at most one per multiplier); the workers are forked from
     this process, read the graph's numpy columns copy-on-write (each peel
-    builds its own score columns and no Python lists of arcs) and send their
-    removal orders back through pipes.  Prefix scoring and the comparison
-    run in this process, in ``c_list`` order, so the result depends neither
-    on how the multipliers were peeled nor on which orders were kept.
+    builds its own score columns and no Python lists of arcs) and write
+    their removal orders in place into rows of one array in an anonymous
+    shared mapping.  Prefix scoring and the comparison run in this process,
+    in ``c_list`` order, so the result depends neither on how the
+    multipliers were peeled nor on which orders were kept.
     """
     if scoring is None:
         scoring = PeelScoring()
@@ -416,79 +415,58 @@ def _peel_orders(graph: SignedGraph, c_values: "list[float] | tuple[float, ...]"
     return [kept[c] for c in c_values]
 
 
-def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> list[np.ndarray]:
-    """The removal sequence of each value, all at once or on up to ``_worker_count`` processes.
+def _peel_sequences(graph: SignedGraph, c_values: list[float]) -> np.ndarray:
+    """The removal sequence of each value as a row of one read-only ``(k, n)`` int64 array.
 
     A small graph peels enough values together on :func:`_peel_dense`, when
-    no score can overflow.  Else worker ``k`` peels values ``k, k + w, ...``;
-    this process is worker 0.  Values whose worker could not be forked,
-    exited nonzero or sent fewer bytes than its sequences take are peeled
-    here afterwards.  Every child is reaped before this returns or raises.
+    no score can overflow.  Else worker ``w`` of ``_worker_count`` processes
+    peels rows ``w, w + workers, ...``; this process is worker 0.  Every
+    peel writes its row in place: when workers fork, the array lives in an
+    anonymous shared mapping, which the forked workers write too.  This
+    process also peels the rows of workers that could not be forked, and
+    after reaping a worker that exited nonzero or was killed, that worker's
+    rows.  Every child is reaped before this returns or raises.
     """
-    if len(c_values) >= _DENSE_MIN_MULTIPLIERS and 0 < graph.n <= _DENSE_MAX_NODES:
-        c = np.array(c_values, dtype=np.float64)[:, None]
-        if not _may_overflow(graph, c):
-            return list(_peel_dense(graph, c))
-    workers = _worker_count(graph, len(c_values))
-    if workers == 1:
-        return [_sequence(graph, c) for c in c_values]
-    orders: list[np.ndarray | None] = [None] * len(c_values)
-    children = {}  # pid -> (read end of its pipe, indices of its values)
+    k, n = len(c_values), graph.n
+    c = np.array(c_values, dtype=np.float64)[:, None]
+    dense = k >= _DENSE_MIN_MULTIPLIERS and 0 < n <= _DENSE_MAX_NODES and not _may_overflow(graph, c)
+    workers = 1 if dense else _worker_count(graph, k)
+    sequences = np.ndarray((k, n), np.int64, mmap.mmap(-1, 8 * k * n) if workers > 1 else None)
+    children = {}  # pid -> the rows it peels
     try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
+        for w in range(1, workers):
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: this process peels the rest
-                os.close(read_fd)
-                os.close(write_fd)
                 break
             if pid == 0:
-                _peel_child(graph, c_values[k::workers], read_fd, write_fd)
-            os.close(write_fd)
-            children[pid] = (open(read_fd, "rb"), range(k, len(c_values), workers))
-        for i in range(0, len(c_values), workers):
-            orders[i] = _sequence(graph, c_values[i])
-        for pid, (pipe, mine) in list(children.items()):
-            with pipe:
-                data = pipe.read()
+                _peel_child(graph, c_values, range(w, k, workers), sequences)
+            children[pid] = range(w, k, workers)
+        if dense:
+            _peel_dense(graph, c, sequences)
+        else:  # this process's rows and those of workers not forked
+            for i in sorted(set(range(k)).difference(*children.values())):
+                sequences[i] = peel_order(graph, c_values[i]).removal_sequence
+        for pid in list(children):
             _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if os.waitstatus_to_exitcode(status) == 0:
-                received = _unpack_sequences(data, graph.n, len(mine))
-                for i, order in zip(mine, received or ()):
-                    orders[i] = order
+            rows = children.pop(pid)
+            if os.waitstatus_to_exitcode(status) != 0:  # it failed or was killed: peel its rows here
+                for i in rows:
+                    sequences[i] = peel_order(graph, c_values[i]).removal_sequence
     finally:
-        for pid, (pipe, _) in children.items():
-            pipe.close()
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [_sequence(graph, c) if order is None else order for order, c in zip(orders, c_values)]
+    sequences.flags.writeable = False
+    return sequences
 
 
-def _sequence(graph: SignedGraph, c: float) -> np.ndarray:
-    """The removal sequence of ``peel_order(graph, c)`` as a read-only int64 array."""
-    sequence = np.array(peel_order(graph, c).removal_sequence, dtype=np.int64)
-    sequence.flags.writeable = False
-    return sequence
-
-
-def _peel_child(graph: SignedGraph, c_values: list[float], read_fd: int, write_fd: int) -> NoReturn:
-    """Body of a forked worker: peel, write the removal sequences as raw int64 bytes, never return."""
+def _peel_child(graph: SignedGraph, c_values: list[float], rows: range, sequences: np.ndarray) -> NoReturn:
+    """Body of a forked worker: write its rows of the shared ``sequences`` in place, exit 0 or 1, never return."""
     code = 1
     try:
-        os.close(read_fd)
-        parts = [array("q", peel_order(graph, c).removal_sequence) for c in c_values]
-        with open(write_fd, "wb") as pipe:  # only after every peel: a full pipe blocks
-            for part in parts:
-                pipe.write(part)
+        for i in rows:
+            sequences[i] = peel_order(graph, c_values[i]).removal_sequence  # a sequence of another length raises
         code = 0
     finally:
         os._exit(code)
-
-
-def _unpack_sequences(data: bytes, n: int, count: int) -> list[np.ndarray] | None:
-    """Split a worker's bytes into ``count`` read-only sequences of ``n`` nodes; None if the size is wrong."""
-    if len(data) != 8 * n * count:
-        return None
-    return list(np.frombuffer(data, dtype=np.int64).reshape(count, n))

@@ -138,6 +138,27 @@ class TestApplyExclusion:
         soft = ExclusionQuery.soft({"follow"}, 2)
         assert soft.mode == "soft" and soft.w == 2
 
+    @pytest.mark.parametrize("excluded", [["follow"], ("follow",), {"follow": 0}.keys()], ids=["list", "tuple", "keys"])
+    def test_direct_construction_stores_a_frozenset(self, excluded):
+        graph = two_layer()
+        for w, built in ((2.0, ExclusionQuery.soft({"follow"}, 2.0)), (None, ExclusionQuery.hard({"follow"}))):
+            query = ExclusionQuery(excluded, w)
+            assert query == built and type(query.excluded) is frozenset
+            assert_same_signed(apply_exclusion(graph, query), apply_exclusion(graph, built))
+        assert hard_w(graph, excluded) == hard_w(graph, {"follow"})
+
+    @pytest.mark.parametrize("excluded", [None, 3, "follow", [["follow"]]], ids=["none", "int", "str", "unhashable"])
+    def test_layers_that_are_not_a_collection_of_names_rejected(self, excluded):
+        graph = two_layer()
+        for make in (
+            lambda: ExclusionQuery(excluded, 2.0),
+            lambda: ExclusionQuery.soft(excluded, 2.0),
+            lambda: ExclusionQuery.hard(excluded),
+            lambda: hard_w(graph, excluded),
+        ):
+            with pytest.raises(BadParametersError, match="excluded layers"):
+                make()
+
 
 class TestLayerDensity:
     def test_counting(self):

@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import random
+import signal
 import sys
 import threading
 from decimal import Decimal
@@ -219,7 +220,9 @@ def negative_zeros(graph):
 
 def dense_orders(graph, c_values) -> list:
     """``_peel_dense``'s sequence of each value, as lists."""
-    return peeling._peel_dense(graph, np.array(c_values, dtype=np.float64)[:, None]).tolist()
+    out = np.empty((len(c_values), graph.n), dtype=np.int64)
+    peeling._peel_dense(graph, np.array(c_values, dtype=np.float64)[:, None], out)
+    return out.tolist()
 
 
 @pytest.fixture
@@ -228,9 +231,9 @@ def kernel_calls(monkeypatch):
     calls = {"dense": [], "columns": []}
     dense, columns = peeling._peel_dense, peeling._peel_columns
 
-    def counting_dense(graph, c):
+    def counting_dense(graph, c, out):
         calls["dense"].extend(c[:, 0].tolist())
-        return dense(graph, c)
+        return dense(graph, c, out)
 
     def counting_columns(graph, c):
         calls["columns"].append(c)
@@ -612,12 +615,13 @@ class TestForkedSweep:
         c_sweep(gen_bad_peeling(16, 0.01))
         assert forked == []
 
-    @pytest.mark.parametrize("failure", ["raises", "short"])
+    @pytest.mark.parametrize("failure", ["raises", "short", "killed"])
     def test_failed_worker_is_peeled_again(self, cpus, monkeypatch, failure):
         cpus(1)
         expected = repr(c_sweep(self.graph()))
         cold = cold_orders(DEFAULT_C_LIST, self.graph)
         parent = os.getpid()
+        peeled_in_worker = []
 
         def failing_peel(graph, c=1.0):
             order = peel_order(graph, c)
@@ -625,6 +629,11 @@ class TestForkedSweep:
                 return order
             if failure == "raises":
                 raise RuntimeError("worker failure")
+            if failure == "killed":
+                if peeled_in_worker:  # the worker has written one row
+                    os.kill(os.getpid(), signal.SIGKILL)
+                peeled_in_worker.append(c)
+                return order
             return PeelOrder(order.removal_sequence[1:], order.score_at_removal[1:], order.c)
 
         monkeypatch.setattr(peeling, "peel_order", failing_peel)
