@@ -269,9 +269,7 @@ def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int
     return [u for u in range(program.n) if alive[u]], degree
 
 
-def _max_density_side(
-    program: _RatioProgram, q: Fraction, core: tuple[list[int], list[int]] | None = None
-) -> list[int]:
+def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     """Largest S maximizing N(S) - q*D(S), by one minimum cut (may be empty).
 
     Needs q <= ``q_max``, so every reweighted edge b*P_e - a*R_e is >= 0.
@@ -282,8 +280,7 @@ def _max_density_side(
     Degrees within supersets of S are no smaller, so no node of S is ever
     dropped, and the cut on the core finds the same S.  When q*l2 <= l1
     every node gains by joining, the network has no sink arcs, and all
-    nodes are returned.  ``core`` is ``_q_core``'s answer at q when the
-    caller has it already.
+    nodes are returned.
 
     The network is built from the columns ``u``, ``v``, ``p`` and ``r``
     with no loop over edges: the core is relabeled through one label
@@ -298,7 +295,7 @@ def _max_density_side(
     """
     a, b = q.numerator, q.denominator
     cost = a * program.l2 - b * program.l1
-    core, degree = core or _q_core(program, a, b, cost)
+    core, degree = _q_core(program, a, b, cost)
     k = len(core)
     source, sink = k, k + 1
     nodes = np.arange(k)
@@ -369,9 +366,7 @@ def _density_floor(weights: np.ndarray, size: int) -> float:
     return q
 
 
-def _density_start(
-    program: _RatioProgram, weights: np.ndarray, bulk: list[int]
-) -> tuple[list[int], tuple[list[int], list[int]] | None]:
+def _density_start(program: _RatioProgram, weights: np.ndarray, bulk: list[int]) -> list[int]:
     """A nonempty start for ``exact_dsd`` at least as dense as the best prefix of a c=1 peel.
 
     B = ``bulk``, the densest round of a bulk peel (``_bulk_peel``), gives
@@ -390,35 +385,29 @@ def _density_start(
     float peel needs no exact arithmetic; only the choice between its
     prefix and B compares exact values.  The program may be that of any induced subgraph holding
     B and the q-core.
-
-    Returns the start and, when it is B, the q-core at its value (the
-    survivors and their degrees), which the first cut needs again.
     """
     q = program.value(bulk)
     a, b = q.numerator, q.denominator
-    core = _q_core(program, a, b, a * program.l2 - b * program.l1)
-    nodes = core[0]
+    nodes, _ = _q_core(program, a, b, a * program.l2 - b * program.l1)
     u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
     w = weights[keep]
     graph = SignedGraph(len(nodes), u, v, w, np.zeros_like(w))
     prefix = peeling.best_prefix(graph, peeling.peel_order(graph), peeling.PeelScoring()).nodes
     peeled = [nodes[i] for i in prefix]
-    return (peeled, None) if program.value(peeled) > q else (bulk, core)
+    return peeled if program.value(peeled) > q else bulk
 
 
 def _dinkelbach(
     program: _RatioProgram,
     start: Iterable[int],
     peel: Callable[[Fraction], Iterable[int]] | None = None,
-    core: tuple[list[int], list[int]] | None = None,
     q: Fraction | None = None,
 ) -> tuple[Iterable[int], bool, list[Fraction], list[str]]:
     """Return (witness, exact, q at the start and after each step, routes).
 
     ``start`` is a nonempty set whose value is the first q; ``peel(q)``
     proposes a set for steps past ``q_max``, and with no ``peel`` the driver
-    stops, inexact, at the first such step; ``core``, when given, is the
-    q-core at the first q (see ``_max_density_side``), and ``q`` that q.
+    stops, inexact, at the first such step; ``q``, when given, is the first q.
     """
     best = start
     q = program.value(best) if q is None else q
@@ -429,8 +418,7 @@ def _dinkelbach(
         routes.append(route)
         if route == "peel" and peel is None:
             return best, False, history, routes
-        side = _max_density_side(program, q, core) if route == "flow" else peel(q)
-        core = None
+        side = _max_density_side(program, q) if route == "flow" else peel(q)
         value = program.value(side)
         history.append(max(value, q))
         if value <= q:
@@ -541,8 +529,8 @@ def exact_dsd(graph: SignedGraph) -> DsdResult:
     bulk, bulk_weights, degrees = _bulk_peel(graph.n, graph.u, graph.v, weights)
     kept = _float_core(graph, weights, _density_floor(bulk_weights, len(bulk)), bulk, degrees)
     program, kept_weights = _density_program(graph, weights, kept)
-    start, core = _density_start(program, kept_weights, np.searchsorted(kept, bulk).tolist())
-    best, _, _, _ = _dinkelbach(program, start, core=core)
+    start = _density_start(program, kept_weights, np.searchsorted(kept, bulk).tolist())
+    best, _, _, _ = _dinkelbach(program, start)
     nodes = frozenset(kept[list(best)].tolist())
     w_float = _sequential_sum(kept_weights[_induced_edges(program, frozenset(best))])  # in graph edge order
     return DsdResult(

@@ -41,16 +41,19 @@ from .errors import ParseError
 def decode(data: bytes) -> str:
     """UTF-8 ``data`` as text, with universal newlines as a text-mode ``open`` reads it.
 
+    Lines end only at ``\n``, ``\r\n`` and ``\r``, all of which become ``\n``.
     An undecodable byte raises :class:`ParseError` at its line.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
         raise ParseError(line, f"byte {data[exc.start]:#04x} is not valid UTF-8") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # Plain text is split this many characters at a time, up to the next line
@@ -146,8 +149,7 @@ def _split(text: str, formats: tuple[_Format, ...]) -> _Columns | None:
     """The records of plain text, or None when the text is not plain or any check fails.
 
     Plain text is ASCII with no ``#`` and no control character but tab and
-    newline, so its lines are those of ``text.splitlines()`` and its only
-    whitespace is space, tab and newline.
+    newline, so its only whitespace is space, tab and newline.
     """
     if not text.isascii() or "#" in text:
         return None
@@ -258,7 +260,8 @@ def _pick(formats: tuple[_Format, ...], width: int) -> _Format | None:
 
 
 def _data_lines(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """The number and fields of each line with data; lines end as in :func:`decode`."""
+    for lineno, line in enumerate(_newlines(text).split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -6,8 +6,9 @@ degree; larger ``c`` protects nodes with high positive degree from being
 peeled early, smaller ``c`` drives out nodes whose positive and negative
 degrees roughly cancel.  Because single values of ``c`` can each fail on
 adversarial inputs, :func:`c_sweep` runs a list of values and keeps the best
-output.  A :class:`PeelOrder` carries the multiplier it was peeled at, and
-:class:`PeelScoring` says only how its prefixes are scored.
+output.  A :class:`PeelOrder`, a removal order and its multiplier, is a
+peel's whole output, and :class:`PeelScoring` says only how its prefixes
+are scored.
 
 Sweeps of small graphs peel their multipliers at once over dense rows of
 pair weights (:func:`_peel_dense`), with the orders of :func:`peel_order`.
@@ -95,14 +96,12 @@ def _check_c(c: float) -> None:
 class PeelOrder:
     """Removal order of a peel at multiplier ``c``; prefix i is the last i surviving nodes.
 
-    ``removal_sequence[0]`` is the first node removed; ``score_at_removal``
-    is aligned with it and records each node's score at the moment it left.
-    ``c`` is the float the peel scored with, which :func:`best_prefix`
-    reports as ``c_used``.
+    ``removal_sequence[0]`` is the first node removed.  ``c`` is the float
+    the peel scored with, which :func:`best_prefix` reports as ``c_used``.
+    No peel records the scores.
     """
 
     removal_sequence: list[int]
-    score_at_removal: list[float]
     c: float
 
 
@@ -131,11 +130,12 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
     ``float(c)`` (so an int or numpy multiplier peels as the equal float),
     and each removal re-scores the removed node's neighbours with one
     subtraction per weight each (pairs are collapsed, so a neighbour appears
-    once).  Every graph peels on one kernel, :func:`_peel_columns`: one
-    argmin of the score column a step up to 16,384 nodes, O(n^2 + m), and
-    an argmin over per-block lower bounds of the column above that or when
-    a score may overflow.  ``-0.0`` ties with ``0.0``, and scores that
-    overflow to ``+inf`` tie with each other, so they too leave by id.
+    once).  Every graph peels in one step loop, :func:`_peel_columns`,
+    which finds each step's node by one argmin of the score column up to
+    16,384 nodes, O(n^2 + m), and by an argmin over per-block lower bounds
+    of the column above that or when a score may overflow.  ``-0.0`` ties
+    with ``0.0``, and scores that overflow to ``+inf`` tie with each other,
+    so they too leave by id.
     """
     _check_c(c)
     if graph.n == 0:
@@ -144,98 +144,82 @@ def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:
 
 
 def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
-    """:func:`peel_order` over float64 columns.
+    """:func:`peel_order` over float64 columns, in one step loop.
 
     ``p``, ``q`` and ``score = c*p - q`` hold each node's positive degree,
     negative degree and score among the survivors.  A removed node gets
     ``p = score = +inf``; updates keep it there (``inf - w`` is ``inf``).
 
-    A graph of at most ``_PEEL_SPLIT_NODES`` nodes whose scores cannot
-    overflow takes ``argmin`` of the whole column each step, the first
-    index of the least score.  Any other graph cuts the column into blocks
-    of ``_PEEL_BLOCK`` nodes (the last padded with removed nodes), each with
-    a lower bound of its least score.  A step takes the first block of least
-    bound and the first node of least score in it; when that score equals
-    the bound it is the column's least score at its smallest id, else the
-    bound rises to it and the step looks again.  A falling score lowers its
-    block's bound; rises and removals leave the bound below every live
-    score of the block.  A live ``p`` stays finite, so when the least score
-    is ``+inf`` and belongs to a removed node, every live score is ``+inf``
-    and the smallest live id leaves.
+    Only the choice of each step's node depends on the mode.  A graph of at
+    most ``_PEEL_SPLIT_NODES`` nodes whose scores cannot overflow scans:
+    ``argmin`` of the whole column, the first index of the least score.  Any
+    other graph cuts the column into blocks of ``_PEEL_BLOCK`` nodes (the
+    last padded with removed nodes), each with a lower bound of its least
+    score.  A step takes the first block of least bound and the first node
+    of least score in it; when that score equals the bound it is the
+    column's least score at its smallest id, else the bound rises to it and
+    the step looks again.  A falling score lowers its block's bound; rises
+    and removals leave the bound below every live score of the block.  A
+    live ``p`` stays finite, so when the least score is ``+inf`` and belongs
+    to a removed node, every live score is ``+inf`` and the smallest live
+    id leaves.
 
     A node with more than ``_COLUMN_PEEL_LOOP_ARCS`` arcs re-scores its
     neighbours with numpy; one with fewer in a Python loop over memoryviews
     of the same columns, which skips numpy's fixed cost per call.  Both do
-    the same float operations in the same order.
+    the same float operations in the same order.  The scan has a loop of
+    its own that touches no bound: testing the mode at every arc made
+    peels of 3,000 nodes and 15,000 edges 2-5% slower.
     """
     n = graph.n
     size = _PEEL_BLOCK
     inf = math.inf
     overflow = _may_overflow(graph, c)
+    blocked = overflow or n > _PEEL_SPLIT_NODES
+    width = -(-n // size) * size if blocked else n
+    p = np.full(width, inf)
+    p[:n] = graph.deg_pos
+    q = np.zeros(width)
+    q[:n] = graph.deg_neg
     with np.errstate(over="ignore"):
-        blocked = overflow or n > _PEEL_SPLIT_NODES
-        width = -(-n // size) * size if blocked else n
-        p = np.full(width, inf)
-        p[:n] = graph.deg_pos
-        q = np.zeros(width)
-        q[:n] = graph.deg_neg
         score = c * p - q
     indptr = graph.indptr.tolist()
     neighbor = graph.neighbor
     arc_pos = graph.wpos[graph.edge_id]
     arc_neg = graph.wneg[graph.edge_id]
     neighbor_at, pos_at, neg_at, p_at, q_at, score_at = map(memoryview, (neighbor, arc_pos, arc_neg, p, q, score))
+    argmin = score.argmin
+    if blocked:
+        blocks = score.reshape(-1, size)  # a view: writes to score show in it
+        bound = blocks.min(axis=1)
+        arc_block = neighbor // size  # the block of each arc's head (int64: ufunc.at casts other index types)
+        bound_at, block_at = memoryview(bound), memoryview(arc_block)
+        least_bound = bound.argmin
+        lower = np.minimum.at
+        first = 0  # no live node has a smaller id
     sequence: list[int] = []
-    scores_out: list[float] = []
-    if not blocked:  # two copies of the loop: testing `blocked` at every step made 3k-node peels 5-10% slower
-        argmin = score.argmin
-        for _ in range(n):
-            v = int(argmin())
-            sequence.append(v)
-            scores_out.append(score_at[v])
-            p_at[v] = score_at[v] = inf
-            start, end = indptr[v], indptr[v + 1]
-            if end - start > _COLUMN_PEEL_LOOP_ARCS:
-                nb = neighbor[start:end]
-                pn = p[nb] - arc_pos[start:end]
-                qn = q[nb] - arc_neg[start:end]
-                p[nb] = pn
-                q[nb] = qn
-                score[nb] = c * pn - qn
-            else:
-                for k in range(start, end):
-                    u = neighbor_at[k]
-                    pu = p_at[u] = p_at[u] - pos_at[k]
-                    qu = q_at[u] = q_at[u] - neg_at[k]
-                    score_at[u] = c * pu - qu
-        return PeelOrder(sequence, scores_out, c)
-    blocks = score.reshape(-1, size)  # a view: writes to score show in it
-    bound = blocks.min(axis=1)
-    arc_block = neighbor // size  # the block of each arc's head (int64: ufunc.at casts other index types)
-    bound_at, block_at = memoryview(bound), memoryview(arc_block)
-    least_bound = bound.argmin
-    lower = np.minimum.at
-    first = 0  # no live node has a smaller id
     # errstate only where a score may overflow: it made numpy's calls here 1-6% slower
     with np.errstate(over="ignore") if overflow else contextlib.nullcontext():
         for _ in range(n):
-            b = int(least_bound())
-            while True:
-                v = b * size + int(blocks[b].argmin())
-                s = score_at[v]
-                if s == bound_at[b]:
-                    break
-                bound_at[b] = s
-                least = int(least_bound())
-                if least == b:  # still first of least bound, and the bound is now its least score
-                    break
-                b = least
-            if s == inf and p_at[v] == inf:  # every live score is +inf
-                while p_at[first] == inf:
-                    first += 1
-                v = first
+            if not blocked:
+                v = int(argmin())
+            else:
+                b = int(least_bound())
+                while True:
+                    v = b * size + int(blocks[b].argmin())
+                    s = score_at[v]
+                    if s == bound_at[b]:
+                        break
+                    bound_at[b] = s
+                    least = int(least_bound())
+                    if least == b:  # still first of least bound, and the bound is now its least score
+                        break
+                    b = least
+                if s == inf and p_at[v] == inf:  # every live score is +inf
+                    while p_at[first] == inf:
+                        first += 1
+                    v = first
             sequence.append(v)
-            scores_out.append(s)
             p_at[v] = score_at[v] = inf
             start, end = indptr[v], indptr[v + 1]
             if end - start > _COLUMN_PEEL_LOOP_ARCS:
@@ -245,7 +229,14 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
                 p[nb] = pn
                 q[nb] = qn
                 sn = score[nb] = c * pn - qn
-                lower(bound, arc_block[start:end], sn)
+                if blocked:
+                    lower(bound, arc_block[start:end], sn)
+            elif not blocked:
+                for k in range(start, end):
+                    u = neighbor_at[k]
+                    pu = p_at[u] = p_at[u] - pos_at[k]
+                    qu = q_at[u] = q_at[u] - neg_at[k]
+                    score_at[u] = c * pu - qu
             else:
                 for k in range(start, end):
                     u = neighbor_at[k]
@@ -254,7 +245,7 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
                     su = score_at[u] = c * pu - qu
                     if su < bound_at[block_at[k]]:
                         bound_at[block_at[k]] = su
-    return PeelOrder(sequence, scores_out, c)
+    return PeelOrder(sequence, c)
 
 
 def _may_overflow(graph: SignedGraph, c: "float | np.ndarray") -> bool:
@@ -378,8 +369,7 @@ def c_sweep(
     best_value = 0.0
     best_c = 0.0
     for c, sequence in zip(c_list, _peel_orders(graph, c_list)):
-        # best_prefix reads only the removal sequence and c, and the graph keeps no scores
-        result = best_prefix(graph, PeelOrder(sequence, [], c), scoring)
+        result = best_prefix(graph, PeelOrder(sequence, c), scoring)
         value = result.f_value if scoring.mode == "objective" else result.net_density
         if (
             best is None

@@ -531,47 +531,13 @@ def sweep_with_worker_memory(graph, c_list) -> tuple:
     return result, (worker_mb if worker_mb >= 0 else None)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
-    parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
-    parser.add_argument("--exact", action="store_true", help="time exact_dsd on three planted or uniform graphs instead")
-    parser.add_argument("--clipped", action="store_true", help="time exact_dsd on the graph clipped at 0 instead")
-    parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
-    parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
-    parser.add_argument("--small-sweeps", action="store_true", help="time both sweep paths on small graphs instead")
-    parser.add_argument("--search", action="store_true", help="time the ratio-objective search instead")
-    args = parser.parse_args()
-    if args.search:
-        stats = {"searches": search_stats()}
-        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(stats))
-        return
-    if args.small_sweeps:
-        stats = {"small_sweeps": small_sweep_stats()}
-        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(stats))
-        return
-    if args.cli:
-        with tempfile.TemporaryDirectory() as scratch:
-            stats = cli_stats(scratch)
-        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(stats))
-        return
-    if args.exact:
-        stats = exact_stats()
-        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(stats))
-        return
-    if args.clipped:
-        stats = clipped_stats()
-        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(stats))
-        return
-    if args.queries:
-        stats = query_stats()
-        stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(stats))
-        return
+def cli_probe() -> dict:
+    with tempfile.TemporaryDirectory() as scratch:
+        return cli_stats(scratch)
+
+
+def peel_stats(sweep: bool) -> dict:
+    """The default probe: one peel and its best prefix, and with ``sweep`` the sweeps too."""
     us, vs, nets = probe_edges()
     build_start = time.perf_counter()
     graph = probe_graph(us, vs, nets)
@@ -594,7 +560,7 @@ def main() -> None:
         "net_density": result.net_density,
         "result_size": result.size,
     }
-    if args.sweep:
+    if sweep:
         sweep_start = time.perf_counter()
         swept, worker_private_mb = sweep_with_worker_memory(graph, DEFAULT_C_LIST)
         stats["c_sweep_seconds"] = time.perf_counter() - sweep_start
@@ -605,6 +571,32 @@ def main() -> None:
         warm_start = time.perf_counter()
         c_sweep(graph, DEFAULT_C_LIST, PeelScoring(mode="objective", params=ObjectiveParams()))
         stats["c_sweep_warm_seconds"] = time.perf_counter() - warm_start
+    return stats
+
+
+# Each flag that runs a probe instead of the peel, in order of precedence, and its stats.
+PROBES = {
+    "search": lambda: {"searches": search_stats()},
+    "small_sweeps": lambda: {"small_sweeps": small_sweep_stats()},
+    "cli": cli_probe,
+    "exact": exact_stats,
+    "clipped": clipped_stats,
+    "queries": query_stats,
+}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description="Time the peel of a 100k-node, 1M-edge graph.")
+    parser.add_argument("--sweep", action="store_true", help="also time c_sweep over DEFAULT_C_LIST")
+    parser.add_argument("--exact", action="store_true", help="time exact_dsd on three planted or uniform graphs instead")
+    parser.add_argument("--clipped", action="store_true", help="time exact_dsd on the graph clipped at 0 instead")
+    parser.add_argument("--queries", action="store_true", help="time the uncertain and exclusion reductions instead")
+    parser.add_argument("--cli", action="store_true", help="time negdsd peel on the graph as a text file instead")
+    parser.add_argument("--small-sweeps", action="store_true", help="time both sweep paths on small graphs instead")
+    parser.add_argument("--search", action="store_true", help="time the ratio-objective search instead")
+    args = parser.parse_args()
+    probe = next((stats for flag, stats in PROBES.items() if getattr(args, flag)), None)
+    stats = probe() if probe else peel_stats(args.sweep)
     stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(stats))
 

@@ -256,8 +256,8 @@ class TestExactDsd:
         assert result.nodes == frozenset(range(r))
         assert len(networks) == 1 and networks[0] <= r + 2
 
-    def test_first_cut_reuses_the_start_core(self, monkeypatch):
-        # the bulk peel finds the planted set B, and the one cut runs at B's value
+    def test_one_cut_at_the_bulk_value(self, monkeypatch):
+        # the bulk peel finds the planted set B: the start's peel and the one cut both take the q-core at B's value
         edges = [(u, v, 1.0) for u, v in itertools.combinations(range(8), 2)]
         edges += [(u, u + 1, 1.0) for u in range(8, 60)]
         cores = []
@@ -270,7 +270,7 @@ class TestExactDsd:
         monkeypatch.setattr(negdsd.exact, "_q_core", record)
         result = exact_dsd(weighted(61, edges))
         assert result.nodes == frozenset(range(8))
-        assert cores == [Fraction(28, 8)]
+        assert cores == [Fraction(28, 8)] * 2
 
     def test_validation(self):
         with pytest.raises(EmptySetError):
@@ -412,21 +412,17 @@ class TestDensityStart:
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
             program, weights = _density_program(graph, net_weights(graph))
-            start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
+            start = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
-            if core is not None:  # the start's own q-core, handed to the first cut
-                q = program.value(start)
-                a, b = q.numerator, q.denominator
-                assert core == _q_core(program, a, b, a * program.l2 - b * program.l1)
 
 
 def full_program_exact_dsd(graph: SignedGraph) -> DsdResult:
     """exact_dsd's steps over the program of the whole graph, with no float prune."""
     program, weights = _density_program(graph, net_weights(graph))
-    start, core = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
-    best, _, _, _ = _dinkelbach(program, start, core=core)
+    start = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
+    best, _, _, _ = _dinkelbach(program, start)
     nodes = frozenset(best)
     w_float = _sequential_sum(weights[_induced_edges(graph, nodes)])
     return DsdResult(nodes, w_float / len(nodes), w_float, 0.0, True, "exact_dsd")
@@ -582,13 +578,13 @@ class TestFloatPrune:
         assert counts == [11, 11]
 
 
-def networkx_max_density_side(program, q: Fraction, core=None) -> list[int]:
+def networkx_max_density_side(program, q: Fraction) -> list[int]:
     """Largest maximizer of N(S) - q*D(S) by a networkx minimum cut on the whole program.
 
     Goldberg's network with no q-core, no pre-push and one arc per direction
     and pair: s feeds each node its reweighted degree, each node pays twice
     its cost to t, and each non-loop edge of positive reweighted weight adds
-    that weight both ways.  ``core`` is ignored.
+    that weight both ways.
     """
     a, b = q.numerator, q.denominator
     cost = a * program.l2 - b * program.l1

@@ -174,7 +174,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "data, line",
-        [(b"a b 1\n\xff c 2\n", 2), (b"\xc3\xa9 b 1\r\nb c 1\r\nc \xc3", 3), (b"\xe9 b 1\n", 1)],
+        [
+            (b"a b 1\n\xff c 2\n", 2),
+            (b"\xc3\xa9 b 1\r\nb c 1\r\nc \xc3", 3),
+            (b"\xe9 b 1\n", 1),
+            (b"a b 1\n\x0c\nc d 2\n\xff e 3\n", 4),  # a form feed ends no line
+        ],
     )
     def test_invalid_utf8_is_a_parse_error(self, capsys, tmp_path, monkeypatch, data, line):
         path = tmp_path / "bad.tsv"
@@ -223,6 +228,9 @@ class TestCli:
         code, _, err = run_cli(capsys, "peel", str(path))
         assert code == 2
         assert "line 2" in err
+        path.write_bytes(b"a b 1\n\x0c\nc d 2\nzz\n")  # a form feed ends no line
+        code, _, err = run_cli(capsys, "peel", str(path))
+        assert (code, err) == (2, "negdsd: line 4: expected 3 fields, got 1\n")
 
     def test_non_finite_weight_exit_code_and_line(self, capsys, tmp_path):
         path = tmp_path / "nan.tsv"

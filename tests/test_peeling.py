@@ -61,13 +61,11 @@ class TestPeelOrder:
     def test_triangle_ids_break_ties(self):
         order = peel_order(triangle(), 1.0)
         assert order.removal_sequence == [0, 1, 2]
-        assert order.score_at_removal == [2.0, 1.0, 0.0]
 
     def test_trap_removes_hub_first_at_c1(self):
         g = gen_bad_peeling(16, 0.01)
         order = peel_order(g, 1.0)
         assert order.removal_sequence[0] == 3
-        assert order.score_at_removal[0] == pytest.approx(3 * 4 - 16)
 
     def test_trap_keeps_core_last_at_c10(self):
         g = gen_bad_peeling(16, 0.01)
@@ -90,10 +88,7 @@ class TestPeelOrder:
 
     def test_deterministic(self):
         g = random_signed_graph(random.Random(3), max_nodes=20)
-        first = peel_order(g, 2.0)
-        second = peel_order(g, 2.0)
-        assert first.removal_sequence == second.removal_sequence
-        assert first.score_at_removal == second.score_at_removal
+        assert peel_order(g, 2.0) == peel_order(g, 2.0)
 
     def test_validation(self):
         with pytest.raises(NonPositiveCError):
@@ -122,14 +117,13 @@ def naive_cases() -> list:
 
 
 def assert_naive_orders(cases) -> None:
-    """Each peel equals the naive one, scores by == (so -0.0 equals 0.0), and exercises ties and zeros."""
+    """Each peel's order equals the naive one, and the naive scores (compared by ==, so -0.0
+    equals 0.0) exercise ties and zeros."""
     zeros = ties = 0
-    for g, c, expected in cases:
-        order = peel_order(g, c)
-        assert (order.removal_sequence, order.score_at_removal) == expected
-        assert all(type(x) is float for x in order.score_at_removal)
-        zeros += order.score_at_removal.count(0.0)
-        ties += len(order.score_at_removal) - len(set(order.score_at_removal))
+    for g, c, (sequence, scores) in cases:
+        assert peel_order(g, c).removal_sequence == sequence
+        zeros += scores.count(0.0)
+        ties += len(scores) - len(set(scores))
     assert zeros > 1000 and ties > 1000
 
 
@@ -179,7 +173,6 @@ class TestColumnPeel:
         monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", split)
         order = peel_order(build_signed_graph([], n=8_001), 1.0)
         assert order.removal_sequence == list(range(8_001))
-        assert order.score_at_removal == [0.0] * 8_001
 
     @pytest.mark.parametrize("block", [None, 1, 3, 8, 64], ids=["default", "1", "3", "8", "64"])
     def test_overflowing_scores_match_naive_peel(self, monkeypatch, block):
@@ -193,14 +186,13 @@ class TestColumnPeel:
             g = build_signed_graph(g.rows(), n=g.n + rng.randint(0, 70))  # isolated nodes in later blocks
             expected = naive_peel_scores(g, 1e308)
             overflowing += math.inf in expected[1]
-            order = peel_order(g, 1e308)
-            assert (order.removal_sequence, order.score_at_removal) == expected
+            assert peel_order(g, 1e308).removal_sequence == expected[0]
         assert overflowing > 10
 
     def test_finite_scores_at_a_huge_multiplier_use_the_kernel(self):
         g = build_signed_graph([(0, 1, 0, 1.0), (1, 2, 0, 0.5), (2, 2, 0, 0.25)], n=4)
-        order = peel_order(g, 1e308)  # no positive degree, so c * posdeg is 0
-        assert (order.removal_sequence, order.score_at_removal) == naive_peel_scores(g, 1e308)
+        # no positive degree, so c * posdeg is 0
+        assert peel_order(g, 1e308).removal_sequence == naive_peel(g, 1e308)
 
     def test_int_and_float32_multipliers_score_as_floats(self):
         rng = random.Random(73)
@@ -208,9 +200,7 @@ class TestColumnPeel:
             g = dyadic_multigraph(rng)
             assert peel_order(g, 2) == peel_order(g, 2.0)
             for c in (np.float32(0.1), np.float64(0.25), np.float32(10)):
-                order = peel_order(g, c)
-                assert (order.removal_sequence, order.score_at_removal) == naive_peel_scores(g, float(c))
-                assert all(type(x) is float for x in order.score_at_removal)
+                assert peel_order(g, c).removal_sequence == naive_peel(g, float(c))
 
 
 def negative_zeros(graph):
@@ -388,9 +378,9 @@ class TestBestPrefix:
 
     def test_rejects_foreign_order(self):
         with pytest.raises(BadParametersError):
-            best_prefix(triangle(), PeelOrder([0, 1], [0.0, 0.0], 1.0), PeelScoring())
+            best_prefix(triangle(), PeelOrder([0, 1], 1.0), PeelScoring())
         with pytest.raises(BadParametersError):
-            best_prefix(triangle(), PeelOrder([0, 1, 1], [0.0] * 3, 1.0), PeelScoring())
+            best_prefix(triangle(), PeelOrder([0, 1, 1], 1.0), PeelScoring())
 
     def test_scoring_validation(self):
         with pytest.raises(BadParametersError):
@@ -634,7 +624,7 @@ class TestForkedSweep:
                     os.kill(os.getpid(), signal.SIGKILL)
                 peeled_in_worker.append(c)
                 return order
-            return PeelOrder(order.removal_sequence[1:], order.score_at_removal[1:], order.c)
+            return PeelOrder(order.removal_sequence[1:], order.c)
 
         monkeypatch.setattr(peeling, "peel_order", failing_peel)
         forked = cpus(2)
