@@ -213,6 +213,29 @@ def _rows(*columns: np.ndarray) -> Iterator[tuple]:
     return zip(*(column.tolist() for column in columns))
 
 
+def _checked_columns(owner: str, **columns: tuple[np.ndarray, type]) -> list[np.ndarray]:
+    """The columns given as ``name=(values, dtype)``, each a 1-D array cast to
+    its dtype with ``casting="safe"`` (no copy when it is one already).
+
+    :class:`BadParametersError` names the first column that is not 1-D or
+    does not cast, or every length when they differ.
+    """
+    cast = []
+    for name, (values, dtype) in columns.items():
+        try:
+            column = np.asarray(values).astype(dtype, casting="safe", copy=False)
+        except (TypeError, ValueError):  # ragged, or of a type that does not cast safely
+            found = getattr(values, "dtype", type(values).__name__)
+            raise BadParametersError(f"{owner}.{name} must cast safely to {np.dtype(dtype)}, got {found}") from None
+        if column.ndim != 1:
+            raise BadParametersError(f"{owner}.{name} must be a 1-D column, got shape {column.shape}")
+        cast.append(column)
+    if len({column.shape[0] for column in cast}) > 1:
+        lengths = ", ".join(f"{name} {column.shape[0]}" for name, column in zip(columns, cast))
+        raise BadParametersError(f"{owner} columns must have one length, got {lengths}")
+    return cast
+
+
 class EdgeColumns:
     """Raw (u, v, a, b) records as columns: int64 ids ``u``, ``v`` and float64 values ``a``, ``b``.
 
@@ -220,13 +243,18 @@ class EdgeColumns:
     :func:`~negdsd.uncertain.build_uncertain_graph` and
     :func:`~negdsd.uncertain.bernoulli_graph` take it in place of an iterable of
     records, with no per-record tuple.  ``len`` is the number of records;
-    iterating yields them as tuples of Python scalars.
+    iterating yields them as tuples of Python scalars.  The columns must be
+    1-D and of one length; they are cast to int64 and float64 with
+    ``casting="safe"``, with no copy when they are already, and
+    :class:`BadParametersError` names a column that is not.
     """
 
     __slots__ = ("u", "v", "a", "b")
 
     def __init__(self, u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray):
-        self.u, self.v, self.a, self.b = u, v, a, b
+        self.u, self.v, self.a, self.b = _checked_columns(
+            "EdgeColumns", u=(u, np.int64), v=(v, np.int64), a=(a, np.float64), b=(b, np.float64)
+        )
 
     def __len__(self) -> int:
         return self.u.shape[0]
@@ -242,13 +270,20 @@ class LayerColumns:
     :func:`~negdsd.io.parse_multilayer` returns one, and
     :func:`~negdsd.multilayer.build_multilayer_graph` takes it in place of an
     iterable of records.  ``len`` is the number of records; iterating yields
-    them as (u, v, name) tuples.
+    them as (u, v, name) tuples.  The columns are checked and cast to int64
+    as :class:`EdgeColumns`' are, and every code must be in
+    ``range(len(names))``.
     """
 
     __slots__ = ("u", "v", "layer", "names")
 
     def __init__(self, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
-        self.u, self.v, self.layer, self.names = u, v, layer, names
+        self.u, self.v, self.layer = _checked_columns(
+            "LayerColumns", u=(u, np.int64), v=(v, np.int64), layer=(layer, np.int64)
+        )
+        self.names = names
+        if self.layer.shape[0] and not 0 <= self.layer.min() <= self.layer.max() < len(names):
+            raise BadParametersError(f"LayerColumns.layer codes must be in range({len(names)}) of the names")
 
     def __len__(self) -> int:
         return self.u.shape[0]

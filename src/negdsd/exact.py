@@ -279,7 +279,7 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     degree but once in the value, so the test errs towards keeping u).
     Degrees within supersets of S are no smaller, so no node of S is ever
     dropped, and the cut on the core finds the same S.  When q*l2 <= l1
-    every node gains by joining, the network has no sink arcs, and all
+    every node gains by joining, its sink arcs have capacity 0, and all
     nodes are returned.
 
     The network is built from the columns ``u``, ``v``, ``p`` and ``r``
@@ -303,14 +303,10 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     w = b * program.p[keep] - a * program.r[keep]
     edge = (w > 0) & (u != v)  # loops act through degrees only
     supply = np.array([degree[x] for x in core], dtype=object)
-    fed = supply > 0
-    if cost > 0:  # min(supply, drain) already flows along each s -> i -> t
-        pushed = np.minimum(supply, 2 * cost)
-        sinks = (nodes, np.full(k, sink), 2 * cost - pushed, pushed)
-    else:
-        pushed = np.zeros(k, dtype=object)
-        sinks = (nodes[:0], nodes[:0], pushed[:0], pushed[:0])
-    sources = (np.full(np.count_nonzero(fed), source), nodes[fed], (supply - pushed)[fed], pushed[fed])
+    drain = max(2 * cost, 0)
+    pushed = np.minimum(supply, drain)  # already flows along each s -> i -> t
+    sinks = (nodes, np.full(k, sink), drain - pushed, pushed)
+    sources = (np.full(k, source), nodes, supply - pushed, pushed)
     edges = (u[edge], v[edge], w[edge], w[edge])
     net = Dinic(k + 2, *map(np.concatenate, zip(sinks, sources, edges)))
     net.max_flow(source, sink)

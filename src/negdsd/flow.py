@@ -10,14 +10,15 @@ arc e runs to ``to[e]``, and ``rev[e]`` is its partner.
 
 There is one capacity path.  Capacities are Python ints in one list, so
 arbitrarily large scaled weights are exact, and a numpy bool mask records
-which arcs are open (residual capacity > 0).  Each phase levels the nodes
-by a BFS whose every level is one numpy step over the mask, then finds a
-blocking flow by a Python current-arc DFS over flat lists; each augment
-updates the mask with the capacities it changes.  ``residual_sink_side``
-is a reverse BFS of the same kind.  It returns the nodes that can still
-reach the sink, the same set for every maximum flow: the complement is the
-largest source side of a minimum cut, which is what the density decision
-procedure needs to extract the largest optimal witness.
+which arcs are open (residual capacity > 0).  One BFS, each level one
+numpy step over the mask, serves both the levels and the witness.  Each
+phase levels the nodes by it from the source, then finds a blocking flow
+by a Python current-arc DFS over flat lists; each augment updates the mask
+with the capacities it changes.  ``residual_sink_side`` walks it backward
+into the sink.  It returns the nodes that can still reach the sink, the
+same set for every maximum flow: the complement is the largest source side
+of a minimum cut, which is what the density decision procedure needs to
+extract the largest optimal witness.
 """
 
 from __future__ import annotations
@@ -56,25 +57,23 @@ class Dinic:
         self.cap: list[int] = caps.tolist()
         self.open = caps > 0
 
-    def _arcs(self, nodes: np.ndarray) -> np.ndarray:
-        """Positions of the arcs of ``nodes``, node after node."""
-        first = self.start[nodes]
-        count = self.start[nodes + 1] - first
-        return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        """BFS distance from s over open arcs, up to t's; None when t is cut off."""
+    def _reach(self, root: int, into: bool = False, stop: int | None = None) -> np.ndarray:
+        """BFS distance of each node from ``root`` over open arcs, or to ``root``
+        over open arcs into it when ``into``; -1 where unreached.  The walk
+        ends when a level is empty or ``stop`` has a distance."""
         level = np.full(self.n, -1, dtype=np.int64)
-        level[s] = 0
-        frontier = np.array([s])
+        level[root] = 0
+        frontier = np.array([root])
         depth = 0
-        while frontier.shape[0] and level[t] < 0:
-            arcs = self._arcs(frontier)
-            heads = self.to[arcs[self.open[arcs]]]
-            frontier = _distinct(heads[level[heads] < 0])
+        while frontier.shape[0] and (stop is None or level[stop] < 0):
+            first = self.start[frontier]
+            count = self.start[frontier + 1] - first
+            arcs = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+            ends = self.to[arcs[self.open[self.rev[arcs] if into else arcs]]]  # into: the partner runs to the frontier
+            frontier = _distinct(ends[level[ends] < 0])
             depth += 1
             level[frontier] = depth
-        return level.tolist() if level[t] >= 0 else None
+        return level
 
     def _blocking_flow(self, s: int, t: int, level: list[int], start: list[int], to: list[int], rev: list[int]) -> int:
         cap, is_open = self.cap, self.open
@@ -117,8 +116,8 @@ class Dinic:
         """Push a maximum flow from s to t on top of the flow the capacities hold; return its increase."""
         start, to, rev = self.start.tolist(), self.to.tolist(), self.rev.tolist()
         total = 0
-        while (level := self._levels(s, t)) is not None:
-            total += self._blocking_flow(s, t, level, start, to, rev)
+        while (level := self._reach(s, stop=t))[t] >= 0:
+            total += self._blocking_flow(s, t, level.tolist(), start, to, rev)
         return total
 
     def residual_sink_side(self, t: int) -> np.ndarray:
@@ -126,12 +125,4 @@ class Dinic:
 
         The complement is the largest source side over all minimum cuts.
         """
-        side = np.zeros(self.n, dtype=bool)
-        side[t] = True
-        frontier = np.array([t])
-        while frontier.shape[0]:
-            arcs = self._arcs(frontier)
-            tails = self.to[arcs[self.open[self.rev[arcs]]]]  # nodes with an open arc into the frontier
-            frontier = _distinct(tails[~side[tails]])
-            side[frontier] = True
-        return side
+        return self._reach(t, into=True) >= 0

@@ -287,8 +287,9 @@ def _peel_dense(graph: SignedGraph, c: np.ndarray, out: np.ndarray) -> None:
 def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> DsdResult:
     """Score every prefix of a peel at once and return the best one.
 
-    The result's ``c_used`` is the order's ``c``.  Ties within
-    ``TIE_TOLERANCE`` go to the smallest prefix (smallest set).
+    The result's ``c_used`` is the order's ``c``, checked as
+    :func:`peel_order` checks it.  Ties within ``TIE_TOLERANCE`` go to the
+    smallest prefix (smallest set).
     An edge belongs to every prefix of at most ``n - k`` nodes, where ``k``
     is the earlier removal position of its two ends, so the induced weights
     of all prefixes are one ``np.bincount`` over ``k`` summed from the last
@@ -305,6 +306,7 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
         or np.bincount(sequence, minlength=n).max(initial=1) != 1
     ):
         raise BadParametersError("order is not a permutation of this graph's nodes")
+    _check_c(order.c)
     if scoring.mode == "objective":
         _check_objective_range(graph, scoring.params)
     position = np.empty(n, dtype=np.int64)

@@ -17,6 +17,7 @@ import numpy as np
 from negdsd import (
     ObjectiveParams,
     SignedGraph,
+    build_multilayer_graph,
     build_signed_graph,
     gen_bad_peeling,
     induced_weights,
@@ -33,7 +34,7 @@ from negdsd.errors import (
     TooLargeError,
     ZeroDenominatorError,
 )
-from negdsd.core import _check_node_set
+from negdsd.core import EdgeColumns, LayerColumns, _check_node_set
 from negdsd.uncertain import bernoulli_graph, build_uncertain_graph
 
 from conftest import naive_best, naive_induced
@@ -80,6 +81,15 @@ class TestBuild:
             build_signed_graph([(-1, 0, 1, 0)])
         with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
             build_signed_graph([(0.5, 1, 1, 0)])
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(BadParametersError, match=r"edge \(0, 1\) has non-finite weight"):
+            build_signed_graph([(0, 1, math.inf, 0.0)])
+
+    def test_ids_of_an_int_subclass_accepted(self):
+        g = build_signed_graph([(True, 2, 1.0, 0.0)])
+        assert (g.n, list(g.rows())) == (3, [(1, 2, 1.0, 0.0)])
+        assert g.u.dtype == np.int64
 
     def test_negative_n_rejected(self):
         with pytest.raises(BadParametersError, match="n must be a nonnegative integer"):
@@ -243,6 +253,79 @@ class TestBuild:
                     deg_pos[end] += e.wpos
                     deg_neg[end] += e.wneg
             assert (g.positive_degrees(), g.negative_degrees()) == (deg_pos, deg_neg)
+
+
+def int64(*values):
+    return np.array(values, dtype=np.int64)
+
+
+def float64(*values):
+    return np.array(values, dtype=np.float64)
+
+
+class TestColumns:
+    def test_columns_of_the_parsed_types_are_kept_as_they_are(self):
+        ids = int64(0, 1, 1, 2)
+        values = float64(1.0, 0.5)
+        edges = EdgeColumns(ids[0::2], ids[1::2], values, values)
+        assert np.shares_memory(edges.u, ids) and edges.a is values and edges.b is values
+        layers = LayerColumns(ids[0::2], ids[1::2], int64(0, 0), ("a",))
+        assert np.shares_memory(layers.v, ids)
+
+    def test_int32_ids_build_the_int64_graph(self):
+        # 700k nodes and 6,000 arcs: the CSR sort key overflows int32
+        rng = np.random.default_rng(5)
+        n, m = 700_000, 3000
+        u, v, a, b = rng.integers(0, n, m), rng.integers(0, n, m), rng.random(m), np.zeros(m)
+        wide = build_signed_graph(EdgeColumns(u, v, a, b), n=n)
+        narrow = build_signed_graph(EdgeColumns(u.astype(np.int32), v.astype(np.int32), a, b), n=n)
+        assert narrow.u.dtype == np.int64
+        for name in ("u", "v", "indptr", "neighbor", "edge_id"):
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+
+    def test_float32_weights_become_float64(self):
+        a = np.array([0.1, 0.2, 0.3], dtype=np.float32)
+        edges = EdgeColumns(int64(0, 1, 0), int64(1, 2, 2), a, a)
+        assert edges.a.dtype == edges.b.dtype == np.float64
+        graph = build_signed_graph(edges)
+        assert graph.wpos.dtype == np.float64
+        assert graph.total_pos == build_signed_graph(list(edges)).total_pos == math.fsum(a.tolist())
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(BadParametersError, match="EdgeColumns columns must have one length, got u 1, v 2"):
+            EdgeColumns(int64(0), int64(1, 2), float64(1.0), float64(0.0))
+        with pytest.raises(BadParametersError, match="LayerColumns columns must have one length"):
+            LayerColumns(int64(0, 1), int64(1), int64(0, 0), ("a",))
+
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [
+            ("u", float64(0.0), r"EdgeColumns\.u must cast safely to int64, got float64"),
+            ("v", np.array([1], dtype=np.uint64), r"EdgeColumns\.v must cast safely to int64"),
+            ("a", ["1"], r"EdgeColumns\.a must cast safely to float64"),
+            ("b", float64([0.0]), r"EdgeColumns\.b must be a 1-D column, got shape \(1, 1\)"),
+        ],
+    )
+    def test_edge_column_of_another_type_or_shape_rejected(self, column, values, message):
+        columns = {"u": int64(0), "v": int64(1), "a": float64(1.0), "b": float64(0.0), column: values}
+        with pytest.raises(BadParametersError, match=message):
+            EdgeColumns(**columns)
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            (int64(0, 5), r"LayerColumns\.layer codes must be in range\(1\)"),
+            (int64(-1, 0), r"LayerColumns\.layer codes must be in range\(1\)"),
+            (float64(0.0, 0.0), r"LayerColumns\.layer must cast safely to int64, got float64"),
+        ],
+    )
+    def test_layer_code_that_names_no_layer_rejected(self, layer, message):
+        with pytest.raises(BadParametersError, match=message):
+            LayerColumns(int64(0, 1), int64(1, 2), layer, ("a",))
+
+    def test_negative_id_in_layer_columns_rejected(self):
+        with pytest.raises(BadParametersError, match=r"node ids must be nonnegative integers, got \(0, -1\)"):
+            build_multilayer_graph(LayerColumns(int64(0, 0), int64(1, -1), int64(0, 0), ("a",)))
 
 
 class TestInducedWeights:

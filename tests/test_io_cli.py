@@ -261,6 +261,8 @@ class TestCli:
     def test_bad_arguments(self, capsys):
         code, _, _ = run_cli(capsys, "peel", "--c-list", "zero")
         assert code == 2
+        code, _, err = run_cli(capsys, "peel", "--c-list", ",")
+        assert code == 2 and "multiplier list is empty" in err
         code, _, _ = run_cli(capsys, "bogus-subcommand")
         assert code == 2
 

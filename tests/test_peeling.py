@@ -382,6 +382,11 @@ class TestBestPrefix:
         with pytest.raises(BadParametersError):
             best_prefix(triangle(), PeelOrder([0, 1, 1], 1.0), PeelScoring())
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, "x", None])
+    def test_rejects_a_multiplier_peel_order_rejects(self, c):
+        with pytest.raises(NonPositiveCError):
+            best_prefix(triangle(), PeelOrder([0, 1, 2], c), PeelScoring())
+
     def test_scoring_validation(self):
         with pytest.raises(BadParametersError):
             PeelScoring(mode="bogus")
