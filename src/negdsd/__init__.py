@@ -20,7 +20,6 @@ _HOMES = {
     "core": (
         "DsdResult",
         "ObjectiveParams",
-        "SignedEdge",
         "SignedGraph",
         "TIE_TOLERANCE",
         "build_signed_graph",
@@ -63,7 +62,6 @@ _HOMES = {
     ),
     "uncertain": (
         "RiskReport",
-        "UncertainEdge",
         "UncertainGraph",
         "bernoulli_graph",
         "bernoulli_moments",

@@ -27,9 +27,8 @@ are summed by one ``np.bincount`` over the interleaved endpoints
 ``u[0], v[0], u[1], v[1], ...``: that adds the weights in the order of a
 per-edge loop, so degrees, and every peel score built from them, are the
 same to the last bit as those of such a loop.  The totals and induced
-weights are likewise sequential sums in edge order.  ``graph.edges`` is a
-tuple of :class:`SignedEdge` built from the arrays on first access, holding
-Python scalars; the solvers never read it.
+weights are likewise sequential sums in edge order.  ``graph.rows()``
+yields the edges as tuples of Python scalars; the solvers never call it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import starmap
 from operator import index, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -65,24 +63,6 @@ _MAX_PACKED_ID = math.isqrt(_MAX_INT64) - 1
 _REAL_TYPES = (numbers.Real, Decimal)
 
 
-@dataclass(frozen=True, slots=True)
-class SignedEdge:
-    """One collapsed edge with ``u <= v``; a loop when ``u == v``.
-
-    Both weights are nonnegative magnitudes; the net weight of the pair is
-    ``wpos - wneg``.
-    """
-
-    u: int
-    v: int
-    wpos: float
-    wneg: float
-
-    @property
-    def net(self) -> float:
-        return self.wpos - self.wneg
-
-
 class SignedGraph:
     """Immutable undirected graph over dense node ids 0..n-1.
 
@@ -96,11 +76,7 @@ class SignedGraph:
     sweeps that peel one multiplier at once store the same order.
     """
 
-    _EDGE = SignedEdge  # the record type of ``edges``
-
-    __slots__ = (
-        "n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "total_pos", "total_neg", "_index", "_edges", "_orders",
-    )
+    __slots__ = ("n", "u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "total_pos", "total_neg", "_index", "_orders")
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, wpos: np.ndarray, wneg: np.ndarray):
         """Wrap collapsed columns: ``u <= v``, at most one edge per pair."""
@@ -114,7 +90,6 @@ class SignedGraph:
         for array in (u, v, wpos, wneg, self.deg_pos, self.deg_neg):
             array.flags.writeable = False
         self._index = None
-        self._edges = None
         self._orders: dict[float, np.ndarray] = {}  # multiplier -> removal sequence
 
     indptr = property(lambda self: self._arc_index()[0])
@@ -135,32 +110,9 @@ class SignedGraph:
         """Number of collapsed edges."""
         return self.u.shape[0]
 
-    @property
-    def edges(self) -> tuple[SignedEdge, ...]:
-        """The collapsed edges as :class:`SignedEdge` objects (a subclass's ``_EDGE``), in edge order."""
-        if self._edges is None:
-            self._edges = tuple(starmap(self._EDGE, self.rows()))
-        return self._edges
-
     def rows(self) -> Iterator[tuple[int, int, float, float]]:
         """(u, v, wpos, wneg) of each edge as Python scalars, in edge order."""
         return _rows(self.u, self.v, self.wpos, self.wneg)
-
-    def positive_degree(self, u: int) -> float:
-        return float(self.deg_pos[u])
-
-    def negative_degree(self, u: int) -> float:
-        return float(self.deg_neg[u])
-
-    def degree(self, u: int) -> float:
-        """Total degree: positive minus negative, loops counted twice."""
-        return float(self.deg_pos[u] - self.deg_neg[u])
-
-    def positive_degrees(self) -> list[float]:
-        return self.deg_pos.tolist()
-
-    def negative_degrees(self) -> list[float]:
-        return self.deg_neg.tolist()
 
     def net_weighted(self) -> "SignedGraph":
         """The pairs' net weights ``wpos - wneg``, split by sign: ``tilde_weights(self, 1.0)``."""

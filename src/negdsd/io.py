@@ -28,6 +28,7 @@ and line numbers are those of the line walk, whichever path runs.
 
 from __future__ import annotations
 
+import codecs
 import math
 from itertools import count
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -42,8 +43,10 @@ def decode(data: bytes) -> str:
     """UTF-8 ``data`` as text, with universal newlines as a text-mode ``open`` reads it.
 
     Lines end only at ``\n``, ``\r\n`` and ``\r``, all of which become ``\n``.
-    An undecodable byte raises :class:`ParseError` at its line.
+    One leading byte-order mark is skipped.  An undecodable byte raises
+    :class:`ParseError` at its line.
     """
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -12,7 +12,7 @@ and per-layer counts are ``np.bincount`` calls over those codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,24 +39,20 @@ class MultilayerGraph:
 
     Construct through :func:`build_multilayer_graph`.  The records are
     read-only int64 columns ``u``, ``v`` and ``layer``, the last coding the
-    names in order of first appearance; ``edges`` is built on first access.
+    names in order of first appearance.
     """
 
-    __slots__ = ("n", "u", "v", "layer", "layers", "_names", "_edges")
+    __slots__ = ("n", "u", "v", "layer", "layers", "_names")
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
         self.n, self.u, self.v, self.layer, self._names = n, u, v, layer, names
         for array in (u, v, layer):
             array.flags.writeable = False
         self.layers = frozenset(names)
-        self._edges = None
 
-    @property
-    def edges(self) -> list[tuple[int, int, Layer]]:
-        """The (u, v, layer) records, in order."""
-        if self._edges is None:
-            self._edges = list(_layer_rows(self.u, self.v, self.layer, self._names))
-        return self._edges
+    def rows(self) -> Iterator[tuple[int, int, Layer]]:
+        """(u, v, layer) of each record as Python scalars and names, in record order."""
+        return _layer_rows(self.u, self.v, self.layer, self._names)
 
     def __repr__(self) -> str:
         return f"MultilayerGraph(n={self.n}, m={self.u.shape[0]}, layers={len(self.layers)})"

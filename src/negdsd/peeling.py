@@ -109,8 +109,9 @@ class PeelOrder:
 class PeelScoring:
     """How prefixes are evaluated.
 
-    ``mode`` is ``"net_density"`` (net induced weight over size) or
-    ``"objective"`` (the ratio objective, which requires ``params``).
+    ``mode`` is ``"net_density"`` (net induced weight over size), which
+    takes no ``params``, or ``"objective"`` (the ratio objective), which
+    requires them.
     """
 
     mode: str = "net_density"
@@ -121,6 +122,8 @@ class PeelScoring:
             raise BadParametersError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.mode == "objective" and self.params is None:
             raise BadParametersError("objective mode needs ObjectiveParams")
+        if self.mode == "net_density" and self.params is not None:
+            raise BadParametersError("net_density mode takes no ObjectiveParams; use mode='objective'")
 
 
 def peel_order(graph: SignedGraph, c: float = 1.0) -> PeelOrder:

@@ -30,16 +30,6 @@ TOP_COSTARRED_MOVIES = 5
 
 
 @dataclass(frozen=True, slots=True)
-class UncertainEdge:
-    """Collapsed uncertain edge: expected reward ``mu``, variance ``sigma2``."""
-
-    u: int
-    v: int
-    mu: float
-    sigma2: float
-
-
-@dataclass(frozen=True, slots=True)
 class RiskReport:
     """Average induced reward and risk of a node set, plus its size."""
 
@@ -50,13 +40,12 @@ class RiskReport:
 
 class UncertainGraph(SignedGraph):
     """A :class:`~negdsd.core.SignedGraph` of collapsed uncertain edges: ``mu``
-    is ``wpos`` and ``sigma2`` is ``wneg``, and ``edges`` are :class:`UncertainEdge`.
+    is ``wpos`` and ``sigma2`` is ``wneg``.
 
     Edge ``e`` is ``(u[e], v[e], mu[e], sigma2[e])`` with ``u[e] <= v[e]``.
     """
 
     __slots__ = ()
-    _EDGE = UncertainEdge
     mu = property(lambda self: self.wpos, doc="Expected reward of each edge: ``wpos``.")
     sigma2 = property(lambda self: self.wneg, doc="Variance of each edge's reward: ``wneg``.")
 
@@ -131,7 +120,7 @@ def _check_bernoulli(u, v, p, w) -> None:
 
 
 def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:
-    """A plain :class:`~negdsd.core.SignedGraph` (wpos=mu, wneg=sigma2) sharing the columns; its edges are SignedEdge."""
+    """A plain :class:`~negdsd.core.SignedGraph` (wpos=mu, wneg=sigma2) sharing the columns."""
     return SignedGraph(graph.n, graph.u, graph.v, graph.mu, graph.sigma2)
 
 

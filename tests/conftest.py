@@ -57,10 +57,10 @@ def reference_sink_side(graph: nx.DiGraph, source, sink) -> np.ndarray:
 def naive_induced(graph: SignedGraph, nodes) -> tuple[float, float]:
     node_set = set(nodes)
     wpos = wneg = 0.0
-    for e in graph.edges:
-        if e.u in node_set and e.v in node_set:
-            wpos += e.wpos
-            wneg += e.wneg
+    for u, v, pos, neg in graph.rows():
+        if u in node_set and v in node_set:
+            wpos += pos
+            wneg += neg
     return wpos, wneg
 
 
@@ -110,8 +110,12 @@ def naive_peel(graph: SignedGraph, c: float) -> list[int]:
 def naive_peel_scores(graph: SignedGraph, c: float) -> tuple[list[int], list[float]]:
     """:func:`naive_peel`'s removal sequence and each node's score as it left."""
     alive = set(range(graph.n))
-    pos = graph.positive_degrees()
-    neg = graph.negative_degrees()
+    pos = [0.0] * graph.n
+    neg = [0.0] * graph.n
+    for u, v, wpos, wneg in graph.rows():
+        for end in (u, v):  # a loop counts twice
+            pos[end] += wpos
+            neg[end] += wneg
     sequence = []
     scores = []
     while alive:
@@ -119,13 +123,13 @@ def naive_peel_scores(graph: SignedGraph, c: float) -> tuple[list[int], list[flo
         sequence.append(target)
         scores.append(c * pos[target] - neg[target])
         alive.remove(target)
-        for e in graph.edges:
-            if e.u == target and e.v in alive:
-                pos[e.v] -= e.wpos
-                neg[e.v] -= e.wneg
-            elif e.v == target and e.u in alive:
-                pos[e.u] -= e.wpos
-                neg[e.u] -= e.wneg
+        for u, v, wpos, wneg in graph.rows():
+            if u == target and v in alive:
+                pos[v] -= wpos
+                neg[v] -= wneg
+            elif v == target and u in alive:
+                pos[u] -= wpos
+                neg[u] -= wneg
     return sequence, scores
 
 

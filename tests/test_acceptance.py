@@ -59,7 +59,7 @@ def test_criterion_1_peeling_guarantee():
     for _ in range(500):
         graph = random_signed_graph(rng, max_nodes=12, weight_range=(-3, 3))
         optimum = brute_force(graph).net_density
-        delta = max(graph.negative_degree(u) for u in range(graph.n))
+        delta = max(graph.deg_neg.tolist())
         peeled = best_prefix(graph, peel_order(graph, 1.0), PeelScoring())
         if peeled.net_density < optimum / 2 - delta / 2 - 1e-9:
             violations += 1
@@ -146,7 +146,7 @@ def _equivalence_via_api(n: int) -> int:
             threshold = q * params.lambda2 - params.lambda1
             for subset in subsets:
                 total = sum(
-                    e.net for e in reweighted.edges if e.u in subset and e.v in subset
+                    wpos - wneg for u, v, wpos, wneg in reweighted.rows() if u in subset and v in subset
                 )
                 lhs = f_values[frozenset(subset)] >= q
                 rhs = total >= threshold * len(subset)
@@ -220,7 +220,7 @@ def test_criterion_4_query_equivalence_exhaustive():
             for size in range(1, 6):
                 for subset in itertools.combinations(range(5), size):
                     inside = set(subset)
-                    total = sum(e.net for e in reweighted.edges if e.u in inside and e.v in inside)
+                    total = sum(wpos - wneg for u, v, wpos, wneg in reweighted.rows() if u in inside and v in inside)
                     if (objective_f(graph, subset, params) >= q) != (total >= threshold * size):
                         violations += 1
     report(4, "query equivalence", violations == 0, f"{violations} violations across all graphs with n <= 5")
@@ -285,7 +285,7 @@ def test_criterion_7_exclusion_guarantees():
             counts.append(
                 sum(layer_count(graph, optimum.nodes, layer) for layer in excluded)
             )
-        has_allowed_edge = any(layer not in excluded for _, _, layer in graph.edges)
+        has_allowed_edge = any(layer not in excluded for _, _, layer in graph.rows())
         if has_allowed_edge and counts[-1] != 0:
             hard_violations += 1
         if not (counts[0] >= counts[1] >= counts[2]):

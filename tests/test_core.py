@@ -54,21 +54,19 @@ class TestBuild:
         g = build_signed_graph([(1, 2, 1, 0), (1, 2, 0, 0.5)])
         assert g.n == 3
         assert g.m == 1
-        (e,) = g.edges
-        assert (e.u, e.v, e.wpos, e.wneg) == (1, 2, 1.0, 0.5)
+        assert list(g.rows()) == [(1, 2, 1.0, 0.5)]
 
     def test_reversed_pair_collapses_too(self):
         g = build_signed_graph([(2, 1, 1, 0), (1, 2, 2, 0.5)])
-        (e,) = g.edges
-        assert (e.u, e.v, e.wpos, e.wneg) == (1, 2, 3.0, 0.5)
+        assert list(g.rows()) == [(1, 2, 3.0, 0.5)]
 
     def test_loop_degree_and_handshake(self):
         g = build_signed_graph([(1, 1, 2, 0)])
         assert g.n == 2
-        assert g.degree(1) == 4.0
+        assert g.deg_pos[1] - g.deg_neg[1] == 4.0
         wpos, wneg, _ = induced_weights(g, {1})
         assert wpos == 2.0
-        assert sum(g.degree(u) for u in range(g.n)) == 2 * (g.total_pos - g.total_neg)
+        assert sum((g.deg_pos - g.deg_neg).tolist()) == 2 * (g.total_pos - g.total_neg)
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(NegativeMagnitudeError):
@@ -118,10 +116,8 @@ class TestBuild:
             for _ in range(30)
         ]
         once = build_signed_graph(raw)
-        twice = build_signed_graph([(e.u, e.v, e.wpos, e.wneg) for e in once.edges], n=once.n)
-        assert [(e.u, e.v, e.wpos, e.wneg) for e in once.edges] == [
-            (e.u, e.v, e.wpos, e.wneg) for e in twice.edges
-        ]
+        twice = build_signed_graph(once.rows(), n=once.n)
+        assert list(once.rows()) == list(twice.rows())
 
     def test_handshake_holds_with_loops(self):
         rng = random.Random(11)
@@ -133,7 +129,7 @@ class TestBuild:
                     if rng.random() < 0.5:
                         raw.append((u, v, float(rng.randint(0, 3)), float(rng.randint(0, 3))))
             g = build_signed_graph(raw, n=n)
-            lhs = sum(g.degree(u) for u in range(n))
+            lhs = sum((g.deg_pos - g.deg_neg).tolist())
             assert math.isclose(lhs, 2 * (g.total_pos - g.total_neg), abs_tol=1e-9)
 
 
@@ -186,7 +182,7 @@ class TestBuild:
     def test_generator_input(self):
         raw = [(0, 1, 1.0, 0.0), (2, 1, 0.5, 0.25), (1, 0, 2.0, 0.0)]
         g = build_signed_graph(record for record in raw)
-        assert [(e.u, e.v, e.wpos, e.wneg) for e in g.edges] == [(0, 1, 3.0, 0.0), (1, 2, 0.5, 0.25)]
+        assert list(g.rows()) == [(0, 1, 3.0, 0.0), (1, 2, 0.5, 0.25)]
 
     def test_arc_index_built_on_first_read(self):
         g = build_signed_graph([(2, 0, 1.0, 0.0), (1, 1, 2.0, 0.0), (0, 1, 0.0, 1.0)])
@@ -242,17 +238,15 @@ class TestBuild:
                 else:
                     collapsed[key] = (wpos, wneg)
             g = build_signed_graph(raw, n=n)
-            assert [(e.u, e.v, e.wpos, e.wneg) for e in g.edges] == [
-                (u, v, wpos, wneg) for (u, v), (wpos, wneg) in collapsed.items()
-            ]
-            assert all(type(e.wpos) is float and type(e.wneg) is float for e in g.edges)
-            assert all(type(e.u) is int and type(e.v) is int for e in g.edges)
+            rows = list(g.rows())
+            assert rows == [(u, v, wpos, wneg) for (u, v), (wpos, wneg) in collapsed.items()]
+            assert all(list(map(type, row)) == [int, int, float, float] for row in rows)
             deg_pos, deg_neg = [0.0] * n, [0.0] * n
-            for e in g.edges:  # degrees add in this order, bit for bit
-                for end in (e.u, e.v):
-                    deg_pos[end] += e.wpos
-                    deg_neg[end] += e.wneg
-            assert (g.positive_degrees(), g.negative_degrees()) == (deg_pos, deg_neg)
+            for u, v, wpos, wneg in rows:  # degrees add in this order, bit for bit
+                for end in (u, v):
+                    deg_pos[end] += wpos
+                    deg_neg[end] += wneg
+            assert (g.deg_pos.tolist(), g.deg_neg.tolist()) == (deg_pos, deg_neg)
 
 
 def int64(*values):
@@ -404,26 +398,22 @@ class TestObjective:
 
 
 class TestTildeWeights:
-    @staticmethod
-    def rows(graph):
-        return [(e.u, e.v, e.wpos, e.wneg) for e in graph.edges]
-
     def test_substitution(self):
         g = build_signed_graph([(0, 1, 3, 1)])
         reweighted = tilde_weights(g, 2, 1)
         assert isinstance(reweighted, SignedGraph)
-        assert self.rows(reweighted) == [(0, 1, 1.0, 0.0)] and reweighted.total_neg == 0.0
+        assert list(reweighted.rows()) == [(0, 1, 1.0, 0.0)] and reweighted.total_neg == 0.0
 
     def test_negative_result_clears_flag(self):
         # a negative value goes to wneg as a magnitude, so total_neg no longer reads 0
         g = build_signed_graph([(0, 1, 3, 1)])
         reweighted = tilde_weights(g, 4, 1)
-        assert self.rows(reweighted) == [(0, 1, 0.0, 1.0)]
-        assert reweighted.total_neg == 1.0 and reweighted.edges[0].net == -1.0
+        assert list(reweighted.rows()) == [(0, 1, 0.0, 1.0)]
+        assert reweighted.total_neg == 1.0 and reweighted.wpos[0] - reweighted.wneg[0] == -1.0
 
     def test_risk_tolerance_folds_into_negative_weight(self):
         g = build_signed_graph([(0, 1, 3, 1)])
-        assert self.rows(tilde_weights(g, 4, 0.25)) == [(0, 1, 2.0, 0.0)]
+        assert list(tilde_weights(g, 4, 0.25).rows()) == [(0, 1, 2.0, 0.0)]
 
     def test_validation(self):
         g = triangle()
@@ -447,8 +437,9 @@ class TestTildeWeights:
     def test_net_weighted_rows(self):
         g = build_signed_graph([(0, 1, 3, 1), (1, 1, 0.5, 0), (2, 0, 0, 1)])
         net = g.net_weighted()
-        assert self.rows(net) == self.rows(tilde_weights(g, 1.0)) == [(0, 1, 2.0, 0.0), (1, 1, 0.5, 0.0), (0, 2, 0.0, 1.0)]
-        assert all(type(e.u) is int and type(e.wpos) is float for e in net.edges)
+        want = [(0, 1, 2.0, 0.0), (1, 1, 0.5, 0.0), (0, 2, 0.0, 1.0)]
+        assert list(net.rows()) == list(tilde_weights(g, 1.0).rows()) == want
+        assert all(type(u) is int and type(wpos) is float for u, _, wpos, _ in net.rows())
         assert net.u is g.u and not net.wpos.flags.writeable and not net.wneg.flags.writeable
 
 
@@ -478,7 +469,7 @@ class TestQueryEquivalence:
             for params in self.PARAMS:
                 for q in self.QUERIES:
                     reweighted = tilde_weights(g, q, params.risk_tolerance)
-                    tilde = {(e.u, e.v): e.net for e in reweighted.edges}
+                    tilde = {(u, v): wpos - wneg for u, v, wpos, wneg in reweighted.rows()}
                     threshold = q * params.lambda2 - params.lambda1
                     for size in range(1, n + 1):
                         for subset in itertools.combinations(range(n), size):

@@ -105,7 +105,7 @@ def subset_weights(graph: SignedGraph) -> dict[frozenset, Fraction]:
         for subset in itertools.combinations(range(graph.n), size):
             members = frozenset(subset)
             weights[members] = Fraction(
-                sum(e.net for e in graph.edges if e.u in members and e.v in members)
+                sum(wpos - wneg for u, v, wpos, wneg in graph.rows() if u in members and v in members)
             )
     return weights
 
@@ -655,7 +655,7 @@ class TestArrayNetwork:
             for _ in range(15):
                 graph = corollary_regime_graph(rng, params, unit)
                 mixed = build_signed_graph(
-                    [(e.u, e.v, e.wpos, e.wneg * rng.choice([1.0, 3.0, 40.0])) for e in graph.edges], n=graph.n
+                    [(u, v, wpos, wneg * rng.choice([1.0, 3.0, 40.0])) for u, v, wpos, wneg in graph.rows()], n=graph.n
                 )
                 for g in (graph, mixed, random_signed_graph(rng, max_nodes=10)):
                     got, expected = self.both(monkeypatch, binary_search_objective, g, params)
@@ -742,7 +742,7 @@ class TestBinarySearch:
         for _ in range(20):
             base = random_nonnegative_graph(rng, max_nodes=9)
             g = build_signed_graph(
-                [(e.u, e.v, e.wpos, 10.0 * e.wpos) for e in base.edges], n=base.n
+                [(u, v, wpos, 10.0 * wpos) for u, v, wpos, _ in base.rows()], n=base.n
             )
             result, trace = binary_search_objective(g, params)
             reference = brute_force(g, params)

@@ -1,5 +1,6 @@
 """File-format parsing, serialization round-trips, and the CLI front end."""
 
+import codecs
 import io
 import json
 import subprocess
@@ -22,6 +23,7 @@ from negdsd.cli import run
 from negdsd.core import EdgeColumns
 from negdsd.errors import NegativeMagnitudeError, OutOfRangeError, ParseError, UnknownNodeError
 from negdsd.io import (
+    decode,
     format_signed,
     parse_bernoulli,
     parse_moments,
@@ -52,6 +54,16 @@ class TestParsing:
     def test_comments_and_blank_lines(self):
         edges, _ = parse_signed("# header\n\na b 1  # trailing\n")
         assert list(edges) == [(0, 1, 1.0, 0.0)]
+
+    def test_leading_byte_order_mark_is_skipped(self):
+        triangle = b"0 1 1\n1 2 1\n2 0 1\n"
+        assert decode(codecs.BOM_UTF8 + triangle) == decode(triangle)
+        edges, labels = parse_signed(decode(codecs.BOM_UTF8 + triangle))
+        assert labels == ["0", "1", "2"] and list(edges) == [(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 0, 1.0, 0.0)]
+        assert decode(codecs.BOM_UTF8 * 2 + triangle) == "\ufeff" + decode(triangle)  # only one mark is skipped
+        with pytest.raises(ParseError) as err:  # and the lines after it count as before
+            decode(codecs.BOM_UTF8 + b"a b 1\n\xff c 2\n")
+        assert err.value.line == 2
 
     def test_mixed_widths_rejected_with_line_number(self):
         with pytest.raises(ParseError) as err:
@@ -111,7 +123,7 @@ class TestParsing:
             assert built.n == records.n and list(built.rows()) == list(records.rows())
         layered, _ = parse_multilayer("u v follow\nv w reply\nu v reply\n")
         graph = build_multilayer_graph(layered, n=4)
-        assert (graph.n, graph.edges, graph.layers) == (4, list(layered), {"follow", "reply"})
+        assert (graph.n, list(graph.rows()), graph.layers) == (4, list(layered), {"follow", "reply"})
         with pytest.raises(UnknownNodeError):
             build_multilayer_graph(layered, n=2)
 
@@ -128,10 +140,10 @@ class TestParsing:
             text = format_signed(graph)
             edges, labels = parse_signed(text)
             rebuilt = build_signed_graph(edges, n=len(labels))
-            original = {(e.u, e.v): (e.wpos, e.wneg) for e in graph.edges}
+            original = {(u, v): (wpos, wneg) for u, v, wpos, wneg in graph.rows()}
             relabeled = {
-                tuple(sorted((int(labels[e.u]), int(labels[e.v])))): (e.wpos, e.wneg)
-                for e in rebuilt.edges
+                tuple(sorted((int(labels[u]), int(labels[v])))): (wpos, wneg)
+                for u, v, wpos, wneg in rebuilt.rows()
             }
             assert original == relabeled
 
@@ -201,6 +213,17 @@ class TestCli:
             del report["wall_time_s"]
             outputs.append(report)
         assert outputs[0]["nodes"] == ["b", "c"] and outputs[1:] == outputs[:1] * 2
+
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, monkeypatch):
+        data = codecs.BOM_UTF8 + b"0 1 1\n1 2 1\n2 0 1\n"
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(data)
+        code, out, _ = run_cli(capsys, "peel", str(path))
+        report = json.loads(out)
+        assert code == 0 and (sorted(report["nodes"]), report["net_density"]) == (["0", "1", "2"], 1.0)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, piped, _ = run_cli(capsys, "peel")
+        assert code == 0 and without_wall_time(piped) == without_wall_time(out)
 
     def test_exact_rejects_negative_weights(self, capsys, tmp_path):
         path = tmp_path / "neg.tsv"

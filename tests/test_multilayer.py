@@ -75,7 +75,7 @@ def excluded_count(graph, nodes, excluded):
 class TestApplyExclusion:
     def test_weight_assignment(self):
         signed = apply_exclusion(two_layer(), ExclusionQuery.soft({"follow"}, 5))
-        weights = {(e.u, e.v): (e.wpos, e.wneg) for e in signed.edges}
+        weights = {(u, v): (wpos, wneg) for u, v, wpos, wneg in signed.rows()}
         assert weights == {(1, 2): (0.0, 5.0), (2, 3): (1.0, 0.0)}
 
     def test_no_exclusion_counts_multiplicity(self):
@@ -83,14 +83,13 @@ class TestApplyExclusion:
             [(0, 1, "x"), (0, 1, "y"), (1, 2, "x")]
         )
         signed = apply_exclusion(multigraph, ExclusionQuery.soft(set(), 1))
-        weights = {(e.u, e.v): (e.wpos, e.wneg) for e in signed.edges}
+        weights = {(u, v): (wpos, wneg) for u, v, wpos, wneg in signed.rows()}
         assert weights == {(0, 1): (2.0, 0.0), (1, 2): (1.0, 0.0)}
 
     def test_parallel_excluded_edges_double_the_penalty(self):
         multigraph = build_multilayer_graph([(1, 2, "follow"), (1, 2, "follow")])
         signed = apply_exclusion(multigraph, ExclusionQuery.soft({"follow"}, 5))
-        (e,) = signed.edges
-        assert (e.wpos, e.wneg) == (0.0, 10.0)
+        assert list(signed.rows()) == [(1, 2, 0.0, 10.0)]
 
     def test_unknown_layer(self):
         with pytest.raises(UnknownLayerError):
@@ -196,7 +195,7 @@ class TestLayerDensity:
             graph = random_multilayer(rng)
             nodes = set(rng.sample(range(graph.n), rng.randint(1, graph.n)))
             total = sum(layer_density(graph, nodes, layer) for layer in graph.layers)
-            induced = sum(1 for u, v, _ in graph.edges if u in nodes and v in nodes)
+            induced = sum(1 for u, v, _ in graph.rows() if u in nodes and v in nodes)
             assert total == pytest.approx(induced / len(nodes))
 
     def test_ids_near_the_int64_limit(self):
@@ -295,7 +294,7 @@ class TestColumnsAgainstRecords:
 
     def test_edges_give_back_the_records(self):
         for _, records, graph, _, _ in self.cases():
-            assert graph.edges == records
+            assert list(graph.rows()) == records
             assert graph.layers == {layer for _, _, layer in records}
 
     def test_apply_exclusion_equals_a_build_of_the_records(self):

@@ -13,7 +13,7 @@ from conftest import child_env
 
 PUBLIC = """
 DEFAULT_C_LIST DecisionOutcome DsdResult ExclusionQuery MultilayerGraph ObjectiveParams
-PeelOrder PeelScoring RiskReport SearchTrace SignedEdge SignedGraph TIE_TOLERANCE UncertainEdge
+PeelOrder PeelScoring RiskReport SearchTrace SignedGraph TIE_TOLERANCE
 UncertainGraph apply_exclusion bernoulli_graph bernoulli_moments best_prefix
 binary_search_objective brute_force build_multilayer_graph build_signed_graph build_uncertain_graph
 c_sweep dsd_decision exact_dsd gen_bad_peeling gen_shift_failure gen_two_component hard_w

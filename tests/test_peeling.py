@@ -340,7 +340,9 @@ class TestBestPrefix:
         for _ in range(10):  # disjoint copies of one dyadic graph tie exactly
             base = random_signed_graph(rng, max_nodes=6, allow_loops=True)
             copies = rng.randint(2, 4)
-            raw = [(e.u + k * base.n, e.v + k * base.n, e.wpos, e.wneg) for k in range(copies) for e in base.edges]
+            raw = [
+                (u + k * base.n, v + k * base.n, wpos, wneg) for k in range(copies) for u, v, wpos, wneg in base.rows()
+            ]
             graphs.append(build_signed_graph(raw, n=copies * base.n))
         graphs.append(build_signed_graph([], n=5))  # every prefix scores 0
         for g in graphs:
@@ -393,6 +395,14 @@ class TestBestPrefix:
         with pytest.raises(BadParametersError):
             PeelScoring(mode="objective")
 
+    def test_net_density_scoring_rejects_params(self):
+        # they would only fill an f_value that objective mode's range check never saw: this one is inf
+        params = ObjectiveParams(lambda1=1e308)
+        with pytest.raises(BadParametersError, match="net_density mode takes no ObjectiveParams"):
+            PeelScoring(params=params)
+        with pytest.raises(BadParametersError):
+            PeelScoring("net_density", params)
+
     @pytest.mark.parametrize("c", [True, 2, np.float32(2), np.int64(3), Decimal("0.5")])
     def test_multiplier_stored_as_float(self, c):
         order = peel_order(triangle(), c)
@@ -408,7 +418,7 @@ class TestApproximationGuarantee:
         for _ in range(100):
             g = random_signed_graph(rng, max_nodes=10)
             _, best = naive_best(g, "density")
-            delta = max(g.negative_degree(u) for u in range(g.n))
+            delta = max(g.deg_neg.tolist())
             result = best_prefix(g, peel_order(g, 1.0), PeelScoring())
             assert result.net_density >= best / 2 - delta / 2 - 1e-9
 
