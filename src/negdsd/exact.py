@@ -1,59 +1,46 @@
-"""Exact machinery for ratio objectives: one Dinkelbach driver.
+"""Exact machinery for ratio objectives: one front end and one Dinkelbach driver.
 
 ``exact_dsd`` (density) and ``binary_search_objective`` (the ratio
 objective) both maximize ``(P(S) + l1*|S|) / (R(S) + l2*|S|)`` with P, R >= 0
-per edge.  Dinkelbach iteration (1967) starts from a given set, sets
+per edge, through one front end, ``_maximize``: density takes P = the net
+weights, R = 0 and (l1, l2) = (0, 1), the ratio objective P = wpos and
+R = rt*wneg.  Dinkelbach iteration (1967) starts from a given set, sets
 q = a/b to the objective of its witness, and looks for a set with
 N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
 
-* ``flow`` route, while q <= min P_e/R_e: every reweighted edge b*P_e - a*R_e
-  is nonnegative, so one minimum cut answers the step exactly.  The source
-  feeds each node its reweighted degree, each node pays 2*(a*l2 - b*l1) to
-  the sink, each edge is one arc pair of its reweighted weight both ways;
-  the largest source side is the witness, and a cut that finds nothing
-  better certifies q as optimal.  The network is built from the program's
-  edge columns in numpy, with the flow of every s -> i -> t path pushed
-  already, and solved by :class:`~negdsd.flow.Dinic` on flat arc arrays.
-  Before the cut, the graph shrinks to its q-core: nodes are dropped while
-  their reweighted degree among the survivors is below a*l2 - b*l1, the
-  cost of keeping them.  No node of the largest maximizer is ever dropped
-  (see ``_max_density_side``), so the cut on the core has the same answer.
+* ``flow`` route, while q <= q_max = min P_e/R_e: every reweighted edge
+  b*P_e - a*R_e is nonnegative (Goldberg's 1984 case), so one minimum cut
+  answers the step exactly.  The source feeds each node its reweighted
+  degree, each node pays 2*(a*l2 - b*l1) to the sink, each edge is one arc
+  pair of its reweighted weight both ways; the largest source side is the
+  witness, and a cut that finds nothing better certifies q as optimal.
+  The network is built from the program's edge columns in numpy, with the
+  flow of every s -> i -> t path pushed already, and solved by
+  :class:`~negdsd.flow.Dinic` on flat arc arrays.  Before the cut, the
+  graph shrinks to its q-core: nodes are dropped while their reweighted
+  degree among the survivors is below a*l2 - b*l1, the cost of keeping
+  them.  No node of the largest maximizer is ever dropped (see
+  ``_max_density_side``), so the cut on the core has the same answer.
 * ``peel`` route, past that point: the multi-``c`` peeling sweep on the
   reweighted graph.  Its "nothing better" is no certificate, so the search
   then ends flagged inexact.
 
-``exact_dsd`` and ``dsd_decision`` take a :class:`~negdsd.core.SignedGraph`
-and solve on the float64 net weights ``wpos - wneg`` of its pairs, which
-must all be >= 0: Goldberg's (1984) case of the problem.
-``exact_dsd`` starts near the optimum, so the q-core is small: a bulk peel
-over the edge columns (every node of degree at most 2(1 + eps) times the
-density leaves in one round) finds a set B, and the start is the better,
-in exact value, of B and the best prefix of one c=1 peel (the warm start
-of Greedy++) of the q-core at B's value.  That peel is the package's
-column peel on the core's float64 weights: the cuts certify any start,
-so it needs no exact arithmetic.  Only the core is peeled, because a c=1
-peel of the whole graph removes the nodes outside it first, so the start
-is never worse than that peel's best prefix (see ``_density_start``); on
-a planted dense set B is that set, and one cut on it certifies it.
-The exact program is built only on B and a superset S of that q-core,
-pruned first in float64 columns (``_float_core``): q is bounded below by
-a float a few ulps under B's density, every round sums each survivor's
-degree afresh from nonnegative terms (a bincount per end column, added),
-and a node is dropped only when that degree is below the bound times
-1 - delta, a margin that covers every rounding of the sum and of the
-weights' conversion.  So no core node is ever dropped.  The rounds stop
-once one drops fewer than 1/8 of the survivors (a path hanging off the
-core would otherwise shed one end per round), and the exact q-core, run
-on the program of G[S + B] with ids relabeled in ascending order,
-finishes the prune: it is the core of the whole graph, so the start, the
-cuts and the answer are those of the whole program.  One degree pass
-reads the whole edge list: the prune's first round takes the bulk peel's
-first, B's density comes from the weights its round kept, and the answer
-is re-scored from the program.  ``dsd_decision`` prunes likewise at g.
-``binary_search_objective`` starts from the best prefix S0 of one float c=1
-peel in objective scoring when V < S0 <= ``q_max`` in exact value (V: all
-nodes), and from V otherwise or once a step from S0 passes ``q_max``; when
-every step is a cut, both starts end on V's answer, the largest optimal set.
+The front end prunes in float64 before it builds anything exact.  q_max
+comes from the float quotients P_e/R_e: rounding is monotone, so only the
+distinct (P_e, R_e) pairs at the least quotient are compared exactly.  A
+bulk peel of P finds a set B, and a float under B's exact objective bounds
+every later q from below.  As R >= 0, a node of the largest maximizer at
+any q from that floor up to q_max has P-degree at least
+q*l2 - l1 >= floor*l2 - l1 within it, so lower P-degrees are pruned in
+float64 rounds (``_float_core``).  The exact program is built on the
+survivors and B only, and keeps the whole graph's q_max: its q-core at any
+such q is the whole graph's, so its cuts and answer are too.  It starts
+from the better of B and a c=1 peel's best prefix (``_warm_start``).  When
+the optimum is at most q_max every step is a cut, and the run ends on the
+largest optimal set.  Otherwise a step passes q_max and the driver starts
+over on the whole graph from V, the set of all nodes, with the peel route,
+so an inexact answer is V's; it starts there at once when a float floor of
+V's objective is above q_max.  ``dsd_decision`` prunes likewise at g.
 
 P, R, l1 and l2 are scaled to integers once by their common denominator.
 Every finite float is a dyadic rational, so this is always exact (the
@@ -95,10 +82,10 @@ from .flow import Dinic
 
 MAX_BRUTE_FORCE_NODES = 22
 
-# Slack of the bulk peel that seeds exact_dsd's start: each round drops the
-# nodes of degree at most 2(1 + eps) times the survivors' density, so its
-# densest round is within a factor 2 + 2*eps of the optimum after
-# O(log(n)/eps) rounds (Bahmani, Kumar and Vassilvitskii, VLDB 2012).
+# Slack of the bulk peel that seeds the front end's prune and start: each
+# round drops the nodes of degree at most 2(1 + eps) times the survivors'
+# density, so its densest round is within a factor 2 + 2*eps of the densest
+# set after O(log(n)/eps) rounds (Bahmani, Kumar and Vassilvitskii, VLDB 2012).
 _BULK_EPSILON = 0.1
 
 # The float prune ahead of the exact program stops after a round that drops
@@ -106,6 +93,9 @@ _BULK_EPSILON = 0.1
 # and a long tail of small rounds (a path peeled one end at a time) costs a
 # whole-graph degree pass each.
 _PRUNE_STOP_FRACTION = 1 / 8
+
+_Peel = Callable[[Fraction], Iterable[int]] | None  # proposes a set for a step past q_max
+_DENSITY = ObjectiveParams(0, 1)  # density: (P + 0*|S|) / (R + 1*|S|) with R = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +112,10 @@ class SearchTrace:
 
     ``lo_history`` starts at the objective of the start set.
     ``hi_history`` stays at ``objective_upper_bound`` until a flow step
-    certifies the optimum, and then equals it.
+    certifies the optimum, and then equals it.  A run on the pruned program
+    that every cut answered reports its own start and steps, so
+    ``lo_history`` and ``iterations`` may be shorter than those of a run
+    from the whole node set, which ends on the same answer.
     """
 
     iterations: int
@@ -141,11 +134,10 @@ class SearchTrace:
 
 
 def _integer_ratios(values: list) -> list[tuple[int, int]]:
-    """Exact (numerator, denominator) of each finite real number, as Python ints.
-
-    A numpy integer's ratio holds numpy integers, which would overflow once scaled.
-    """
-    return [(int(a), int(b)) for a, b in (Fraction(x).as_integer_ratio() for x in values)]
+    """Exact (numerator, denominator) of each finite real number, as Python ints: a numpy
+    integer has no ratio of its own, and a numpy float32 is no ``Fraction`` argument."""
+    ratios = (x if hasattr(x, "as_integer_ratio") else Fraction(x) for x in values)
+    return [(int(a), int(b)) for a, b in (x.as_integer_ratio() for x in ratios)]
 
 
 def _exact_column(values: np.ndarray) -> tuple[int, Callable[[int], np.ndarray]]:
@@ -205,12 +197,33 @@ class _RatioProgram:
         return Fraction(self.p[induced].sum() + self.l1 * size, self.r[induced].sum() + self.l2 * size)
 
 
-def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) -> _RatioProgram:
+def _q_max(p_values: np.ndarray, r_values: np.ndarray, r_factor) -> Fraction | float:
+    """min P_e / (``r_factor`` * R_e) over the edges with R_e > 0, exactly; inf when there is none.
+
+    ``p_values`` and ``r_values`` are float64 columns of values >= 0.  A float
+    quotient is the exact one rounded to nearest, which is monotone, so the
+    exact minimum is among the edges of the least float quotient; only their
+    distinct (P_e, R_e) pairs are compared exactly (integer weights tie a lot).
+    """
+    has_r = r_values > 0
+    if not has_r.any():
+        return math.inf
+    p, r = p_values[has_r], r_values[has_r]
+    with np.errstate(over="ignore"):  # a quotient beyond the float range is inf, still in order
+        quotient = p / r
+    least = quotient == quotient.min()
+    pairs = np.unique(p[least] + 1j * r[least]).tolist()  # each pair exactly, as one complex
+    ((f_num, f_den),) = _integer_ratios([r_factor])
+    return min(Fraction(z.real) / Fraction(z.imag) for z in pairs) * Fraction(f_den, f_num)
+
+
+def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor, q_max) -> _RatioProgram:
     """Scale edges (u[e], v[e]) with P_e, R_e (R_e multiplied by ``r_factor``) to integers.
 
     ``u``, ``v`` are int64 arrays and ``p_values``, ``r_values`` float64 arrays.
     The scale is the lcm of the denominators of lambda1, lambda2, every P_e
-    and every R_e's times that of ``r_factor``.
+    and every R_e's times that of ``r_factor``.  ``q_max`` is the flow bound
+    (``_q_max`` of the graph the edges were taken from).
     """
     (f_num, f_den), (l1_num, l1_den), (l2_num, l2_den) = _integer_ratios([r_factor, lambda1, lambda2])
     p_den, p_scaled = _exact_column(p_values)
@@ -218,20 +231,15 @@ def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor=1.0) 
     scale = math.lcm(l1_den, l2_den, p_den, r_den * f_den)
     p = p_scaled(scale)
     r = r_scaled(scale // f_den) * f_num
-    q_num, q_den = 1, 0  # min P_e/R_e, kept as a pair in ints; 1/0 stands for inf
-    has_r = r != 0
-    for p_e, r_e in zip(p[has_r].tolist(), r[has_r].tolist()):
-        if p_e * q_den < q_num * r_e:
-            q_num, q_den = p_e, r_e
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
-    q_max = Fraction(q_num, q_den) if q_den else math.inf
     indptr, neighbor, edge_id = _csr(n, u, v)
     arcs = indptr.tolist(), neighbor.tolist(), p[edge_id].tolist(), r[edge_id].tolist()
-    degrees = [[sum(arc_w[a:b]) for a, b in zip(arcs[0], arcs[0][1:])] for arc_w in arcs[2:]]
     loops = u == v  # a loop has one arc and counts twice
-    for degree, weights in zip(degrees, (p, r)):
-        for x, w_e in zip(u[loops].tolist(), weights[loops].tolist()):
-            degree[x] += w_e
+    degrees = []
+    for arc_w, weights in zip(arcs[2:], (p, r)):
+        degree = np.array([sum(arc_w[a:b]) for a, b in zip(arcs[0], arcs[0][1:])], dtype=object)
+        np.add.at(degree, u[loops], weights[loops])
+        degrees.append(degree.tolist())
     return _RatioProgram(n, u, v, p, r, *arcs, *degrees, l1, l2, q_max)
 
 
@@ -240,11 +248,11 @@ def _induced_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u', v', keep): the edges (u[e], v[e]) with both ends in ``nodes`` (ascending
     ids of 0..n-1), relabeled so that ``nodes[i]`` becomes i, and their mask."""
-    label = np.full(n, -1, dtype=np.int64)
-    label[nodes] = np.arange(len(nodes))
-    u, v = label[u], label[v]
-    keep = (u >= 0) & (v >= 0)
-    return u[keep], v[keep], keep
+    inside = np.zeros(n, dtype=bool)
+    inside[nodes] = True
+    keep = inside[u] & inside[v]
+    label = np.cumsum(inside) - 1  # the rank of each node of ``nodes``
+    return label[u[keep]], label[v[keep]], keep
 
 
 def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
@@ -347,57 +355,61 @@ def _bulk_peel(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[lis
     return np.flatnonzero(best).tolist(), best_w, first
 
 
-def _density_floor(weights: np.ndarray, size: int) -> float:
-    """A float at most the exact density of ``size`` nodes whose induced edges
-    weigh ``weights``: float64 values, each the nearest to an exact weight >= 0.
+def _down(x: float) -> float:  # one step down undoes a rounding to nearest of any value >= it
+    return math.nextafter(x, -math.inf)
 
-    Three roundings of at most half an ulp each part the float quotient from
-    the exact one: the weights' conversion (exact for floats), ``math.fsum``
-    (exact below the normal range) and the division.  Each step down moves
-    at least one ulp, whatever the sign.
+
+def _up(x: float) -> float:  # one step up undoes a rounding to nearest of any value <= it
+    return math.nextafter(x, math.inf)
+
+
+def _objective_floor(p: np.ndarray, r: np.ndarray, size: int, params: ObjectiveParams) -> float:
+    """A float at most the exact objective (P + l1*size) / (rt*R + l2*size) of ``size``
+    nodes whose induced edges weigh ``p`` and ``r`` (float64, >= 0).
+
+    A float sum of k terms >= 0, in any order, is within a factor 1 +- k*2**-53
+    of the exact one, which 1 -+ delta covers; every other step rounds once,
+    and ``_down``/``_up`` undo that.  A step down from inf is finite.
     """
-    q = math.fsum(weights.tolist()) / size
-    for _ in range(4):
-        q = math.nextafter(q, -math.inf)
-    return q
+    delta = (max(p.shape[0], r.shape[0]) + 2) * 2.0**-52
+    l1, l2, rt = _down(float(params.lambda1)), _up(float(params.lambda2)), _up(float(params.risk_tolerance))
+    numerator = _down(_down(float(p.sum()) * (1 - delta)) + _down(l1 * size))
+    denominator = _up(_up(rt * _up(float(r.sum()) * (1 + delta))) + _up(l2 * size))
+    return _down(max(numerator, 0.0) / denominator)
 
 
-def _density_start(program: _RatioProgram, weights: np.ndarray, bulk: list[int]) -> list[int]:
-    """A nonempty start for ``exact_dsd`` at least as dense as the best prefix of a c=1 peel.
+def _warm_start(
+    program: _RatioProgram, p: np.ndarray, r: np.ndarray, bulk: list[int], params: ObjectiveParams
+) -> tuple[list[int], Fraction]:
+    """The better, in exact value, of ``bulk`` (B) and the best prefix, under the
+    objective of ``params``, of a c=1 peel of B's q-core, and its value.
 
-    B = ``bulk``, the densest round of a bulk peel (``_bulk_peel``), gives
-    q = value(B).  The c=1 peel of the whole graph removes every node
-    outside the exact q-core first: among survivors that still include one,
-    the least degree is below q, and every core node has degree at least q
-    within the core.  While it does, the density stays at most q, or, once
-    above q, keeps rising, since each removed node takes less than q away.
-    So that peel's best prefix is no better than B or is a prefix of the
-    same peel of the core alone, and only the core is peeled:
-    :func:`~negdsd.peeling.peel_order` and
-    :func:`~negdsd.peeling.best_prefix` on its float64 weights ``weights``
-    (those of the program's edges, which are distinct pairs with u <= v, as
-    in the :class:`SignedGraph` the program was taken from; the ascending
-    relabel keeps both).  The cuts certify whatever start they get, so the
-    float peel needs no exact arithmetic; only the choice between its
-    prefix and B compares exact values.  The program may be that of any induced subgraph holding
-    B and the q-core.
+    For density (R = 0), a c=1 peel of the whole graph removes the nodes
+    outside the q-core at q = value(B) first: while one is left, the least
+    degree is below q, and the density stays at most q or keeps rising.  So
+    its best prefix is no better than B or is one of the core's own peel,
+    and only the core is peeled, on the float64 weights ``p`` and ``r`` of the
+    program's edges (distinct pairs with u <= v, as the ascending relabel
+    keeps them).  At params (0, 1, 1) the prefix values are net density's,
+    bit for bit.  The cuts certify any start, so the peel needs no exact
+    arithmetic; only the choice between its prefix and B is exact.
     """
     q = program.value(bulk)
+    if q > program.q_max:  # the driver stops at once; the q-core may be empty
+        return bulk, q
     a, b = q.numerator, q.denominator
     nodes, _ = _q_core(program, a, b, a * program.l2 - b * program.l1)
     u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
-    w = weights[keep]
-    graph = SignedGraph(len(nodes), u, v, w, np.zeros_like(w))
-    prefix = peeling.best_prefix(graph, peeling.peel_order(graph), peeling.PeelScoring()).nodes
+    graph = SignedGraph(len(nodes), u, v, p[keep], r[keep])
+    scoring = peeling.PeelScoring("objective", params)
+    prefix = peeling.best_prefix(graph, peeling.peel_order(graph), scoring).nodes
     peeled = [nodes[i] for i in prefix]
-    return peeled if program.value(peeled) > q else bulk
+    value = program.value(peeled)
+    return (peeled, value) if value > q else (bulk, q)
 
 
 def _dinkelbach(
-    program: _RatioProgram,
-    start: Iterable[int],
-    peel: Callable[[Fraction], Iterable[int]] | None = None,
-    q: Fraction | None = None,
+    program: _RatioProgram, start: Iterable[int], peel: _Peel = None, q: Fraction | None = None
 ) -> tuple[Iterable[int], bool, list[Fraction], list[str]]:
     """Return (witness, exact, q at the start and after each step, routes).
 
@@ -438,43 +450,27 @@ def _validate_nonnegative(graph: SignedGraph) -> np.ndarray:
     return net
 
 
-def _density_program(graph: SignedGraph, weights: np.ndarray, nodes=None) -> tuple[_RatioProgram, np.ndarray]:
-    """The density program of edge weights ``weights`` (float64, >= 0) on the
-    subgraph induced by ``nodes`` (ascending; all by default), ``nodes[i]``
-    as node i, and its edges' weights."""
-    n, u, v, w = graph.n, graph.u, graph.v, weights
-    if nodes is not None and len(nodes) < n:
-        u, v, keep = _induced_columns(n, u, v, nodes)
-        n, w = len(nodes), w[keep]
-    return _ratio_program(n, u, v, w, np.zeros(w.shape[0]), 0, 1), w
-
-
 def _float_core(
-    graph: SignedGraph, weights: np.ndarray, q_lo: float, keep: list[int], degrees: np.ndarray
+    graph: SignedGraph, weights: np.ndarray, bound: float, keep: list[int], degrees: np.ndarray
 ) -> np.ndarray:
-    """Ascending ids of ``keep`` and of a superset of the exact q-core, for
-    any exact q >= ``q_lo``, pruned in float64 rounds.
+    """Ascending ids of ``keep`` and of a superset of the ``bound``-core (the largest
+    set in which every node has exact degree at least ``bound``), pruned in float64.
 
-    ``weights`` holds the graph's net weights, all >= 0, which the exact
-    program takes as they are, and ``degrees`` the whole graph's degrees
-    (``_degrees``), which the first round takes.  Each later round sums
-    every survivor's degree afresh over the surviving edges, from nonnegative
-    terms only, so the float degree is at least the exact one times
-    1 - delta, where delta = (2m + 4) * 2**-52 covers the rounding of up to
-    2m terms and that of the threshold q_lo * (1 - delta), with room to
-    spare; below the normal range sums are exact.  A node is dropped only
-    when its float degree is below that threshold.  A node of the exact q-core has exact
-    degree at least q >= q_lo among any survivors that hold the core, so
-    it is never dropped, and stopping after any round leaves a superset.
+    ``weights`` are the edges' weights (>= 0) and ``degrees`` the whole
+    graph's (``_degrees``), which the first round takes.  Each later round
+    sums every survivor's degree afresh from nonnegative terms, so the float
+    degree is at least the exact one times 1 - delta, where
+    delta = (2m + 4) * 2**-52 covers the rounding of up to 2m terms and of
+    the threshold bound * (1 - delta).  Only a node below that threshold is
+    dropped, so no core node ever is, and any round leaves a superset.
     Rounds stop once one drops fewer than ``_PRUNE_STOP_FRACTION`` of the
-    survivors.  Nothing is pruned when ``q_lo`` is not positive.  The
-    q-core of the subgraph the returned ids induce is that of the whole
-    graph: it holds the core, in which every node keeps its degree.
+    survivors; nothing is pruned when ``bound`` is not positive.  A set whose
+    nodes have degree at least ``bound`` within it lies in the core.
     """
     n, u, v, w = graph.n, graph.u, graph.v, weights
     alive = np.ones(n, dtype=bool)
-    threshold = q_lo * (1 - (2 * graph.m + 4) * 2.0**-52)
-    size = n if q_lo > 0 else 0
+    threshold = bound * (1 - (2 * graph.m + 4) * 2.0**-52)
+    size = n if bound > 0 else 0
     while size:
         if size < n:  # every later round has dropped a node
             degrees = _degrees(n, u, v, w)
@@ -501,42 +497,60 @@ def dsd_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
         raise BadParametersError(f"density threshold must be finite, got {g}")
     degrees = _degrees(graph.n, graph.u, graph.v, weights)
     nodes = _float_core(graph, weights, g, [], degrees)  # g is exact: the cut runs at Fraction(g)
-    program, _ = _density_program(graph, weights, nodes)
+    u, v, keep = _induced_columns(graph.n, graph.u, graph.v, nodes)
+    program = _ratio_program(len(nodes), u, v, weights[keep], np.zeros(u.shape[0]), 0, 1, 1, math.inf)
     witness = _max_density_side(program, Fraction(g))
     if witness:
         return DecisionOutcome(True, frozenset(nodes[witness].tolist()))
     return DecisionOutcome(False, None)
 
 
+def _maximize(graph: SignedGraph, p: np.ndarray, r: np.ndarray, params: ObjectiveParams, peel: _Peel = None):
+    """Maximize (P(S) + l1*|S|) / (rt*R(S) + l2*|S|) over nonempty node sets of ``graph``.
+
+    P and R are float64 columns (>= 0) over the edges, (l1, l2, rt) are
+    ``params``, and ``peel`` the V run's peel route (see the module
+    docstring).  Returns the witness, the float sum of its induced P in edge
+    order, and the driver's exact flag, q history and routes.
+    """
+    n = graph.n
+    l1, l2, rt = params.lambda1, params.lambda2, params.risk_tolerance
+    q_max = _q_max(p, r, rt)
+    answer = None
+    if q_max == math.inf or _objective_floor(p, r, n, params) <= q_max:
+        bulk, bulk_p, degrees = _bulk_peel(n, graph.u, graph.v, p)
+        bulk_r = r[_induced_edges(graph, bulk)] if q_max < math.inf else r[:0]  # R = 0 when q_max is inf
+        floor = _objective_floor(bulk_p, bulk_r, len(bulk), params)
+        if floor <= q_max:  # else every run passes q_max
+            kept = _float_core(graph, p, _down(_down(floor * _down(float(l2))) - _up(float(l1))), bulk, degrees)
+            u, v, keep = _induced_columns(n, graph.u, graph.v, kept)
+            p_kept, r_kept = p[keep], r[keep]
+            program = _ratio_program(len(kept), u, v, p_kept, r_kept, l1, l2, rt, q_max)
+            start, q = _warm_start(program, p_kept, r_kept, np.searchsorted(kept, bulk).tolist(), params)
+            answer = _dinkelbach(program, start, q=q)
+    if answer is None or not answer[1]:
+        kept, p_kept = None, p
+        program = _ratio_program(n, graph.u, graph.v, p, r, l1, l2, rt, q_max)
+        answer = _dinkelbach(program, range(n), peel)
+    best, exact, history, routes = answer
+    nodes = best if kept is None else kept[best].tolist()  # a cut's witness is an ascending list
+    return nodes, _sequential_sum(p_kept[_induced_edges(program, frozenset(best))]), exact, history, routes
+
+
 def exact_dsd(graph: SignedGraph) -> DsdResult:
     """True maximizer of w(S)/|S| over nonempty S, w being the net weight
     ``wpos - wneg`` of each pair; ties go to the largest set.
 
-    Raises :class:`NegativeWeightError` on any negative net weight.
-    Dinkelbach iteration starts from the denser, in exact value, of a bulk
-    peel's best round and the best prefix of one float c=1 peel of that
-    round's q-core, and every step is a minimum cut, so the answer is
-    always exact whatever the start.  The exact program is built only on
-    the bulk round and a float-pruned superset of its q-core.
+    Raises :class:`NegativeWeightError` on any negative net weight.  This is
+    the front end's program with P = w, R = 0 and (l1, l2) = (0, 1): q_max is
+    inf, so every Dinkelbach step is a minimum cut and the answer is exact.
     """
     weights = _validate_nonnegative(graph)
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
-    bulk, bulk_weights, degrees = _bulk_peel(graph.n, graph.u, graph.v, weights)
-    kept = _float_core(graph, weights, _density_floor(bulk_weights, len(bulk)), bulk, degrees)
-    program, kept_weights = _density_program(graph, weights, kept)
-    start = _density_start(program, kept_weights, np.searchsorted(kept, bulk).tolist())
-    best, _, _, _ = _dinkelbach(program, start)
-    nodes = frozenset(kept[list(best)].tolist())
-    w_float = _sequential_sum(kept_weights[_induced_edges(program, frozenset(best))])  # in graph edge order
-    return DsdResult(
-        nodes=nodes,
-        net_density=w_float / len(nodes),
-        wpos_total=w_float,
-        wneg_total=0.0,
-        exact=True,
-        algorithm="exact_dsd",
-    )
+    nodes, w_float, _, _, _ = _maximize(graph, weights, np.broadcast_to(0.0, weights.shape), _DENSITY)
+    nodes = frozenset(nodes)
+    return DsdResult(nodes, w_float / len(nodes), w_float, 0.0, exact=True, algorithm="exact_dsd")
 
 
 def brute_force(graph: SignedGraph, params: ObjectiveParams | None = None) -> DsdResult:
@@ -586,44 +600,29 @@ def _mask_nodes(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def binary_search_objective(
-    graph: SignedGraph,
-    params: ObjectiveParams,
-) -> tuple[DsdResult, SearchTrace]:
-    """Maximize the ratio objective with the Dinkelbach driver.
+def binary_search_objective(graph: SignedGraph, params: ObjectiveParams) -> tuple[DsdResult, SearchTrace]:
+    """Maximize the ratio objective with the front end's Dinkelbach driver.
 
-    Steps are exact minimum cuts while q <= min wpos/(rt*wneg), where the
-    reweighted graph stays nonnegative; past it they reweight with
-    :func:`tilde_weights` and peel, and the result is flagged inexact.  The
-    driver starts from a c=1 peel's best prefix when that is better than the
-    whole node set and at most ``q_max``, and starts over from the whole set
-    if a step then passes ``q_max``: the answer is the whole set's, in fewer
-    cuts (47 ms against 107 ms on a planted 2,000-node graph, ``BENCH_21.json``).
-    The returned set is a real witness re-scored under the true objective, so
-    it never overestimates.  The name predates the driver, which replaced a
+    This is the front end's program with P = wpos and R = rt*wneg.  Steps are
+    exact minimum cuts while q <= min wpos/(rt*wneg); past it they reweight
+    with :func:`tilde_weights` and peel, and the result is flagged inexact.
+    The driver runs on the float-pruned program first and starts over from
+    the whole node set if a step passes q_max, so the answer is always the
+    whole set's start's, in fewer and smaller cuts.  The returned set is a
+    real witness re-scored under the true objective, so it never
+    overestimates.  The name predates the driver, which replaced a
     bisection; it stays so existing callers keep working.
     """
     if graph.n == 0:
         raise EmptySetError("graph has no nodes")
     upper = _check_objective_range(graph, params)
     rt = params.risk_tolerance
-    program = _ratio_program(graph.n, graph.u, graph.v, graph.wpos, graph.wneg, params.lambda1, params.lambda2, rt)
 
     def peel(q: Fraction) -> frozenset[int]:
         reweighted = tilde_weights(graph, float(q), rt)
         return peeling.c_sweep(reweighted, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
 
-    answer = None
-    whole = program.value(range(graph.n))
-    if whole <= program.q_max:  # a warm start that all cuts answer ends on the whole set's answer
-        scoring = peeling.PeelScoring("objective", params=params)
-        prefix = peeling.best_prefix(graph, peeling.peel_order(graph), scoring).nodes
-        first = program.value(prefix)
-        if whole < first <= program.q_max:
-            answer = _dinkelbach(program, prefix, q=first)
-    if answer is None or not answer[1]:  # no warm start, or it reached a peel step
-        answer = _dinkelbach(program, range(graph.n), peel, q=whole)
-    nodes, exact, history, routes = answer
+    nodes, _, exact, history, routes = _maximize(graph, graph.wpos, graph.wneg, params, peel)
     lo_history = [float(q) for q in history]
     hi_history = [upper] * len(history)
     if exact:

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import EdgeColumns, LayerColumns, SignedGraph
-from .errors import ParseError
+from .errors import BadParametersError, ParseError
 
 
 def decode(data: bytes) -> str:
@@ -315,8 +315,20 @@ def parse_multilayer(text: str) -> tuple[LayerColumns, list[str]]:
 
 
 def format_signed(graph: SignedGraph, labels: list[str] | None = None) -> str:
-    """Serialize to the 4-column signed format; weights round-trip bit-exactly."""
+    """Serialize to the 4-column signed format; weights round-trip bit-exactly.
+
+    ``labels[i]`` names node i (its id by default).  :func:`parse_signed`
+    reads each back as one field, so there must be exactly n distinct
+    nonempty strings with no whitespace and no ``#``, or
+    :class:`BadParametersError` is raised.
+    """
     if labels is None:
         labels = [str(i) for i in range(graph.n)]
+    elif len(labels) != graph.n or len(set(labels)) != graph.n:
+        raise BadParametersError(f"need {graph.n} distinct labels, got {len(labels)} ({len(set(labels))} distinct)")
+    else:
+        for label in labels:
+            if not isinstance(label, str) or label.split() != [label] or "#" in label:
+                raise BadParametersError(f"label {label!r} must be a nonempty string with no whitespace and no '#'")
     lines = [f"{labels[u]} {labels[v]} {wpos!r} {wneg!r}" for u, v, wpos, wneg in graph.rows()]
     return "\n".join(lines) + ("\n" if lines else "")

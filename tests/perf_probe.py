@@ -25,7 +25,7 @@ set; and ``large``, 100k nodes and 1M records of which 19,900 form a
 200-node clique of weight 3.  Each is solved ``EXACT_REPEATS`` times; the
 probe reports the median seconds of the solve, of its float prune
 (``prune_seconds``, ``exact._bulk_peel`` plus ``exact._float_core``) and
-of its warm start (``start_seconds``, ``exact._density_start``), the
+of its warm start (``start_seconds``, ``exact._warm_start``), the
 number of minimum cuts in one solve, the node count of the exact program
 that solve built (``program_nodes``, after the float prune), the answer's
 size and density, and the probe's peak RSS.
@@ -67,7 +67,8 @@ the benchmark's ratio-search inputs: ``SEARCH_NODES`` nodes with
 regimes: ``mixed`` (rt = 0.25, each negative weight at most 1/32 of its
 positive one, in steps of 1/64, so the first steps are minimum cuts) and
 ``peel`` (rt = 1, a fifth of the positive weights zeroed and negative
-weights 0-2, so every step peels).  Each search runs ``SEARCH_REPEATS``
+weights 0-2, so every step peels), plus one mixed graph of
+``SEARCH_LARGE`` nodes (1M records).  Each search runs ``SEARCH_REPEATS``
 times; the probe reports the median seconds, the routes and cut count of
 the trace, and the answer's size, objective value and ``exact`` flag, so
 two trees can be checked for equal answers.
@@ -150,6 +151,7 @@ SMALL_SWEEP_MULTIPLIERS = (2, 3, 7)
 SMALL_SWEEP_REPEATS = 9
 
 SEARCH_NODES = (200, 2_000, 10_000)
+SEARCH_LARGE = 100_000  # mixed regime only: one peel-regime search there takes seconds
 SEARCH_PER_NODE, SEARCH_CORE = 10, 24
 SEARCH_REGIMES = {"mixed": (0.25, 1 / 32), "peel": (1.0, 0.0)}  # name: risk tolerance, most negative/positive
 SEARCH_REPEATS = 5
@@ -178,23 +180,23 @@ def exact_spans():
 
     ``program_nodes`` is the node count of the exact program, after the float
     prune; ``prune_seconds`` the seconds of ``_bulk_peel`` and ``_float_core``,
-    the float prune; ``start_seconds`` the seconds of ``_density_start``, the
+    the float prune; ``start_seconds`` the seconds of ``_warm_start``, the
     warm start; ``cut_seconds`` the seconds of each minimum cut
     (``_max_density_side``: q-core, network build and max flow).  Clear the
     dict before each solve.
     """
     spans: dict = {}
-    names = ("_density_program", "_density_start", "_max_density_side", "_bulk_peel", "_float_core")
+    names = ("_ratio_program", "_warm_start", "_max_density_side", "_bulk_peel", "_float_core")
     originals = {name: getattr(negdsd.exact, name) for name in names}
 
     def program(*args):
-        built = originals["_density_program"](*args)
-        spans["program_nodes"] = built[0].n
+        built = originals["_ratio_program"](*args)
+        spans["program_nodes"] = built.n
         return built
 
     def start(*args):
         started = time.perf_counter()
-        answer = originals["_density_start"](*args)
+        answer = originals["_warm_start"](*args)
         spans["start_seconds"] = time.perf_counter() - started
         return answer
 
@@ -399,7 +401,9 @@ def search_graph(nodes: int, neg_ratio: float) -> SignedGraph:
 
 def search_stats() -> list:
     rows = []
-    for nodes, (regime, (rt, neg_ratio)) in itertools.product(SEARCH_NODES, SEARCH_REGIMES.items()):
+    cases = [*itertools.product(SEARCH_NODES, SEARCH_REGIMES.items())]
+    cases.append((SEARCH_LARGE, ("mixed", SEARCH_REGIMES["mixed"])))
+    for nodes, (regime, (rt, neg_ratio)) in cases:
         graph = search_graph(nodes, neg_ratio)
         params = ObjectiveParams(1.0, 1.0, rt)
         seconds = []

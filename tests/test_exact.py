@@ -37,14 +37,14 @@ from negdsd.exact import (
     DecisionOutcome,
     _bulk_peel,
     _degrees,
-    _density_floor,
-    _density_program,
-    _density_start,
     _dinkelbach,
     _float_core,
     _max_density_side,
+    _objective_floor,
     _q_core,
+    _q_max,
     _ratio_program,
+    _warm_start,
 )
 
 from conftest import (
@@ -65,6 +65,20 @@ def weighted(n: int, records) -> SignedGraph:
 
 def net_weights(graph: SignedGraph) -> np.ndarray:
     return graph.wpos - graph.wneg
+
+
+DENSITY = ObjectiveParams(0, 1)  # exact_dsd's objective: P = net weights, R = 0
+
+
+def full_program(graph: SignedGraph, p: np.ndarray, r: np.ndarray, params: ObjectiveParams = DENSITY):
+    """The front end's program of the whole graph (no float prune), with its q_max."""
+    rt = params.risk_tolerance
+    return _ratio_program(graph.n, graph.u, graph.v, p, r, params.lambda1, params.lambda2, rt, _q_max(p, r, rt))
+
+
+def density_program(graph: SignedGraph):
+    weights = net_weights(graph)
+    return full_program(graph, weights, np.zeros_like(weights))
 
 
 def unit_triangle() -> SignedGraph:
@@ -351,8 +365,9 @@ class TestRatioProgram:
             u = [rng.randrange(4) for _ in p_values]
             v = [a if rng.random() < 0.2 else rng.randrange(4) for a in u]  # loops and parallel pairs
             for lambda1, lambda2, r_factor in self.PARAMS:
+                q_max = _q_max(p_values, r_values, r_factor)
                 program = _ratio_program(
-                    4, np.array(u), np.array(v), p_values, r_values, lambda1, lambda2, r_factor
+                    4, np.array(u), np.array(v), p_values, r_values, lambda1, lambda2, r_factor, q_max
                 )
                 got = (
                     program.p.tolist(), program.r.tolist(), program.deg_p, program.deg_r,
@@ -376,7 +391,7 @@ class TestRatioProgram:
                 v = np.array([a if rng.random() < 0.25 else rng.randrange(n) for a in u.tolist()], dtype=np.int64)
                 p_values = np.array([rng.choice((0.0, 0.5, 3.0, 0.1)) for _ in range(m)])
                 r_values = np.array([rng.choice((0.0, 0.25, 1 / 3)) for _ in range(m)])
-            program = _ratio_program(n, u, v, p_values, r_values, 1, 1, rng.choice((1.0, 0.3)))
+            program = _ratio_program(n, u, v, p_values, r_values, 1, 1, rng.choice((1.0, 0.3)), math.inf)
             for got, weights in ((program.deg_p, program.p), (program.deg_r, program.r)):
                 expected = np.zeros(n, dtype=object)
                 np.add.at(expected, np.concatenate([u, v]), np.concatenate([weights, weights]))
@@ -386,9 +401,59 @@ class TestRatioProgram:
     def test_no_edges(self):
         empty = np.zeros(0)
         ids = empty.astype(np.int64)
-        program = _ratio_program(2, ids, ids, empty, empty, 0.5, 0.25, 0.3)
+        program = _ratio_program(2, ids, ids, empty, empty, 0.5, 0.25, 0.3, _q_max(empty, empty, 0.3))
         assert Fraction(program.l1, program.l2) == 2 and program.q_max == math.inf
         assert program.deg_p == program.deg_r == [0, 0]
+
+
+def exact_q_max(p_values, r_values, r_factor) -> Fraction | float:
+    """min P_e / (r_factor * R_e) over R_e > 0 in Fractions, edge by edge."""
+    factor = Fraction(*map(int, Fraction(r_factor).as_integer_ratio()))
+    return min((Fraction(p) / (factor * Fraction(r)) for p, r in zip(p_values, r_values) if r > 0), default=math.inf)
+
+
+class TestQMax:
+    def check(self, p, r, r_factor=1.0):
+        p, r = np.array(p, dtype=np.float64), np.array(r, dtype=np.float64)
+        got = _q_max(p, r, r_factor)
+        assert got == exact_q_max(p.tolist(), r.tolist(), r_factor)
+        if got != math.inf:
+            assert type(got.numerator) is int and type(got.denominator) is int
+        return got
+
+    def test_float_ties_are_compared_exactly(self):
+        # the two quotients round to one float, and 9/37 is less than the other
+        p, r = [9.0, 9.000000000000002], [37.0, 37.00000000000001]
+        assert p[0] / r[0] == p[1] / r[1] and Fraction(p[1]) / Fraction(r[1]) > Fraction(9, 37)
+        assert self.check(p, r) == self.check(p[::-1], r[::-1]) == Fraction(9, 37)
+        assert self.check([2.0, 1.0, 4.0] * 50, [6.0, 3.0, 12.0] * 50) == Fraction(1, 3)  # many tied edges
+
+    def test_zero_weights(self):
+        assert self.check([0.0, 1.0, -0.0], [1.0, 1.0, 0.5]) == 0
+        assert self.check([1.0, 2.0], [0.0, -0.0]) == math.inf  # no R_e > 0
+        assert self.check([], []) == math.inf
+
+    def test_subnormal_and_overflowing_quotients(self):
+        # both quotients overflow to inf in float64; the exact minimum is the second
+        assert self.check([1.0, 1e300], [5e-324, 1e-10]) == Fraction(1e300) / Fraction(1e-10)
+        assert self.check([5e-324, 2.5e-310], [2.0, 5e-324]) == Fraction(5e-324) / 2  # underflows to 0.0
+        assert self.check([1.7e308, 3.0], [1e-300, 5e-324], 0.25) == Fraction(3.0) / Fraction(5e-324) * 4
+
+    def test_integer_risk_tolerances(self):
+        for r_factor in (np.int64(3), 3, np.int32(7), 2**60):
+            assert self.check([1.0, 2.0], [3.0, 1.0], r_factor) == Fraction(1, 3 * int(r_factor))
+
+    def test_random_columns(self):
+        rng = random.Random(229)
+        pool = [0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1 / 3, 0.5, 1.0, 2.0, 3.0, 1e300, 1.7e308]
+        for _ in range(1500):
+            m = rng.randint(0, 10)
+            p, r = [rng.choice(pool) for _ in range(m)], [rng.choice(pool) for _ in range(m)]
+            if m and rng.random() < 0.5:  # a halved copy: an equal quotient, unless a half rounds
+                k = rng.randrange(m)
+                p.append(p[k] / 2)
+                r.append(r[k] / 2)
+            self.check(p, r, rng.choice((1.0, 0.25, 0.1, 3.0, np.int64(2), 5e-324)))
 
 
 class TestDensityStart:
@@ -411,8 +476,11 @@ class TestDensityStart:
                 inside = set(nodes)
                 return Fraction(sum(w for u, v, w in records if u in inside and v in inside)) / len(inside)
 
-            program, weights = _density_program(graph, net_weights(graph))
-            start = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
+            weights = net_weights(graph)
+            program = density_program(graph)
+            bulk, _, _ = _bulk_peel(graph.n, graph.u, graph.v, weights)
+            start, q = _warm_start(program, weights, 0 * weights, bulk, DENSITY)
+            assert q == program.value(start)
             sequence = naive_peel(build_signed_graph([(u, v, w, 0.0) for u, v, w in records], n=n), 1.0)
             assert start
             assert value(start) >= max(value(sequence[n - size :]) for size in range(1, n + 1))
@@ -420,9 +488,10 @@ class TestDensityStart:
 
 def full_program_exact_dsd(graph: SignedGraph) -> DsdResult:
     """exact_dsd's steps over the program of the whole graph, with no float prune."""
-    program, weights = _density_program(graph, net_weights(graph))
-    start = _density_start(program, weights, _bulk_peel(graph.n, graph.u, graph.v, weights)[0])
-    best, _, _, _ = _dinkelbach(program, start)
+    weights = net_weights(graph)
+    program = density_program(graph)
+    bulk, _, _ = _bulk_peel(graph.n, graph.u, graph.v, weights)
+    best, _, _, _ = _dinkelbach(program, *_warm_start(program, weights, 0 * weights, bulk, DENSITY))
     nodes = frozenset(best)
     w_float = _sequential_sum(weights[_induced_edges(graph, nodes)])
     return DsdResult(nodes, w_float / len(nodes), w_float, 0.0, True, "exact_dsd")
@@ -430,7 +499,7 @@ def full_program_exact_dsd(graph: SignedGraph) -> DsdResult:
 
 def full_program_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
     """dsd_decision's cut over the program of the whole graph, with no float prune."""
-    witness = _max_density_side(_density_program(graph, net_weights(graph))[0], Fraction(g))
+    witness = _max_density_side(density_program(graph), Fraction(g))
     return DecisionOutcome(True, frozenset(witness)) if witness else DecisionOutcome(False, None)
 
 
@@ -460,7 +529,7 @@ class TestFloatPrune:
         for _ in range(400):
             graph = prune_prone_graph(rng)
             weights = net_weights(graph)
-            program, _ = _density_program(graph, weights)
+            program = density_program(graph)
             for x in rng.sample(range(graph.n), min(3, graph.n)):
                 q = Fraction(program.deg_p[x], program.l2)  # exactly x's degree
                 if not q:
@@ -474,14 +543,14 @@ class TestFloatPrune:
                 pruned += len(kept) < graph.n
         assert pruned > 300  # the rounds had work to do
 
-    def test_density_floor_is_a_lower_bound(self):
+    def test_floor_of_a_density_is_a_lower_bound(self):
         rng = random.Random(131)
         for _ in range(400):
             graph = prune_prone_graph(rng)
             nodes = frozenset(rng.sample(range(graph.n), rng.randint(1, graph.n)))
             induced = _induced_edges(graph, nodes)
             exact = sum(map(Fraction, net_weights(graph)[induced].tolist()), Fraction(0)) / len(nodes)
-            floor = _density_floor(net_weights(graph)[induced], len(nodes))
+            floor = _objective_floor(net_weights(graph)[induced], np.zeros(0), len(nodes), DENSITY)
             assert Fraction(floor) <= exact
 
     def test_bulk_round_keeps_its_induced_weights(self):
@@ -504,7 +573,8 @@ class TestFloatPrune:
             bulk, bulk_weights, degrees = _bulk_peel(graph.n, graph.u, graph.v, weights)
             ends = np.stack([graph.u, graph.v], axis=1).ravel()  # summed afresh, in another order
             summed = np.bincount(ends, np.repeat(weights, 2), graph.n)
-            for q_lo in (_density_floor(bulk_weights, len(bulk)), *rng.sample(degrees.tolist(), min(2, graph.n))):
+            floor = _objective_floor(bulk_weights, np.zeros(0), len(bulk), DENSITY)
+            for q_lo in (floor, *rng.sample(degrees.tolist(), min(2, graph.n))):
                 kept = _float_core(graph, weights, q_lo, bulk, degrees)
                 assert np.array_equal(kept, _float_core(graph, weights, q_lo, bulk, summed))
                 pruned += len(kept) < graph.n
@@ -542,7 +612,7 @@ class TestFloatPrune:
         for _ in range(300):
             graph = prune_prone_graph(rng)
             assert solved(exact_dsd, graph) == solved(full_program_exact_dsd, graph)
-            program, _ = _density_program(graph, net_weights(graph))
+            program = density_program(graph)
             degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
             for g in (0.0, 1.0, 3.5, exact_dsd(graph).net_density, *degrees):
                 assert solved(dsd_decision, graph, g) == solved(full_program_decision, graph, g)
@@ -576,6 +646,35 @@ class TestFloatPrune:
         # best_prefix (the permutation check and two weight columns).  A
         # longer tail adds none.
         assert counts == [11, 11]
+
+    def test_objective_floor_is_a_lower_bound(self):
+        rng = random.Random(233)
+        for _ in range(400):
+            graph = prune_prone_graph(rng)
+            nodes = frozenset(rng.sample(range(graph.n), rng.randint(1, graph.n)))
+            induced = _induced_edges(graph, nodes)
+            p, r = graph.wpos[induced], np.abs(net_weights(graph))[induced]
+            pool = (0.5, 1e-300, 3, 1e10, np.int64(2))
+            params = ObjectiveParams(rng.choice((0, *pool)), rng.choice(pool), rng.choice(pool))
+            l1, l2, rt = (
+                Fraction(*map(int, Fraction(x).as_integer_ratio()))
+                for x in (params.lambda1, params.lambda2, params.risk_tolerance)
+            )
+            p_total, r_total = (sum(map(Fraction, w.tolist()), Fraction(0)) for w in (p, r))
+            exact = (p_total + l1 * len(nodes)) / (rt * r_total + l2 * len(nodes))
+            assert Fraction(_objective_floor(p, r, len(nodes), params)) <= exact
+
+    def test_probe_spans_wrap_the_solver_steps(self):
+        # tests/perf_probe.py --exact times exact_dsd's helpers by name, so a rename fails here too
+        import perf_probe
+
+        edges = [(u, v, 1.0) for u, v in itertools.combinations(range(8), 2)]
+        graph = weighted(61, edges + [(u, u + 1, 1.0) for u in range(8, 60)])
+        with perf_probe.exact_spans() as spans:
+            result = exact_dsd(graph)
+        assert sorted(spans) == ["cut_seconds", "program_nodes", "prune_seconds", "start_seconds"]
+        assert spans["program_nodes"] < graph.n and len(spans["cut_seconds"]) == 1
+        assert result.nodes == frozenset(range(8)) and negdsd.exact._warm_start is _warm_start  # restored
 
 
 def networkx_max_density_side(program, q: Fraction) -> list[int]:
@@ -631,7 +730,7 @@ class TestArrayNetwork:
             graph = prune_prone_graph(rng)
             got, expected = self.both(monkeypatch, exact_dsd, graph)
             assert got == expected
-            program, _ = _density_program(graph, net_weights(graph))
+            program = density_program(graph)
             degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
             for g in (0.0, 1.0, 3.5, *degrees):
                 got, expected = self.both(monkeypatch, dsd_decision, graph, g)
@@ -782,11 +881,19 @@ class TestBinarySearch:
         result, _ = binary_search_objective(g, ObjectiveParams(lambda1=np.int64(1)))
         assert result.nodes == frozenset({1, 2})
 
+    def test_numpy_float32_parameters_scale_exactly(self):
+        g = build_signed_graph([(0, 1, 2.0, 0.5), (1, 2, 1.0, 0.0), (2, 3, 1.0, 3.0)])
+        params = ObjectiveParams(np.float32(0.5), np.float32(1.5), np.float32(0.25))
+        result, trace = binary_search_objective(g, params)
+        expected, expected_trace = binary_search_objective(g, ObjectiveParams(0.5, 1.5, 0.25))  # the same values
+        assert (result.nodes, trace.lo_history) == (expected.nodes, expected_trace.lo_history)
+        assert trace.routes == expected_trace.routes
+
 
 def whole_set_search(graph: SignedGraph, params: ObjectiveParams) -> tuple[DsdResult, list[Fraction], list[str]]:
     """The search's result with the driver started from the whole node set, its q history and its routes."""
     rt = params.risk_tolerance
-    program = _ratio_program(graph.n, graph.u, graph.v, graph.wpos, graph.wneg, params.lambda1, params.lambda2, rt)
+    program = full_program(graph, graph.wpos, graph.wneg, params)
 
     def peel(q):
         return c_sweep(tilde_weights(graph, float(q), rt), DEFAULT_C_LIST, PeelScoring()).nodes
@@ -872,13 +979,40 @@ class TestWarmStart:
         assert driver_starts == [[0, 1, 2]]  # the peel's best prefix is the whole triangle
         assert result.nodes == frozenset({0, 1, 2}) and trace.lo_history == [2.0, 2.0]
 
-    def test_planted_set_is_certified_by_one_cut(self, driver_starts):
+    def test_planted_set_is_certified_by_one_cut(self, driver_starts, monkeypatch):
         rng = random.Random(227)
         raw = [(u, v, 1.0, 1 / 32) for u, v in (rng.sample(range(40), 2) for _ in range(60))]
         raw += [(u, v, 4.0, 0.0) for u, v in itertools.combinations(range(40, 48), 2)]
         graph = build_signed_graph(raw, n=48)
         params = ObjectiveParams(1, 1, 0.25)
+        kept = []  # the ids of the pruned program's nodes: program node i is graph node kept[0][i]
+        prune = negdsd.exact._float_core
+        monkeypatch.setattr(negdsd.exact, "_float_core", lambda *args: kept.append(prune(*args)) or kept[0])
         result, trace = binary_search_objective(graph, params)
         assert result.nodes == frozenset(range(40, 48)) and result.exact
-        assert driver_starts == [list(range(40, 48))] and trace.routes == ["flow"]
+        assert [kept[0][start].tolist() for start in driver_starts] == [list(range(40, 48))]
+        assert trace.routes == ["flow"]
         assert repr(result) == repr(whole_set_search(graph, params)[0])
+
+    def test_pruned_searches_match_the_whole_program(self, monkeypatch):
+        programs = []  # node count of each program a search builds
+        build = negdsd.exact._ratio_program
+        monkeypatch.setattr(negdsd.exact, "_ratio_program", lambda n, *args: programs.append(n) or build(n, *args))
+        rng = random.Random(239)
+        pruned = 0
+        for _ in range(40):
+            n = rng.randint(10, 60)
+            planted = rng.sample(range(n), rng.randint(5, 9))
+            raw = [(u, v, 4.0, 0.0) for u, v in itertools.combinations(planted, 2)]
+            for _ in range(n):
+                u, v = rng.sample(range(n), 2)
+                wpos = float(rng.randint(1, 4))
+                raw.append((u, v, wpos, wpos * rng.choice((0.0, 1 / 64, 1 / 32, 1 / 8))))
+            graph = build_signed_graph(raw, n=n)
+            for l1, rt in itertools.product((0, 0.5, 1), (0.1, 0.25, 1)):
+                params = ObjectiveParams(l1, 1, rt)
+                del programs[:]
+                result, _ = binary_search_objective(graph, params)
+                assert repr(result) == repr(whole_set_search(graph, params)[0])
+                pruned += programs[0] < n
+        assert pruned > 100, pruned

@@ -21,7 +21,7 @@ from negdsd import (
 )
 from negdsd.cli import run
 from negdsd.core import EdgeColumns
-from negdsd.errors import NegativeMagnitudeError, OutOfRangeError, ParseError, UnknownNodeError
+from negdsd.errors import BadParametersError, NegativeMagnitudeError, OutOfRangeError, ParseError, UnknownNodeError
 from negdsd.io import (
     decode,
     format_signed,
@@ -146,6 +146,39 @@ class TestParsing:
                 for u, v, wpos, wneg in rebuilt.rows()
             }
             assert original == relabeled
+
+    @staticmethod
+    def path():
+        return build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 2.0, 0.5)])
+
+    def test_labels_round_trip(self):
+        text = format_signed(self.path(), ["a", "b\x00", "\u00e9"])
+        assert text == "a b\x00 1.0 0.0\nb\x00 \u00e9 2.0 0.5\n"
+        edges, labels = parse_signed(text)
+        assert labels == ["a", "b\x00", "\u00e9"] and edges.u.tolist() == [0, 1] and edges.v.tolist() == [1, 2]
+
+    def test_duplicate_labels_rejected(self):
+        # written, ["a", "a", "d"] would turn edge (0, 1) into a loop on "a"
+        with pytest.raises(BadParametersError, match="distinct"):
+            format_signed(self.path(), ["a", "a", "d"])
+
+    def test_labels_with_whitespace_rejected(self):
+        for label in ("b c", "b\tc", "b\n", " b", "b\u2003c"):
+            with pytest.raises(BadParametersError, match="whitespace"):
+                format_signed(self.path(), ["a", label, "d"])
+
+    def test_labels_with_a_comment_sign_rejected(self):
+        with pytest.raises(BadParametersError, match="'#'"):
+            format_signed(self.path(), ["a", "b#1", "d"])
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(BadParametersError, match="nonempty"):
+            format_signed(self.path(), ["a", "", "d"])
+
+    def test_label_count_must_equal_node_count(self):
+        for labels in (["a", "b"], ["a", "b", "c", "d"]):
+            with pytest.raises(BadParametersError, match="need 3 distinct labels"):
+                format_signed(self.path(), labels)
 
 
 def run_cli(capsys, *argv):
