@@ -82,11 +82,11 @@ class SignedGraph:
         """Wrap collapsed columns: ``u <= v``, at most one edge per pair."""
         self.n = n
         self.u, self.v, self.wpos, self.wneg = u, v, wpos, wneg
+        self.total_pos, self.total_neg = _check_total_weight(wpos), _check_total_weight(wneg)
+        _check_arc_keys(n, 2 * u.shape[0] - int(np.count_nonzero(u == v)))  # before anything n long
         ends = np.stack([u, v], axis=1).ravel()  # loops appear twice, counting twice
         self.deg_pos = _bincount(ends, np.repeat(wpos, 2), n)
         self.deg_neg = _bincount(ends, np.repeat(wneg, 2), n)
-        self.total_pos, self.total_neg = _check_total_weight(wpos), _check_total_weight(wneg)
-        _check_arc_keys(n, 2 * u.shape[0] - int(np.count_nonzero(u == v)))
         for array in (u, v, wpos, wneg, self.deg_pos, self.deg_neg):
             array.flags.writeable = False
         self._index = None
@@ -601,7 +601,9 @@ def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> 
     This converts the question "is the objective >= q somewhere" into a plain
     density threshold on the returned graph, whose ``wpos`` holds the values
     >= 0 (-0.0 too) and ``wneg`` the magnitudes of the others.  When its
-    ``total_neg`` is 0 the query can be answered exactly by max-flow.
+    ``total_neg`` is 0 the query can be answered exactly by max-flow.  A
+    pair with ``wneg`` zero forms no product, so an infinite
+    ``q*risk_tolerance`` leaves it; an infinite magnitude raises.
     """
     for name, value in (("q", q), ("risk_tolerance", risk_tolerance)):
         if not _is_finite_real(value):
@@ -610,6 +612,10 @@ def tilde_weights(graph: SignedGraph, q: float, risk_tolerance: float = 1.0) -> 
         raise BadParametersError(f"query value must be >= 0, got {q}")
     if risk_tolerance <= 0:
         raise BadParametersError(f"risk_tolerance must be > 0, got {risk_tolerance}")
-    net = graph.wpos - q * risk_tolerance * graph.wneg
+    scale = q * risk_tolerance
+    penalty = math.copysign(0.0, scale) * graph.wneg  # a zero wneg's product, signed as with a finite scale
+    with np.errstate(over="ignore"):  # an infinite magnitude is rejected by the SignedGraph
+        np.multiply(scale, graph.wneg, out=penalty, where=graph.wneg != 0)
+    net = graph.wpos - penalty
     positive = net >= 0
     return SignedGraph(graph.n, graph.u, graph.v, np.where(positive, net, 0.0), np.where(positive, 0.0, -net))

@@ -9,18 +9,18 @@ q = a/b to the objective of its witness, and looks for a set with
 N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
 
 * ``flow`` route, while q <= q_max = min P_e/R_e: every reweighted edge
-  b*P_e - a*R_e is nonnegative (Goldberg's 1984 case), so one minimum cut
-  answers the step exactly.  The source feeds each node its reweighted
-  degree, each node pays 2*(a*l2 - b*l1) to the sink, each edge is one arc
-  pair of its reweighted weight both ways; the largest source side is the
-  witness, and a cut that finds nothing better certifies q as optimal.
-  The network is built from the program's edge columns in numpy, with the
-  flow of every s -> i -> t path pushed already, and solved by
-  :class:`~negdsd.flow.Dinic` on flat arc arrays.  Before the cut, the
-  graph shrinks to its q-core: nodes are dropped while their reweighted
-  degree among the survivors is below a*l2 - b*l1, the cost of keeping
-  them.  No node of the largest maximizer is ever dropped (see
-  ``_max_density_side``), so the cut on the core has the same answer.
+  w_e = b*P_e - a*R_e is nonnegative (Goldberg's 1984 case), so one minimum
+  cut answers the step exactly.  Each cut forms the column w once, from the
+  program's edge columns, and reads both its q-core and its network from
+  it.  The q-core drops nodes while their degree among the survivors is
+  below a*l2 - b*l1, the cost of keeping them (the arcs are listed only
+  when one starts below it); no node of the largest maximizer is ever
+  dropped (see ``_max_density_side``).  On the core, the source feeds each
+  node its degree, each node pays 2*(a*l2 - b*l1) to the sink, and each
+  edge is one arc pair of weight w_e both ways, with the flow of every
+  s -> i -> t path pushed already; :class:`~negdsd.flow.Dinic` solves it.
+  The largest source side is the witness, and a cut that finds nothing
+  better certifies q as optimal.
 * ``peel`` route, past that point: the multi-``c`` peeling sweep on the
   reweighted graph.  Its "nothing better" is no certificate, so the search
   then ends flagged inexact.
@@ -94,7 +94,7 @@ _BULK_EPSILON = 0.1
 # whole-graph degree pass each.
 _PRUNE_STOP_FRACTION = 1 / 8
 
-_Peel = Callable[[Fraction], Iterable[int]] | None  # proposes a set for a step past q_max
+_Peel = Callable[[Fraction], Iterable[int] | None] | None  # proposes a set for a step past q_max, or None
 _DENSITY = ObjectiveParams(0, 1)  # density: (P + 0*|S|) / (R + 1*|S|) with R = 0
 
 
@@ -166,13 +166,12 @@ def _exact_column(values: np.ndarray) -> tuple[int, Callable[[int], np.ndarray]]
 
 @dataclass(frozen=True, slots=True)
 class _RatioProgram:
-    """The objective on one integer scale.
+    """The objective on one integer scale: its edge columns and size terms.
 
     Edge e joins ``u[e]`` and ``v[e]`` (int64 columns) with P_e = ``p[e]``
-    and R_e = ``r[e]``, Python ints of any size in object arrays.  The arcs
-    of node x are positions ``indptr[x]:indptr[x+1]`` of ``neighbor``,
-    ``arc_p`` and ``arc_r``, a loop once, as Python lists: the q-core walks
-    them in exact arithmetic.
+    and R_e = ``r[e]``, Python ints of any size in object arrays.  A step at
+    q = a/b reweights them to one column b*P - a*R (``_max_density_side``),
+    from which the q-core and the network are both taken.
     """
 
     n: int
@@ -180,12 +179,6 @@ class _RatioProgram:
     v: np.ndarray
     p: np.ndarray
     r: np.ndarray
-    indptr: list[int]
-    neighbor: list[int]
-    arc_p: list[int]
-    arc_r: list[int]
-    deg_p: list[int]  # loops counted twice
-    deg_r: list[int]
     l1: int
     l2: int
     q_max: Fraction | float  # min P_e/R_e over R_e > 0: flow steps stay exact up to it
@@ -232,15 +225,7 @@ def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor, q_ma
     p = p_scaled(scale)
     r = r_scaled(scale // f_den) * f_num
     l1, l2 = l1_num * (scale // l1_den), l2_num * (scale // l2_den)
-    indptr, neighbor, edge_id = _csr(n, u, v)
-    arcs = indptr.tolist(), neighbor.tolist(), p[edge_id].tolist(), r[edge_id].tolist()
-    loops = u == v  # a loop has one arc and counts twice
-    degrees = []
-    for arc_w, weights in zip(arcs[2:], (p, r)):
-        degree = np.array([sum(arc_w[a:b]) for a, b in zip(arcs[0], arcs[0][1:])], dtype=object)
-        np.add.at(degree, u[loops], weights[loops])
-        degrees.append(degree.tolist())
-    return _RatioProgram(n, u, v, p, r, *arcs, *degrees, l1, l2, q_max)
+    return _RatioProgram(n, u, v, p, r, l1, l2, q_max)
 
 
 def _induced_columns(
@@ -255,26 +240,30 @@ def _induced_columns(
     return label[u[keep]], label[v[keep]], keep
 
 
-def _q_core(program: _RatioProgram, a: int, b: int, cost: int) -> tuple[list[int], list[int]]:
-    """Nodes left after repeatedly dropping those whose reweighted degree is below ``cost``.
-
-    Returns the survivors and a list holding each survivor's reweighted
-    degree b*P - a*R within them (loops counted twice).
+def _q_core(program: _RatioProgram, w: np.ndarray, cost: int) -> tuple[list[int], list[int]]:
+    """Survivors of repeatedly dropping the nodes of degree below ``cost`` over edges
+    weighing ``w`` (a column b*P - a*R >= 0), and a list of each one's degree within
+    them, loops counted twice.  The arcs are listed only when some node starts below.
     """
-    degree = [b * p - a * r for p, r in zip(program.deg_p, program.deg_r)]
+    n, degree = program.n, np.zeros(program.n, dtype=object)
+    np.add.at(degree, program.u, w)
+    np.add.at(degree, program.v, w)
+    degree = degree.tolist()
     alive = [d >= cost for d in degree]
-    stack = [u for u in range(program.n) if not alive[u]]
-    indptr, neighbor, arc_p, arc_r = program.indptr, program.neighbor, program.arc_p, program.arc_r
+    stack = [x for x in range(n) if not alive[x]]
+    if stack:
+        indptr, neighbor, edge_id = _csr(n, program.u, program.v)
+        indptr, neighbor, arc_w = indptr.tolist(), neighbor.tolist(), w[edge_id].tolist()
     while stack:
-        u = stack.pop()
-        for i in range(indptr[u], indptr[u + 1]):
-            v = neighbor[i]
-            if alive[v]:
-                degree[v] -= b * arc_p[i] - a * arc_r[i]
-                if degree[v] < cost:
-                    alive[v] = False
-                    stack.append(v)
-    return [u for u in range(program.n) if alive[u]], degree
+        x = stack.pop()
+        for i in range(indptr[x], indptr[x + 1]):
+            y = neighbor[i]
+            if alive[y]:
+                degree[y] -= arc_w[i]
+                if degree[y] < cost:
+                    alive[y] = False
+                    stack.append(y)
+    return [x for x in range(n) if alive[x]], degree
 
 
 def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
@@ -290,12 +279,12 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     every node gains by joining, its sink arcs have capacity 0, and all
     nodes are returned.
 
-    The network is built from the columns ``u``, ``v``, ``p`` and ``r``
-    with no loop over edges: the core is relabeled through one label
-    array, and each non-loop edge of positive reweighted weight w inside it
-    becomes one arc pair of capacity w both ways (object arrays, so w stays
-    an exact int).  Each node's sink arc comes first among its arcs, then
-    its source arc, then its edges.  min(supply, drain) is pushed along
+    The edges are reweighted once, to the column w = b*P - a*R (an object
+    array, so each w_e stays an exact int), which the q-core and the
+    network both read, with no loop over edges: the core is relabeled
+    through one label array, and each non-loop edge of positive weight w_e
+    inside it becomes one arc pair of capacity w_e both ways.  Each node's
+    sink arc comes first among its arcs, then its source arc, then its edges.  min(supply, drain) is pushed along
     every s -> i -> t path before the solver starts, which does the work of
     Dinic's first phase.  The witness is the complement of the residual
     sink side, the same set for every maximum flow, so neither the arc
@@ -303,12 +292,13 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     """
     a, b = q.numerator, q.denominator
     cost = a * program.l2 - b * program.l1
-    core, degree = _q_core(program, a, b, cost)
+    w = b * program.p - a * program.r
+    core, degree = _q_core(program, w, cost)
     k = len(core)
     source, sink = k, k + 1
     nodes = np.arange(k)
     u, v, keep = _induced_columns(program.n, program.u, program.v, core)
-    w = b * program.p[keep] - a * program.r[keep]
+    w = w[keep]
     edge = (w > 0) & (u != v)  # loops act through degrees only
     supply = np.array([degree[x] for x in core], dtype=object)
     drain = max(2 * cost, 0)
@@ -398,7 +388,7 @@ def _warm_start(
     if q > program.q_max:  # the driver stops at once; the q-core may be empty
         return bulk, q
     a, b = q.numerator, q.denominator
-    nodes, _ = _q_core(program, a, b, a * program.l2 - b * program.l1)
+    nodes, _ = _q_core(program, b * program.p - a * program.r, a * program.l2 - b * program.l1)
     u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
     graph = SignedGraph(len(nodes), u, v, p[keep], r[keep])
     scoring = peeling.PeelScoring("objective", params)
@@ -414,8 +404,8 @@ def _dinkelbach(
     """Return (witness, exact, q at the start and after each step, routes).
 
     ``start`` is a nonempty set whose value is the first q; ``peel(q)``
-    proposes a set for steps past ``q_max``, and with no ``peel`` the driver
-    stops, inexact, at the first such step; ``q``, when given, is the first q.
+    proposes a set, or None, for steps past ``q_max``; with neither the driver
+    stops there, inexact.  ``q``, when given, is the first q.
     """
     best = start
     q = program.value(best) if q is None else q
@@ -427,7 +417,7 @@ def _dinkelbach(
         if route == "peel" and peel is None:
             return best, False, history, routes
         side = _max_density_side(program, q) if route == "flow" else peel(q)
-        value = program.value(side)
+        value = q if side is None else program.value(side)
         history.append(max(value, q))
         if value <= q:
             if route == "flow":
@@ -605,8 +595,8 @@ def binary_search_objective(graph: SignedGraph, params: ObjectiveParams) -> tupl
 
     This is the front end's program with P = wpos and R = rt*wneg.  Steps are
     exact minimum cuts while q <= min wpos/(rt*wneg); past it they reweight
-    with :func:`tilde_weights` and peel, and the result is flagged inexact.
-    The driver runs on the float-pruned program first and starts over from
+    with :func:`tilde_weights` and peel (or end, if that overflows a float),
+    and the result is flagged inexact.  The driver runs on the float-pruned program first and starts over from
     the whole node set if a step passes q_max, so the answer is always the
     whole set's start's, in fewer and smaller cuts.  The returned set is a
     real witness re-scored under the true objective, so it never
@@ -618,8 +608,11 @@ def binary_search_objective(graph: SignedGraph, params: ObjectiveParams) -> tupl
     upper = _check_objective_range(graph, params)
     rt = params.risk_tolerance
 
-    def peel(q: Fraction) -> frozenset[int]:
-        reweighted = tilde_weights(graph, float(q), rt)
+    def peel(q: Fraction) -> frozenset[int] | None:
+        try:
+            reweighted = tilde_weights(graph, float(q), rt)
+        except BadParametersError:  # a reweighted magnitude, or their total, beyond the float range
+            return None  # every set that induces such a pair is worth at most q: the search ends here
         return peeling.c_sweep(reweighted, peeling.DEFAULT_C_LIST, peeling.PeelScoring()).nodes
 
     nodes, _, exact, history, routes = _maximize(graph, graph.wpos, graph.wneg, params, peel)

@@ -109,6 +109,10 @@ class TestBuild:
         with pytest.raises(error, match=message):
             build([(0, 1, 1.0, 0.0), (2**64, 0, 1.0, 0.0)], n=n)
 
+    def test_arc_key_checked_before_any_n_long_array(self):
+        with pytest.raises(TooLargeError, match="overflow the 64-bit sort key"):
+            build_signed_graph([(0, 1, 1.0, 0.0)], n=2**62)
+
     def test_collapse_idempotent(self):
         rng = random.Random(7)
         raw = [
@@ -433,6 +437,29 @@ class TestTildeWeights:
             warnings.simplefilter("error")  # raised at the boundary, before numpy sees the value
             with pytest.raises(BadParametersError, match=f"^{name} must be finite"):
                 tilde_weights(triangle(), **args)
+
+    def test_infinite_scale_forms_no_product_with_a_zero_wneg(self):
+        # q * risk_tolerance is inf: the pair with wneg = 0 keeps its value
+        # (inf * 0 would be NaN), and only the magnitude that overflows is rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParametersError, match="total edge weight inf is too large"):
+                tilde_weights(build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.5)]), 1e300, 1e10)
+            zeros = build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 0.0, -0.0), (2, 2, -0.0, 0.0)])
+            assert repr(list(tilde_weights(zeros, 1e300, 1e10).rows())) == repr(
+                [(0, 1, 1.0, 0.0), (1, 2, 0.0, 0.0), (2, 2, -0.0, 0.0)]
+            )
+
+    def test_columns_match_the_plain_product(self):
+        # with no overflow, every value equals wpos - q*rt*wneg to the sign of a zero
+        values = [0.0, -0.0, 0.5, 1 / 3, 5e-324, 1.0, 3.0]
+        records = [(0, i + 1, a, b) for i, (a, b) in enumerate(itertools.product(values, repeat=2))]
+        g = build_signed_graph(records)
+        for q, rt in itertools.product((0.0, -0.0, 2.5, 1e-300, 7.0), (1.0, 0.3, 5e-324)):
+            net = g.wpos - q * rt * g.wneg
+            reweighted = tilde_weights(g, q, rt)
+            assert repr(reweighted.wpos.tolist()) == repr(np.where(net >= 0, net, 0.0).tolist())
+            assert repr(reweighted.wneg.tolist()) == repr(np.where(net >= 0, 0.0, -net).tolist())
 
     def test_net_weighted_rows(self):
         g = build_signed_graph([(0, 1, 3, 1), (1, 1, 0.5, 0), (2, 0, 0, 1)])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import networkx as nx
@@ -274,17 +275,19 @@ class TestExactDsd:
         # the bulk peel finds the planted set B: the start's peel and the one cut both take the q-core at B's value
         edges = [(u, v, 1.0) for u, v in itertools.combinations(range(8), 2)]
         edges += [(u, u + 1, 1.0) for u in range(8, 60)]
-        cores = []
+        at_bulk_value = []
         original = negdsd.exact._q_core
 
-        def record(program, a, b, cost):
-            cores.append(Fraction(a, b))
-            return original(program, a, b, cost)
+        def record(program, w, cost):
+            a, b = 7, 2  # q = 28/8 reweights the edges to b*P - a*R at cost a*l2 - b*l1
+            expected = (b * program.p - a * program.r).tolist(), a * program.l2 - b * program.l1
+            at_bulk_value.append((w.tolist(), cost) == expected)
+            return original(program, w, cost)
 
         monkeypatch.setattr(negdsd.exact, "_q_core", record)
         result = exact_dsd(weighted(61, edges))
         assert result.nodes == frozenset(range(8))
-        assert cores == [Fraction(28, 8)] * 2
+        assert at_bulk_value == [True] * 2
 
     def test_validation(self):
         with pytest.raises(EmptySetError):
@@ -331,8 +334,8 @@ class TestExactDsd:
                 assert repr(dsd_decision(graph, q)) == repr(dsd_decision(net, q))
 
 
-def reference_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor):
-    """(P, R, degrees of P and R, l1, l2, q_max) scaled weight by weight with as_integer_ratio and lcm."""
+def reference_program(u, v, p_values, r_values, lambda1, lambda2, r_factor):
+    """(P, R, l1, l2, q_max) scaled weight by weight with as_integer_ratio and lcm."""
     ratio = lambda x: tuple(map(int, Fraction(x).as_integer_ratio()))  # noqa: E731
     (f_num, f_den), (l1_num, l1_den), (l2_num, l2_den) = ratio(r_factor), ratio(lambda1), ratio(lambda2)
     p_ratio = [ratio(x) for x in p_values]
@@ -340,13 +343,17 @@ def reference_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor):
     scale = math.lcm(l1_den, l2_den, *{d for _, d in p_ratio}, *{d * f_den for _, d in r_ratio})
     p = [a * (scale // d) for a, d in p_ratio]
     r = [a * f_num * (scale // (d * f_den)) for a, d in r_ratio]
-    deg_p, deg_r = [0] * n, [0] * n
-    for a, b, p_e, r_e in zip(u, v, p, r):
-        for end in (a, b):
-            deg_p[end] += p_e
-            deg_r[end] += r_e
     q_max = min((Fraction(p_e, r_e) for p_e, r_e in zip(p, r) if r_e), default=math.inf)
-    return p, r, deg_p, deg_r, l1_num * (scale // l1_den), l2_num * (scale // l2_den), q_max
+    return p, r, l1_num * (scale // l1_den), l2_num * (scale // l2_den), q_max
+
+
+def column_degrees(program, w: np.ndarray) -> list[int]:
+    """Each node's degree over the program's edges weighing ``w``, edge by edge, a loop counted twice."""
+    degree = [0] * program.n
+    for x, y, w_e in zip(program.u.tolist(), program.v.tolist(), w.tolist()):
+        degree[x] += w_e
+        degree[y] += w_e
+    return degree
 
 
 class TestRatioProgram:
@@ -369,16 +376,13 @@ class TestRatioProgram:
                 program = _ratio_program(
                     4, np.array(u), np.array(v), p_values, r_values, lambda1, lambda2, r_factor, q_max
                 )
-                got = (
-                    program.p.tolist(), program.r.tolist(), program.deg_p, program.deg_r,
-                    program.l1, program.l2, program.q_max,
-                )
-                expected = reference_program(4, u, v, p_values, r_values, lambda1, lambda2, r_factor)
+                got = program.p.tolist(), program.r.tolist(), program.l1, program.l2, program.q_max
+                expected = reference_program(u, v, p_values, r_values, lambda1, lambda2, r_factor)
                 assert got == expected
-                assert all(type(x) is int for x in got[0] + got[1] + got[2] + got[3])
+                assert all(type(x) is int for x in got[0] + got[1])
 
     def test_degrees_equal_an_add_at_over_both_ends(self):
-        # the program sums its degrees over its arc lists, a loop's one arc added twice
+        # with no node below the cost, the q-core's degrees are each column's sums over both ends
         rng = random.Random(211)
         for i in range(300):
             if i % 2:
@@ -392,10 +396,11 @@ class TestRatioProgram:
                 p_values = np.array([rng.choice((0.0, 0.5, 3.0, 0.1)) for _ in range(m)])
                 r_values = np.array([rng.choice((0.0, 0.25, 1 / 3)) for _ in range(m)])
             program = _ratio_program(n, u, v, p_values, r_values, 1, 1, rng.choice((1.0, 0.3)), math.inf)
-            for got, weights in ((program.deg_p, program.p), (program.deg_r, program.r)):
+            for weights in (program.p, program.r):
+                core, got = _q_core(program, weights, 0)
                 expected = np.zeros(n, dtype=object)
                 np.add.at(expected, np.concatenate([u, v]), np.concatenate([weights, weights]))
-                assert got == expected.tolist()
+                assert core == list(range(n)) and got == expected.tolist()
                 assert all(type(x) is int for x in got)
 
     def test_no_edges(self):
@@ -403,7 +408,80 @@ class TestRatioProgram:
         ids = empty.astype(np.int64)
         program = _ratio_program(2, ids, ids, empty, empty, 0.5, 0.25, 0.3, _q_max(empty, empty, 0.3))
         assert Fraction(program.l1, program.l2) == 2 and program.q_max == math.inf
-        assert program.deg_p == program.deg_r == [0, 0]
+        assert _q_core(program, program.p, 0) == _q_core(program, program.r, 0) == ([0, 1], [0, 0])
+
+
+def naive_q_core(graph: SignedGraph, params: ObjectiveParams, q: Fraction) -> tuple[list[int], dict]:
+    """The q-core in Fractions over ``graph.rows()``: nodes are dropped while their degree of
+    wpos - q*rt*wneg among the survivors is below q*l2 - l1; returns them and their degrees."""
+    l1, l2, rt = (Fraction(x) for x in (params.lambda1, params.lambda2, params.risk_tolerance))
+    alive = set(range(graph.n))
+    while True:
+        degree = dict.fromkeys(alive, Fraction(0))
+        for x, y, wpos, wneg in graph.rows():
+            if x in alive and y in alive:
+                w = Fraction(wpos) - q * rt * Fraction(wneg)
+                degree[x] += w
+                degree[y] += w
+        low = {x for x in alive if degree[x] < q * l2 - l1}
+        if not low:
+            return sorted(alive), degree
+        alive -= low
+
+
+class TestQCore:
+    def test_matches_a_fraction_fixpoint_over_the_rows(self):
+        rng = random.Random(307)
+        pool = (0.0, -0.0, 0.25, 0.5, 1.0, 1 / 3, 3.0, 5e-324)
+        cases = {"none": 0, "some": 0, "all": 0}  # how many nodes each q-core dropped
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            records = []
+            for _ in range(rng.randint(0, 4 * n)):
+                x, y = rng.randrange(n), rng.randrange(n)
+                y = x if rng.random() < 0.2 else y  # loops
+                r = rng.choice(pool) if rng.random() < 0.6 else 0.0
+                records.append((min(x, y), max(x, y), rng.choice(pool), r))
+            if records and rng.random() < 0.5:
+                records += rng.choices(records, k=rng.randint(1, len(records)))  # parallel records
+            u, v = (np.array([record[i] for record in records], dtype=np.int64) for i in (0, 1))
+            p, r = (np.array([record[i] for record in records], dtype=np.float64) for i in (2, 3))
+            graph = SignedGraph(n, u, v, p, r)  # uncollapsed: rows() yields every record
+            params = ObjectiveParams(rng.choice((0, 0.5, 1.0)), rng.choice((0.5, 1.0, 3.0)), rng.choice((1.0, 0.3)))
+            q_max = _q_max(p, r, params.risk_tolerance)
+            program = _ratio_program(n, u, v, p, r, params.lambda1, params.lambda2, params.risk_tolerance, q_max)
+            scale = Fraction(program.l2) / Fraction(params.lambda2)
+            qs = [Fraction(0), *(Fraction(rng.randint(1, 40), rng.choice((1, 3, 8))) for _ in range(2))]
+            qs.append(Fraction(10**6) if q_max == math.inf else q_max)
+            for q in (q for q in qs if q <= q_max):  # every reweighted edge >= 0
+                a, b = q.numerator, q.denominator
+                core, degree = _q_core(program, b * program.p - a * program.r, a * program.l2 - b * program.l1)
+                expected, expected_degree = naive_q_core(graph, params, q)
+                assert core == expected
+                assert [Fraction(degree[x], b) for x in core] == [expected_degree[x] * scale for x in core]
+                cases["none" if len(core) == n else "some" if core else "all"] += 1
+        assert min(cases.values()) > 50, cases
+
+    def test_arcs_are_listed_only_when_a_node_drops(self, monkeypatch):
+        import perf_probe
+
+        calls = []
+        original = negdsd.exact._csr
+        monkeypatch.setattr(negdsd.exact, "_csr", lambda *args: calls.append(args) or original(*args))
+        # every step of the probe's peel-regime search peels, so its program is never walked
+        result, trace = binary_search_objective(perf_probe.search_graph(200, 0.0), ObjectiveParams(1.0, 1.0, 1.0))
+        assert trace.routes == ["peel"] * trace.iterations and not result.exact
+        assert calls == []
+        # the prune keeps the clique alone, and the start's q-core and the cut's keep all of it
+        edges = [(x, y, 1.0) for x, y in itertools.combinations(range(8), 2)]
+        graph = weighted(61, edges + [(x, x + 1, 1.0) for x in range(8, 60)])
+        with perf_probe.exact_spans() as spans:
+            assert exact_dsd(graph).nodes == frozenset(range(8))
+        assert spans["program_nodes"] == 8 and len(spans["cut_seconds"]) == 1
+        assert calls == []
+        program = density_program(graph)
+        core, _ = _q_core(program, program.p, 2 * program.l2)  # the path's ends have degree 1
+        assert core == list(range(8)) and len(calls) == 1
 
 
 def exact_q_max(p_values, r_values, r_factor) -> Fraction | float:
@@ -530,14 +608,15 @@ class TestFloatPrune:
             graph = prune_prone_graph(rng)
             weights = net_weights(graph)
             program = density_program(graph)
+            degrees = column_degrees(program, program.p)
             for x in rng.sample(range(graph.n), min(3, graph.n)):
-                q = Fraction(program.deg_p[x], program.l2)  # exactly x's degree
+                q = Fraction(degrees[x], program.l2)  # exactly x's degree
                 if not q:
                     continue
                 q_lo = float(q)
                 if Fraction(q_lo) > q:
                     q_lo = math.nextafter(q_lo, 0.0)
-                core, _ = _q_core(program, q.numerator, q.denominator, q.numerator * program.l2)
+                core, _ = _q_core(program, q.denominator * program.p, q.numerator * program.l2)
                 kept = _float_core(graph, weights, q_lo, [], _degrees(graph.n, graph.u, graph.v, weights))
                 assert set(core) <= set(kept.tolist())
                 pruned += len(kept) < graph.n
@@ -613,7 +692,8 @@ class TestFloatPrune:
             graph = prune_prone_graph(rng)
             assert solved(exact_dsd, graph) == solved(full_program_exact_dsd, graph)
             program = density_program(graph)
-            degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
+            sample = rng.sample(column_degrees(program, program.p), min(2, graph.n))
+            degrees = [float(Fraction(d, program.l2)) for d in sample]
             for g in (0.0, 1.0, 3.5, exact_dsd(graph).net_density, *degrees):
                 assert solved(dsd_decision, graph, g) == solved(full_program_decision, graph, g)
 
@@ -641,11 +721,12 @@ class TestFloatPrune:
             assert graph._index is None  # the exact solver never builds the input's CSR
         # Fixed calls, none per path node: two bulk-peel rounds of two (one
         # per end column), none for the prune's one round (it takes the bulk
-        # peel's first-round degrees), the program's CSR; the start's
-        # SignedGraph (two degree columns and its CSR, read by the peel) and
-        # best_prefix (the permutation check and two weight columns).  A
-        # longer tail adds none.
-        assert counts == [11, 11]
+        # peel's first-round degrees), the CSR of the start's q-core and of
+        # the cut's (both drop the path the prune stopped early on); the
+        # start's SignedGraph (two degree columns and its CSR, read by the
+        # peel) and best_prefix (the permutation check and two weight
+        # columns).  A longer tail adds none.
+        assert counts == [12, 12]
 
     def test_objective_floor_is_a_lower_bound(self):
         rng = random.Random(233)
@@ -695,9 +776,9 @@ def networkx_max_density_side(program, q: Fraction) -> list[int]:
         previous = network.get_edge_data(x, y, {"capacity": 0})["capacity"]
         network.add_edge(x, y, capacity=previous + capacity)
 
-    for x, (p, r) in enumerate(zip(program.deg_p, program.deg_r)):
-        if b * p - a * r > 0:
-            add(source, x, b * p - a * r)
+    for x, degree in enumerate(column_degrees(program, b * program.p - a * program.r)):
+        if degree > 0:
+            add(source, x, degree)
         if cost > 0:
             add(x, sink, 2 * cost)
     for x, y, p, r in zip(program.u.tolist(), program.v.tolist(), program.p.tolist(), program.r.tolist()):
@@ -731,7 +812,8 @@ class TestArrayNetwork:
             got, expected = self.both(monkeypatch, exact_dsd, graph)
             assert got == expected
             program = density_program(graph)
-            degrees = [float(Fraction(d, program.l2)) for d in rng.sample(program.deg_p, min(2, graph.n))]
+            sample = rng.sample(column_degrees(program, program.p), min(2, graph.n))
+            degrees = [float(Fraction(d, program.l2)) for d in sample]
             for g in (0.0, 1.0, 3.5, *degrees):
                 got, expected = self.both(monkeypatch, dsd_decision, graph, g)
                 assert got == expected
@@ -812,6 +894,18 @@ def corollary_regime_graph(rng: random.Random, params: ObjectiveParams, unit: fl
 
 
 class TestBinarySearch:
+    def test_overflowing_reweighting_ends_the_search(self):
+        # the second peel step's q * rt is beyond the float range: the search
+        # ends there, inexact, on the set its first step found
+        graph = build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.5), (0, 2, 2.0, 0.0)])
+        params = ObjectiveParams(1, 1e-300, 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, trace = binary_search_objective(graph, params)
+        assert result.nodes == brute_force(graph, params).nodes == frozenset({0, 2})
+        assert not result.exact and trace.routes == ["peel", "peel"]
+        assert trace.lo_history[1:] == [pytest.approx(result.f_value)] * 2
+
     def test_degenerates_to_plain_dsp_without_negatives(self):
         rng = random.Random(61)
         params = ObjectiveParams(lambda1=0, lambda2=1, risk_tolerance=1)

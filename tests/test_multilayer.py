@@ -104,6 +104,10 @@ class TestApplyExclusion:
         with pytest.raises(TooLargeError, match=f"got {2**40}"):
             apply_exclusion(wide, ExclusionQuery.soft(set(), 1))
 
+    def test_arc_key_checked_before_any_n_long_array(self):
+        with pytest.raises(TooLargeError, match="overflow the 64-bit sort key"):
+            apply_exclusion(build_multilayer_graph([(0, 1, "a")], n=2**62), ExclusionQuery.soft({"a"}, 1))
+
     def test_records_must_have_three_items(self):
         with pytest.raises(BadParametersError, match="edges must be"):
             build_multilayer_graph([(0, 1, "x"), (1, 2)])
