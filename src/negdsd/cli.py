@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .core import ObjectiveParams, build_signed_graph
 from .errors import BadParametersError, NegativeWeightError, NegDsdError, ParseError
@@ -156,17 +156,9 @@ def _params(args) -> ObjectiveParams:
 
 
 def _result_payload(result, labels: list[str]) -> dict:
-    return {
-        "algorithm": result.algorithm,
-        "nodes": [labels[v] for v in sorted(result.nodes)],
-        "size": result.size,
-        "net_density": result.net_density,
-        "wpos_total": result.wpos_total,
-        "wneg_total": result.wneg_total,
-        "f_value": result.f_value,
-        "exact": result.exact,
-        "c_used": result.c_used,
-    }
+    """Every field of a :class:`~negdsd.core.DsdResult`, its nodes named by their labels, and its size."""
+    payload = {field.name: getattr(result, field.name) for field in fields(result)}
+    return {**payload, "nodes": [labels[v] for v in sorted(result.nodes)], "size": result.size}
 
 
 def _emit(payload: dict, started: float) -> int:
@@ -226,11 +218,7 @@ def _cmd_risk(args) -> int:
     result = c_sweep(uncertain, args.c_list, PeelScoring(mode="objective", params=_params(args)))
     report = risk_profile(uncertain, result.nodes)
     payload = _result_payload(result, labels)
-    payload["risk"] = {
-        "avg_expected_reward": report.avg_expected_reward,
-        "avg_risk": report.avg_risk,
-        "size": report.size,
-    }
+    payload["risk"] = asdict(report)
     return _emit(payload, args.started)
 
 

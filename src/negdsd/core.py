@@ -99,7 +99,8 @@ class SignedGraph:
     def _arc_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbor, edge_id), built on first read; threads that race store equal arrays."""
         if self._index is None:
-            index = _csr(self.n, self.u, self.v)
+            indptr, neighbor, arc = _csr(self.n, self.u, self.v)
+            index = (indptr, neighbor, arc // 2)
             for array in index:
                 array.flags.writeable = False
             self._index = index
@@ -136,22 +137,25 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 
 def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, neighbor, edge_id) of the arcs of edges (u[e], v[e]) over nodes 0..n-1.
+    """(indptr, neighbor, arc) of the arcs of edges (u[e], v[e]) over nodes 0..n-1.
 
-    Each node's arcs are in edge order; a loop has one arc.
+    ``arc`` is each arc's position in the ends ``u[0], v[0], u[1], v[1], ...``:
+    2e from ``u[e]``, 2e + 1 from ``v[e]``.  Each node's arcs are in that
+    order; a loop has one arc.  It indexes a graph, the exact q-core and
+    each cut network.
     """
     m = u.shape[0]
     keep = np.ones(2 * m, dtype=bool)
     keep[1::2] = u != v
     tail = np.stack([u, v], axis=1).ravel()[keep]
     head = np.stack([v, u], axis=1).ravel()[keep]
-    arcs = tail.shape[0]  # the key fits: SignedGraph checks it, and exact programs are its subgraphs
-    # distinct keys, ordered by node and then by edge: a fast unstable sort will do
+    arcs = tail.shape[0]
+    # SignedGraph and Dinic check that the key fits (exact programs are a graph's
+    # subgraphs); the keys are distinct, so a fast unstable sort will do
     order = np.argsort(tail * arcs + np.arange(arcs))
-    edge = np.flatnonzero(keep) // 2
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    return indptr, head[order], edge[order]
+    return indptr, head[order], np.flatnonzero(keep)[order]
 
 
 def _check_arc_keys(n: int, arcs: int) -> None:
@@ -223,8 +227,8 @@ class LayerColumns:
     :func:`~negdsd.multilayer.build_multilayer_graph` takes it in place of an
     iterable of records.  ``len`` is the number of records; iterating yields
     them as (u, v, name) tuples.  The columns are checked and cast to int64
-    as :class:`EdgeColumns`' are, and every code must be in
-    ``range(len(names))``.
+    as :class:`EdgeColumns`' are, every code must be in
+    ``range(len(names))``, and the names must be distinct and hashable.
     """
 
     __slots__ = ("u", "v", "layer", "names")
@@ -236,12 +240,28 @@ class LayerColumns:
         self.names = names
         if self.layer.shape[0] and not 0 <= self.layer.min() <= self.layer.max() < len(names):
             raise BadParametersError(f"LayerColumns.layer codes must be in range({len(names)}) of the names")
+        with contextlib.suppress(TypeError):  # a name that is not hashable
+            if len(set(names)) == len(names):
+                return
+        raise BadParametersError(f"LayerColumns.names must be distinct hashable names, got {names!r}")
 
     def __len__(self) -> int:
         return self.u.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, int, Hashable]]:
         return _layer_rows(self.u, self.v, self.layer, self.names)
+
+
+class _Codes(dict):
+    """Token -> dense code, in order of first appearance: reading a new token gives it the next code."""
+
+    def __missing__(self, token: Hashable) -> int:
+        code = self[token] = len(self)
+        return code
+
+    def code(self, tokens: list) -> np.ndarray:
+        """The codes of ``tokens`` as an int64 array; ``TypeError`` when one is not hashable."""
+        return np.fromiter(map(self.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 def _layer_rows(u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple) -> Iterator[tuple[int, int, Hashable]]:

@@ -252,8 +252,8 @@ def _q_core(program: _RatioProgram, w: np.ndarray, cost: int) -> tuple[list[int]
     alive = [d >= cost for d in degree]
     stack = [x for x in range(n) if not alive[x]]
     if stack:
-        indptr, neighbor, edge_id = _csr(n, program.u, program.v)
-        indptr, neighbor, arc_w = indptr.tolist(), neighbor.tolist(), w[edge_id].tolist()
+        indptr, neighbor, arc = _csr(n, program.u, program.v)
+        indptr, neighbor, arc_w = indptr.tolist(), neighbor.tolist(), w[arc // 2].tolist()
     while stack:
         x = stack.pop()
         for i in range(indptr[x], indptr[x + 1]):

@@ -4,9 +4,9 @@ A network is handed over whole, as arc pairs: pair k joins ``tail[k]`` and
 ``head[k]`` with residual capacity ``cap[k]`` forward and ``back[k]``
 backward (0 for a plain directed arc, w both ways for an undirected edge
 of weight w, and the flow already pushed for an arc that carries some).
-One stable argsort on the tails puts the arcs in CSR order: the arcs of
-node x are positions ``start[x]:start[x+1]``, in the order of their pairs,
-arc e runs to ``to[e]``, and ``rev[e]`` is its partner.
+Loop pairs carry no flow and are dropped; :func:`~negdsd.core._csr` indexes
+the other arcs: those of node x are ``start[x]:start[x+1]``, by pair and
+forward first, arc e runs to ``to[e]``, and ``rev[e]`` is its partner.
 
 There is one capacity path.  Capacities are Python ints in one list, so
 arbitrarily large scaled weights are exact, and a numpy bool mask records
@@ -24,6 +24,8 @@ extract the largest optimal witness.
 from __future__ import annotations
 
 import numpy as np
+
+from .core import _check_arc_keys, _csr
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
@@ -45,15 +47,15 @@ class Dinic:
         hold nonnegative Python ints of any size, or are numpy integer arrays.
         """
         tail, head = np.asarray(tail, dtype=np.int64), np.asarray(head, dtype=np.int64)
-        ends = np.stack([tail, head], axis=1).ravel()  # arc 2k is pair k forward, 2k+1 backward
-        order = np.argsort(ends, kind="stable")
-        position = np.empty_like(order)
-        position[order] = np.arange(order.shape[0])
-        caps = np.stack([np.asarray(cap, dtype=object), np.asarray(back, dtype=object)], axis=1).ravel()[order]
+        pair = tail != head  # a loop pair carries no flow
+        tail, head = tail[pair], head[pair]
+        _check_arc_keys(n, 2 * tail.shape[0])  # before anything n long
+        self.start, self.to, arc = _csr(n, tail, head)  # arc 2k is pair k forward, 2k+1 backward
+        position = np.empty_like(arc)
+        position[arc] = np.arange(arc.shape[0])
+        caps = np.stack([np.asarray(cap, dtype=object), np.asarray(back, dtype=object)], axis=1)[pair].ravel()[arc]
         self.n = n
-        self.to = np.stack([head, tail], axis=1).ravel()[order]
-        self.rev = position[order ^ 1]
-        self.start = np.searchsorted(ends[order], np.arange(n + 1))
+        self.rev = position[arc ^ 1]
         self.cap: list[int] = caps.tolist()
         self.open = caps > 0
 

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .core import DsdResult, SignedGraph, _is_finite_real, build_signed_graph, induced_weights
+from .core import DsdResult, SignedGraph, _is_finite_real, build_signed_graph
 from .errors import BadParametersError
 from .exact import exact_dsd
 
@@ -129,12 +129,4 @@ def shift_baseline(graph: SignedGraph) -> DsdResult:
     shift = -lowest if lowest < 0 else 0.0
     shifted = nets + shift
     solved = exact_dsd(SignedGraph(graph.n, graph.u, graph.v, shifted, np.zeros_like(shifted)))
-    wpos, wneg, density = induced_weights(graph, solved.nodes)
-    return DsdResult(
-        nodes=solved.nodes,
-        net_density=density,
-        wpos_total=wpos,
-        wneg_total=wneg,
-        exact=solved.exact if shift == 0.0 else False,
-        algorithm="shift_baseline",
-    )
+    return DsdResult.evaluate(graph, solved.nodes, "shift_baseline", exact=solved.exact and shift == 0.0)

@@ -18,7 +18,8 @@ Parsing is one tokenizer for every format.  Plain text (ASCII, with no
 ``#`` and no control character but tab and newline) is cut at line breaks
 into chunks of about a million characters, each split with ``str.split``;
 the field count of each line is checked in numpy over the chunk's bytes,
-labels are mapped with one dict, numbers are converted by Python's
+labels and layer names are coded by one :class:`~negdsd.core._Codes` each,
+numbers are converted by Python's
 ``float`` (so exactly the tokens and values a line-by-line parse accepts),
 and ranges are checked as columns.  Any other text, and plain text that
 fails a check, is walked line by line, which parses it or raises
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 import codecs
 import math
-from itertools import count
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import EdgeColumns, LayerColumns, SignedGraph
+from .core import EdgeColumns, LayerColumns, SignedGraph, _Codes
 from .errors import BadParametersError, ParseError
 
 
@@ -102,24 +102,6 @@ _MOMENTS = _Format((4,), ("expected reward", "risk"), ((_nonnegative, lambda a, 
 _LAYERED = _Format((3,))
 
 
-class _Codes:
-    """Dense int64 codes of tokens added in batches, in order of first appearance."""
-
-    def __init__(self):
-        self.seen: dict[str, int] = {}  # token -> position of its first appearance
-        self._first: list[np.ndarray] = []  # that position for each token added
-        self._added = 0
-
-    def add(self, tokens: list[str]) -> None:
-        first = map(self.seen.setdefault, tokens, count(self._added))
-        self._first.append(np.fromiter(first, dtype=np.int64, count=len(tokens)))
-        self._added += len(tokens)
-
-    def codes(self) -> np.ndarray:
-        first = np.concatenate([np.zeros(0, dtype=np.int64), *self._first])
-        return (np.cumsum(first == np.arange(first.shape[0])) - 1)[first]
-
-
 class _Columns:
     """A file's records, added a batch of lines at a time: end labels (``u0, v0,
     u1, v1, ...``) and layer names as codes, and one float column per number."""
@@ -127,20 +109,29 @@ class _Columns:
     def __init__(self, fmt: _Format):
         self.format = fmt
         self.labels, self.names = _Codes(), _Codes()
-        self._numbers: list[list[np.ndarray]] = [[] for _ in fmt.numbers]
+        empty = np.zeros(0, dtype=np.int64)
+        self._ends, self._layers = [empty], [empty]  # the codes of each batch
+        self._numbers = [[np.zeros(0)] for _ in fmt.numbers]
 
     def add(self, ends: list[str], numbers: Iterable[np.ndarray], names: list[str]) -> None:
-        self.labels.add(ends)
-        self.names.add(names)
+        self._ends.append(self.labels.code(ends))
+        self._layers.append(self.names.code(names))
         for column, values in zip(self._numbers, numbers):
             column.append(values)
 
     def numbers(self) -> list[np.ndarray]:
-        return [np.concatenate([np.zeros(0), *column]) for column in self._numbers]
+        return [np.concatenate(column) for column in self._numbers]
 
-    def edges(self, a: np.ndarray, b: np.ndarray) -> tuple[EdgeColumns, list[str]]:
-        ids = self.labels.codes()
-        return EdgeColumns(ids[0::2], ids[1::2], a, b), list(self.labels.seen)
+    def edges(self, *numbers: np.ndarray) -> tuple[EdgeColumns, list[str]]:
+        """The records, ``a`` and ``b`` the numbers given or else the file's."""
+        return EdgeColumns(*self._ids(), *(numbers or self.numbers())), list(self.labels)
+
+    def layers(self) -> tuple[LayerColumns, list[str]]:
+        return LayerColumns(*self._ids(), np.concatenate(self._layers), tuple(self.names)), list(self.labels)
+
+    def _ids(self) -> tuple[np.ndarray, np.ndarray]:
+        ends = np.concatenate(self._ends)
+        return ends[0::2], ends[1::2]
 
 
 def _parse(text: str, formats: tuple[_Format, ...]) -> _Columns:
@@ -296,22 +287,17 @@ def parse_signed(text: str) -> tuple[EdgeColumns, list[str]]:
 
 def parse_bernoulli(text: str) -> tuple[EdgeColumns, list[str]]:
     """Parse "u v p w" on/off edges (``a`` = p, ``b`` = w); a 3-column "u v p" line defaults w to 1."""
-    columns = _parse(text, (_BERNOULLI,))
-    return columns.edges(*columns.numbers())
+    return _parse(text, (_BERNOULLI,)).edges()
 
 
 def parse_moments(text: str) -> tuple[EdgeColumns, list[str]]:
     """Parse "u v mu sigma2" moment edges (``a`` = mu, ``b`` = sigma2)."""
-    columns = _parse(text, (_MOMENTS,))
-    return columns.edges(*columns.numbers())
+    return _parse(text, (_MOMENTS,)).edges()
 
 
 def parse_multilayer(text: str) -> tuple[LayerColumns, list[str]]:
     """Parse "u v layer" multigraph edges; layer names are arbitrary strings."""
-    columns = _parse(text, (_LAYERED,))
-    ids = columns.labels.codes()
-    layers = LayerColumns(ids[0::2], ids[1::2], columns.names.codes(), tuple(columns.names.seen))
-    return layers, list(columns.labels.seen)
+    return _parse(text, (_LAYERED,)).layers()
 
 
 def format_signed(graph: SignedGraph, labels: list[str] | None = None) -> str:

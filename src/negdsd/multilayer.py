@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     LayerColumns,
     SignedGraph,
+    _Codes,
     _check_ids,
     _check_node_set,
     _collapse_columns,
@@ -65,6 +66,7 @@ def build_multilayer_graph(
     """A :class:`MultilayerGraph` of raw (u, v, layer) records, ids and ``n``
     checked with the errors of :func:`~negdsd.core.build_signed_graph`.
 
+    A layer name that is not hashable is a :class:`BadParametersError`.
     :class:`LayerColumns` become the graph's columns as they are, with no copy.
     """
     if isinstance(raw_edges, LayerColumns):
@@ -76,9 +78,16 @@ def build_multilayer_graph(
         return MultilayerGraph(n, u, v, raw_edges.layer, raw_edges.names)
     us, vs, labels = _record_columns(list(raw_edges), "(u, v, layer)")
     n, u, v = _id_columns(n, us, vs)
-    codes = {name: code for code, name in enumerate(dict.fromkeys(labels))}
-    layer = np.fromiter(map(codes.__getitem__, labels), dtype=np.int64, count=len(labels))
-    return MultilayerGraph(n, u, v, layer, tuple(codes))
+    names = _Codes()
+    try:
+        layer = names.code(labels)
+    except TypeError:  # a name that is not hashable
+        for record in zip(us, vs, labels):
+            try:
+                hash(record[2])
+            except TypeError:
+                raise BadParametersError(f"layer names must be hashable, got the record {record!r}") from None
+    return MultilayerGraph(n, u, v, layer, tuple(names))
 
 
 @dataclass(frozen=True, slots=True)

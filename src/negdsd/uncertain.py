@@ -101,18 +101,17 @@ def bernoulli_graph(
 ) -> UncertainGraph:
     """Build an uncertain graph from (u, v, p, w) on/off edges, or :class:`~negdsd.core.EdgeColumns` (``a`` = p, ``b`` = w).
 
-    Records become columns as in :func:`~negdsd.core.build_signed_graph`,
-    and the moments are those of :func:`bernoulli_moments`, taken over the
-    columns.  When a probability or reward is out of range, or a moment is
-    not finite, the records are walked in order, so the first bad one
-    raises.
+    Records become columns once, as in :func:`~negdsd.core.build_signed_graph`,
+    and the moments of :func:`bernoulli_moments` are formed as columns and
+    collapsed.  When a probability or reward is out of range, or a moment is
+    not finite, the records are walked in order, so the first bad one raises.
     """
     n, u, v, p, w = _intake(raw_edges, n, _check_bernoulli)
-    if not ((0 < p) & (p <= 1)).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment that is not finite is walked below
+        mu, sigma2 = w * p, w * w * p * (1.0 - p)
+    if not (((0 < p) & (p <= 1)).all() and np.isfinite(mu).all() and np.isfinite(sigma2).all()):
         _check_records(EdgeColumns(u, v, p, w), _check_bernoulli)
-    with np.errstate(over="ignore", invalid="ignore"):  # as with floats, build_uncertain_graph rejects the result
-        moments = EdgeColumns(u, v, w * p, w * w * p * (1.0 - p))
-    return build_uncertain_graph(moments, n=n)
+    return UncertainGraph(*_collapse_columns(n, u, v, mu, sigma2))
 
 
 def _check_bernoulli(u, v, p, w) -> None:

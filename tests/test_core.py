@@ -321,6 +321,12 @@ class TestColumns:
         with pytest.raises(BadParametersError, match=message):
             LayerColumns(int64(0, 1), int64(1, 2), layer, ("a",))
 
+    @pytest.mark.parametrize("names", [("a", "a"), ("a", ["b"]), (1, 1.0)], ids=["repeated", "unhashable", "equal"])
+    def test_layer_names_that_are_not_distinct_and_hashable_rejected(self, names):
+        # a repeated name would count its records under one code only
+        with pytest.raises(BadParametersError, match=r"LayerColumns\.names must be distinct hashable names"):
+            LayerColumns(int64(0, 1, 0), int64(1, 2, 2), int64(0, 1, 1), names)
+
     def test_negative_id_in_layer_columns_rejected(self):
         with pytest.raises(BadParametersError, match=r"node ids must be nonnegative integers, got \(0, -1\)"):
             build_multilayer_graph(LayerColumns(int64(0, 0), int64(1, -1), int64(0, 0), ("a",)))

@@ -723,10 +723,10 @@ class TestFloatPrune:
         # per end column), none for the prune's one round (it takes the bulk
         # peel's first-round degrees), the CSR of the start's q-core and of
         # the cut's (both drop the path the prune stopped early on); the
-        # start's SignedGraph (two degree columns and its CSR, read by the
-        # peel) and best_prefix (the permutation check and two weight
-        # columns).  A longer tail adds none.
-        assert counts == [12, 12]
+        # cut network's CSR; the start's SignedGraph (two degree columns and
+        # its CSR, read by the peel) and best_prefix (the permutation check
+        # and two weight columns).  A longer tail adds none.
+        assert counts == [13, 13]
 
     def test_objective_floor_is_a_lower_bound(self):
         rng = random.Random(233)

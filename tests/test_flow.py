@@ -85,6 +85,21 @@ def test_undirected_pairs(seed):
     check(n, random_pairs(rng, n, 0, n - 1, 10**6, undirected=True), 0, n - 1)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_loop_pairs_carry_no_flow(seed):
+    rng = random.Random(500 + seed)
+    n = rng.randint(30, 120)
+    pairs = random_pairs(rng, n, 0, n - 1, 10**6, undirected=seed % 2 == 1)
+    loops = [(x, x, rng.randint(0, 10**6), rng.randint(0, 10**6)) for x in rng.choices(range(n), k=n // 2)]
+    looped = pairs + loops
+    rng.shuffle(looped)
+    net = Dinic(n, *zip(*looped))
+    assert len(net.to) == 2 * len(pairs)  # the loops are dropped
+    reference = reference_network(n, looped)
+    assert net.max_flow(0, n - 1) == nx.maximum_flow_value(reference, 0, n - 1)
+    assert (net.residual_sink_side(n - 1) == reference_sink_side(reference, 0, n - 1)).all()
+
+
 def test_pairs_that_already_carry_flow():
     # s -> 1 -> t with 3 of 5 units pushed already, and a parallel route s -> 2 -> 1
     pairs = [(0, 1, 2, 3), (1, 3, 1, 3), (0, 2, 4, 0), (2, 1, 4, 0)]

@@ -112,6 +112,12 @@ class TestApplyExclusion:
         with pytest.raises(BadParametersError, match="edges must be"):
             build_multilayer_graph([(0, 1, "x"), (1, 2)])
 
+    def test_unhashable_layer_name_rejected(self):
+        with pytest.raises(BadParametersError, match=re.escape("layer names must be hashable, got the record (0, 1, ['a'])")):
+            build_multilayer_graph([(0, 1, ["a"])])
+        with pytest.raises(BadParametersError, match=re.escape("got the record (1, 2, (3, {}))")):
+            build_multilayer_graph([(0, 1, "a"), (1, 2, (3, {})), (2, 3, ["b"])])
+
     def test_columns(self):
         graph = build_multilayer_graph([(2, 1, "b"), (0, 1, "a"), (2, 1, "b")])
         assert graph.u.tolist() == [2, 0, 2] and graph.v.tolist() == [1, 1, 1]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -279,6 +280,20 @@ class TestBernoulliRecords:
             bernoulli_graph([overflow, probability])
         with pytest.raises(OutOfRangeError, match="probability"):
             bernoulli_graph([probability, overflow])
+
+    @pytest.mark.parametrize("as_columns", [False, True], ids=["records", "columns"])
+    def test_first_bad_of_a_moment_and_a_probability_decides_the_error(self, as_columns):
+        overflow, probability, good = (0, 1, 0.5, 1e300), (1, 2, 2.0, 1.0), (2, 3, 0.5, 1.0)
+
+        def build(records):
+            columns = EdgeColumns(*(np.array(field) for field in zip(*records)))
+            return bernoulli_graph(columns if as_columns else records)
+
+        for records in ([good, overflow, probability], [good, overflow]):
+            with pytest.raises(BadParametersError, match=re.escape("edge (0, 1) has non-finite moments (5e+299, inf)")):
+                build(records)
+        with pytest.raises(OutOfRangeError, match=re.escape("probability must be in (0, 1], got 2.0")):
+            build([good, probability, overflow])
 
     def test_real_number_types_accepted(self):
         records = [(0, 1, Decimal("0.5"), Fraction(2)), (1, 2, np.float32(0.25), True), (0, 1, True, np.int64(3))]
