@@ -572,10 +572,14 @@ def induced_weights(graph: SignedGraph, nodes: Iterable[int]) -> tuple[float, fl
     contribute their weight once.
     """
     node_set = _check_node_set(graph, nodes)
-    induced = _induced_edges(graph, node_set)
+    return _induced_totals(graph, _induced_edges(graph, node_set), len(node_set))
+
+
+def _induced_totals(graph, induced: np.ndarray, size: int) -> tuple[float, float, float]:
+    """(wpos, wneg, net density) of ``size`` nodes inducing the edges of the mask ``induced``, in edge order."""
     wpos = _sequential_sum(graph.wpos[induced])
     wneg = _sequential_sum(graph.wneg[induced])
-    return wpos, wneg, (wpos - wneg) / len(node_set)
+    return wpos, wneg, (wpos - wneg) / size
 
 
 def _induced_edges(graph, node_set: frozenset[int]) -> np.ndarray:

@@ -170,7 +170,7 @@ class _RatioProgram:
 
     Edge e joins ``u[e]`` and ``v[e]`` (int64 columns) with P_e = ``p[e]``
     and R_e = ``r[e]``, Python ints of any size in object arrays.  A step at
-    q = a/b reweights them to one column b*P - a*R (``_max_density_side``),
+    q = a/b reweights them to one column b*P - a*R (``reweighted``),
     from which the q-core and the network are both taken.
     """
 
@@ -182,6 +182,11 @@ class _RatioProgram:
     l1: int
     l2: int
     q_max: Fraction | float  # min P_e/R_e over R_e > 0: flow steps stay exact up to it
+
+    def reweighted(self, q: Fraction) -> tuple[np.ndarray, int]:
+        """(b*P - a*R, a*l2 - b*l1) at q = a/b; no a*R when q_max is inf, as R is then all zero (density)."""
+        a, b = q.numerator, q.denominator
+        return (b * self.p if self.q_max == math.inf else b * self.p - a * self.r), a * self.l2 - b * self.l1
 
     def value(self, nodes: Iterable[int]) -> Fraction:
         members = frozenset(nodes)
@@ -290,9 +295,7 @@ def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
     sink side, the same set for every maximum flow, so neither the arc
     order nor the pre-push can change it.
     """
-    a, b = q.numerator, q.denominator
-    cost = a * program.l2 - b * program.l1
-    w = b * program.p - a * program.r
+    w, cost = program.reweighted(q)
     core, degree = _q_core(program, w, cost)
     k = len(core)
     source, sink = k, k + 1
@@ -387,8 +390,7 @@ def _warm_start(
     q = program.value(bulk)
     if q > program.q_max:  # the driver stops at once; the q-core may be empty
         return bulk, q
-    a, b = q.numerator, q.denominator
-    nodes, _ = _q_core(program, b * program.p - a * program.r, a * program.l2 - b * program.l1)
+    nodes, _ = _q_core(program, *program.reweighted(q))
     u, v, keep = _induced_columns(program.n, program.u, program.v, nodes)
     graph = SignedGraph(len(nodes), u, v, p[keep], r[keep])
     scoring = peeling.PeelScoring("objective", params)

@@ -66,8 +66,9 @@ def build_multilayer_graph(
     """A :class:`MultilayerGraph` of raw (u, v, layer) records, ids and ``n``
     checked with the errors of :func:`~negdsd.core.build_signed_graph`.
 
-    A layer name that is not hashable is a :class:`BadParametersError`.
-    :class:`LayerColumns` become the graph's columns as they are, with no copy.
+    A layer name that is not hashable is a :class:`BadParametersError`; the
+    first bad record, ids before name, decides the error.  :class:`LayerColumns`
+    become the graph's columns as they are, with no copy.
     """
     if isinstance(raw_edges, LayerColumns):
         u, v = raw_edges.u, raw_edges.v
@@ -77,16 +78,17 @@ def build_multilayer_graph(
         n, _ = _column_node_count(n, u, v)
         return MultilayerGraph(n, u, v, raw_edges.layer, raw_edges.names)
     us, vs, labels = _record_columns(list(raw_edges), "(u, v, layer)")
-    n, u, v = _id_columns(n, us, vs)
     names = _Codes()
     try:
         layer = names.code(labels)
-    except TypeError:  # a name that is not hashable
+    except TypeError:  # a name that is not hashable: walk the records in order, ids first
         for record in zip(us, vs, labels):
+            _check_ids(*record[:2])
             try:
                 hash(record[2])
             except TypeError:
                 raise BadParametersError(f"layer names must be hashable, got the record {record!r}") from None
+    n, u, v = _id_columns(n, us, vs)
     return MultilayerGraph(n, u, v, layer, tuple(names))
 
 

@@ -10,8 +10,8 @@ output.  A :class:`PeelOrder`, a removal order and its multiplier, is a
 peel's whole output, and :class:`PeelScoring` says only how its prefixes
 are scored.
 
-Sweeps of small graphs peel their multipliers at once over dense rows of
-pair weights (:func:`_peel_dense`), with the orders of :func:`peel_order`.
+Sweeps of small graphs peel their multipliers at once over dense matrices
+of pair weights (:func:`_peel_dense`), with the orders of :func:`peel_order`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     SignedGraph,
     TIE_TOLERANCE,
     _check_objective_range,
+    _induced_totals,
     _is_finite_real,
     _objective,
 )
@@ -78,11 +79,10 @@ _PEEL_BLOCK = 256
 # runs' spread.
 _COLUMN_PEEL_LOOP_ARCS = 8
 
-# Nodes up to which, and multipliers to peel from which, a sweep peels on
-# _peel_dense.  On BENCH_19.json's grid (2-vCPU VM) a cold c_sweep took
-# 0.41-0.75 times as long as on the column peel with 7 multipliers up to
-# 512 nodes, and 0.67-1.06 with 3 (near parity at 400-512 nodes and 10
-# arcs a node).  2 multipliers lost from 200 nodes, 3 from 640, 7 from 768.
+# Nodes up to which, and multipliers from which, a sweep peels on _peel_dense.
+# On BENCH_30.json's grid (2-vCPU VM) a cold c_sweep took 0.31-0.64 times as
+# long as on the column peel with 7 multipliers up to 512 nodes, 0.45-0.94 with
+# 3 and past 512 nodes 1.07-1.27 with 3 at 10 arcs a node; 2 lost from 400.
 _DENSE_MAX_NODES = 512
 _DENSE_MIN_MULTIPLIERS = 3
 
@@ -261,28 +261,28 @@ def _may_overflow(graph: SignedGraph, c: "float | np.ndarray") -> bool:
 def _peel_dense(graph: SignedGraph, c: np.ndarray, out: np.ndarray) -> None:
     """:func:`peel_order` at each value of the column ``c`` at once, row ``r`` of ``out`` at ``c[r]``.
 
-    Row ``r`` of ``p``, ``q`` and ``score`` is :func:`_peel_columns`' column
-    at ``c[r]``.  Each step removes each row's first node of least score,
-    writes it to that row's column of the ``(k, n)`` int64 array ``out``, and
-    subtracts its row of pair weights (dense: 16 bytes per node pair) from
-    ``p`` and ``q``.  A non-neighbour loses ``0.0``, which leaves a finite
-    value as it is, and the removed node loses ``-inf``, the diagonal of the
-    positive rows, so it keeps ``p = +inf`` from then on; so when no score
-    can overflow (:func:`_may_overflow`, checked by the caller) every order
-    equals the column peel's.
+    Row ``r`` of the contiguous ``(k, n)`` arrays ``p``, ``q`` and ``score``
+    is :func:`_peel_columns`' column at ``c[r]``.  Each step removes each
+    row's first node of least score, writes it to that row's column of the
+    int64 array ``out``, and subtracts the removed nodes' rows of the two
+    ``(n, n)`` weight matrices (16 bytes per node pair) from ``p`` and ``q``.
+    A non-neighbour loses ``0.0``, which leaves a finite value as it is, and
+    the removed node ``-inf``, the positive matrix's diagonal, so it keeps
+    ``p = +inf``; so when no score can overflow (:func:`_may_overflow`,
+    checked by the caller) every order equals the column peel's.
     """
     n, k = graph.n, c.shape[0]
-    weights = np.zeros((n, 2, n))  # weights[v, 0] is v's row of positive weights, weights[v, 1] of negative
-    for column, w in enumerate((graph.wpos, graph.wneg)):
-        weights[graph.u, column, graph.v] = w
-        weights[graph.v, column, graph.u] = w
-    weights[np.arange(n), 0, np.arange(n)] = -math.inf  # a diagonal (loop) is subtracted only as its node leaves
-    pq = np.tile(np.stack([graph.deg_pos, graph.deg_neg]), (k, 1, 1))
-    p, q = pq[:, 0], pq[:, 1]
+    wpos, wneg = np.zeros((n, n)), np.zeros((n, n))
+    for matrix, w in ((wpos, graph.wpos), (wneg, graph.wneg)):
+        matrix[graph.u, graph.v] = matrix[graph.v, graph.u] = w
+    wpos[np.diag_indices(n)] = -math.inf  # a diagonal (loop) is subtracted only as its node leaves
+    p, q = np.tile(graph.deg_pos, (k, 1)), np.tile(graph.deg_neg, (k, 1))
+    c = np.repeat(c, n, axis=1)  # broadcast once, not at every step
     score = c * p - q
     for step in range(n):
         removed = score.argmin(axis=1, out=out[:, step])
-        pq -= weights[removed]
+        p -= wpos.take(removed, axis=0)
+        q -= wneg.take(removed, axis=0)
         np.multiply(c, p, out=score)
         score -= q
 
@@ -298,7 +298,9 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
     of all prefixes are one ``np.bincount`` over ``k`` summed from the last
     position back: O(n + m), and only nonnegative terms are ever added
     (subtracting peeled weights from the totals instead can cancel them to
-    a negative weight and a zero denominator).
+    a negative weight and a zero denominator).  The best prefix of ``s``
+    nodes, whose edges are those with ``k >= n - s``, is re-scored as
+    ``DsdResult.evaluate`` scores it, with the same left-to-right sums.
     """
     n = graph.n
     sequence = np.asarray(order.removal_sequence)
@@ -324,14 +326,9 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
     else:
         values = _objective(wpos, wneg, size, scoring.params)
     best_size = int(np.argmax(values >= values.max() - TIE_TOLERANCE)) + 1
-    return DsdResult.evaluate(
-        graph,
-        sequence[n - best_size :].tolist(),
-        algorithm="peel",
-        exact=False,
-        params=scoring.params,
-        c_used=order.c,
-    )
+    pos, neg, density = _induced_totals(graph, k >= n - best_size, best_size)
+    f_value = _objective(pos, neg, best_size, scoring.params) if scoring.params is not None else None
+    return DsdResult(frozenset(sequence[n - best_size :].tolist()), density, pos, neg, False, "peel", f_value, order.c)
 
 
 def c_sweep(
@@ -351,7 +348,7 @@ def c_sweep(
     distinct multiplier is peeled once, as the equal float (also its
     ``c_used``).  On a graph of at most 512 nodes, 3 or more multipliers to
     peel are peeled together in this process, never forked, with the pair
-    weights held as dense rows (16 bytes per node pair, 4 MB at 512 nodes).
+    weights in two dense matrices (16 bytes per node pair, 4 MB at 512 nodes).
     Otherwise the peels are independent reads of the graph: when arcs times
     multipliers still to peel reach 100,000 they are split over one process
     per usable CPU (at most one per multiplier); the workers are forked from
@@ -370,18 +367,13 @@ def c_sweep(
     for c in c_list:
         _check_c(c)
     c_list = [float(c) for c in c_list]
-    best: DsdResult | None = None
-    best_value = 0.0
-    best_c = 0.0
+    best, best_value = None, 0.0
     for c, sequence in zip(c_list, _peel_orders(graph, c_list)):
         result = best_prefix(graph, PeelOrder(sequence, c), scoring)
         value = result.f_value if scoring.mode == "objective" else result.net_density
-        if (
-            best is None
-            or value > best_value + TIE_TOLERANCE
-            or (value >= best_value - TIE_TOLERANCE and c < best_c)
-        ):
-            best, best_value, best_c = result, value, c
+        tied = value >= best_value - TIE_TOLERANCE
+        if best is None or value > best_value + TIE_TOLERANCE or (tied and c < best.c_used):
+            best, best_value = result, value
     return replace(best, algorithm="c_sweep")
 
 

@@ -454,11 +454,10 @@ class TestQCore:
             qs = [Fraction(0), *(Fraction(rng.randint(1, 40), rng.choice((1, 3, 8))) for _ in range(2))]
             qs.append(Fraction(10**6) if q_max == math.inf else q_max)
             for q in (q for q in qs if q <= q_max):  # every reweighted edge >= 0
-                a, b = q.numerator, q.denominator
-                core, degree = _q_core(program, b * program.p - a * program.r, a * program.l2 - b * program.l1)
+                core, degree = _q_core(program, *program.reweighted(q))
                 expected, expected_degree = naive_q_core(graph, params, q)
                 assert core == expected
-                assert [Fraction(degree[x], b) for x in core] == [expected_degree[x] * scale for x in core]
+                assert [Fraction(degree[x], q.denominator) for x in core] == [expected_degree[x] * scale for x in core]
                 cases["none" if len(core) == n else "some" if core else "all"] += 1
         assert min(cases.values()) > 50, cases
 

@@ -118,6 +118,15 @@ class TestApplyExclusion:
         with pytest.raises(BadParametersError, match=re.escape("got the record (1, 2, (3, {}))")):
             build_multilayer_graph([(0, 1, "a"), (1, 2, (3, {})), (2, 3, ["b"])])
 
+    def test_first_bad_of_an_id_and_a_layer_name_decides_the_error(self):
+        name_first = [(1, 2, ["b"]), (0, -1, "a")]
+        with pytest.raises(BadParametersError, match=re.escape("layer names must be hashable, got the record (1, 2, ['b'])")):
+            build_multilayer_graph(name_first)
+        with pytest.raises(BadParametersError, match=re.escape("node ids must be nonnegative integers, got (0, -1)")):
+            build_multilayer_graph(name_first[::-1])
+        with pytest.raises(BadParametersError, match="node ids must be nonnegative integers"):
+            build_multilayer_graph([(-1, 2, ["b"])])  # ids before the name of one record, as in build_signed_graph
+
     def test_columns(self):
         graph = build_multilayer_graph([(2, 1, "b"), (0, 1, "a"), (2, 1, "b")])
         assert graph.u.tolist() == [2, 0, 2] and graph.v.tolist() == [1, 1, 1]

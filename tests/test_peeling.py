@@ -7,6 +7,7 @@ import random
 import signal
 import sys
 import threading
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from negdsd import peeling
 from negdsd import (
     DEFAULT_C_LIST,
+    DsdResult,
     ObjectiveParams,
     PeelOrder,
     PeelScoring,
@@ -208,6 +210,24 @@ def negative_zeros(graph):
     return build_signed_graph([(u, v, wp or -0.0, wn or -0.0) for u, v, wp, wn in graph.rows()], n=graph.n)
 
 
+def signed_zero_multigraphs(seed: int, count: int) -> list:
+    """Random multigraphs (loops, parallel records) and, for every other one, its copy with ``-0.0`` zeros."""
+    rng = random.Random(seed)
+    graphs = [random_multigraph(rng, max_nodes=30) if i % 2 else dyadic_multigraph(rng) for i in range(count)]
+    return graphs + [negative_zeros(g) for g in graphs[::2]]
+
+
+def reference_prefix(graph, sequence: list, c: float, scoring: PeelScoring) -> DsdResult:
+    """``DsdResult.evaluate`` of the suffix of ``sequence`` that :func:`naive_prefix` picks."""
+    mode = "density" if scoring.mode == "net_density" else "objective"
+    size, _ = naive_prefix(graph, sequence, mode, scoring.params)
+    nodes = sequence[graph.n - size :]
+    return DsdResult.evaluate(graph, nodes, algorithm="peel", exact=False, params=scoring.params, c_used=c)
+
+
+SCORINGS = [PeelScoring(), PeelScoring("objective", ObjectiveParams(0.5, 1, 2))]
+
+
 def dense_orders(graph, c_values) -> list:
     """``_peel_dense``'s sequence of each value, as lists."""
     out = np.empty((len(c_values), graph.n), dtype=np.int64)
@@ -276,6 +296,20 @@ class TestDensePeel:
         orders = peeling._peel_sequences(g, c_values)
         assert [order.tolist() for order in orders] == [naive_peel(g, c) for c in c_values]
         assert kernel_calls == ({"dense": c_values, "columns": []} if not extra else {"dense": [], "columns": c_values})
+
+    def test_seven_multipliers_at_the_split(self, kernel_calls):
+        rng = random.Random(89)
+        n = peeling._DENSE_MAX_NODES
+        raw = []
+        for _ in range(2 * n):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.1 else rng.randrange(n)  # loops
+            raw.append((u, v, rng.choice((-0.0, 0.0, 0.5, 1.25)), rng.choice((-0.0, rng.uniform(0.0, 1.0)))))
+        g = build_signed_graph(raw, n=n)
+        assert np.signbit(g.wpos).any() and (g.u == g.v).any()
+        orders = peeling._peel_sequences(g, list(DEFAULT_C_LIST))
+        assert kernel_calls == {"dense": list(DEFAULT_C_LIST), "columns": []}
+        assert [order.tolist() for order in orders] == [naive_peel(g, c) for c in DEFAULT_C_LIST]
 
     def test_overflowing_scores_peel_on_columns(self, kernel_calls):
         g = build_signed_graph([(0, 1, 1e10, 0.0), (1, 2, 1.0, 2.0), (2, 2, 0.0, 0.5)], n=4)
@@ -357,6 +391,14 @@ class TestBestPrefix:
                     assert result.size == size
                     achieved = result.net_density if mode == "density" else result.f_value
                     assert achieved == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=["density", "objective"])
+    def test_equals_evaluate_of_the_naive_suffix(self, scoring):
+        for g in signed_zero_multigraphs(47, 40):
+            for c in (0.25, 1.0, 4.0):
+                order = PeelOrder(naive_peel(g, c), c)
+                expected = reference_prefix(g, order.removal_sequence, c, scoring)
+                assert repr(best_prefix(g, order, scoring)) == repr(expected)
 
     def test_objective_mode_scores_true_objective(self):
         g = build_signed_graph([(0, 1, 2, 0), (1, 2, 1, 3), (2, 3, 1, 0)])
@@ -482,6 +524,17 @@ class TestCSweep:
             for c in (0.5, 1.0, 4.0):
                 single = best_prefix(g, peel_order(g, c), PeelScoring("objective", params))
                 assert swept.f_value >= single.f_value - 1e-12
+
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=["density", "objective"])
+    def test_equals_a_loop_over_the_reference_prefix(self, scoring):
+        for g in signed_zero_multigraphs(53, 30):
+            best = None
+            for c in DEFAULT_C_LIST:
+                result = reference_prefix(g, naive_peel(g, c), c, scoring)
+                value = result.net_density if scoring.params is None else result.f_value
+                if best is None or value > best_value + 1e-12 or (value >= best_value - 1e-12 and c < best.c_used):
+                    best, best_value = result, value
+            assert repr(c_sweep(g, DEFAULT_C_LIST, scoring)) == repr(replace(best, algorithm="c_sweep"))
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyCListError):
