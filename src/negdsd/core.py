@@ -19,10 +19,11 @@ Layout.  A :class:`SignedGraph` is a set of read-only numpy arrays.  Edge
 ``e`` is ``(u[e], v[e], wpos[e], wneg[e])`` with ``u[e] <= v[e]``, edges in
 order of first appearance among the input records.  A CSR index lists the
 arcs of node ``x`` as positions ``indptr[x]:indptr[x+1]`` of ``neighbor``
-and ``edge_id``, in edge order; a loop has one arc.  The peel reads the
-index and the exact solvers do not, so it is built on first read (its size
-bound is checked at construction); a sweep builds it before it forks, and
-workers share it.  ``deg_pos``/``deg_neg``
+and of the arc weights ``arc_pos`` and ``arc_neg`` (the weights of each
+arc's edge), in edge order; a loop has one arc.  The peel reads the index
+and the exact solvers do not, so it is built on first read (its size bound
+is checked at construction); a sweep builds it before it forks, and every
+multiplier and every worker reads the same copy.  ``deg_pos``/``deg_neg``
 are summed by one ``np.bincount`` over the interleaved endpoints
 ``u[0], v[0], u[1], v[1], ...``: that adds the weights in the order of a
 per-edge loop, so degrees, and every peel score built from them, are the
@@ -94,13 +95,15 @@ class SignedGraph:
 
     indptr = property(lambda self: self._arc_index()[0])
     neighbor = property(lambda self: self._arc_index()[1])
-    edge_id = property(lambda self: self._arc_index()[2])
+    arc_pos = property(lambda self: self._arc_index()[2])
+    arc_neg = property(lambda self: self._arc_index()[3])
 
-    def _arc_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, neighbor, edge_id), built on first read; threads that race store equal arrays."""
+    def _arc_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, neighbor, arc_pos, arc_neg), built on first read; threads that race store equal arrays."""
         if self._index is None:
             indptr, neighbor, arc = _csr(self.n, self.u, self.v)
-            index = (indptr, neighbor, arc // 2)
+            edge = arc // 2
+            index = (indptr, neighbor, self.wpos[edge], self.wneg[edge])
             for array in index:
                 array.flags.writeable = False
             self._index = index

@@ -71,13 +71,18 @@ _FORK_MIN_ARC_VISITS = 100_000
 _PEEL_SPLIT_NODES = 16_384
 _PEEL_BLOCK = 256
 
-# Arcs up to which a column-peel step re-scores in a Python loop: about
-# 0.4 us an arc, against about 3.5 us for the handful of numpy calls.
-# Against numpy alone, the loop took query-sweep's job.kind2_s from 0.200 s
-# to 0.174 s and job.kind1_s from 0.088 s to 0.075 s (8 of 8 alternating
-# 30 s pairs, BENCH_10.json); cli-peel and flow-search held within their
-# runs' spread.
-_COLUMN_PEEL_LOOP_ARCS = 8
+# Arcs up to which a column-peel step re-scores in a Python loop, which skips
+# the arcs of removed neighbours, rather than in a handful of numpy calls of
+# about 3.5 us.  Fitted on _peel_columns over DEFAULT_C_LIST on five benchmark
+# graphs of seed 1 (query-sweep's risk and two exclusion graphs, 3,000 nodes
+# and 30k arcs; cli-peel's, 6,000 nodes and 121k arcs; flow-search's exact
+# graph, 5,000 nodes and 102k arcs), at splits -1 (numpy only), 4, 8, 12, 16,
+# 20, 24, 32, 48, 64 and 10**9 (loop only); medians of 15 rotated runs on a
+# 2-vCPU VM (BENCH_31.json).  16 was best or within 4% of best on the three
+# query-sweep graphs, which peel 21 times a round, and took 53-59 ms there
+# against 67-69 ms for the peel without the skip at its split of 8; the two
+# larger graphs took 0.99-1.08 times as long as then.
+_COLUMN_PEEL_LOOP_ARCS = 16
 
 # Nodes up to which, and multipliers from which, a sweep peels on _peel_dense.
 # On BENCH_30.json's grid (2-vCPU VM) a cold c_sweep took 0.31-0.64 times as
@@ -151,7 +156,14 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
 
     ``p``, ``q`` and ``score = c*p - q`` hold each node's positive degree,
     negative degree and score among the survivors.  A removed node gets
-    ``p = score = +inf``; updates keep it there (``inf - w`` is ``inf``).
+    ``p = score = +inf``.  A live ``p`` stays finite (twice each total is
+    checked to be finite), so ``p == +inf`` marks a removed node, and no
+    step reads its values again: the Python loops skip its arcs, and
+    numpy's updates keep it at ``+inf`` (``inf - w`` is ``inf``).  The arc
+    weights are the graph's ``arc_pos`` and ``arc_neg``, built once with its
+    CSR index and read by every multiplier and forked worker; only the block
+    of each arc's head (8 bytes per arc, above the split) is built per peel,
+    from the ``_PEEL_BLOCK`` of that peel.
 
     Only the choice of each step's node depends on the mode.  A graph of at
     most ``_PEEL_SPLIT_NODES`` nodes whose scores cannot overflow scans:
@@ -169,10 +181,12 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
 
     A node with more than ``_COLUMN_PEEL_LOOP_ARCS`` arcs re-scores its
     neighbours with numpy; one with fewer in a Python loop over memoryviews
-    of the same columns, which skips numpy's fixed cost per call.  Both do
-    the same float operations in the same order.  The scan has a loop of
-    its own that touches no bound: testing the mode at every arc made
-    peels of 3,000 nodes and 15,000 edges 2-5% slower.
+    of the same columns, which skips numpy's fixed cost per call and the
+    arcs of removed neighbours.  Both do the same float operations, in the
+    same order, on every live neighbour, so the orders are bit for bit
+    those of the naive peel.  The scan has a loop of its own that touches
+    no bound: testing the mode at every arc made peels of 3,000 nodes and
+    15,000 edges 2-5% slower.
     """
     n = graph.n
     size = _PEEL_BLOCK
@@ -188,8 +202,8 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
         score = c * p - q
     indptr = graph.indptr.tolist()
     neighbor = graph.neighbor
-    arc_pos = graph.wpos[graph.edge_id]
-    arc_neg = graph.wneg[graph.edge_id]
+    arc_pos = graph.arc_pos
+    arc_neg = graph.arc_neg
     neighbor_at, pos_at, neg_at, p_at, q_at, score_at = map(memoryview, (neighbor, arc_pos, arc_neg, p, q, score))
     argmin = score.argmin
     if blocked:
@@ -237,17 +251,21 @@ def _peel_columns(graph: SignedGraph, c: float) -> PeelOrder:
             elif not blocked:
                 for k in range(start, end):
                     u = neighbor_at[k]
-                    pu = p_at[u] = p_at[u] - pos_at[k]
-                    qu = q_at[u] = q_at[u] - neg_at[k]
-                    score_at[u] = c * pu - qu
+                    pu = p_at[u]
+                    if pu != inf:  # a live neighbour
+                        pu = p_at[u] = pu - pos_at[k]
+                        qu = q_at[u] = q_at[u] - neg_at[k]
+                        score_at[u] = c * pu - qu
             else:
                 for k in range(start, end):
                     u = neighbor_at[k]
-                    pu = p_at[u] = p_at[u] - pos_at[k]
-                    qu = q_at[u] = q_at[u] - neg_at[k]
-                    su = score_at[u] = c * pu - qu
-                    if su < bound_at[block_at[k]]:
-                        bound_at[block_at[k]] = su
+                    pu = p_at[u]
+                    if pu != inf:
+                        pu = p_at[u] = pu - pos_at[k]
+                        qu = q_at[u] = q_at[u] - neg_at[k]
+                        su = score_at[u] = c * pu - qu
+                        if su < bound_at[block_at[k]]:
+                            bound_at[block_at[k]] = su
     return PeelOrder(sequence, c)
 
 

@@ -97,7 +97,7 @@ def naive_best(graph: SignedGraph, mode: str = "density", params=None):
 def assert_same_signed(got: SignedGraph, want: SignedGraph) -> None:
     """Two signed graphs hold equal arrays, dtype included, and equal totals."""
     assert (got.n, got.total_pos, got.total_neg) == (want.n, want.total_pos, want.total_neg)
-    for name in ("u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id"):
+    for name in ("u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "arc_pos", "arc_neg"):
         ours, theirs = getattr(got, name), getattr(want, name)
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
 

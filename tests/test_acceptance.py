@@ -142,12 +142,10 @@ def _equivalence_via_api(n: int) -> int:
         graph = build_signed_graph(raw, n=n)
         f_values = {frozenset(s): objective_f(graph, s, params) for s in subsets}
         for q in QUERIES:
-            reweighted = tilde_weights(graph, q, params.risk_tolerance)
+            rows = list(tilde_weights(graph, q, params.risk_tolerance).rows())
             threshold = q * params.lambda2 - params.lambda1
             for subset in subsets:
-                total = sum(
-                    wpos - wneg for u, v, wpos, wneg in reweighted.rows() if u in subset and v in subset
-                )
+                total = sum(wpos - wneg for u, v, wpos, wneg in rows if u in subset and v in subset)
                 lhs = f_values[frozenset(subset)] >= q
                 rhs = total >= threshold * len(subset)
                 if lhs != rhs:
@@ -215,12 +213,12 @@ def test_criterion_4_query_equivalence_exhaustive():
         ]
         graph = build_signed_graph(raw, n=5)
         for q in QUERIES:
-            reweighted = tilde_weights(graph, q)
+            rows = list(tilde_weights(graph, q).rows())
             threshold = q - 1.0
             for size in range(1, 6):
                 for subset in itertools.combinations(range(5), size):
                     inside = set(subset)
-                    total = sum(wpos - wneg for u, v, wpos, wneg in reweighted.rows() if u in inside and v in inside)
+                    total = sum(wpos - wneg for u, v, wpos, wneg in rows if u in inside and v in inside)
                     if (objective_f(graph, subset, params) >= q) != (total >= threshold * size):
                         violations += 1
     report(4, "query equivalence", violations == 0, f"{violations} violations across all graphs with n <= 5")

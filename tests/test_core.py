@@ -192,13 +192,18 @@ class TestBuild:
         g = build_signed_graph([(2, 0, 1.0, 0.0), (1, 1, 2.0, 0.0), (0, 1, 0.0, 1.0)])
         assert g._index is None
         assert g.indptr.tolist() == [0, 2, 4, 5]
-        assert g.neighbor.tolist() == [2, 1, 1, 0, 0] and g.edge_id.tolist() == [0, 2, 1, 2, 0]
+        assert g.neighbor.tolist() == [2, 1, 1, 0, 0]
+        assert g.arc_pos.tolist() == [1.0, 0.0, 2.0, 0.0, 1.0]  # the weights of edges 0, 2, 1, 2, 0
+        assert g.arc_neg.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
         assert g.neighbor is g.neighbor  # built once, then kept
 
     def test_arc_index_race_stores_equal_arrays(self):
         # threads that build the index at once each store a full, equal one
+        def index_of(graph):
+            return graph.indptr, graph.neighbor, graph.arc_pos, graph.arc_neg
+
         rng = random.Random(17)
-        raw = [(rng.randrange(300), rng.randrange(300), 1.0, 0.0) for _ in range(3000)]
+        raw = [(rng.randrange(300), rng.randrange(300), rng.random(), rng.random()) for _ in range(3000)]
         expected = build_signed_graph(raw)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -206,23 +211,21 @@ class TestBuild:
             for _ in range(20):
                 g = build_signed_graph(raw)
                 seen = []
-                threads = [
-                    threading.Thread(target=lambda: seen.append((g.indptr, g.neighbor, g.edge_id))) for _ in range(8)
-                ]
+                threads = [threading.Thread(target=lambda: seen.append(index_of(g))) for _ in range(8)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads) and len(seen) == 8
                 for arrays in seen:
-                    for got, want in zip(arrays, (expected.indptr, expected.neighbor, expected.edge_id)):
+                    for got, want in zip(arrays, index_of(expected)):
                         assert np.array_equal(got, want) and not got.flags.writeable
         finally:
             sys.setswitchinterval(switch)
 
     def test_arrays_are_read_only(self):
         g = build_signed_graph([(0, 1, 1.0, 0.5), (1, 1, 2.0, 0.0)])
-        for name in ("u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "edge_id"):
+        for name in ("u", "v", "wpos", "wneg", "deg_pos", "deg_neg", "indptr", "neighbor", "arc_pos", "arc_neg"):
             with pytest.raises(ValueError):
                 getattr(g, name)[0] = 0
 
@@ -278,7 +281,7 @@ class TestColumns:
         wide = build_signed_graph(EdgeColumns(u, v, a, b), n=n)
         narrow = build_signed_graph(EdgeColumns(u.astype(np.int32), v.astype(np.int32), a, b), n=n)
         assert narrow.u.dtype == np.int64
-        for name in ("u", "v", "indptr", "neighbor", "edge_id"):
+        for name in ("u", "v", "indptr", "neighbor", "arc_pos", "arc_neg"):
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
 
     def test_float32_weights_become_float64(self):

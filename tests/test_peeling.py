@@ -118,6 +118,29 @@ def naive_cases() -> list:
     return [(g, c, naive_peel_scores(g, c)) for g in graphs for c in DEFAULT_C_LIST]
 
 
+def skewed_multigraph(rng: random.Random):
+    """60-150 nodes: a few hubs of degree 20-60 among sparse others, loops, and weights in quarters
+    with ``0.0`` and ``-0.0``; many hubs leave after most of their neighbours."""
+    n = rng.randint(60, 150)
+
+    def weight():
+        return rng.choice((0.0, -0.0)) if rng.random() < 0.4 else rng.randint(1, 4) / 4
+
+    raw = [(hub, v, weight(), weight()) for hub in rng.sample(range(n), rng.randint(2, 4))
+           for v in rng.sample(range(n), rng.randint(20, 60))]
+    for _ in range(n):
+        u = rng.randrange(n)
+        raw.append((u, u if rng.random() < 0.1 else rng.randrange(n), weight(), weight()))
+    return build_signed_graph(raw, n=n)
+
+
+@functools.cache
+def skewed_cases() -> list:
+    """(graph, c, naive sequence and scores) on 30 skewed multigraphs at every default multiplier."""
+    rng = random.Random(79)
+    return [(g, c, naive_peel_scores(g, c)) for g in (skewed_multigraph(rng) for _ in range(30)) for c in DEFAULT_C_LIST]
+
+
 def assert_naive_orders(cases) -> None:
     """Each peel's order equals the naive one, and the naive scores (compared by ==, so -0.0
     equals 0.0) exercise ties and zeros."""
@@ -144,6 +167,15 @@ class TestColumnPeel:
         for loop_arcs in (-1, peeling._COLUMN_PEEL_LOOP_ARCS, 10**9):
             monkeypatch.setattr(peeling, "_COLUMN_PEEL_LOOP_ARCS", loop_arcs)
             assert_naive_orders(naive_cases())
+
+    @pytest.mark.parametrize("split", [peeling._PEEL_SPLIT_NODES, 0], ids=["scan", "blocked"])
+    @pytest.mark.parametrize("loop_arcs", [-1, peeling._COLUMN_PEEL_LOOP_ARCS, 10**9], ids=["numpy", "mixed", "loop"])
+    def test_skewed_graphs_match_naive_peel(self, monkeypatch, split, loop_arcs):
+        # hubs leave after most of their neighbours, so both branches meet departed heads
+        monkeypatch.setattr(peeling, "_PEEL_SPLIT_NODES", split)
+        monkeypatch.setattr(peeling, "_PEEL_BLOCK", 16)
+        monkeypatch.setattr(peeling, "_COLUMN_PEEL_LOOP_ARCS", loop_arcs)
+        assert_naive_orders(skewed_cases())
 
     def test_peel_order_uses_the_kernel(self, monkeypatch):
         g = dyadic_multigraph(random.Random(61))
