@@ -23,24 +23,29 @@ N(S) - q*D(S) > 0 (numerator and denominator); it stops when none is found.
   better certifies q as optimal.
 * ``peel`` route, past that point: the multi-``c`` peeling sweep on the
   reweighted graph.  Its "nothing better" is no certificate, so the search
-  then ends flagged inexact.
+  then ends flagged inexact.  The ratio search tries a certificate before
+  each sweep (``_certifies``): with every reweighted edge clipped at 0 the
+  cut applies at any q, and when the clipped program gains nothing no set
+  beats q, so the step proposes nothing and the search ends as a sweep
+  that found nothing better would end it, with the same answer and trace.
+  The flag stays inexact, as the sweep's would.
 
 The front end prunes in float64 before it builds anything exact.  q_max
 comes from the float quotients P_e/R_e: rounding is monotone, so only the
-distinct (P_e, R_e) pairs at the least quotient are compared exactly.  A
-bulk peel of P finds a set B, and a float under B's exact objective bounds
-every later q from below.  As R >= 0, a node of the largest maximizer at
-any q from that floor up to q_max has P-degree at least
-q*l2 - l1 >= floor*l2 - l1 within it, so lower P-degrees are pruned in
-float64 rounds (``_float_core``).  The exact program is built on the
-survivors and B only, and keeps the whole graph's q_max: its q-core at any
-such q is the whole graph's, so its cuts and answer are too.  It starts
-from the better of B and a c=1 peel's best prefix (``_warm_start``).  When
-the optimum is at most q_max every step is a cut, and the run ends on the
-largest optimal set.  Otherwise a step passes q_max and the driver starts
-over on the whole graph from V, the set of all nodes, with the peel route,
-so an inexact answer is V's; it starts there at once when a float floor of
-V's objective is above q_max.  ``dsd_decision`` prunes likewise at g.
+edges at the least quotient are compared exactly, one pair of each
+distinct P_e and its largest R_e.  A bulk peel of P finds a set B, and a
+float under B's exact objective bounds every later q from below.  As
+R >= 0, a node of the largest maximizer at any q from that floor up to
+q_max has P-degree at least q*l2 - l1 >= floor*l2 - l1 within it, so lower
+P-degrees are pruned in float64 rounds (``_float_core``).  The exact
+program is built on the survivors and B only, and keeps the whole graph's
+q_max: its q-core at any such q is the whole graph's, so its cuts and
+answer are too.  It starts from the better of B and a c=1 peel's best
+prefix (``_warm_start``).  When the optimum is at most q_max every step is
+a cut, and the run ends on the largest optimal set.  Otherwise a step
+passes q_max and the driver starts over on the whole graph from V, the set
+of all nodes, with the peel route, so an inexact answer is V's; it starts
+there at once when a float floor of V's objective is above q_max.  ``dsd_decision`` prunes likewise at g.
 
 P, R, l1 and l2 are scaled to integers once by their common denominator.
 Every finite float is a dyadic rational, so this is always exact (the
@@ -112,10 +117,13 @@ class SearchTrace:
 
     ``lo_history`` starts at the objective of the start set.
     ``hi_history`` stays at ``objective_upper_bound`` until a flow step
-    certifies the optimum, and then equals it.  A run on the pruned program
-    that every cut answered reports its own start and steps, so
-    ``lo_history`` and ``iterations`` may be shorter than those of a run
-    from the whole node set, which ends on the same answer.
+    certifies the optimum, and then equals it.  A peel step that the
+    clipped cut certifies (see ``binary_search_objective``) still reads
+    ``peel`` and leaves ``hi_history`` and ``exact`` as a sweep that found
+    nothing better would.  A run on the pruned program that every cut
+    answered reports its own start and steps, so ``lo_history`` and
+    ``iterations`` may be shorter than those of a run from the whole node
+    set, which ends on the same answer.
     """
 
     iterations: int
@@ -200,19 +208,22 @@ def _q_max(p_values: np.ndarray, r_values: np.ndarray, r_factor) -> Fraction | f
 
     ``p_values`` and ``r_values`` are float64 columns of values >= 0.  A float
     quotient is the exact one rounded to nearest, which is monotone, so the
-    exact minimum is among the edges of the least float quotient; only their
-    distinct (P_e, R_e) pairs are compared exactly (integer weights tie a lot).
+    exact minimum is among the edges of the least float quotient.  Among
+    those with one P_e only the largest R_e can give it, so just the pairs
+    of each distinct P_e and its largest tied R_e are compared exactly
+    (integer weights tie a lot, on few distinct values).
     """
     has_r = r_values > 0
     if not has_r.any():
         return math.inf
-    p, r = p_values[has_r], r_values[has_r]
-    with np.errstate(over="ignore"):  # a quotient beyond the float range is inf, still in order
-        quotient = p / r
-    least = quotient == quotient.min()
-    pairs = np.unique(p[least] + 1j * r[least]).tolist()  # each pair exactly, as one complex
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # R_e = 0 is masked out below
+        quotient = np.where(has_r, p_values / r_values, np.inf)  # beyond the float range: inf, still in order
+    least = np.flatnonzero((quotient == quotient.min()) & has_r)
+    p, group = np.unique(p_values[least], return_inverse=True)
+    r = np.zeros(p.shape[0])
+    np.maximum.at(r, group, r_values[least])
     ((f_num, f_den),) = _integer_ratios([r_factor])
-    return min(Fraction(z.real) / Fraction(z.imag) for z in pairs) * Fraction(f_den, f_num)
+    return min(Fraction(p_e) / Fraction(r_e) for p_e, r_e in zip(p.tolist(), r.tolist())) * Fraction(f_den, f_num)
 
 
 def _ratio_program(n, u, v, p_values, r_values, lambda1, lambda2, r_factor, q_max) -> _RatioProgram:
@@ -247,7 +258,7 @@ def _induced_columns(
 
 def _q_core(program: _RatioProgram, w: np.ndarray, cost: int) -> tuple[list[int], list[int]]:
     """Survivors of repeatedly dropping the nodes of degree below ``cost`` over edges
-    weighing ``w`` (a column b*P - a*R >= 0), and a list of each one's degree within
+    weighing ``w`` (a column of ints >= 0), and a list of each one's degree within
     them, loops counted twice.  The arcs are listed only when some node starts below.
     """
     n, degree = program.n, np.zeros(program.n, dtype=object)
@@ -271,31 +282,31 @@ def _q_core(program: _RatioProgram, w: np.ndarray, cost: int) -> tuple[list[int]
     return [x for x in range(n) if alive[x]], degree
 
 
-def _max_density_side(program: _RatioProgram, q: Fraction) -> list[int]:
-    """Largest S maximizing N(S) - q*D(S), by one minimum cut (may be empty).
+def _max_density_side(program: _RatioProgram, w: np.ndarray, cost: int) -> list[int]:
+    """Largest S maximizing w(S) - |S|*``cost``, by one minimum cut (may be empty).
 
-    Needs q <= ``q_max``, so every reweighted edge b*P_e - a*R_e is >= 0.
-    The cut runs on the q-core only: a node u of the largest maximizer S
-    has reweighted degree at least its cost a*l2 - b*l1 within S, or
+    ``w`` is a column of exact ints >= 0 over the program's edges (an object
+    array).  A flow step passes ``program.reweighted(q)``: w = b*P - a*R,
+    which is >= 0 while q = a/b <= ``q_max``, and cost = a*l2 - b*l1, so S
+    maximizes N(S) - q*D(S).  The cut runs on the q-core only: a node u of
+    the largest maximizer S has degree at least ``cost`` within S, or
     dropping u would give a larger value (a loop at u counts twice in its
     degree but once in the value, so the test errs towards keeping u).
     Degrees within supersets of S are no smaller, so no node of S is ever
-    dropped, and the cut on the core finds the same S.  When q*l2 <= l1
-    every node gains by joining, its sink arcs have capacity 0, and all
-    nodes are returned.
+    dropped, and the cut on the core finds the same S.  When the cost is
+    at most 0 every node gains by joining, its sink arcs have capacity 0,
+    and all nodes are returned.
 
-    The edges are reweighted once, to the column w = b*P - a*R (an object
-    array, so each w_e stays an exact int), which the q-core and the
-    network both read, with no loop over edges: the core is relabeled
-    through one label array, and each non-loop edge of positive weight w_e
-    inside it becomes one arc pair of capacity w_e both ways.  Each node's
-    sink arc comes first among its arcs, then its source arc, then its edges.  min(supply, drain) is pushed along
+    The q-core and the network both read the one column w, with no loop
+    over edges: the core is relabeled through one label array, and each
+    non-loop edge of positive weight w_e inside it becomes one arc pair of
+    capacity w_e both ways.  Each node's sink arc comes first among its
+    arcs, then its source arc, then its edges.  min(supply, drain) is pushed along
     every s -> i -> t path before the solver starts, which does the work of
     Dinic's first phase.  The witness is the complement of the residual
     sink side, the same set for every maximum flow, so neither the arc
     order nor the pre-push can change it.
     """
-    w, cost = program.reweighted(q)
     core, degree = _q_core(program, w, cost)
     k = len(core)
     source, sink = k, k + 1
@@ -354,6 +365,12 @@ def _down(x: float) -> float:  # one step down undoes a rounding to nearest of a
 
 def _up(x: float) -> float:  # one step up undoes a rounding to nearest of any value <= it
     return math.nextafter(x, math.inf)
+
+
+def _core_bound(floor: float, params: ObjectiveParams) -> float:
+    """A float at most q*l2 - l1 for every q >= ``floor``, the P-degree that a node
+    of the largest maximizer at such a q has at least within it (when R >= 0)."""
+    return _down(_down(floor * _down(float(params.lambda2))) - _up(float(params.lambda1)))
 
 
 def _objective_floor(p: np.ndarray, r: np.ndarray, size: int, params: ObjectiveParams) -> float:
@@ -418,7 +435,7 @@ def _dinkelbach(
         routes.append(route)
         if route == "peel" and peel is None:
             return best, False, history, routes
-        side = _max_density_side(program, q) if route == "flow" else peel(q)
+        side = _max_density_side(program, *program.reweighted(q)) if route == "flow" else peel(q)
         value = q if side is None else program.value(side)
         history.append(max(value, q))
         if value <= q:
@@ -443,15 +460,17 @@ def _validate_nonnegative(graph: SignedGraph) -> np.ndarray:
 
 
 def _float_core(
-    graph: SignedGraph, weights: np.ndarray, bound: float, keep: list[int], degrees: np.ndarray
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, bound: float, keep: list[int], degrees: np.ndarray
 ) -> np.ndarray:
     """Ascending ids of ``keep`` and of a superset of the ``bound``-core (the largest
-    set in which every node has exact degree at least ``bound``), pruned in float64.
+    set in which every node has exact degree at least ``bound``) of nodes 0..n-1
+    over edges (u[e], v[e]) weighing ``w`` (>= 0), pruned in float64.
 
-    ``weights`` are the edges' weights (>= 0) and ``degrees`` the whole
-    graph's (``_degrees``), which the first round takes.  Each later round
-    sums every survivor's degree afresh from nonnegative terms, so the float
-    degree is at least the exact one times 1 - delta, where
+    ``degrees`` are the nodes' degrees over all the edges, summed in float64
+    in any order (``_degrees``, or a graph's ``deg_pos`` for its wpos),
+    which the first round takes.  Each later round sums every survivor's
+    degree afresh from nonnegative terms, so the float degree is at least
+    the exact one times 1 - delta, where, for m edges,
     delta = (2m + 4) * 2**-52 covers the rounding of up to 2m terms and of
     the threshold bound * (1 - delta).  Only a node below that threshold is
     dropped, so no core node ever is, and any round leaves a superset.
@@ -459,9 +478,8 @@ def _float_core(
     survivors; nothing is pruned when ``bound`` is not positive.  A set whose
     nodes have degree at least ``bound`` within it lies in the core.
     """
-    n, u, v, w = graph.n, graph.u, graph.v, weights
     alive = np.ones(n, dtype=bool)
-    threshold = bound * (1 - (2 * graph.m + 4) * 2.0**-52)
+    threshold = bound * (1 - (2 * u.shape[0] + 4) * 2.0**-52)
     size = n if bound > 0 else 0
     while size:
         if size < n:  # every later round has dropped a node
@@ -488,10 +506,10 @@ def dsd_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
     if not _is_finite_real(g):
         raise BadParametersError(f"density threshold must be finite, got {g}")
     degrees = _degrees(graph.n, graph.u, graph.v, weights)
-    nodes = _float_core(graph, weights, g, [], degrees)  # g is exact: the cut runs at Fraction(g)
+    nodes = _float_core(graph.n, graph.u, graph.v, weights, g, [], degrees)  # g is exact: the cut runs at Fraction(g)
     u, v, keep = _induced_columns(graph.n, graph.u, graph.v, nodes)
     program = _ratio_program(len(nodes), u, v, weights[keep], np.zeros(u.shape[0]), 0, 1, 1, math.inf)
-    witness = _max_density_side(program, Fraction(g))
+    witness = _max_density_side(program, *program.reweighted(Fraction(g)))
     if witness:
         return DecisionOutcome(True, frozenset(nodes[witness].tolist()))
     return DecisionOutcome(False, None)
@@ -514,7 +532,7 @@ def _maximize(graph: SignedGraph, p: np.ndarray, r: np.ndarray, params: Objectiv
         bulk_r = r[_induced_edges(graph, bulk)] if q_max < math.inf else r[:0]  # R = 0 when q_max is inf
         floor = _objective_floor(bulk_p, bulk_r, len(bulk), params)
         if floor <= q_max:  # else every run passes q_max
-            kept = _float_core(graph, p, _down(_down(floor * _down(float(l2))) - _up(float(l1))), bulk, degrees)
+            kept = _float_core(n, graph.u, graph.v, p, _core_bound(floor, params), bulk, degrees)
             u, v, keep = _induced_columns(n, graph.u, graph.v, kept)
             p_kept, r_kept = p[keep], r[keep]
             program = _ratio_program(len(kept), u, v, p_kept, r_kept, l1, l2, rt, q_max)
@@ -527,6 +545,65 @@ def _maximize(graph: SignedGraph, p: np.ndarray, r: np.ndarray, params: Objectiv
     best, exact, history, routes = answer
     nodes = best if kept is None else kept[best].tolist()  # a cut's witness is an ascending list
     return nodes, _sequential_sum(p_kept[_induced_edges(program, frozenset(best))]), exact, history, routes
+
+
+def _certifies(
+    graph: SignedGraph, p: np.ndarray, r: np.ndarray, params: ObjectiveParams, q: Fraction, degrees: np.ndarray
+) -> bool:
+    """Whether no nonempty node set of ``graph`` is worth more than ``q``, exactly.
+
+    The objective is (P(S) + l1*|S|) / (rt*R(S) + l2*|S|), with P and R
+    float64 columns (>= 0) over the edges, (l1, l2, rt) ``params`` and
+    ``degrees`` the whole graph's float P-degrees.  At q = a/b, clip every
+    reweighted edge b*P_e - a*R_e at 0.  That only raises the gain
+
+        g(q) = max_S sum of max(b*P_e - a*R_e, 0) over e in S - |S|*(a*l2 - b*l1)
+
+    (the empty set gains 0), so g(q) <= 0 proves that no set beats q.  The
+    clipped weights are >= 0 at any q, past ``q_max`` too, so one minimum
+    cut decides it (Goldberg's case).  Each of three steps may answer:
+
+    * Prune: a clipped weight is at most b*P_e, so a node of the largest
+      clipped maximizer has P-degree at least q*l2 - l1 within it (see
+      ``_max_density_side``), and ``_float_core`` on P keeps it, at the
+      bound ``_maximize`` prunes at.  No survivor: g(q) = 0.
+    * Prefilter: C, the float rounds of ``_float_core`` on max(P - q*rt*R, 0)
+      over the survivors, at q*l2 - l1.  When C's float gain exceeds a
+      rounding margin, C gains more than 0 exactly, so g(q) > 0 and no cut
+      runs.  A positive clipped float weight exceeds the exact one by at
+      most 6 units of roundoff (2**-53) times P_e (q, rt, q*rt and q*rt*R_e
+      round once each, the difference once; q*rt*R_e is formed only where
+      R_e != 0, so an infinite q*rt clips to 0), a zero one is at most it,
+      and the sum of C's k edges and the cost term |C|*(q*l2 - l1) add at
+      most k + 8 units times P(C) + |C|*(q*l2 + l1).  The margin,
+      (m + 8)*2**-52 times that magnitude, covers it all, as
+      ``_float_core``'s delta covers its sums.
+    * Cut: ``_max_density_side`` on the clipped column of the survivors'
+      exact program; q is certified when its witness (the largest
+      maximizer) is empty or gains at most 0.
+    """
+    l1, l2, rt = params.lambda1, params.lambda2, params.risk_tolerance
+    kept = _float_core(graph.n, graph.u, graph.v, p, _core_bound(_down(float(q)), params), [], degrees)
+    k = kept.shape[0]
+    if not k:
+        return True
+    u, v, keep = _induced_columns(graph.n, graph.u, graph.v, kept)
+    p_kept, r_kept = p[keep], r[keep]
+    q_l2, l1_float = float(q) * float(l2), float(l1)
+    penalty = np.zeros_like(r_kept)
+    with np.errstate(over="ignore"):  # a product beyond the float range is inf: its weight clips to 0
+        np.multiply(float(q) * float(rt), r_kept, out=penalty, where=r_kept != 0)
+    clipped = np.maximum(p_kept - penalty, 0.0)
+    core = _float_core(k, u, v, clipped, q_l2 - l1_float, [], _degrees(k, u, v, clipped))
+    inside, size = _induced_columns(k, u, v, core)[2], core.shape[0]
+    gain = float(clipped[inside].sum()) - size * (q_l2 - l1_float)
+    if gain > (graph.m + 8) * 2.0**-52 * (float(p_kept[inside].sum()) + size * (q_l2 + l1_float)):
+        return False
+    program = _ratio_program(k, u, v, p_kept, r_kept, l1, l2, rt, _q_max(p_kept, r_kept, rt))
+    w, cost = program.reweighted(q)
+    w = np.maximum(w, 0)
+    witness = _max_density_side(program, w, cost)
+    return w[_induced_edges(program, frozenset(witness))].sum() <= len(witness) * cost
 
 
 def exact_dsd(graph: SignedGraph) -> DsdResult:
@@ -596,9 +673,15 @@ def binary_search_objective(graph: SignedGraph, params: ObjectiveParams) -> tupl
     """Maximize the ratio objective with the front end's Dinkelbach driver.
 
     This is the front end's program with P = wpos and R = rt*wneg.  Steps are
-    exact minimum cuts while q <= min wpos/(rt*wneg); past it they reweight
-    with :func:`tilde_weights` and peel (or end, if that overflows a float),
-    and the result is flagged inexact.  The driver runs on the float-pruned program first and starts over from
+    exact minimum cuts while q <= min wpos/(rt*wneg).  Past it, a step first
+    tries to certify q (``_certifies``: a float prune, a float prefilter and
+    at most one exact cut of the program clipped at 0) and ends the search
+    when no set beats q; otherwise it reweights with :func:`tilde_weights`
+    and peels (or ends, if that overflows a float).  A certified step ends
+    the search exactly where the sweep would have found nothing better, so
+    answers and traces are those of the sweep: the step reads ``peel``,
+    ``hi_history`` keeps the upper bound and the result is flagged inexact.
+    The driver runs on the float-pruned program first and starts over from
     the whole node set if a step passes q_max, so the answer is always the
     whole set's start's, in fewer and smaller cuts.  The returned set is a
     real witness re-scored under the true objective, so it never
@@ -611,6 +694,8 @@ def binary_search_objective(graph: SignedGraph, params: ObjectiveParams) -> tupl
     rt = params.risk_tolerance
 
     def peel(q: Fraction) -> frozenset[int] | None:
+        if _certifies(graph, graph.wpos, graph.wneg, params, q, graph.deg_pos):
+            return None  # no set is worth more than q, so the sweep would find nothing better
         try:
             reweighted = tilde_weights(graph, float(q), rt)
         except BadParametersError:  # a reweighted magnitude, or their total, beyond the float range

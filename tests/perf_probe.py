@@ -70,8 +70,10 @@ positive one, in steps of 1/64, so the first steps are minimum cuts) and
 weights 0-2, so every step peels), plus one mixed graph of
 ``SEARCH_LARGE`` nodes (1M records).  Each search runs ``SEARCH_REPEATS``
 times; the probe reports the median seconds, the routes and cut count of
-the trace, and the answer's size, objective value and ``exact`` flag, so
-two trees can be checked for equal answers.
+the trace, the number of ``c_sweep`` calls in one search (``sweeps``: a
+peel-regime search whose answer the clipped cut certifies sweeps once),
+and the answer's size, objective value and ``exact`` flag, so two trees
+can be checked for equal answers.
 
 ``--cli`` instead writes the probe graph (its seed, ends and net weights)
 as a 1M-line 3-column text file, ``u v w`` with the decimal ids as labels,
@@ -399,6 +401,18 @@ def search_graph(nodes: int, neg_ratio: float) -> SignedGraph:
     return SignedGraph(*negdsd.core._collapse_columns(nodes, us, vs, wpos, wneg))
 
 
+@contextlib.contextmanager
+def counted_sweeps():
+    """Count the ``c_sweep`` calls of the ratio search while inside; yields the list that each call extends."""
+    calls = []
+    sweep = negdsd.exact.peeling.c_sweep
+    negdsd.exact.peeling.c_sweep = lambda *args: calls.append(1) or sweep(*args)
+    try:
+        yield calls
+    finally:
+        negdsd.exact.peeling.c_sweep = sweep
+
+
 def search_stats() -> list:
     rows = []
     cases = [*itertools.product(SEARCH_NODES, SEARCH_REGIMES.items())]
@@ -407,10 +421,11 @@ def search_stats() -> list:
         graph = search_graph(nodes, neg_ratio)
         params = ObjectiveParams(1.0, 1.0, rt)
         seconds = []
-        for _ in range(SEARCH_REPEATS):
-            started = time.perf_counter()
-            result, trace = binary_search_objective(graph, params)
-            seconds.append(time.perf_counter() - started)
+        with counted_sweeps() as sweeps:
+            for _ in range(SEARCH_REPEATS):
+                started = time.perf_counter()
+                result, trace = binary_search_objective(graph, params)
+                seconds.append(time.perf_counter() - started)
         rows.append({
             "nodes": nodes,
             "edges": graph.m,
@@ -418,6 +433,7 @@ def search_stats() -> list:
             "seconds": statistics.median(seconds),
             "routes": trace.routes,
             "cuts": trace.routes.count("flow"),
+            "sweeps": len(sweeps) // SEARCH_REPEATS,
             "size": result.size,
             "f_value": result.f_value,
             "exact": result.exact,

@@ -9,6 +9,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import negdsd.exact
 import negdsd.flow
@@ -37,6 +39,7 @@ from negdsd.core import DsdResult, _induced_edges, _sequential_sum
 from negdsd.exact import (
     DecisionOutcome,
     _bulk_peel,
+    _certifies,
     _degrees,
     _dinkelbach,
     _float_core,
@@ -576,7 +579,8 @@ def full_program_exact_dsd(graph: SignedGraph) -> DsdResult:
 
 def full_program_decision(graph: SignedGraph, g: float) -> DecisionOutcome:
     """dsd_decision's cut over the program of the whole graph, with no float prune."""
-    witness = _max_density_side(density_program(graph), Fraction(g))
+    program = density_program(graph)
+    witness = _max_density_side(program, *program.reweighted(Fraction(g)))
     return DecisionOutcome(True, frozenset(witness)) if witness else DecisionOutcome(False, None)
 
 
@@ -616,7 +620,8 @@ class TestFloatPrune:
                 if Fraction(q_lo) > q:
                     q_lo = math.nextafter(q_lo, 0.0)
                 core, _ = _q_core(program, q.denominator * program.p, q.numerator * program.l2)
-                kept = _float_core(graph, weights, q_lo, [], _degrees(graph.n, graph.u, graph.v, weights))
+                float_degrees = _degrees(graph.n, graph.u, graph.v, weights)
+                kept = _float_core(graph.n, graph.u, graph.v, weights, q_lo, [], float_degrees)
                 assert set(core) <= set(kept.tolist())
                 pruned += len(kept) < graph.n
         assert pruned > 300  # the rounds had work to do
@@ -653,8 +658,8 @@ class TestFloatPrune:
             summed = np.bincount(ends, np.repeat(weights, 2), graph.n)
             floor = _objective_floor(bulk_weights, np.zeros(0), len(bulk), DENSITY)
             for q_lo in (floor, *rng.sample(degrees.tolist(), min(2, graph.n))):
-                kept = _float_core(graph, weights, q_lo, bulk, degrees)
-                assert np.array_equal(kept, _float_core(graph, weights, q_lo, bulk, summed))
+                kept = _float_core(graph.n, graph.u, graph.v, weights, q_lo, bulk, degrees)
+                assert np.array_equal(kept, _float_core(graph.n, graph.u, graph.v, weights, q_lo, bulk, summed))
                 pruned += len(kept) < graph.n
         assert pruned > 100  # the shared first round dropped nodes
 
@@ -757,16 +762,14 @@ class TestFloatPrune:
         assert result.nodes == frozenset(range(8)) and negdsd.exact._warm_start is _warm_start  # restored
 
 
-def networkx_max_density_side(program, q: Fraction) -> list[int]:
-    """Largest maximizer of N(S) - q*D(S) by a networkx minimum cut on the whole program.
+def networkx_max_density_side(program, w: np.ndarray, cost: int) -> list[int]:
+    """Largest maximizer of w(S) - |S|*cost by a networkx minimum cut on the whole program.
 
     Goldberg's network with no q-core, no pre-push and one arc per direction
-    and pair: s feeds each node its reweighted degree, each node pays twice
-    its cost to t, and each non-loop edge of positive reweighted weight adds
-    that weight both ways.
+    and pair: s feeds each node its degree over ``w``, each node pays twice
+    the cost to t, and each non-loop edge of positive weight adds that
+    weight both ways.
     """
-    a, b = q.numerator, q.denominator
-    cost = a * program.l2 - b * program.l1
     source, sink = program.n, program.n + 1
     network = nx.DiGraph()
     network.add_nodes_from(range(program.n + 2))
@@ -775,15 +778,15 @@ def networkx_max_density_side(program, q: Fraction) -> list[int]:
         previous = network.get_edge_data(x, y, {"capacity": 0})["capacity"]
         network.add_edge(x, y, capacity=previous + capacity)
 
-    for x, degree in enumerate(column_degrees(program, b * program.p - a * program.r)):
+    for x, degree in enumerate(column_degrees(program, w)):
         if degree > 0:
             add(source, x, degree)
         if cost > 0:
             add(x, sink, 2 * cost)
-    for x, y, p, r in zip(program.u.tolist(), program.v.tolist(), program.p.tolist(), program.r.tolist()):
-        if x != y and b * p - a * r > 0:
-            add(x, y, b * p - a * r)
-            add(y, x, b * p - a * r)
+    for x, y, w_e in zip(program.u.tolist(), program.v.tolist(), w.tolist()):
+        if x != y and w_e > 0:
+            add(x, y, w_e)
+            add(y, x, w_e)
     side = reference_sink_side(network, source, sink)
     return [x for x in range(program.n) if not side[x]]
 
@@ -1109,3 +1112,143 @@ class TestWarmStart:
                 assert repr(result) == repr(whole_set_search(graph, params)[0])
                 pruned += programs[0] < n
         assert pruned > 100, pruned
+
+
+def certifies(graph: SignedGraph, params: ObjectiveParams, q: Fraction) -> bool:
+    """``_certifies`` as the search calls it: P = wpos, R = wneg and the graph's wpos degrees."""
+    return _certifies(graph, graph.wpos, graph.wneg, params, q, graph.deg_pos)
+
+
+def unfiltered_certifies(graph: SignedGraph, params: ObjectiveParams, q: Fraction) -> bool:
+    """g(q) <= 0 by a networkx cut on the clipped column of the whole graph's program: no prune, no prefilter."""
+    program = full_program(graph, graph.wpos, graph.wneg, params)
+    w, cost = program.reweighted(q)
+    w = np.maximum(w, 0)
+    witness = networkx_max_density_side(program, w, cost)
+    return w[_induced_edges(program, frozenset(witness))].sum() <= len(witness) * cost
+
+
+def signed_zero_graph(rng: random.Random, max_nodes: int = 10) -> SignedGraph:
+    """Random records with loops, parallel records and weights of both signs, +-0.0 among them."""
+    n = rng.randint(1, max_nodes)
+    pool = (0.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1 / 3, 2.75)
+    raw = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.randrange(n)
+        raw.append((u, u if rng.random() < 0.2 else rng.randrange(n), rng.choice(pool), rng.choice(pool)))
+    if raw and rng.random() < 0.4:
+        raw += rng.choices(raw, k=rng.randint(1, len(raw)))  # parallel records
+    return build_signed_graph(raw, n=n)
+
+
+def certificate_queries(graph: SignedGraph, params: ObjectiveParams, rng: random.Random) -> tuple[Fraction, list]:
+    """The exact value of ``brute_force``'s optimum, and queries around it: the optimum,
+    just below and above it, the search's answer, two random sets' values and 0."""
+    program = full_program(graph, graph.wpos, graph.wneg, params)
+    best = program.value(brute_force(graph, params).nodes)
+    answer = program.value(binary_search_objective(graph, params)[0].nodes)
+    sets = [rng.sample(range(graph.n), rng.randint(1, graph.n)) for _ in range(2)]
+    step = (best + 1) / 2**20
+    return best, [best, best - step, best + step, answer, *map(program.value, sets), Fraction(0)]
+
+
+@pytest.fixture
+def certificate_cuts(monkeypatch):
+    """A list that grows by one at each exact cut (``_max_density_side``) from now on."""
+    cuts = []
+    cut = negdsd.exact._max_density_side
+    monkeypatch.setattr(negdsd.exact, "_max_density_side", lambda *args: cuts.append(1) or cut(*args))
+    return cuts
+
+
+class TestCertificate:
+    """``_certifies`` holds exactly when the clipped gain g(q) is at most 0, which bounds the optimum by q."""
+
+    PARAMS = TestWarmStart.PARAMS
+
+    def test_certified_queries_bound_the_brute_force_optimum(self, certificate_cuts):
+        rng = random.Random(331)
+        generators = [
+            lambda: signed_zero_graph(rng),
+            lambda: random_signed_graph(rng, max_nodes=10, allow_loops=True),
+            lambda: random_multigraph(rng, max_nodes=10),
+            lambda: small_negatives_graph(rng, max_nodes=10),
+            lambda: random_nonnegative_graph(rng, max_nodes=9),
+        ]
+        counts = {"certified": 0, "prefiltered": 0, "cut": 0, "nonnegative": 0}
+        for i in range(150):
+            graph = generators[i % len(generators)]()
+            params = rng.choice(self.PARAMS)
+            best, queries = certificate_queries(graph, params, rng)
+            for q in queries:
+                del certificate_cuts[:]
+                got = certifies(graph, params, q)
+                assert got == unfiltered_certifies(graph, params, q), (i, q)
+                assert not got or q >= best, (i, q, best)
+                counts["certified" if got else "cut" if certificate_cuts else "prefiltered"] += 1
+            if graph.total_neg == 0:  # nothing clips: the certificate is exact at the optimum
+                assert certifies(graph, params, best) and not certifies(graph, params, queries[1])
+                counts["nonnegative"] += 1
+        assert min(counts.values()) > 20, counts
+
+    def test_prefilter_never_rejects_a_certifiable_query(self, certificate_cuts):
+        # queries at and just above the optimum, where most cuts certify
+        rng = random.Random(337)
+        rejected = 0
+        for i in range(120):
+            graph = (signed_zero_graph, random_multigraph, small_negatives_graph)[i % 3](rng, 10)
+            params = rng.choice(self.PARAMS)
+            best, queries = certificate_queries(graph, params, rng)
+            for q in (best, queries[2], best * 2):
+                del certificate_cuts[:]
+                got = certifies(graph, params, q)
+                if not got and not certificate_cuts:  # the prefilter answered
+                    assert not unfiltered_certifies(graph, params, q), (i, q)
+                    rejected += 1
+        assert rejected > 10, rejected
+
+    def test_overflowing_scale_clips_without_warnings(self):
+        # at the optimum {0, 2}, q*rt = 2e300 * 1e10 is beyond the float range: the
+        # prefilter's product where wneg != 0 is inf and clips to 0, with no warning
+        graph = build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.5), (0, 2, 2.0, 0.0)])
+        params = ObjectiveParams(1, 1e-300, 1e10)
+        program = full_program(graph, graph.wpos, graph.wneg, params)
+        q = program.value({0, 2})
+        assert float(q) * params.risk_tolerance == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert certifies(graph, params, q) and unfiltered_certifies(graph, params, q)
+            assert not certifies(graph, params, q * (1 - Fraction(1, 2**40)))
+
+    def test_peel_regime_search_sweeps_once(self):
+        # the first step's sweep finds the planted set, which the certificate then
+        # proves optimal in place of a second sweep
+        import perf_probe
+
+        with perf_probe.counted_sweeps() as sweeps:
+            result, trace = binary_search_objective(perf_probe.search_graph(200, 0.0), ObjectiveParams(1.0, 1.0, 1.0))
+        assert len(sweeps) == 1
+        assert trace.routes == ["peel", "peel"] and not result.exact and not trace.exact
+        assert (result.size, result.f_value) == (perf_probe.SEARCH_CORE, 47.0)
+
+
+signed_zero_records = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1 / 3]),
+            st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.0, 0.1]),
+        ),
+        max_size=20,
+    ).map(lambda records: build_signed_graph(records, n=n))
+)
+
+
+@given(graph=signed_zero_records, params=st.sampled_from(TestWarmStart.PARAMS), salt=st.integers(0, 2**16))
+def test_certified_queries_are_sound(graph, params, salt):
+    best, queries = certificate_queries(graph, params, random.Random(salt))
+    for q in queries:
+        got = certifies(graph, params, q)
+        assert got == unfiltered_certifies(graph, params, q)
+        assert not got or q >= best
