@@ -223,10 +223,9 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_exclude(args) -> int:
-    from .multilayer import ExclusionQuery, apply_exclusion, build_multilayer_graph, layer_report
+    from .multilayer import ExclusionQuery, apply_exclusion, layer_report
 
-    edges, labels = parse_multilayer(_read_input(args.input))
-    graph = build_multilayer_graph(edges, n=len(labels))
+    graph, labels = parse_multilayer(_read_input(args.input))
     excluded = [name for name in args.exclude.split(",") if name]
     query = ExclusionQuery.hard(excluded) if args.hard else ExclusionQuery.soft(excluded, args.W)
     signed = apply_exclusion(graph, query)

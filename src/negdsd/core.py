@@ -172,29 +172,6 @@ def _rows(*columns: np.ndarray) -> Iterator[tuple]:
     return zip(*(column.tolist() for column in columns))
 
 
-def _checked_columns(owner: str, **columns: tuple[np.ndarray, type]) -> list[np.ndarray]:
-    """The columns given as ``name=(values, dtype)``, each a 1-D array cast to
-    its dtype with ``casting="safe"`` (no copy when it is one already).
-
-    :class:`BadParametersError` names the first column that is not 1-D or
-    does not cast, or every length when they differ.
-    """
-    cast = []
-    for name, (values, dtype) in columns.items():
-        try:
-            column = np.asarray(values).astype(dtype, casting="safe", copy=False)
-        except (TypeError, ValueError):  # ragged, or of a type that does not cast safely
-            found = getattr(values, "dtype", type(values).__name__)
-            raise BadParametersError(f"{owner}.{name} must cast safely to {np.dtype(dtype)}, got {found}") from None
-        if column.ndim != 1:
-            raise BadParametersError(f"{owner}.{name} must be a 1-D column, got shape {column.shape}")
-        cast.append(column)
-    if len({column.shape[0] for column in cast}) > 1:
-        lengths = ", ".join(f"{name} {column.shape[0]}" for name, column in zip(columns, cast))
-        raise BadParametersError(f"{owner} columns must have one length, got {lengths}")
-    return cast
-
-
 class EdgeColumns:
     """Raw (u, v, a, b) records as columns: int64 ids ``u``, ``v`` and float64 values ``a``, ``b``.
 
@@ -211,48 +188,28 @@ class EdgeColumns:
     __slots__ = ("u", "v", "a", "b")
 
     def __init__(self, u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray):
-        self.u, self.v, self.a, self.b = _checked_columns(
-            "EdgeColumns", u=(u, np.int64), v=(v, np.int64), a=(a, np.float64), b=(b, np.float64)
-        )
+        columns = {"u": (u, np.int64), "v": (v, np.int64), "a": (a, np.float64), "b": (b, np.float64)}
+        cast = []
+        for name, (values, dtype) in columns.items():
+            try:
+                column = np.asarray(values).astype(dtype, casting="safe", copy=False)
+            except (TypeError, ValueError):  # ragged, or of a type that does not cast safely
+                found = getattr(values, "dtype", type(values).__name__)
+                message = f"EdgeColumns.{name} must cast safely to {np.dtype(dtype)}, got {found}"
+                raise BadParametersError(message) from None
+            if column.ndim != 1:
+                raise BadParametersError(f"EdgeColumns.{name} must be a 1-D column, got shape {column.shape}")
+            cast.append(column)
+        if len({column.shape[0] for column in cast}) > 1:
+            lengths = ", ".join(f"{name} {column.shape[0]}" for name, column in zip(columns, cast))
+            raise BadParametersError(f"EdgeColumns columns must have one length, got {lengths}")
+        self.u, self.v, self.a, self.b = cast
 
     def __len__(self) -> int:
         return self.u.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, int, float, float]]:
         return _rows(self.u, self.v, self.a, self.b)
-
-
-class LayerColumns:
-    """Raw (u, v, layer) records as columns: int64 ids ``u``, ``v`` and int64
-    ``layer`` codes into ``names``, the layer names in order of first appearance.
-
-    :func:`~negdsd.io.parse_multilayer` returns one, and
-    :func:`~negdsd.multilayer.build_multilayer_graph` takes it in place of an
-    iterable of records.  ``len`` is the number of records; iterating yields
-    them as (u, v, name) tuples.  The columns are checked and cast to int64
-    as :class:`EdgeColumns`' are, every code must be in
-    ``range(len(names))``, and the names must be distinct and hashable.
-    """
-
-    __slots__ = ("u", "v", "layer", "names")
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple):
-        self.u, self.v, self.layer = _checked_columns(
-            "LayerColumns", u=(u, np.int64), v=(v, np.int64), layer=(layer, np.int64)
-        )
-        self.names = names
-        if self.layer.shape[0] and not 0 <= self.layer.min() <= self.layer.max() < len(names):
-            raise BadParametersError(f"LayerColumns.layer codes must be in range({len(names)}) of the names")
-        with contextlib.suppress(TypeError):  # a name that is not hashable
-            if len(set(names)) == len(names):
-                return
-        raise BadParametersError(f"LayerColumns.names must be distinct hashable names, got {names!r}")
-
-    def __len__(self) -> int:
-        return self.u.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[int, int, Hashable]]:
-        return _layer_rows(self.u, self.v, self.layer, self.names)
 
 
 class _Codes(dict):
@@ -265,10 +222,6 @@ class _Codes(dict):
     def code(self, tokens: list) -> np.ndarray:
         """The codes of ``tokens`` as an int64 array; ``TypeError`` when one is not hashable."""
         return np.fromiter(map(self.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-
-
-def _layer_rows(u: np.ndarray, v: np.ndarray, layer: np.ndarray, names: tuple) -> Iterator[tuple[int, int, Hashable]]:
-    return zip(u.tolist(), v.tolist(), map(names.__getitem__, layer.tolist()))
 
 
 def _record_columns(records: list, fields: str) -> list[list]:
@@ -593,14 +546,15 @@ def _induced_edges(graph, node_set: frozenset[int]) -> np.ndarray:
 
 
 def objective_f(graph: SignedGraph, nodes: Iterable[int], params: ObjectiveParams) -> float:
-    """Ratio objective (wpos(S) + l1|S|) / (rt*wneg(S) + l2|S|); always >= 0."""
+    """Ratio objective (wpos(S) + l1|S|) / (rt*wneg(S) + l2|S|); >= 0, and 0.0 when the denominator overflows."""
     node_set = _check_node_set(graph, nodes)
-    wpos, wneg, _ = induced_weights(graph, node_set)
+    wpos, wneg, _ = _induced_totals(graph, _induced_edges(graph, node_set), len(node_set))
     return _objective(wpos, wneg, len(node_set), params)
 
 
 def _objective(wpos, wneg, size, params: ObjectiveParams):
-    """The ratio objective from induced weights and size; scalars or arrays alike."""
+    """The ratio objective from induced weights and size; scalars or arrays alike.  A denominator
+    beyond the float range is inf and scores 0.0; arrays warn of it outside ``np.errstate``."""
     return (wpos + params.lambda1 * size) / (params.risk_tolerance * wneg + params.lambda2 * size)
 
 

@@ -651,7 +651,8 @@ def brute_force(graph: SignedGraph, params: ObjectiveParams | None = None) -> Ds
     if params is None:
         values = (wpos - wneg) / sizes
     else:
-        values = (wpos + params.lambda1 * sizes) / (params.risk_tolerance * wneg + params.lambda2 * sizes)
+        with np.errstate(over="ignore"):  # a denominator beyond the float range scores 0.0
+            values = (wpos + params.lambda1 * sizes) / (params.risk_tolerance * wneg + params.lambda2 * sizes)
     top = values.max()
     tied = np.flatnonzero(values >= top - TIE_TOLERANCE)
     best_mask = min((int(masks[i]) for i in tied), key=_mask_nodes)

@@ -9,10 +9,9 @@ Three whitespace-delimited formats, ``#`` starting a comment anywhere:
 * multilayer  "u v layer".
 
 Node labels are arbitrary strings mapped to dense ids in order of first
-appearance; parsers return the records as columns
-(:class:`~negdsd.core.EdgeColumns`, or
-:class:`~negdsd.core.LayerColumns` for a multilayer file) alongside
-the list of labels, and the builders take those columns as they are.
+appearance.  Parsers return the records alongside the list of labels: as
+:class:`~negdsd.core.EdgeColumns`, which the builders take as they are,
+or, for a multilayer file, as its :class:`~negdsd.multilayer.MultilayerGraph`.
 
 Parsing is one tokenizer for every format.  Plain text (ASCII, with no
 ``#`` and no control character but tab and newline) is cut at line breaks
@@ -31,12 +30,15 @@ from __future__ import annotations
 
 import codecs
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import EdgeColumns, LayerColumns, SignedGraph, _Codes
+from .core import EdgeColumns, SignedGraph, _Codes
 from .errors import BadParametersError, ParseError
+
+if TYPE_CHECKING:
+    from .multilayer import MultilayerGraph
 
 
 def decode(data: bytes) -> str:
@@ -126,8 +128,11 @@ class _Columns:
         """The records, ``a`` and ``b`` the numbers given or else the file's."""
         return EdgeColumns(*self._ids(), *(numbers or self.numbers())), list(self.labels)
 
-    def layers(self) -> tuple[LayerColumns, list[str]]:
-        return LayerColumns(*self._ids(), np.concatenate(self._layers), tuple(self.names)), list(self.labels)
+    def layers(self) -> tuple[MultilayerGraph, list[str]]:
+        from .multilayer import MultilayerGraph  # here, so that `negdsd peel` loads no multilayer code
+
+        graph = MultilayerGraph(len(self.labels), *self._ids(), np.concatenate(self._layers), tuple(self.names))
+        return graph, list(self.labels)
 
     def _ids(self) -> tuple[np.ndarray, np.ndarray]:
         ends = np.concatenate(self._ends)
@@ -295,8 +300,9 @@ def parse_moments(text: str) -> tuple[EdgeColumns, list[str]]:
     return _parse(text, (_MOMENTS,)).edges()
 
 
-def parse_multilayer(text: str) -> tuple[LayerColumns, list[str]]:
-    """Parse "u v layer" multigraph edges; layer names are arbitrary strings."""
+def parse_multilayer(text: str) -> tuple[MultilayerGraph, list[str]]:
+    """Parse "u v layer" multigraph edges into their graph, one node per label; layer
+    names are arbitrary strings.  It equals ``build_multilayer_graph`` of the records."""
     return _parse(text, (_LAYERED,)).layers()
 
 

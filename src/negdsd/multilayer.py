@@ -17,16 +17,13 @@ from typing import Hashable, Iterable, Iterator
 import numpy as np
 
 from .core import (
-    LayerColumns,
     SignedGraph,
     _Codes,
     _check_ids,
     _check_node_set,
     _collapse_columns,
-    _column_node_count,
     _id_columns,
     _is_finite_real,
-    _layer_rows,
     _record_columns,
 )
 from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
@@ -38,9 +35,10 @@ Layer = Hashable
 class MultilayerGraph:
     """Multigraph whose edges carry a layer label; parallel edges allowed.
 
-    Construct through :func:`build_multilayer_graph`.  The records are
-    read-only int64 columns ``u``, ``v`` and ``layer``, the last coding the
-    names in order of first appearance.
+    Construct through :func:`build_multilayer_graph`, or parse a file with
+    :func:`~negdsd.io.parse_multilayer`.  The records are read-only int64
+    columns ``u``, ``v`` and ``layer``, the last coding the names in order
+    of first appearance.
     """
 
     __slots__ = ("n", "u", "v", "layer", "layers", "_names")
@@ -53,30 +51,21 @@ class MultilayerGraph:
 
     def rows(self) -> Iterator[tuple[int, int, Layer]]:
         """(u, v, layer) of each record as Python scalars and names, in record order."""
-        return _layer_rows(self.u, self.v, self.layer, self._names)
+        return zip(self.u.tolist(), self.v.tolist(), map(self._names.__getitem__, self.layer.tolist()))
 
     def __repr__(self) -> str:
         return f"MultilayerGraph(n={self.n}, m={self.u.shape[0]}, layers={len(self.layers)})"
 
 
-def build_multilayer_graph(
-    raw_edges: Iterable[tuple[int, int, Layer]] | LayerColumns,
-    n: int | None = None,
-) -> MultilayerGraph:
+def build_multilayer_graph(raw_edges: Iterable[tuple[int, int, Layer]], n: int | None = None) -> MultilayerGraph:
     """A :class:`MultilayerGraph` of raw (u, v, layer) records, ids and ``n``
     checked with the errors of :func:`~negdsd.core.build_signed_graph`.
 
     A layer name that is not hashable is a :class:`BadParametersError`; the
-    first bad record, ids before name, decides the error.  :class:`LayerColumns`
-    become the graph's columns as they are, with no copy.
+    first bad record, ids before name, decides the error.  Layer names are
+    coded in order of first appearance, as :func:`~negdsd.io.parse_multilayer`
+    codes those of a file.
     """
-    if isinstance(raw_edges, LayerColumns):
-        u, v = raw_edges.u, raw_edges.v
-        if len(raw_edges) and min(u.min(), v.min()) < 0:
-            for a, b, _ in raw_edges:
-                _check_ids(a, b)
-        n, _ = _column_node_count(n, u, v)
-        return MultilayerGraph(n, u, v, raw_edges.layer, raw_edges.names)
     us, vs, labels = _record_columns(list(raw_edges), "(u, v, layer)")
     names = _Codes()
     try:
@@ -192,16 +181,21 @@ def _induced_records(graph: MultilayerGraph, node_set: frozenset[int]) -> np.nda
 
 def layer_count(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> int:
     """Number of layer edges with both endpoints in the set."""
-    if layer not in graph.layers:
-        raise UnknownLayerError(f"layer {layer!r} not present in the graph")
-    induced = graph.layer[_induced_records(graph, _check_node_set(graph, nodes))]
-    return int(np.count_nonzero(induced == graph._names.index(layer)))
+    return _layer_count(graph, _check_node_set(graph, nodes), layer)
 
 
 def layer_density(graph: MultilayerGraph, nodes: Iterable[int], layer: Layer) -> float:
     """Induced edge count of one layer divided by the set size."""
     node_set = _check_node_set(graph, nodes)
-    return layer_count(graph, node_set, layer) / len(node_set)
+    return _layer_count(graph, node_set, layer) / len(node_set)
+
+
+def _layer_count(graph: MultilayerGraph, node_set: frozenset[int], layer: Layer) -> int:
+    """:func:`layer_count` of a checked node set; the layer must exist."""
+    if layer not in graph.layers:
+        raise UnknownLayerError(f"layer {layer!r} not present in the graph")
+    induced = graph.layer[_induced_records(graph, node_set)]
+    return int(np.count_nonzero(induced == graph._names.index(layer)))
 
 
 def layer_report(

@@ -342,7 +342,8 @@ def best_prefix(graph: SignedGraph, order: PeelOrder, scoring: PeelScoring) -> D
     if scoring.mode == "net_density":
         values = (wpos - wneg) / size
     else:
-        values = _objective(wpos, wneg, size, scoring.params)
+        with np.errstate(over="ignore"):  # a denominator beyond the float range scores 0.0
+            values = _objective(wpos, wneg, size, scoring.params)
     best_size = int(np.argmax(values >= values.max() - TIE_TOLERANCE)) + 1
     pos, neg, density = _induced_totals(graph, k >= n - best_size, best_size)
     f_value = _objective(pos, neg, best_size, scoring.params) if scoring.params is not None else None

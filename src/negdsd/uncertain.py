@@ -22,8 +22,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import EdgeColumns, SignedGraph, _check_node_set, _check_records, _collapse_columns, _intake, induced_weights
-from .core import _real_float, build_signed_graph  # noqa: F401  the second is re-exported; callers may look it up here
+from .core import EdgeColumns, SignedGraph, _check_node_set, _check_records, _collapse_columns, _induced_edges
+from .core import _induced_totals, _intake, _real_float
+from .core import build_signed_graph  # noqa: F401  re-exported; callers may look it up here
 from .errors import BadParametersError, EmptyFilmographyError, OutOfRangeError
 
 TOP_COSTARRED_MOVIES = 5
@@ -126,8 +127,8 @@ def uncertain_to_signed(graph: UncertainGraph) -> SignedGraph:
 def risk_profile(graph: UncertainGraph, nodes: Iterable[int]) -> RiskReport:
     """Average induced expected reward and risk of a nonempty node set."""
     node_set = _check_node_set(graph, nodes)
-    mu, risk, _ = induced_weights(graph, node_set)
     size = len(node_set)
+    mu, risk, _ = _induced_totals(graph, _induced_edges(graph, node_set), size)
     return RiskReport(mu / size, risk / size, size)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from negdsd import (
     ObjectiveParams,
     SignedGraph,
-    build_multilayer_graph,
     build_signed_graph,
     gen_bad_peeling,
     induced_weights,
@@ -34,7 +33,7 @@ from negdsd.errors import (
     TooLargeError,
     ZeroDenominatorError,
 )
-from negdsd.core import EdgeColumns, LayerColumns, _check_node_set
+from negdsd.core import EdgeColumns, _check_node_set
 from negdsd.uncertain import bernoulli_graph, build_uncertain_graph
 
 from conftest import naive_best, naive_induced
@@ -270,8 +269,6 @@ class TestColumns:
         values = float64(1.0, 0.5)
         edges = EdgeColumns(ids[0::2], ids[1::2], values, values)
         assert np.shares_memory(edges.u, ids) and edges.a is values and edges.b is values
-        layers = LayerColumns(ids[0::2], ids[1::2], int64(0, 0), ("a",))
-        assert np.shares_memory(layers.v, ids)
 
     def test_int32_ids_build_the_int64_graph(self):
         # 700k nodes and 6,000 arcs: the CSR sort key overflows int32
@@ -295,8 +292,6 @@ class TestColumns:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(BadParametersError, match="EdgeColumns columns must have one length, got u 1, v 2"):
             EdgeColumns(int64(0), int64(1, 2), float64(1.0), float64(0.0))
-        with pytest.raises(BadParametersError, match="LayerColumns columns must have one length"):
-            LayerColumns(int64(0, 1), int64(1), int64(0, 0), ("a",))
 
     @pytest.mark.parametrize(
         "column, values, message",
@@ -311,28 +306,6 @@ class TestColumns:
         columns = {"u": int64(0), "v": int64(1), "a": float64(1.0), "b": float64(0.0), column: values}
         with pytest.raises(BadParametersError, match=message):
             EdgeColumns(**columns)
-
-    @pytest.mark.parametrize(
-        "layer, message",
-        [
-            (int64(0, 5), r"LayerColumns\.layer codes must be in range\(1\)"),
-            (int64(-1, 0), r"LayerColumns\.layer codes must be in range\(1\)"),
-            (float64(0.0, 0.0), r"LayerColumns\.layer must cast safely to int64, got float64"),
-        ],
-    )
-    def test_layer_code_that_names_no_layer_rejected(self, layer, message):
-        with pytest.raises(BadParametersError, match=message):
-            LayerColumns(int64(0, 1), int64(1, 2), layer, ("a",))
-
-    @pytest.mark.parametrize("names", [("a", "a"), ("a", ["b"]), (1, 1.0)], ids=["repeated", "unhashable", "equal"])
-    def test_layer_names_that_are_not_distinct_and_hashable_rejected(self, names):
-        # a repeated name would count its records under one code only
-        with pytest.raises(BadParametersError, match=r"LayerColumns\.names must be distinct hashable names"):
-            LayerColumns(int64(0, 1, 0), int64(1, 2, 2), int64(0, 1, 1), names)
-
-    def test_negative_id_in_layer_columns_rejected(self):
-        with pytest.raises(BadParametersError, match=r"node ids must be nonnegative integers, got \(0, -1\)"):
-            build_multilayer_graph(LayerColumns(int64(0, 0), int64(1, -1), int64(0, 0), ("a",)))
 
 
 class TestInducedWeights:

@@ -864,6 +864,19 @@ class TestBruteForce:
         with pytest.raises(EmptySetError):
             brute_force(build_signed_graph([]))
 
+    def test_denominator_beyond_the_float_range_scores_zero(self):
+        # rt * wneg of the whole set is 1e310: it scores 0.0 with no overflow warning
+        graph = build_signed_graph([(0, 1, 1.0, 1e300), (1, 2, 1.0, 0.0)])
+        params = ObjectiveParams(1.0, 1.0, 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert objective_f(graph, {0, 1, 2}, params) == 0.0
+            swept = c_sweep(graph, scoring=PeelScoring("objective", params))
+            oracle = brute_force(graph, params)
+            searched, _ = binary_search_objective(graph, params)
+        for result in (swept, oracle, searched):
+            assert (result.nodes, result.f_value) == (frozenset({1, 2}), 1.5)
+
     def test_matches_naive_enumeration(self):
         rng = random.Random(59)
         params = ObjectiveParams(0.5, 1, 2)
@@ -897,8 +910,9 @@ def corollary_regime_graph(rng: random.Random, params: ObjectiveParams, unit: fl
 
 class TestBinarySearch:
     def test_overflowing_reweighting_ends_the_search(self):
-        # the second peel step's q * rt is beyond the float range: the search
-        # ends there, inexact, on the set its first step found
+        # the second peel step's q * rt is beyond the float range: the clipped
+        # certificate holds there, before any reweighting, so the search ends,
+        # inexact, on the set its first step found
         graph = build_signed_graph([(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.5), (0, 2, 2.0, 0.0)])
         params = ObjectiveParams(1, 1e-300, 1e10)
         with warnings.catch_warnings():
@@ -907,6 +921,32 @@ class TestBinarySearch:
         assert result.nodes == brute_force(graph, params).nodes == frozenset({0, 2})
         assert not result.exact and trace.routes == ["peel", "peel"]
         assert trace.lo_history[1:] == [pytest.approx(result.f_value)] * 2
+
+    def test_overflowing_reweighting_ends_an_uncertified_search(self, monkeypatch):
+        # the second peel step's q is about 3.3e299, so q * 1e10 is beyond the
+        # float range and no certificate holds: tilde_weights raises there and
+        # the search ends, inexact, on brute_force's optimum
+        graph = build_signed_graph([(1, 1, 1.0, 1e10), (0, 0, 1.0, 1.0), (0, 2, 1e300, 0.0)])
+        params = ObjectiveParams(1, 1, 1)
+        calls = []
+
+        def spied(*args):
+            try:
+                reweighted = tilde_weights(*args)
+            except BadParametersError:
+                calls.append("raised")
+                raise
+            calls.append("reweighted")
+            return reweighted
+
+        monkeypatch.setattr(negdsd.exact, "tilde_weights", spied)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, trace = binary_search_objective(graph, params)
+        assert calls == ["reweighted", "raised"]
+        assert trace.routes == ["peel", "peel"] and not result.exact and not trace.exact
+        reference = brute_force(graph, params)
+        assert (result.nodes, result.f_value) == (reference.nodes, reference.f_value) == (frozenset({0, 2}), 1e300 / 3)
 
     def test_degenerates_to_plain_dsp_without_negatives(self):
         rng = random.Random(61)

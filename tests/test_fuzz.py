@@ -90,14 +90,15 @@ parser_texts = plain_texts | st.lists(odd_line, max_size=8).map("".join) | texts
 
 
 def outcome(parse, text):
-    """The columns (dtype, shape and bytes of each array) and labels that ``parse`` returns, or its error."""
+    """The columns (dtype, shape and bytes of each array) and labels that ``parse`` returns, with a
+    multilayer graph's node count and layer names, or its error."""
     try:
         columns, labels = parse(text)
     except ParseError as exc:
         return exc.line, str(exc)
     extra = (columns.a, columns.b) if isinstance(columns, EdgeColumns) else (columns.layer,)
     arrays = [(array.dtype.str, array.shape, array.tobytes()) for array in (columns.u, columns.v, *extra)]
-    return arrays, getattr(columns, "names", None), labels
+    return arrays, getattr(columns, "n", None), getattr(columns, "_names", None), labels
 
 
 def plain(text: str) -> bool:

@@ -21,7 +21,7 @@ from negdsd import (
 )
 from negdsd.cli import run
 from negdsd.core import EdgeColumns
-from negdsd.errors import BadParametersError, NegativeMagnitudeError, OutOfRangeError, ParseError, UnknownNodeError
+from negdsd.errors import BadParametersError, NegativeMagnitudeError, OutOfRangeError, ParseError
 from negdsd.io import (
     decode,
     format_signed,
@@ -107,9 +107,25 @@ class TestParsing:
             parse_moments("a b 0.17\n")
 
     def test_multilayer(self):
-        edges, labels = parse_multilayer("u v follow\nv w reply\n")
-        assert list(edges) == [(0, 1, "follow"), (1, 2, "reply")]
+        graph, labels = parse_multilayer("u v follow\nv w reply\n")
+        assert list(graph.rows()) == [(0, 1, "follow"), (1, 2, "reply")]
         assert labels == ["u", "v", "w"]
+
+    @pytest.mark.parametrize(
+        "text, records",
+        [
+            ("", []),
+            ("u v follow\nv w reply\nu v reply\n", [(0, 1, "follow"), (1, 2, "reply"), (0, 1, "reply")]),
+            ("a a x\n# note\nb a 1\r\nb a x\n\u00e9 b x\n", [(0, 0, "x"), (1, 0, "1"), (1, 0, "x"), (2, 1, "x")]),
+        ],
+        ids=["empty", "parallel", "walked"],
+    )
+    def test_multilayer_graph_equals_a_build_of_its_records(self, text, records):
+        graph, labels = parse_multilayer(text)
+        built = build_multilayer_graph(records, n=len(labels))
+        assert (graph.n, list(graph.rows()), graph.layers) == (built.n, list(built.rows()), built.layers)
+        assert np.array_equal(graph.layer, built.layer)  # names coded in one order
+        assert all(not column.flags.writeable for column in (graph.u, graph.v, graph.layer))
 
     def test_builders_take_columns_as_they_take_records(self):
         signed, _ = parse_signed("a b 2 0\nb c 0 0.5\nb a 1 1\n")
@@ -121,11 +137,6 @@ class TestParsing:
             (build_uncertain_graph(moments, n=3), build_uncertain_graph(list(moments), n=3)),
         ):
             assert built.n == records.n and list(built.rows()) == list(records.rows())
-        layered, _ = parse_multilayer("u v follow\nv w reply\nu v reply\n")
-        graph = build_multilayer_graph(layered, n=4)
-        assert (graph.n, list(graph.rows()), graph.layers) == (4, list(layered), {"follow", "reply"})
-        with pytest.raises(UnknownNodeError):
-            build_multilayer_graph(layered, n=2)
 
     def test_columns_with_bad_values_raise_as_records_do(self):
         ids = np.array([0, 1], dtype=np.int64)

@@ -734,6 +734,24 @@ class TestForkedSweep:
         assert kept(graph) == cold  # the failed worker's orders were peeled again, none kept wrong
         assert_no_child_left()
 
+    def test_failed_fork_peels_every_row_here(self, cpus, monkeypatch):
+        c_values = list(DEFAULT_C_LIST)
+        cpus(1)
+        serial = [order.tolist() for order in peeling._peel_orders(self.graph(), c_values)]
+        cpus(3)
+        attempts = []
+
+        def failing_fork():
+            attempts.append(os.getpid())
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        graph = self.graph()
+        assert [order.tolist() for order in peeling._peel_orders(graph, c_values)] == serial
+        assert attempts == [os.getpid()]  # the first fork failed, and no other was tried
+        assert kept(graph) == dict(zip(c_values, serial))
+        assert_no_child_left()
+
     def test_failure_in_this_process_reaps_workers(self, cpus, monkeypatch):
         parent = os.getpid()
 
